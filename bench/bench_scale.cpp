@@ -294,7 +294,6 @@ int run_resilience(const ScaleOptions& opts) {
         ScaleConfig static_cfg = cfg;
         static_cfg.policy = ScalePolicy::kGenericCoverage;
         static_cfg.generic = generic_static_config(2);
-        static_cfg.view_mode = ScaleViewMode::kScratch;
         ScaleEngine generic_static(graph, static_cfg);
         ScaleConfig fr_cfg = static_cfg;
         fr_cfg.generic = generic_fr_config(2);
@@ -436,12 +435,11 @@ int main(int argc, char** argv) {
         pruned_cfg.policy = ScalePolicy::kSelfPrune;
         ScaleEngine pruned(graph, pruned_cfg);
 
-        // Generic coverage at scale: scratch views keep per-wheel memory
-        // O(k-hop ball) regardless of n (cached views are O(n) each).
+        // Generic coverage at scale: each decision compiles its k-hop ball
+        // into per-wheel scratch; no view outlives its decision.
         ScaleConfig static_cfg = cfg;
         static_cfg.policy = ScalePolicy::kGenericCoverage;
         static_cfg.generic = generic_static_config(2);
-        static_cfg.view_mode = ScaleViewMode::kScratch;
         ScaleEngine generic_static(graph, static_cfg);
 
         ScaleConfig fr_cfg = static_cfg;

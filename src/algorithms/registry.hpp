@@ -64,7 +64,7 @@ struct RegistryEntry {
 /// need per-node timers/pullback events; wu-li and rule-k run a marking
 /// precheck (degree < 2 / pairwise-connected neighborhood) that diverges
 /// from the pure coverage condition on clique neighborhoods; gossip is
-/// randomized.  `wheels`/`jobs`/`view_mode` are left at their defaults for
+/// randomized.  `wheels`/`jobs` are left at their defaults for
 /// the caller to tune — they never change the result.
 [[nodiscard]] std::optional<ScaleConfig> scale_config_for(const std::string& key);
 

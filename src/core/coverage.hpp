@@ -81,8 +81,8 @@ struct CoverageOutcome {
 /// per-member priority and status), `local_v` its local id, and `pv` its
 /// own fully-evaluated priority.  `evaluate_coverage` is exactly
 /// `compile` + this call; callers that assemble the compact view
-/// themselves — the ScaleEngine compiles truncated-BFS views straight into
-/// per-wheel storage and aliases the spans — skip the `View` object
+/// themselves — the ScaleEngine compiles each view with `compile_ball`
+/// into per-wheel storage and aliases the spans — skip the `View` object
 /// entirely and still run the identical decision kernel.
 [[nodiscard]] CoverageOutcome evaluate_coverage_compiled(LocalViewScratch& s,
                                                          std::uint32_t local_v,

@@ -189,6 +189,8 @@ class CampaignExecutor {
 
     /// Called by the last task of a round; no other thread touches the cell
     /// until the next round is launched, so merging needs no cell lock.
+    /// The one exception is `runs_done`, which progress reports read for
+    /// every cell under `mutex_` — so it is only written under `mutex_`.
     void complete_round(CellState& cell) {
         for (const RunPartial& partial : cell.round) {  // run-index order
             if (partial.forward.empty()) continue;      // run aborted by exception
@@ -199,11 +201,11 @@ class CampaignExecutor {
             }
             cell.telemetry.merge(partial.telemetry);
         }
-        cell.runs_done += cell.round.size();
+        const std::size_t runs_done = cell.runs_done + cell.round.size();
         cell.round.clear();
 
-        bool stop = cell.runs_done >= config_.max_runs;
-        if (!stop && cell.runs_done >= config_.min_runs) {
+        bool stop = runs_done >= config_.max_runs;
+        if (!stop && runs_done >= config_.min_runs) {
             stop = std::all_of(cell.forward.begin(), cell.forward.end(), [this](const Summary& s) {
                 return s.ci_within(config_.ci_fraction, config_.ci_z, config_.min_runs,
                                    config_.ci_abs_epsilon);
@@ -211,6 +213,7 @@ class CampaignExecutor {
         }
 
         std::unique_lock<std::mutex> lock(mutex_);
+        cell.runs_done = runs_done;
         if (tel::enabled()) extra_telemetry_.add_count(kRounds);
         if (error_) stop = true;  // abort: stop scheduling new work
         if (stop) {

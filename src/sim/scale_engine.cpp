@@ -12,7 +12,6 @@
 
 #include "core/coverage.hpp"
 #include "core/view.hpp"
-#include "core/view_cache.hpp"
 
 namespace adhoc {
 
@@ -106,12 +105,6 @@ inline constexpr std::uint64_t kDigestBasis = 0xcbf29ce484222325ULL;
 inline constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
 inline constexpr std::uint32_t kNoRank = 0xffffffffu;
 
-/// kAuto view-mode threshold.  A standing ViewCache stores each node's
-/// LocalTopology over the *full* id space (visibility mask + subgraph), so
-/// cached memory grows ~n^2; past ~10^3 nodes per-decision scratch compiles
-/// are the only thing that fits.
-inline constexpr std::size_t kCachedViewAutoLimit = 1024;
-
 // ---- faulted windowed replay ------------------------------------------
 
 /// Calendar horizon for *plan* event times (engine-generated events are
@@ -166,10 +159,16 @@ void ScaleEngine::validate_generic_config() const {
             "ScaleConfig.generic.hops = 0: global views cost O(n) per "
             "decision and defeat the scale plane — use hops >= 1");
     }
+    if (gc.hops > kMaxBallHops) {
+        throw std::invalid_argument(
+            "ScaleConfig.generic.hops = " + std::to_string(gc.hops) +
+            ": view balls store hop distances in 16 bits — use hops <= " +
+            std::to_string(kMaxBallHops));
+    }
 }
 
 ScaleEngine::ScaleEngine(const Graph& graph, ScaleConfig config)
-    : graph_(&graph), config_(config) {
+    : graph_(graph), config_(config) {
     if (!(config_.delay > 0.0)) {
         throw std::invalid_argument("ScaleConfig.delay must be > 0");
     }
@@ -192,57 +191,16 @@ ScaleEngine::ScaleEngine(const Graph& graph, ScaleConfig config)
 
     if (config_.policy == ScalePolicy::kGenericCoverage) {
         validate_generic_config();
-        const bool cached =
-            config_.view_mode == ScaleViewMode::kCached ||
-            (config_.view_mode == ScaleViewMode::kAuto && n <= kCachedViewAutoLimit);
-        if (cached) {
-            cache_ = std::make_unique<ViewCache>(graph, config_.generic.hops);
-            graph_ = &cache_->graph();  // flaps mutate the cache's copy
-        }
-        keys_ = PriorityKeys(*graph_, config_.generic.priority);
+        keys_ = PriorityKeys(graph_, config_.generic.priority);
         tx_rank_.assign(n, kNoRank);
         best_key_.assign(n, kNoKey);
         chain_.assign(n * chain_stride(), kInvalidNode);
         chain_len_.assign(n, 0);
         scratch_.resize(config_.wheels);
-        if (cache_) {
-            for (WheelScratch& ws : scratch_) {
-                ws.status_row.assign(n, NodeStatus::kUnvisited);
-            }
-        }
     }
 }
 
 ScaleEngine::~ScaleEngine() = default;
-
-void ScaleEngine::flap(NodeId u, NodeId v, bool add) {
-    const std::size_t n = graph_->node_count();
-    if (u >= n || v >= n || u == v) {
-        throw std::invalid_argument("ScaleEngine edge flap: invalid endpoints");
-    }
-    if (cache_) {
-        if (add) {
-            cache_->add_edge(u, v);
-        } else {
-            cache_->remove_edge(u, v);
-        }
-    } else {
-        if (!churn_graph_) {
-            churn_graph_.emplace(*graph_);  // copy-on-first-flap
-            graph_ = &*churn_graph_;
-        }
-        if (add) {
-            churn_graph_->add_edge(u, v);
-        } else {
-            churn_graph_->remove_edge(u, v);
-        }
-    }
-    keys_stale_ = true;  // degree/NCR keys follow the topology
-}
-
-void ScaleEngine::add_edge(NodeId u, NodeId v) { flap(u, v, true); }
-
-void ScaleEngine::remove_edge(NodeId u, NodeId v) { flap(u, v, false); }
 
 std::size_t ScaleEngine::chain_stride() const noexcept {
     // Static decisions ignore broadcast state entirely, so nothing is
@@ -254,8 +212,8 @@ std::size_t ScaleEngine::chain_stride() const noexcept {
 bool ScaleEngine::covered_by(NodeId v, NodeId u) const noexcept {
     // True iff every neighbor of v is u itself or a neighbor of u — the
     // self-pruning test over two sorted adjacency rows.
-    const auto nv = graph_->neighbors(v);
-    const auto nu = graph_->neighbors(u);
+    const auto nv = graph_.neighbors(v);
+    const auto nu = graph_.neighbors(u);
     auto it = nu.begin();
     for (NodeId x : nv) {
         if (x == u) continue;
@@ -287,7 +245,7 @@ void ScaleEngine::process_wheel(std::size_t w) {
             if (!forward) continue;
             forwarded_[v] = 1;
             const double next_time = e.time + config_.delay;
-            for (NodeId x : graph_->neighbors(v)) {
+            for (NodeId x : graph_.neighbors(v)) {
                 cur_[w * wheel_count + wheel_of(x)].push_back({next_time, x, v});
             }
         }
@@ -301,62 +259,10 @@ std::uint64_t ScaleEngine::receipt_key(NodeId sender, NodeId v) const noexcept {
     // (sender's transmission ordinal, index of v in the sender's row) is
     // the exact pop order — recovered here with a binary search instead of
     // widening the Staged record.
-    const auto row = graph_->neighbors(sender);
+    const auto row = graph_.neighbors(sender);
     const auto it = std::lower_bound(row.begin(), row.end(), v);
     const auto idx = static_cast<std::uint64_t>(it - row.begin());
     return (std::uint64_t{tx_rank_[sender]} << 32) | idx;
-}
-
-void ScaleEngine::compile_scratch_view(WheelScratch& ws, NodeId v) {
-    // Truncated BFS reproducing Definition 2 (khop.cpp) straight into CSR
-    // form: members are every node within k hops, and link (a, b) is
-    // visible iff min(dist(a), dist(b)) <= k - 1 (both ends being members
-    // bounds the max at k already).  Epoch stamps make dist/g2l valid
-    // without an O(n) clear per decision.
-    const Graph& g = *graph_;
-    const std::size_t n = g.node_count();
-    if (ws.stamp.size() < n) {
-        ws.stamp.resize(n, 0);
-        ws.dist.resize(n);
-        ws.g2l.resize(n);
-    }
-    if (++ws.epoch == 0) {  // wrap: invalidate everything once
-        std::fill(ws.stamp.begin(), ws.stamp.end(), 0);
-        ws.epoch = 1;
-    }
-    const std::size_t k = config_.generic.hops;
-    ws.bfs.clear();
-    ws.bfs.push_back(v);
-    ws.stamp[v] = ws.epoch;
-    ws.dist[v] = 0;
-    for (std::size_t head = 0; head < ws.bfs.size(); ++head) {
-        const NodeId x = ws.bfs[head];
-        if (ws.dist[x] == k) continue;
-        for (NodeId y : g.neighbors(x)) {
-            if (ws.stamp[y] == ws.epoch) continue;
-            ws.stamp[y] = ws.epoch;
-            ws.dist[y] = static_cast<std::uint16_t>(ws.dist[x] + 1);
-            ws.bfs.push_back(y);
-        }
-    }
-    ws.members.assign(ws.bfs.begin(), ws.bfs.end());
-    std::sort(ws.members.begin(), ws.members.end());
-    const auto m = static_cast<std::uint32_t>(ws.members.size());
-    for (std::uint32_t i = 0; i < m; ++i) ws.g2l[ws.members[i]] = i;
-    ws.offsets.resize(m + 1);
-    ws.edges.clear();
-    const std::size_t interior = k - 1;
-    for (std::uint32_t i = 0; i < m; ++i) {
-        ws.offsets[i] = static_cast<std::uint32_t>(ws.edges.size());
-        const NodeId a = ws.members[i];
-        const bool a_interior = ws.dist[a] <= interior;
-        for (NodeId b : g.neighbors(a)) {
-            if (ws.stamp[b] != ws.epoch) continue;       // outside the ball
-            if (!a_interior && ws.dist[b] > interior) continue;  // k-to-k link
-            ws.edges.push_back(ws.g2l[b]);
-        }
-    }
-    ws.offsets[m] = static_cast<std::uint32_t>(ws.edges.size());
 }
 
 bool ScaleEngine::decide_generic(WheelScratch& ws, NodeId v, NodeId u) {
@@ -378,43 +284,31 @@ bool ScaleEngine::decide_generic(WheelScratch& ws, NodeId v, NodeId u) {
 }
 
 bool ScaleEngine::decide_with_visited(WheelScratch& ws, NodeId v) {
-    const GenericConfig& gc = config_.generic;
-    bool covered;
-    if (cache_) {
-        const LocalTopology& topo = cache_->compiled_view(v);
-        for (NodeId x : topo.members) ws.status_row[x] = NodeStatus::kUnvisited;
-        for (NodeId x : ws.visited) {
-            if (topo.visible[x]) ws.status_row[x] = NodeStatus::kVisited;
-        }
-        const View view(&topo, &ws.status_row, &keys_);
-        covered = coverage_condition_holds(view, v, gc.coverage);
-    } else {
-        compile_scratch_view(ws, v);
-        LocalViewScratch& s = LocalViewScratch::tls();
-        const auto m = static_cast<std::uint32_t>(ws.members.size());
-        s.compact.size = m;
-        s.compact.members = ws.members;
-        s.compact.offsets = ws.offsets;
-        s.compact.edges = ws.edges;
-        s.compact.priority.resize(m);
-        s.compact.status.resize(m);
-        for (std::uint32_t i = 0; i < m; ++i) {
-            const NodeId x = ws.members[i];
-            NodeStatus st = NodeStatus::kUnvisited;
-            for (NodeId y : ws.visited) {
-                if (y == x) {
-                    st = NodeStatus::kVisited;
-                    break;
-                }
+    BallScratch& ball = ws.ball;
+    compile_ball(graph_, v, config_.generic.hops, ball);
+    LocalViewScratch& s = LocalViewScratch::tls();
+    const auto m = static_cast<std::uint32_t>(ball.members.size());
+    s.compact.size = m;
+    s.compact.members = ball.members;
+    s.compact.offsets = ball.offsets;
+    s.compact.edges = ball.edges;
+    s.compact.priority.resize(m);
+    s.compact.status.resize(m);
+    for (std::uint32_t i = 0; i < m; ++i) {
+        const NodeId x = ball.members[i];
+        NodeStatus st = NodeStatus::kUnvisited;
+        for (NodeId y : ws.visited) {
+            if (y == x) {
+                st = NodeStatus::kVisited;
+                break;
             }
-            s.compact.status[i] = st;
-            s.compact.priority[i] = keys_.evaluate(x, st);
         }
-        const std::uint32_t lv = ws.g2l[v];
-        const Priority pv = keys_.evaluate(v, NodeStatus::kUnvisited);
-        covered = evaluate_coverage_compiled(s, lv, pv, gc.coverage).covered;
+        s.compact.status[i] = st;
+        s.compact.priority[i] = keys_.evaluate(x, st);
     }
-    return !covered;
+    const Priority pv = keys_.evaluate(v, NodeStatus::kUnvisited);
+    return !evaluate_coverage_compiled(s, ball.g2l[v], pv, config_.generic.coverage)
+                .covered;
 }
 
 void ScaleEngine::scan_wheel_generic(std::size_t w) {
@@ -465,7 +359,7 @@ void ScaleEngine::scan_wheel_generic(std::size_t w) {
 }
 
 ScaleResult ScaleEngine::run_generic(NodeId source) {
-    const std::size_t n = graph_->node_count();
+    const std::size_t n = graph_.node_count();
     std::fill(received_.begin(), received_.end(), 0);
     std::fill(forwarded_.begin(), forwarded_.end(), 0);
     std::fill(first_sender_.begin(), first_sender_.end(), kInvalidNode);
@@ -477,15 +371,6 @@ ScaleResult ScaleEngine::run_generic(NodeId source) {
     for (std::vector<Staged>& bucket : cur_) bucket.clear();
     generic_digest_ = kDigestBasis;
     next_rank_ = 0;
-
-    if (keys_stale_) {
-        keys_ = PriorityKeys(*graph_, config_.generic.priority);
-        keys_stale_ = false;
-    }
-    // One serial recompile sweep, then the parallel phases read the cache
-    // through the const, assertion-guarded accessor — no lazy mutation
-    // races inside a window.
-    if (cache_) cache_->prepare_all();
 
     ScaleResult result;
     if (n == 0) return result;
@@ -502,7 +387,7 @@ ScaleResult ScaleEngine::run_generic(NodeId source) {
     }
     {
         const std::size_t w = wheel_of(source);
-        for (NodeId x : graph_->neighbors(source)) {
+        for (NodeId x : graph_.neighbors(source)) {
             prev_[w * wheel_count + wheel_of(x)].push_back({config_.delay, x, source});
         }
     }
@@ -544,7 +429,7 @@ ScaleResult ScaleEngine::run_generic(NodeId source) {
             generic_digest_ = mix(generic_digest_, std::bit_cast<std::uint64_t>(window_time));
             generic_digest_ = mix(generic_digest_, v);
             const std::size_t row = wheel_of(v) * wheel_count;
-            for (NodeId x : graph_->neighbors(v)) {
+            for (NodeId x : graph_.neighbors(v)) {
                 cur_[row + wheel_of(x)].push_back({next_time, x, v});
             }
         }
@@ -579,7 +464,7 @@ std::size_t ScaleEngine::window_index(double time) const noexcept {
 
 void ScaleEngine::attach_faults(const faults::FaultPlan* plan) {
     if (plan != nullptr) {
-        faults::validate_plan(*plan, graph_->node_count());
+        faults::validate_plan(*plan, graph_.node_count());
         for (std::size_t i = 0; i < plan->events.size(); ++i) {
             if (window_index(plan->events[i].time) >= kMaxWindows) {
                 throw std::invalid_argument(
@@ -654,7 +539,7 @@ void ScaleEngine::fanout_resilient(NodeId sender, bool control, std::uint32_t pa
     // link short-circuits the draw (|| in the reference) so the counter
     // stream position stays identical.
     const std::uint32_t kind = control ? kRControl : kRDelivery;
-    for (NodeId nbr : graph_->neighbors(sender)) {
+    for (NodeId nbr : graph_.neighbors(sender)) {
         if (only_target != kInvalidNode && nbr != only_target) continue;
         if (!fsession_.link_up(sender, nbr) || fsession_.drop_directed(sender, nbr)) {
             ++r_suppressed_;
@@ -681,7 +566,6 @@ std::uint32_t ScaleEngine::make_packet(NodeId v, std::size_t history) {
         }
         const auto keep = static_cast<std::uint32_t>(
             std::min<std::size_t>(base_len, history - 1));
-        r_chain_.reserve(r_chain_.size() + keep + 1);
         off = static_cast<std::uint32_t>(r_chain_.size());
         for (std::uint32_t i = 0; i < keep; ++i) {
             r_chain_.push_back(r_chain_[base_off + base_len - keep + i]);
@@ -731,7 +615,7 @@ bool ScaleEngine::decide_resilient(WheelScratch& ws, NodeId v, const RPacket& pk
 }
 
 ScaleResult ScaleEngine::run_resilient(NodeId source) {
-    const std::size_t n = graph_->node_count();
+    const std::size_t n = graph_.node_count();
     ScaleResult result;
     if (n == 0) return result;
 
@@ -760,11 +644,6 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
 
     const bool generic = config_.policy == ScalePolicy::kGenericCoverage;
     if (generic) {
-        if (keys_stale_) {
-            keys_ = PriorityKeys(*graph_, config_.generic.priority);
-            keys_stale_ = false;
-        }
-        if (cache_) cache_->prepare_all();
         pre_stamp_.assign(n, 0);
         pre_pkt_.resize(n);
         pre_dec_.resize(n);
@@ -816,13 +695,7 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
         // pre-scanning decisions in parallel.
         std::size_t head = 0;
         while (head < work_.size() && work_[head].kind == kRFault) {
-            const faults::FaultEvent& fe = plan.events[work_[head].payload];
-            fsession_.apply(fe);
-            if (config_.churn_updates_views &&
-                (fe.kind == faults::FaultKind::kLinkDown ||
-                 fe.kind == faults::FaultKind::kLinkUp)) {
-                flap(fe.link.a, fe.link.b, fe.kind == faults::FaultKind::kLinkUp);
-            }
+            fsession_.apply(plan.events[work_[head].payload]);
             completion = std::max(completion, work_[head].time);
             ++head;
         }
@@ -832,11 +705,6 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
                 fault_prefix_only = false;
                 break;
             }
-        }
-        if (generic && keys_stale_) {  // churn_updates_views rebuilt topology
-            keys_ = PriorityKeys(*graph_, config_.generic.priority);
-            keys_stale_ = false;
-            if (cache_) cache_->prepare_all();
         }
 
         // Parallel decision pre-scan: coverage decisions are pure functions
@@ -880,22 +748,9 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
             const REvent& e = work_[j];
             completion = std::max(completion, e.time);
             switch (e.kind) {
-                case kRFault: {
-                    const faults::FaultEvent& fe = plan.events[e.payload];
-                    fsession_.apply(fe);
-                    if (config_.churn_updates_views &&
-                        (fe.kind == faults::FaultKind::kLinkDown ||
-                         fe.kind == faults::FaultKind::kLinkUp)) {
-                        flap(fe.link.a, fe.link.b,
-                             fe.kind == faults::FaultKind::kLinkUp);
-                        if (generic) {
-                            keys_ = PriorityKeys(*graph_, config_.generic.priority);
-                            keys_stale_ = false;
-                            if (cache_) cache_->prepare_all();
-                        }
-                    }
+                case kRFault:
+                    fsession_.apply(plan.events[e.payload]);
                     break;
-                }
                 case kRDelivery: {
                     ++result.delivered_events;
                     const NodeId v = e.node;
@@ -1024,7 +879,7 @@ ScaleResult ScaleEngine::run(NodeId source) {
     if (fault_plan_ != nullptr || recovery_on()) return run_resilient(source);
     if (config_.policy == ScalePolicy::kGenericCoverage) return run_generic(source);
 
-    const std::size_t n = graph_->node_count();
+    const std::size_t n = graph_.node_count();
     std::fill(received_.begin(), received_.end(), 0);
     std::fill(forwarded_.begin(), forwarded_.end(), 0);
     std::fill(first_sender_.begin(), first_sender_.end(), kInvalidNode);
@@ -1041,7 +896,7 @@ ScaleResult ScaleEngine::run(NodeId source) {
     forwarded_[source] = 1;
     {
         const std::size_t w = wheel_of(source);
-        for (NodeId x : graph_->neighbors(source)) {
+        for (NodeId x : graph_.neighbors(source)) {
             prev_[w * config_.wheels + wheel_of(x)].push_back(
                 {config_.delay, x, source});
         }
@@ -1099,15 +954,7 @@ std::size_t ScaleEngine::state_bytes() const noexcept {
     for (const WheelScratch& ws : scratch_) {
         bytes += ws.fresh.capacity() * sizeof(NodeId) +
                  ws.forwarders.capacity() * sizeof(NodeId) +
-                 ws.visited.capacity() * sizeof(NodeId) +
-                 ws.bfs.capacity() * sizeof(NodeId) +
-                 ws.dist.capacity() * sizeof(std::uint16_t) +
-                 ws.stamp.capacity() * sizeof(std::uint32_t) +
-                 ws.g2l.capacity() * sizeof(std::uint32_t) +
-                 ws.members.capacity() * sizeof(NodeId) +
-                 ws.offsets.capacity() * sizeof(std::uint32_t) +
-                 ws.edges.capacity() * sizeof(std::uint32_t) +
-                 ws.status_row.capacity() * sizeof(NodeStatus);
+                 ws.visited.capacity() * sizeof(NodeId) + ws.ball.bytes();
     }
     for (const std::vector<REvent>& bucket : cal_) {
         bytes += bucket.capacity() * sizeof(REvent);

@@ -33,8 +33,9 @@
 /// node, the minimum (sender transmission ordinal, adjacency index) receipt
 /// key — the exact (time, seq) pop order of the reference Simulator — and
 /// evaluates the coverage kernel of src/core/coverage.cpp over a compact
-/// local view compiled into per-wheel scratch (truncated BFS reproducing
-/// Definition 2, zero allocations in steady state).  A short serial step
+/// local view compiled into per-wheel scratch by `compile_ball`
+/// (src/graph/khop.hpp, the Definition-2 routine behind `local_topology`;
+/// zero allocations in steady state).  A short serial step
 /// then ranks the window's new forwarders in receipt-key order, folds the
 /// order digest, and stages their fanout.  Result: forward set, counts,
 /// completion time and transmission-order digest byte-identical to the
@@ -42,11 +43,8 @@
 /// (tests/scale_engine_test.cpp proves it across seeds × wheels × jobs, and
 /// the fuzzer's scale oracle keeps proving it continuously).
 ///
-/// Views come from two interchangeable backends: compiled on the fly into
-/// per-wheel scratch (`kScratch`, O(ball edges) per decision, no standing
-/// memory), or served by a `ViewCache` (`kCached`) that survives topology
-/// churn with dirty-ball invalidation — `add_edge`/`remove_edge` between
-/// runs recompile only the views inside the flapped link's k-hop ball.
+/// Every decision compiles its view afresh: O(ball edges), no standing
+/// memory, over the one immutable graph the engine was constructed with.
 ///
 /// The phase parallelizes over wheels with any number of worker threads;
 /// the result (counts, completion time, and the order digest) is
@@ -68,14 +66,14 @@
 /// (wheels x jobs).  Generic-coverage decisions, the expensive part, are
 /// pre-scanned in parallel over wheels (they are pure functions of state
 /// frozen at the window boundary); the serial pass then replays events in
-/// canonical order using the precomputed verdicts.  See docs/SCALING.md
-/// "Faults at scale" for the window-bucketing contract and the semantics
-/// delta of `ScaleConfig::churn_updates_views`.
+/// canonical order using the precomputed verdicts.  Link churn only gates
+/// links in the fault session — views and priority keys stay those of the
+/// constructor graph, exactly as in the reference.  See docs/SCALING.md
+/// "Faults at scale" for the window-bucketing contract.
 
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -84,12 +82,11 @@
 #include "faults/fault_session.hpp"
 #include "faults/recovery.hpp"
 #include "graph/graph.hpp"
+#include "graph/khop.hpp"
 #include "sim/generic_config.hpp"
 #include "sim/trace.hpp"
 
 namespace adhoc {
-
-class ViewCache;
 
 /// Forwarding rule applied on first receipt.
 enum class ScalePolicy {
@@ -101,11 +98,11 @@ enum class ScalePolicy {
     kGenericCoverage,
 };
 
-/// Where `kGenericCoverage` gets its Definition-2 local views.
+/// Where `kGenericCoverage` gets its Definition-2 local views.  There is
+/// one backend — a per-decision `compile_ball` into per-wheel scratch — so
+/// the value selects nothing.
 enum class ScaleViewMode {
-    kAuto,     ///< kCached for small graphs, kScratch beyond
-    kCached,   ///< ViewCache: standing views, incremental churn invalidation
-    kScratch,  ///< per-decision truncated-BFS compile into per-wheel scratch
+    kScratch,
 };
 
 struct ScaleConfig {
@@ -116,20 +113,11 @@ struct ScaleConfig {
     /// Knobs for kGenericCoverage (ignored by the other policies).  The
     /// constructor rejects combinations the windowed engine cannot honor:
     /// backoff timings (need per-node timers and RNG draws), selections
-    /// other than self-pruning (need designation pullback events), and
-    /// hops == 0 (global views cost O(n) per decision — use Simulator).
+    /// other than self-pruning (need designation pullback events),
+    /// hops == 0 (global views cost O(n) per decision — use Simulator),
+    /// and hops > kMaxBallHops (16-bit ball distances).
     GenericConfig generic;
-    ScaleViewMode view_mode = ScaleViewMode::kAuto;
-    /// Faulted runs only: when true, link churn events (kLinkDown/kLinkUp)
-    /// additionally drive `add_edge`/`remove_edge` through the engine's
-    /// view backend — under kCached views the ViewCache's dirty-ball
-    /// invalidation recompiles exactly the flapped link's k-hop ball at
-    /// the window boundary, so coverage decisions track the churned
-    /// topology.  This is a *realism* mode: the reference Simulator keeps
-    /// its views static under churn (links are only gated), so the
-    /// differential byte-for-byte contract holds only with the default
-    /// `false`.
-    bool churn_updates_views = false;
+    ScaleViewMode view_mode = ScaleViewMode::kScratch;  ///< selects nothing
 };
 
 struct ScaleResult {
@@ -170,8 +158,7 @@ struct ScaleResult {
 
 class ScaleEngine {
   public:
-    /// The graph must outlive the engine (unless a topology flap is
-    /// applied, after which the engine operates on its own copy).  Throws
+    /// The graph must outlive the engine and stay unchanged.  Throws
     /// std::invalid_argument on a non-positive delay, zero wheel or job
     /// count, or generic-policy knobs the engine cannot honor.
     ScaleEngine(const Graph& graph, ScaleConfig config = {});
@@ -185,18 +172,6 @@ class ScaleEngine {
     [[nodiscard]] ScaleResult run(NodeId source);
 
     [[nodiscard]] const ScaleConfig& config() const noexcept { return config_; }
-
-    /// The topology the next run will use (the constructor argument until
-    /// the first flap, the engine's own churned copy afterwards).
-    [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
-
-    /// Applies a topology flap between runs (adding an existing edge /
-    /// removing an absent one is a no-op).  Under kCached views this is
-    /// the incremental-maintenance path: only views whose k-hop ball
-    /// touches the link are recompiled (lazily, before the next run).
-    /// Must not be called while `run` is executing.
-    void add_edge(NodeId u, NodeId v);
-    void remove_edge(NodeId u, NodeId v);
 
     /// Attaches a fault schedule for subsequent runs (nullptr detaches).
     /// The plan must outlive the engine.  Throws `std::invalid_argument`
@@ -225,14 +200,8 @@ class ScaleEngine {
     }
     [[nodiscard]] const std::vector<char>& received_mask() const noexcept { return received_; }
 
-    /// True iff generic decisions read a standing ViewCache (kCached /
-    /// small-n kAuto); the cache (for churn instrumentation) or nullptr.
-    [[nodiscard]] bool cached_views() const noexcept { return cache_ != nullptr; }
-    [[nodiscard]] const ViewCache* view_cache() const noexcept { return cache_.get(); }
-
     /// Engine-owned working memory (per-node state plus staging-bucket
-    /// high-water marks), for the bench's bytes/node metric.  Standing
-    /// ViewCache views (kCached mode, small n) are not counted.
+    /// high-water marks), for the bench's bytes/node metric.
     [[nodiscard]] std::size_t state_bytes() const noexcept;
 
   private:
@@ -243,24 +212,13 @@ class ScaleEngine {
     };
 
     /// Per-wheel working set of the generic-coverage phase: window-local
-    /// first-receipt bookkeeping plus the compact-view compile buffers
-    /// (scratch mode) / the borrowed status row (cached mode).  All
+    /// first-receipt bookkeeping plus the view-compile buffers.  All
     /// buffers only grow — zero allocations per decision in steady state.
     struct WheelScratch {
         std::vector<NodeId> fresh;       ///< first receipts found this window
         std::vector<NodeId> forwarders;  ///< subset of fresh that forwards
         std::vector<NodeId> visited;     ///< decision-time visited set (<= h+1)
-        // Scratch-mode view compile: truncated BFS + CSR over local ids.
-        std::vector<NodeId> bfs;           ///< BFS queue / discovery order
-        std::vector<std::uint16_t> dist;   ///< hop distance from the center
-        std::vector<std::uint32_t> stamp;  ///< epoch stamps validating dist/g2l
-        std::vector<std::uint32_t> g2l;    ///< global -> local id
-        std::uint32_t epoch = 0;
-        std::vector<NodeId> members;          ///< ascending global ids
-        std::vector<std::uint32_t> offsets;   ///< CSR rows, size m+1
-        std::vector<std::uint32_t> edges;     ///< CSR columns (local ids)
-        // Cached-mode status row (size n; each view rewrites its members).
-        std::vector<NodeStatus> status_row;
+        BallScratch ball;                ///< the decision's compiled view
     };
 
     /// One replayed queue entry of the faulted plane.  `payload` indexes
@@ -291,12 +249,10 @@ class ScaleEngine {
     [[nodiscard]] bool covered_by(NodeId v, NodeId u) const noexcept;
 
     void validate_generic_config() const;
-    void flap(NodeId u, NodeId v, bool add);
     [[nodiscard]] ScaleResult run_generic(NodeId source);
     void scan_wheel_generic(std::size_t w);
     [[nodiscard]] std::uint64_t receipt_key(NodeId sender, NodeId v) const noexcept;
     [[nodiscard]] bool decide_generic(WheelScratch& ws, NodeId v, NodeId u);
-    void compile_scratch_view(WheelScratch& ws, NodeId v);
     /// Outgoing history chain entries piggybacked per transmission (0 when
     /// the timing is static — children ignore broadcast state anyway).
     [[nodiscard]] std::size_t chain_stride() const noexcept;
@@ -329,7 +285,7 @@ class ScaleEngine {
     /// holding the decision-time visited set.
     [[nodiscard]] bool decide_with_visited(WheelScratch& ws, NodeId v);
 
-    const Graph* graph_;
+    const Graph& graph_;
     ScaleConfig config_;
     std::size_t block_ = 1;  ///< nodes per wheel (last wheel may be short)
 
@@ -355,10 +311,7 @@ class ScaleEngine {
     std::vector<std::vector<Staged>> cur_;
 
     // ---- kGenericCoverage state --------------------------------------
-    PriorityKeys keys_;       ///< static priority keys of the current graph
-    bool keys_stale_ = false;  ///< a flap changed degrees/ncr: rebuild lazily
-    std::unique_ptr<ViewCache> cache_;  ///< standing views (kCached), or null
-    std::optional<Graph> churn_graph_;  ///< scratch-mode mutable copy (lazy)
+    PriorityKeys keys_;  ///< static priority keys of the graph
     std::vector<std::uint32_t> tx_rank_;   ///< global transmission ordinal
     std::vector<std::uint64_t> best_key_;  ///< min receipt key this window
     std::vector<NodeId> chain_;            ///< outgoing history, stride h

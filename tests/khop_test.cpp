@@ -8,10 +8,110 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "graph/traversal.hpp"
+#include "graph/unit_disk.hpp"
 
 namespace adhoc {
 namespace {
+
+/// Brute-force Definition 2: full BFS distances from the center, then a
+/// scan of every edge of g.  The CSR comes from `compile_topology` over
+/// the resulting subgraph, independently of `compile_ball`.
+LocalTopology oracle_topology(const Graph& g, NodeId v, std::size_t k) {
+    LocalTopology local;
+    local.center = v;
+    local.hops = k;
+    const auto dist = bfs_distances(g, v);
+    local.visible.assign(g.node_count(), 0);
+    for (NodeId u = 0; u < g.node_count(); ++u) {
+        if (dist[u] != kUnreachable && dist[u] <= k) {
+            local.visible[u] = 1;
+            local.members.push_back(u);
+        }
+    }
+    // Edge (a,b) is visible iff min(dist) <= k-1 and max(dist) <= k.
+    Graph sub(g.node_count());
+    for (const Edge& e : g.edges()) {
+        const std::size_t da = dist[e.a];
+        const std::size_t db = dist[e.b];
+        if (da == kUnreachable || db == kUnreachable) continue;
+        if (std::min(da, db) <= k - 1 && std::max(da, db) <= k) sub.add_edge(e.a, e.b);
+    }
+    local.graph = std::move(sub);
+    compile_topology(local);
+    return local;
+}
+
+void expect_same_topology(const LocalTopology& got, const LocalTopology& want,
+                          const std::string& where) {
+    ASSERT_EQ(got.center, want.center) << where;
+    ASSERT_EQ(got.hops, want.hops) << where;
+    ASSERT_EQ(got.members, want.members) << where;
+    ASSERT_EQ(got.visible, want.visible) << where;
+    ASSERT_EQ(got.graph.node_count(), want.graph.node_count()) << where;
+    ASSERT_EQ(got.graph.edge_count(), want.graph.edge_count()) << where;
+    for (NodeId u = 0; u < want.graph.node_count(); ++u) {
+        const auto a = got.graph.neighbors(u);
+        const auto b = want.graph.neighbors(u);
+        ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+            << where << " row of node " << u;
+    }
+    ASSERT_EQ(got.compact.offsets, want.compact.offsets) << where;
+    ASSERT_EQ(got.compact.edges, want.compact.edges) << where;
+}
+
+Graph gnp_graph(std::size_t n, double p, std::uint64_t seed) {
+    Rng rng(seed);
+    Graph g(n);
+    for (NodeId u = 0; u < n; ++u) {
+        for (NodeId v = u + 1; v < n; ++v) {
+            if (rng.chance(p)) g.add_edge(u, v);
+        }
+    }
+    return g;
+}
+
+TEST(KHop, LocalTopologyMatchesBruteForceDefinition2) {
+    std::vector<std::pair<std::string, Graph>> graphs;
+    for (const std::uint64_t seed : {0x6b01ULL, 0x6b02ULL}) {
+        UnitDiskParams params;
+        params.node_count = 90;
+        params.average_degree = 7.0;
+        Rng gen(seed);
+        graphs.emplace_back("unit-disk " + std::to_string(seed),
+                            generate_network_checked(params, gen).graph);
+    }
+    // Sparse G(n,p) leaves isolated nodes and components the BFS never
+    // reaches; the denser one has diameter ~3, so k = 5 sees everything.
+    graphs.emplace_back("gnp sparse", gnp_graph(70, 0.03, 0x6b03));
+    graphs.emplace_back("gnp dense", gnp_graph(60, 0.12, 0x6b04));
+    for (const auto& [name, g] : graphs) {
+        for (const std::size_t k : {1u, 2u, 3u, 5u}) {
+            for (NodeId v = 0; v < g.node_count(); ++v) {
+                expect_same_topology(local_topology(g, v, k), oracle_topology(g, v, k),
+                                     name + " k=" + std::to_string(k) +
+                                         " center=" + std::to_string(v));
+            }
+        }
+    }
+}
+
+TEST(KHop, CompileBallRejectsHopsPastSixteenBits) {
+    const Graph g = path_graph(4);
+    BallScratch ball;
+    try {
+        compile_ball(g, 0, 65536, ball);
+        ADD_FAILURE() << "hops = 65536 compiled";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("hops = 65536"), std::string::npos)
+            << e.what();
+    }
+    compile_ball(g, 0, kMaxBallHops, ball);  // the limit itself is fine
+    EXPECT_EQ(ball.members, (std::vector<NodeId>{0, 1, 2, 3}));
+}
 
 TEST(KHop, ZeroHopIsSelf) {
     const Graph g = path_graph(4);

@@ -7,16 +7,14 @@
 /// standard: for every tested (seed × wheels × jobs) point, the forward
 /// set (per-node mask), forward count, completion time and the global
 /// transmission-order digest must be byte-identical to the serial
-/// `Simulator` running `GenericAgent` with the same `GenericConfig` — and
-/// the cached-view backend (ViewCache, incremental churn invalidation)
-/// must agree bit-for-bit with the scratch-compile backend, including
-/// across topology flaps between runs.
+/// `Simulator` running `GenericAgent` with the same `GenericConfig`.
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "algorithms/flooding.hpp"
 #include "algorithms/generic.hpp"
-#include "core/view_cache.hpp"
 #include "graph/unit_disk.hpp"
 #include "sim/scale_engine.hpp"
 
@@ -130,15 +128,64 @@ TEST(ScaleEngine, RejectsDegenerateConfig) {
     EXPECT_THROW(ScaleEngine(g, bad_jobs), std::invalid_argument);
 }
 
+TEST(ScaleEngine, WideWindowsEngageWorkersWithoutChangingResults) {
+    // Source -> 96 hubs -> 64 leaves each, plus chords between matching
+    // leaves of adjacent hubs: windows 2 and 3 queue >= 6000 events, past
+    // the inline threshold, so jobs > 1 runs the PhaseCrew workers (and
+    // the faulted plane's parallel decision pre-scan).  CI also runs this
+    // under ThreadSanitizer.
+    constexpr NodeId kHubs = 96;
+    constexpr NodeId kLeaves = 64;
+    Graph g(1 + kHubs * (1 + kLeaves));
+    const auto leaf = [](NodeId hub, NodeId j) { return 1 + kHubs + hub * kLeaves + j; };
+    for (NodeId h = 0; h < kHubs; ++h) {
+        g.add_edge(0, 1 + h);
+        for (NodeId j = 0; j < kLeaves; ++j) {
+            g.add_edge(1 + h, leaf(h, j));
+            if (j % 4 == 0) g.add_edge(leaf(h, j), leaf((h + 1) % kHubs, j));
+        }
+    }
+    faults::FaultPlan plan;  // crashes land before window 2's deliveries
+    for (NodeId h = 0; h < kHubs; h += 7) {
+        plan.events.push_back({0.5, faults::FaultKind::kNodeCrash, leaf(h, 5), Edge{}});
+    }
+    const faults::FaultPlan* const plans[] = {nullptr, &plan};
+    for (const ScalePolicy policy :
+         {ScalePolicy::kFlood, ScalePolicy::kSelfPrune, ScalePolicy::kGenericCoverage}) {
+        for (const faults::FaultPlan* attached : plans) {
+            ScaleResult results[2];
+            std::vector<char> forwarded[2];
+            const std::size_t jobs[2] = {1, 4};
+            for (int i = 0; i < 2; ++i) {
+                ScaleConfig cfg;
+                cfg.policy = policy;
+                cfg.generic = generic_fr_config(2);
+                cfg.jobs = jobs[i];
+                ScaleEngine engine(g, cfg);
+                engine.attach_faults(attached);
+                results[i] = engine.run(0);
+                forwarded[i] = engine.forwarded_mask();
+            }
+            const auto tag = ::testing::Message() << "policy=" << static_cast<int>(policy)
+                                                  << " faulted=" << (attached != nullptr);
+            EXPECT_GE(results[0].peak_queue_events, 4096u) << tag;
+            EXPECT_EQ(results[1].order_digest, results[0].order_digest) << tag;
+            EXPECT_EQ(results[1].delivered_events, results[0].delivered_events) << tag;
+            EXPECT_EQ(results[1].forward_count, results[0].forward_count) << tag;
+            EXPECT_EQ(forwarded[1], forwarded[0]) << tag;
+        }
+    }
+}
+
 // ---- generic coverage differential plane ---------------------------
 
 /// Runs the reference Simulator (serial, event-queue, GenericAgent) and
-/// asserts the engine reproduces it byte-for-byte at one (wheels, jobs,
-/// view_mode) point: forward mask, counts, completion time, and the
+/// asserts the engine reproduces it byte-for-byte at one (wheels, jobs)
+/// point: forward mask, counts, completion time, and the
 /// transmission-order digest against the trace fold.
 void expect_engine_matches_simulator(const Graph& g, NodeId source,
                                      const GenericConfig& gc, std::size_t wheels,
-                                     std::size_t jobs, ScaleViewMode mode) {
+                                     std::size_t jobs) {
     GenericBroadcast reference(gc);
     Rng rng(99);  // the honorable axes never draw from it
     const BroadcastResult ref = reference.broadcast_traced(g, source, rng, MediumConfig{});
@@ -149,13 +196,11 @@ void expect_engine_matches_simulator(const Graph& g, NodeId source,
     cfg.generic = gc;
     cfg.wheels = wheels;
     cfg.jobs = jobs;
-    cfg.view_mode = mode;
     ScaleEngine engine(g, cfg);
     const ScaleResult got = engine.run(source);
 
     const auto tag = ::testing::Message()
-                     << "wheels=" << wheels << " jobs=" << jobs
-                     << " mode=" << static_cast<int>(mode) << " " << gc.summary();
+                     << "wheels=" << wheels << " jobs=" << jobs << " " << gc.summary();
     EXPECT_EQ(engine.forwarded_mask(), ref.transmitted) << tag;
     EXPECT_EQ(engine.received_mask(), ref.received) << tag;
     EXPECT_EQ(got.forward_count, ref.forward_count) << tag;
@@ -175,14 +220,9 @@ TEST(ScaleEngineGeneric, FirstReceiptMatchesSimulatorAcrossSeedsWheelsJobs) {
         const NodeId source = static_cast<NodeId>(seed % net.graph.node_count());
         for (const std::size_t w : wheels) {
             for (const std::size_t j : jobs) {
-                expect_engine_matches_simulator(net.graph, source, gc, w, j,
-                                                ScaleViewMode::kScratch);
+                expect_engine_matches_simulator(net.graph, source, gc, w, j);
             }
         }
-        // Cached backend at one point per seed (the backends are proven
-        // equal exhaustively in CachedAndScratchViewsAgree).
-        expect_engine_matches_simulator(net.graph, source, gc, 4, 2,
-                                        ScaleViewMode::kCached);
     }
 }
 
@@ -191,10 +231,8 @@ TEST(ScaleEngineGeneric, StaticTimingMatchesSimulator) {
     for (const std::uint64_t seed : {0x44dULL, 0x55eULL}) {
         const UnitDiskNetwork net = make_network(150, seed);
         for (const std::size_t w : {1ULL, 5ULL}) {
-            expect_engine_matches_simulator(net.graph, 0, gc, w, 3,
-                                            ScaleViewMode::kScratch);
+            expect_engine_matches_simulator(net.graph, 0, gc, w, 3);
         }
-        expect_engine_matches_simulator(net.graph, 0, gc, 8, 1, ScaleViewMode::kCached);
     }
 }
 
@@ -211,7 +249,7 @@ TEST(ScaleEngineGeneric, KnobVariationsMatchSimulator) {
     GenericConfig strong = generic_fr_config(2);
     strong.coverage.strong = true;
     for (const GenericConfig& gc : {hops3, no_history, long_history, by_id, strong}) {
-        expect_engine_matches_simulator(net.graph, 9, gc, 6, 4, ScaleViewMode::kScratch);
+        expect_engine_matches_simulator(net.graph, 9, gc, 6, 4);
     }
 }
 
@@ -228,7 +266,6 @@ TEST(ScaleEngineGeneric, DigestIndependentOfWheelsAndJobs) {
             cfg.generic = generic_fr_config(2);
             cfg.wheels = w;
             cfg.jobs = j;
-            cfg.view_mode = ScaleViewMode::kScratch;
             ScaleEngine engine(net.graph, cfg);
             const ScaleResult r = engine.run(1);
             if (!have_first) {
@@ -238,84 +275,6 @@ TEST(ScaleEngineGeneric, DigestIndependentOfWheelsAndJobs) {
             EXPECT_EQ(r.order_digest, first) << "wheels=" << w << " jobs=" << j;
         }
     }
-}
-
-TEST(ScaleEngineGeneric, CachedAndScratchViewsAgree) {
-    const UnitDiskNetwork net = make_network(200, 0x888);
-    ScaleConfig cached_cfg;
-    cached_cfg.policy = ScalePolicy::kGenericCoverage;
-    cached_cfg.generic = generic_fr_config(2);
-    cached_cfg.wheels = 6;
-    cached_cfg.jobs = 3;
-    cached_cfg.view_mode = ScaleViewMode::kCached;
-    ScaleConfig scratch_cfg = cached_cfg;
-    scratch_cfg.view_mode = ScaleViewMode::kScratch;
-
-    ScaleEngine cached(net.graph, cached_cfg);
-    ScaleEngine scratch(net.graph, scratch_cfg);
-    ASSERT_TRUE(cached.cached_views());
-    ASSERT_FALSE(scratch.cached_views());
-
-    const ScaleResult a = cached.run(2);
-    const ScaleResult b = scratch.run(2);
-    EXPECT_EQ(a.order_digest, b.order_digest);
-    EXPECT_EQ(a.forward_count, b.forward_count);
-    EXPECT_EQ(cached.forwarded_mask(), scratch.forwarded_mask());
-    EXPECT_DOUBLE_EQ(a.completion_time, b.completion_time);
-}
-
-TEST(ScaleEngineGeneric, ChurnedEnginesStayEqualAndCacheStaysIncremental) {
-    const UnitDiskNetwork net = make_network(240, 0x999);
-    const std::size_t n = net.graph.node_count();
-    ScaleConfig cached_cfg;
-    cached_cfg.policy = ScalePolicy::kGenericCoverage;
-    cached_cfg.generic = generic_fr_config(2);
-    cached_cfg.wheels = 5;
-    cached_cfg.jobs = 2;
-    cached_cfg.view_mode = ScaleViewMode::kCached;
-    ScaleConfig scratch_cfg = cached_cfg;
-    scratch_cfg.view_mode = ScaleViewMode::kScratch;
-
-    ScaleEngine cached(net.graph, cached_cfg);
-    ScaleEngine scratch(net.graph, scratch_cfg);
-
-    // Interleave runs with link flaps; after every batch both backends —
-    // and a Simulator handed the churned topology — must still agree.
-    Rng churn(0xc4u);
-    for (int round = 0; round < 4; ++round) {
-        for (int f = 0; f < 3; ++f) {
-            const NodeId u = static_cast<NodeId>(churn.index(n));
-            NodeId v = static_cast<NodeId>(churn.index(n));
-            if (u == v) v = (v + 1) % n;
-            if (cached.graph().has_edge(u, v)) {
-                cached.remove_edge(u, v);
-                scratch.remove_edge(u, v);
-            } else {
-                cached.add_edge(u, v);
-                scratch.add_edge(u, v);
-            }
-        }
-        const NodeId source = static_cast<NodeId>(churn.index(n));
-        const ScaleResult a = cached.run(source);
-        const ScaleResult b = scratch.run(source);
-        EXPECT_EQ(a.order_digest, b.order_digest) << "round " << round;
-        EXPECT_EQ(cached.forwarded_mask(), scratch.forwarded_mask()) << "round " << round;
-        EXPECT_EQ(a.forward_count, b.forward_count) << "round " << round;
-        EXPECT_EQ(a.received_count, b.received_count) << "round " << round;
-
-        GenericBroadcast reference(cached_cfg.generic);
-        Rng rng(1);
-        const BroadcastResult ref =
-            reference.broadcast_traced(cached.graph(), source, rng, MediumConfig{});
-        EXPECT_EQ(a.order_digest, reference_transmission_digest(ref.trace))
-            << "round " << round;
-        EXPECT_EQ(cached.forwarded_mask(), ref.transmitted) << "round " << round;
-    }
-    // The point of the cache: 12 flaps with 2-hop balls must not have
-    // recompiled anywhere near all n views per flap.
-    ASSERT_NE(cached.view_cache(), nullptr);
-    EXPECT_GT(cached.view_cache()->recompile_count(), 0u);
-    EXPECT_LT(cached.view_cache()->recompile_count(), 12u * n);
 }
 
 TEST(ScaleEngineGeneric, RejectsUnhonorableGenericKnobs) {
@@ -336,6 +295,16 @@ TEST(ScaleEngineGeneric, RejectsUnhonorableGenericKnobs) {
     cfg.generic = generic_fr_config(2);
     cfg.generic.hops = 0;  // global views
     EXPECT_THROW(ScaleEngine(g, cfg), std::invalid_argument);
+
+    cfg.generic = generic_fr_config(2);
+    cfg.generic.hops = 65536;  // past the 16-bit ball distance
+    try {
+        ScaleEngine engine(g, cfg);
+        ADD_FAILURE() << "hops = 65536 constructed";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("hops = 65536"), std::string::npos)
+            << e.what();
+    }
 
     cfg.generic = generic_fr_config(2);  // honorable again: must construct
     EXPECT_NO_THROW(ScaleEngine(g, cfg));
