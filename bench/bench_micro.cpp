@@ -4,7 +4,9 @@
 /// Times the decision/generation kernels that dominate campaign wall time,
 /// each in two implementations — the retained `reference::` naive version
 /// and the production compact-view/spatial-grid version — and verifies
-/// during the same run that both produce identical results.  Emits a
+/// during the same run that both produce identical results.  The
+/// fault_session kernel runs at n and at 2n down links
+/// (`fault_session_2n`), so its opt_ns ratio is the n vs 2n check.  Emits a
 /// machine-readable document (schema adhoc-micro-v1) for the CI regression
 /// gate (tools/check_bench.py compares speedup ratios against the
 /// committed BENCH_micro.baseline.json).
@@ -15,6 +17,7 @@
 /// configuration); the default sweeps n in {100, 500, 1000, 2000}.  Exits
 /// nonzero if any kernel's optimized output diverges from its reference.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -29,6 +32,7 @@
 #include "core/coverage.hpp"
 #include "core/priority.hpp"
 #include "core/view.hpp"
+#include "faults/fault_session.hpp"
 #include "graph/unit_disk.hpp"
 #include "runner/json_sink.hpp"
 #include "sim/event_queue.hpp"
@@ -187,6 +191,69 @@ std::uint64_t scheduler_workload(Queue& q, std::size_t n, std::uint64_t seed) {
     return h;
 }
 
+/// The pre-index fault session's link state, verbatim: a vector of down
+/// links scanned linearly on every event and query.  Kept as the reference
+/// side of the fault_session kernel.
+class RefFaultSession {
+  public:
+    void reset() { down_links_.clear(); }
+    void apply(const faults::FaultEvent& event) {
+        const Edge c = canonical(event.link);
+        const auto it = std::find(down_links_.begin(), down_links_.end(), c);
+        if (event.kind == faults::FaultKind::kLinkDown && it == down_links_.end()) {
+            down_links_.push_back(c);
+        } else if (event.kind == faults::FaultKind::kLinkUp && it != down_links_.end()) {
+            down_links_.erase(it);
+        }
+    }
+    [[nodiscard]] bool link_up(NodeId a, NodeId b) const {
+        return std::find(down_links_.begin(), down_links_.end(), canonical(Edge{a, b})) ==
+               down_links_.end();
+    }
+    [[nodiscard]] const std::vector<Edge>& down_links() const { return down_links_; }
+
+  private:
+    std::vector<Edge> down_links_;
+};
+
+/// A churn plan over `nodes` nodes that leaves exactly `down` links down:
+/// 1.5 * down distinct random links go down, then every third of them
+/// comes back up (so removals hit the front, middle and back of the set).
+faults::FaultPlan churn_plan(std::size_t nodes, std::size_t down, std::uint64_t seed) {
+    Rng rng(seed ^ (0x5bd1e995ULL * down));
+    std::vector<Edge> links;
+    std::vector<char> seen(nodes * nodes, 0);
+    while (links.size() < down + down / 2) {
+        const auto a = static_cast<NodeId>(rng.index(nodes));
+        const auto b = static_cast<NodeId>(rng.index(nodes));
+        if (a == b || seen[a * nodes + b]) continue;
+        seen[a * nodes + b] = seen[b * nodes + a] = 1;
+        links.push_back(canonical(Edge{a, b}));
+    }
+    faults::FaultPlan plan;
+    double t = 0.0;
+    for (const Edge& e : links) {
+        plan.events.push_back({t += 1.0, faults::FaultKind::kLinkDown, kInvalidNode, e});
+    }
+    for (std::size_t i = 0; i < links.size(); i += 3) {
+        plan.events.push_back({t += 1.0, faults::FaultKind::kLinkUp, kInvalidNode, links[i]});
+    }
+    return plan;
+}
+
+/// Replays `plan` into `session`, then asks `link_up` for every sampled
+/// link.  Returns a digest of the answers.
+template <typename Session>
+std::uint64_t fault_session_workload(Session& session, const faults::FaultPlan& plan,
+                                     const std::vector<Edge>& sample) {
+    for (const faults::FaultEvent& e : plan.events) session.apply(e);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const Edge& e : sample) {
+        h = (h ^ (session.link_up(e.a, e.b) ? 1 : 2)) * 0x100000001b3ULL;
+    }
+    return h;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -250,6 +317,40 @@ int main(int argc, char** argv) {
                         reps) /
                 per;
             push("event_queue_ops", reps, ref_ns, opt_ns, match);
+        }
+
+        // --- fault session: linear down-link scan vs indexed set ---
+        //
+        // Replay a churn plan, then query a fixed sample of links, at plans
+        // leaving n and 2n links down.  The indexed session's ns per op
+        // should not grow with the down count; the scan's doubles.
+        for (const std::size_t down : {n, 2 * n}) {
+            const faults::FaultPlan plan = churn_plan(n, down, opts.seed);
+            std::vector<Edge> sample;
+            for (std::size_t j = 0; j < 256; ++j) {
+                sample.push_back(plan.events[j * (down + down / 2) / 256].link);
+            }
+            RefFaultSession ref_s;
+            faults::FaultSession opt_s;
+            const auto run_ref = [&] {
+                ref_s.reset();
+                return fault_session_workload(ref_s, plan, sample);
+            };
+            const auto run_opt = [&] {
+                opt_s.reset(plan, n);
+                return fault_session_workload(opt_s, plan, sample);
+            };
+            bool match = run_ref() == run_opt();
+            std::vector<Edge> ref_down = ref_s.down_links();
+            std::vector<Edge> opt_down = opt_s.down_links();
+            std::sort(ref_down.begin(), ref_down.end());
+            std::sort(opt_down.begin(), opt_down.end());
+            match = match && ref_down == opt_down && opt_down.size() == down;
+            const std::size_t reps = opts.smoke ? 10 : (n <= 500 ? 20 : 10);
+            const double per = static_cast<double>(plan.events.size() + sample.size());
+            const double ref_ns = time_ns([&] { guard = guard + run_ref(); }, reps) / per;
+            const double opt_ns = time_ns([&] { guard = guard + run_opt(); }, reps) / per;
+            push(down == n ? "fault_session" : "fault_session_2n", reps, ref_ns, opt_ns, match);
         }
 
         // 2-hop knowledge base carrying the broadcast state — the exact

@@ -19,7 +19,10 @@
 /// placements swept over crash {0, 5%, 15%} x link-churn {off, on} fault
 /// cells with the windowed NACK recovery layer attached, classified per
 /// run via `faults::classify_outcome` (schema adhoc-scale-resilience-v1,
-/// default sink BENCH_scale_resilience.json).
+/// default sink BENCH_scale_resilience.json).  Its wall times cover
+/// `ScaleEngine::run` alone.  Unless `--no-timing` is given, each policy's
+/// first cell also times a warm repeat of run 0 and the panel exits nonzero
+/// when the cold run took more than 3x that repeat.
 ///
 /// Sharding happens *inside* each run (the engine's partitioned event
 /// wheels), so `--jobs` changes wall clock only: every simulation output —
@@ -250,6 +253,7 @@ void write_resilience_json(std::ostream& out, const ScaleOptions& opts,
 /// simulation output is a pure function of the seed; `--jobs` (and the
 /// engine's wheel count) change wall clock only.
 int run_resilience(const ScaleOptions& opts) {
+    constexpr double kMaxColdOverWarm = 3.0;
     std::vector<std::size_t> sizes{1'000, 10'000, 100'000, 1'000'000};
     if (opts.smoke) sizes = {1'000, 10'000};
     std::erase_if(sizes, [&](std::size_t n) { return n > opts.max_n; });
@@ -341,10 +345,17 @@ int run_resilience(const ScaleOptions& opts) {
                 row.crash_rate = cell.crash_rate;
                 row.churn = cell.churn;
                 row.runs = runs;
-                const auto t0 = std::chrono::steady_clock::now();
+                // Only engine->run is timed; attaching the plan and
+                // classifying the outcome stay outside the span.
+                double wall = 0.0;
+                double cold = 0.0;
                 for (std::size_t run = 0; run < runs; ++run) {
                     p.engine->attach_faults(&plans[run]);
+                    const auto t0 = std::chrono::steady_clock::now();
                     const ScaleResult res = p.engine->run(source);
+                    const double run_wall = seconds_since(t0);
+                    wall += run_wall;
+                    if (run == 0) cold = run_wall;
                     const faults::ResilienceSummary sum = faults::classify_outcome(
                         graph, source, p.engine->received_mask(), plans[run]);
                     row.delivery_ratio += sum.delivery_ratio;
@@ -359,8 +370,26 @@ int run_resilience(const ScaleOptions& opts) {
                     row.completion_sum += res.completion_time;
                     row.order_digest = (row.order_digest ^ res.order_digest) * 0x100000001b3ULL;
                 }
+                // Regression guard: the policy's first cell is its engine's
+                // cold run, so repeat run 0 warm and fail when the cold run
+                // costs more than kMaxColdOverWarm times the warm one.  The
+                // repeat feeds no row field.
+                if (opts.timing && &cell == &cells.front()) {
+                    p.engine->attach_faults(&plans[0]);
+                    const auto t0 = std::chrono::steady_clock::now();
+                    (void)p.engine->run(source);
+                    const double warm = seconds_since(t0);
+                    std::cout << "    " << std::setw(14) << std::left << p.name << std::right
+                              << std::setprecision(4) << "  cold=" << cold
+                              << " s  warm=" << warm << " s\n";
+                    if (cold > kMaxColdOverWarm * warm) {
+                        std::cerr << "bench_scale: " << p.name << " cold run at n=" << n
+                                  << " took " << cold << " s, over " << kMaxColdOverWarm
+                                  << "x its warm repeat (" << warm << " s)\n";
+                        ++violations;
+                    }
+                }
                 p.engine->attach_faults(nullptr);
-                const double wall = seconds_since(t0);
                 row.delivery_ratio /= static_cast<double>(runs);
                 if (opts.timing) {
                     row.wall_seconds = wall;

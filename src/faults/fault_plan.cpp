@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "runner/seed.hpp"
@@ -159,7 +160,8 @@ void validate_plan(const FaultPlan& plan, std::size_t n) {
         }
     }
 
-    std::vector<std::pair<NodeId, NodeId>> seen_links;
+    std::unordered_set<std::uint64_t> seen_links;
+    seen_links.reserve(plan.asymmetry.size());
     for (std::size_t i = 0; i < plan.asymmetry.size(); ++i) {
         const LinkAsymmetry& a = plan.asymmetry[i];
         check_link(a.link, i, "asymmetry");
@@ -171,12 +173,10 @@ void validate_plan(const FaultPlan& plan, std::size_t n) {
         };
         check_loss(a.loss_ab, "a->b");
         check_loss(a.loss_ba, "b->a");
-        const auto key = std::make_pair(a.link.a, a.link.b);
-        if (std::find(seen_links.begin(), seen_links.end(), key) != seen_links.end()) {
+        if (!seen_links.insert(link_key(a.link)).second) {
             fail("FaultPlan: asymmetry entry " + std::to_string(i) + " duplicates link (" +
                  std::to_string(a.link.a) + ", " + std::to_string(a.link.b) + ")");
         }
-        seen_links.push_back(key);
     }
 
     for (std::size_t i = 0; i < plan.hello_bursts.size(); ++i) {

@@ -103,6 +103,12 @@ struct FaultSpec {
     std::size_t hello_rounds = 2;     ///< hello-phase length being targeted
 };
 
+/// 64-bit key `(a << 32) | b` of the link exactly as given.  Pass canonical
+/// pairs (`canonical(e)`), so one undirected link has one key.
+[[nodiscard]] constexpr std::uint64_t link_key(Edge e) noexcept {
+    return (static_cast<std::uint64_t>(e.a) << 32) | static_cast<std::uint64_t>(e.b);
+}
+
 /// Generates the plan for one run.  Pure function of its arguments: the
 /// RNG is seeded by `runner::derive_run_seed(base_seed, |V|, crash_rate,
 /// run_index)` xor a fixed fault-stream tag, a substream disjoint from the

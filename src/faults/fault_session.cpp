@@ -9,6 +9,11 @@ void FaultSession::reset(const FaultPlan& plan, std::size_t n) {
     plan_ = &plan;
     node_up_.assign(n, 1);
     down_links_.clear();
+    down_slot_.clear();
+    asymmetry_.clear();
+    for (std::size_t i = 0; i < plan.asymmetry.size(); ++i) {
+        asymmetry_.try_emplace(link_key(plan.asymmetry[i].link), static_cast<std::uint32_t>(i));
+    }
     draw_counter_ = 0;
 }
 
@@ -23,16 +28,22 @@ void FaultSession::apply(const FaultEvent& event) {
             break;
         case FaultKind::kLinkDown: {
             const Edge c = canonical(event.link);
-            const auto it = std::find_if(down_links_.begin(), down_links_.end(),
-                                         [&](const Edge& e) { return e.a == c.a && e.b == c.b; });
-            if (it == down_links_.end()) down_links_.push_back(c);
+            const auto slot = static_cast<std::uint32_t>(down_links_.size());
+            if (down_slot_.try_emplace(link_key(c), slot).second) down_links_.push_back(c);
             break;
         }
         case FaultKind::kLinkUp: {
-            const Edge c = canonical(event.link);
-            const auto it = std::find_if(down_links_.begin(), down_links_.end(),
-                                         [&](const Edge& e) { return e.a == c.a && e.b == c.b; });
-            if (it != down_links_.end()) down_links_.erase(it);
+            const auto it = down_slot_.find(link_key(canonical(event.link)));
+            if (it == down_slot_.end()) break;
+            // Swap-remove: the last link takes the freed slot.
+            const std::uint32_t slot = it->second;
+            down_slot_.erase(it);
+            const Edge last = down_links_.back();
+            down_links_.pop_back();
+            if (slot < down_links_.size()) {
+                down_links_[slot] = last;
+                down_slot_[link_key(last)] = slot;
+            }
             break;
         }
     }
@@ -41,11 +52,12 @@ void FaultSession::apply(const FaultEvent& event) {
 bool FaultSession::drop_directed(NodeId from, NodeId to) {
     assert(plan_ != nullptr);
     double loss = 0.0;
-    const Edge c = canonical(Edge{from, to});
-    for (const LinkAsymmetry& asym : plan_->asymmetry) {
-        if (asym.link.a != c.a || asym.link.b != c.b) continue;
-        loss = (from <= to) ? asym.loss_ab : asym.loss_ba;
-        break;
+    if (!asymmetry_.empty()) {
+        const auto it = asymmetry_.find(link_key(canonical(Edge{from, to})));
+        if (it != asymmetry_.end()) {
+            const LinkAsymmetry& asym = plan_->asymmetry[it->second];
+            loss = (from <= to) ? asym.loss_ab : asym.loss_ba;
+        }
     }
     // Advance the counter even for loss-free links: the stream position
     // depends only on the *order* of delivery attempts, which the
@@ -74,6 +86,7 @@ FinalFaultState final_fault_state(const FaultPlan& plan, std::size_t n) {
     FinalFaultState state;
     state.node_down = session.down_mask();
     state.links_down = session.down_links();
+    std::sort(state.links_down.begin(), state.links_down.end());
     return state;
 }
 

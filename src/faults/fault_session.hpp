@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "faults/fault_plan.hpp"
@@ -37,14 +38,11 @@ class FaultSession {
     [[nodiscard]] bool node_up(NodeId v) const noexcept { return node_up_[v] != 0; }
 
     /// True iff the undirected link currently carries packets (both
-    /// endpoints up and the link itself not churned down).
+    /// endpoints up and the link itself not churned down).  One hash
+    /// lookup, none while no link is down.
     [[nodiscard]] bool link_up(NodeId a, NodeId b) const noexcept {
         if (!node_up_[a] || !node_up_[b]) return false;
-        for (const Edge& e : down_links_) {
-            const Edge c = canonical(Edge{a, b});
-            if (e.a == c.a && e.b == c.b) return false;
-        }
-        return true;
+        return down_links_.empty() || !down_slot_.contains(link_key(canonical(Edge{a, b})));
     }
 
     /// Deterministic Bernoulli draw for one directed delivery attempt
@@ -55,13 +53,19 @@ class FaultSession {
     /// Nodes currently down, as a 0/1 mask (empty when inactive).
     [[nodiscard]] std::vector<char> down_mask() const;
 
-    /// Undirected links currently churned down (canonical form).
+    /// Undirected links currently churned down, in canonical form.  A set:
+    /// each link appears once, in no specified order (removals swap the
+    /// last entry into the freed slot).
     [[nodiscard]] const std::vector<Edge>& down_links() const noexcept { return down_links_; }
 
   private:
     const FaultPlan* plan_ = nullptr;
     std::vector<char> node_up_;
-    std::vector<Edge> down_links_;  ///< small: linear scan beats a set here
+    std::vector<Edge> down_links_;  ///< dense set of down links
+    /// link_key -> slot in down_links_.
+    std::unordered_map<std::uint64_t, std::uint32_t> down_slot_;
+    /// link_key -> index of the link's first plan.asymmetry entry.
+    std::unordered_map<std::uint64_t, std::uint32_t> asymmetry_;
     std::uint64_t draw_counter_ = 0;
 };
 
@@ -70,7 +74,7 @@ class FaultSession {
 /// outcome classification without needing the live session.
 struct FinalFaultState {
     std::vector<char> node_down;  ///< 1 = down at end of run
-    std::vector<Edge> links_down;
+    std::vector<Edge> links_down;  ///< canonical, sorted ascending (binary-searchable)
 };
 
 [[nodiscard]] FinalFaultState final_fault_state(const FaultPlan& plan, std::size_t n);

@@ -27,9 +27,8 @@ ResilienceSummary classify_outcome(const Graph& g, NodeId source,
     const FinalFaultState final_state = final_fault_state(plan, n);
 
     const auto link_severed = [&](NodeId a, NodeId b) {
-        const Edge c = canonical(Edge{a, b});
-        return std::any_of(final_state.links_down.begin(), final_state.links_down.end(),
-                           [&](const Edge& e) { return e.a == c.a && e.b == c.b; });
+        return std::binary_search(final_state.links_down.begin(), final_state.links_down.end(),
+                                  canonical(Edge{a, b}));
     };
 
     // BFS from the source over the final faulted topology.

@@ -23,7 +23,9 @@ namespace {
 /// rendezvous on an epoch counter.  Wheels are claimed from an atomic
 /// cursor, each exactly once; `run_phase` returns only after every worker
 /// has checked the phase in (the acquire on `done_` is the barrier that
-/// publishes every wheel's writes to every other wheel).
+/// publishes every wheel's writes to every other wheel).  Idle workers park
+/// on `epoch_` and the caller on `done_` (`std::atomic::wait`), so a crew
+/// between phases burns no CPU.
 class PhaseCrew {
   public:
     PhaseCrew(std::size_t jobs, std::size_t wheel_count)
@@ -38,6 +40,7 @@ class PhaseCrew {
     ~PhaseCrew() {
         stop_.store(true, std::memory_order_release);
         epoch_.fetch_add(1, std::memory_order_release);
+        epoch_.notify_all();
         for (std::thread& t : workers_) t.join();
     }
 
@@ -51,9 +54,10 @@ class PhaseCrew {
         next_.store(0, std::memory_order_relaxed);
         done_.store(0, std::memory_order_relaxed);
         epoch_.fetch_add(1, std::memory_order_release);
+        epoch_.notify_all();
         claim();  // the calling thread is crew too
-        while (done_.load(std::memory_order_acquire) < workers_.size()) {
-            std::this_thread::yield();
+        for (std::size_t d; (d = done_.load(std::memory_order_acquire)) < workers_.size();) {
+            done_.wait(d, std::memory_order_acquire);
         }
     }
 
@@ -68,14 +72,14 @@ class PhaseCrew {
     void worker_loop() {
         std::uint64_t seen = 0;
         while (true) {
-            std::size_t spins = 0;
-            while (epoch_.load(std::memory_order_acquire) == seen) {
-                if (++spins > 4096) std::this_thread::yield();
-            }
+            epoch_.wait(seen, std::memory_order_acquire);
             ++seen;
             if (stop_.load(std::memory_order_acquire)) return;
             claim();
-            done_.fetch_add(1, std::memory_order_release);
+            // Only the last check-in can release the caller, so only it wakes it.
+            if (done_.fetch_add(1, std::memory_order_release) + 1 == workers_.size()) {
+                done_.notify_all();
+            }
         }
     }
 

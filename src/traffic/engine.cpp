@@ -272,11 +272,8 @@ void TrafficEngine::classify(RunState& rs) {
     }
 
     const auto link_down = [&](NodeId a, NodeId b) {
-        const Edge c = canonical(Edge{a, b});
-        for (const Edge& e : final_state.links_down) {
-            if (e == c) return true;
-        }
-        return false;
+        return std::binary_search(final_state.links_down.begin(), final_state.links_down.end(),
+                                  canonical(Edge{a, b}));
     };
 
     // Reachability in the final faulted topology, memoized per source —

@@ -12,7 +12,9 @@
 
 #include "faults/fault_session.hpp"
 #include "graph/graph.hpp"
+#include "graph/unit_disk.hpp"
 #include "runner/seed.hpp"
+#include "stats/rng.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace adhoc::faults {
@@ -297,6 +299,141 @@ TEST(FaultSession, FinalStateReplaysWholeSchedule) {
     EXPECT_EQ(final.node_down, (std::vector<char>{0, 0, 0, 1, 0}));
     ASSERT_EQ(final.links_down.size(), 1u);
     EXPECT_EQ(final.links_down[0], (Edge{0, 2}));
+}
+
+TEST(FaultSession, FinalStateLinksAreSortedCanonical) {
+    FaultPlan plan;
+    plan.events = {
+        {1.0, FaultKind::kLinkDown, kInvalidNode, Edge{3, 4}},
+        {2.0, FaultKind::kLinkDown, kInvalidNode, Edge{0, 2}},
+        {3.0, FaultKind::kLinkDown, kInvalidNode, Edge{1, 4}},
+        {4.0, FaultKind::kLinkDown, kInvalidNode, Edge{0, 1}},
+        {5.0, FaultKind::kLinkUp, kInvalidNode, Edge{0, 2}},
+    };
+    EXPECT_EQ(final_fault_state(plan, 5).links_down,
+              (std::vector<Edge>{{0, 1}, {1, 4}, {3, 4}}));
+}
+
+// ---- differential: the indexed session against a linear-scan oracle ----
+
+/// The session as it was before its down-link and asymmetry indexes: every
+/// query scans the down list or the plan's asymmetry list.  Kept as the
+/// oracle for the differential test below.
+class ScanSession {
+  public:
+    void reset(const FaultPlan& plan, std::size_t n) {
+        plan_ = &plan;
+        node_up_.assign(n, 1);
+        down_.clear();
+        draws_ = 0;
+    }
+    void apply(const FaultEvent& e) {
+        const Edge c = canonical(e.link);
+        const auto it = std::find(down_.begin(), down_.end(), c);
+        if (e.kind == FaultKind::kNodeCrash) node_up_[e.node] = 0;
+        if (e.kind == FaultKind::kNodeRecover) node_up_[e.node] = 1;
+        if (e.kind == FaultKind::kLinkDown && it == down_.end()) down_.push_back(c);
+        if (e.kind == FaultKind::kLinkUp && it != down_.end()) down_.erase(it);
+    }
+    [[nodiscard]] bool link_up(NodeId a, NodeId b) const {
+        return node_up_[a] && node_up_[b] &&
+               std::find(down_.begin(), down_.end(), canonical(Edge{a, b})) == down_.end();
+    }
+    [[nodiscard]] bool drop_directed(NodeId from, NodeId to) {
+        double loss = 0.0;
+        for (const LinkAsymmetry& asym : plan_->asymmetry) {
+            if (asym.link != canonical(Edge{from, to})) continue;
+            loss = (from <= to) ? asym.loss_ab : asym.loss_ba;
+            break;
+        }
+        const std::uint64_t i = draws_++;
+        if (loss <= 0.0) return false;
+        const std::uint64_t key = (std::uint64_t{from} << 32) | to;
+        const std::uint64_t h = runner::splitmix64(
+            plan_->loss_stream_seed ^ runner::splitmix64(key ^ (i * 0x9e3779b97f4a7c15ULL)));
+        return static_cast<double>(h >> 11) * 0x1.0p-53 < loss;
+    }
+    [[nodiscard]] const std::vector<Edge>& down_links() const { return down_; }
+
+  private:
+    const FaultPlan* plan_ = nullptr;
+    std::vector<char> node_up_;
+    std::vector<Edge> down_;
+    std::uint64_t draws_ = 0;
+};
+
+std::vector<Edge> sorted(std::vector<Edge> links) {
+    std::sort(links.begin(), links.end());
+    return links;
+}
+
+TEST(FaultSession, MatchesLinearScanOracleOnRandomChurn) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        Rng rng(seed * 0x9e3779b97f4a7c15ULL);
+        const std::size_t n = 30 + rng.index(40);
+        UnitDiskParams params;
+        params.node_count = n;
+        const Graph g = generate_network_checked(params, rng).graph;
+        const std::vector<Edge> edges = g.edges();
+
+        FaultPlan plan;
+        plan.loss_stream_seed = seed;
+        for (const Edge& e : edges) {
+            if (rng.chance(0.3)) plan.asymmetry.push_back({e, rng.uniform(), rng.uniform()});
+        }
+        std::vector<char> up(n, 1);
+        std::vector<Edge> down;  // shadow of the down set, to aim events
+        for (std::size_t i = 0; i < 400; ++i) {
+            FaultEvent e{static_cast<double>(i), FaultKind::kLinkDown, kInvalidNode,
+                         edges[rng.index(edges.size())]};
+            const std::size_t pick = rng.index(10);
+            if (pick == 0 && !down.empty()) {
+                e.link = down[rng.index(down.size())];  // repeated down
+            } else if (pick <= 3 && !down.empty()) {
+                e.kind = FaultKind::kLinkUp;  // up of a down link, anywhere in the set
+                e.link = down[rng.index(down.size())];
+            } else if (pick == 4) {
+                e.kind = FaultKind::kLinkUp;  // up of a (probably) up link
+            } else if (pick >= 8) {
+                e.node = static_cast<NodeId>(rng.index(n));
+                e.kind = up[e.node] ? FaultKind::kNodeCrash : FaultKind::kNodeRecover;
+                up[e.node] ^= 1;
+            }
+            const auto it = std::find(down.begin(), down.end(), e.link);
+            if (e.kind == FaultKind::kLinkDown && it == down.end()) down.push_back(e.link);
+            if (e.kind == FaultKind::kLinkUp && it != down.end()) down.erase(it);
+            plan.events.push_back(e);
+        }
+
+        ScanSession oracle;
+        FaultSession session;
+        oracle.reset(plan, n);
+        session.reset(plan, n);
+        for (std::size_t i = 0; i < plan.events.size(); ++i) {
+            oracle.apply(plan.events[i]);
+            session.apply(plan.events[i]);
+            std::size_t disagree = 0;
+            for (const Edge& e : edges) {
+                disagree += session.link_up(e.a, e.b) != oracle.link_up(e.a, e.b);
+                disagree += session.link_up(e.b, e.a) != oracle.link_up(e.a, e.b);
+            }
+            ASSERT_EQ(disagree, 0u) << "seed " << seed << " event " << i;
+            ASSERT_EQ(sorted(session.down_links()), sorted(oracle.down_links()))
+                << "seed " << seed << " event " << i;
+            for (int q = 0; q < 8; ++q) {
+                const Edge e = edges[rng.index(edges.size())];
+                const bool forward = rng.chance(0.5);
+                const NodeId from = forward ? e.a : e.b;
+                const NodeId to = forward ? e.b : e.a;
+                ASSERT_EQ(session.drop_directed(from, to), oracle.drop_directed(from, to))
+                    << "seed " << seed << " event " << i << " draw " << q;
+            }
+        }
+
+        const std::vector<Edge> final_links = final_fault_state(plan, n).links_down;
+        EXPECT_TRUE(std::is_sorted(final_links.begin(), final_links.end()));
+        EXPECT_EQ(final_links, sorted(oracle.down_links()));
+    }
 }
 
 }  // namespace
