@@ -25,6 +25,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <queue>
@@ -363,23 +364,24 @@ int main(int argc, char** argv) {
 
         // --- per-decision view construction: owning copy vs borrowed cache ---
         {
-            // The pre-refactor path: copy the cached topology and build a
-            // fresh status vector for every decision.
+            // The pre-refactor path: for every decision, copy the cached
+            // topology — including its full-id-space Graph form — and
+            // build a fresh n-entry status vector into an owning View.
             auto build_ref = [&](NodeId v) {
                 const LocalTopology& topo = kb.at(v).topology();
+                Graph full = reference::expand(topo);
                 std::vector<NodeStatus> status(n, NodeStatus::kInvisible);
-                for (NodeId x = 0; x < n; ++x) {
-                    if (!topo.visible[x]) continue;
+                for (NodeId x : topo.members) {
                     status[x] = fx.visited[x]      ? NodeStatus::kVisited
                                 : fx.designated[x] ? NodeStatus::kDesignated
                                                    : NodeStatus::kUnvisited;
                 }
-                return View(Graph(topo.graph), std::vector<char>(topo.visible),
-                            std::move(status), &fx.keys, std::vector<NodeId>(topo.members));
+                return std::pair(std::move(full),
+                                 View(LocalTopology(topo), std::move(status), &fx.keys));
             };
             bool match = true;
             for (NodeId v = 0; v < n && match; ++v) {
-                const View a = build_ref(v);
+                const View a = build_ref(v).second;
                 const View b = kb.view_of(v, fx.keys);
                 for (NodeId x = 0; x < n && match; ++x) {
                     match = a.visible(x) == b.visible(x) && a.priority(x) == b.priority(x);
@@ -389,7 +391,9 @@ int main(int argc, char** argv) {
             const double ref_ns = time_ns(
                                       [&] {
                                           for (NodeId v = 0; v < n; ++v) {
-                                              guard = guard + build_ref(v).node_count();
+                                              const auto built = build_ref(v);
+                                              guard = guard + built.first.edge_count() +
+                                                      built.second.node_count();
                                           }
                                       },
                                       reps) /

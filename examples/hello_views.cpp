@@ -34,11 +34,9 @@ int main() {
         Rng hrng(1);
         hello.run(hrng);
         const auto view = hello.view_of(v);
-        std::size_t visible = 0;
-        for (char c : view.visible) visible += (c != 0);
-        const bool matches = (view.graph == local_topology(net.graph, v, k).graph);
-        std::cout << "  after round " << k << ": sees " << visible << " nodes, "
-                  << view.graph.edge_count() << " links"
+        const bool matches = (view == local_topology(net.graph, v, k));
+        std::cout << "  after round " << k << ": sees " << view.size() << " nodes, "
+                  << view.edges.size() / 2 << " links"
                   << (matches ? "  == analytic G_k(v)" : "  (MISMATCH!)") << "; protocol sent "
                   << hello.total_bytes() << " bytes total\n";
     }

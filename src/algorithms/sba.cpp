@@ -53,22 +53,32 @@ class SbaAgent final : public Agent {
     /// node whose neighborhood is fully visible in the local view.
     bool uncovered_neighbor_exists(NodeId node) const {
         const ConstKnowledgeRef kn = knowledge_.at(node);
-        const Graph& local = kn.topology().graph;
+        const LocalTopology& local = kn.topology();
         // Distances within the local view tell which visited nodes have a
         // fully known neighborhood (dist <= k-1).
-        const auto dist = bfs_distances(local, node);
+        std::vector<std::uint32_t> dist(local.size(), kNoLocal);
+        std::vector<std::uint32_t> queue{local.local_of(node)};
+        dist[queue[0]] = 0;
+        for (std::size_t head = 0; head < queue.size(); ++head) {
+            for (const std::uint32_t y : local.row(queue[head])) {
+                if (dist[y] != kNoLocal) continue;
+                dist[y] = dist[queue[head]] + 1;
+                queue.push_back(y);
+            }
+        }
 
         const std::size_t radius =
             knowledge_.hops() == 0 ? kUnreachable - 1 : knowledge_.hops() - 1;
-        std::vector<char> covered(graph_->node_count(), 0);
-        for (NodeId x = 0; x < graph_->node_count(); ++x) {
-            if (!kn.visited(x) || !kn.topology().visible[x]) continue;
-            if (dist[x] == kUnreachable || dist[x] > radius) continue;
+        std::vector<char> covered(local.size(), 0);
+        for (std::uint32_t x = 0; x < local.size(); ++x) {
+            if (!kn.visited(local.members[x])) continue;
+            if (dist[x] == kNoLocal || dist[x] > radius) continue;
             covered[x] = 1;
-            for (NodeId y : local.neighbors(x)) covered[y] = 1;
+            for (const std::uint32_t y : local.row(x)) covered[y] = 1;
         }
         for (NodeId y : graph_->neighbors(node)) {
-            if (!covered[y]) return true;
+            const std::uint32_t l = local.local_of(y);
+            if (l == kNoLocal || !covered[l]) return true;
         }
         return false;
     }

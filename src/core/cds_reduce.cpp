@@ -5,26 +5,45 @@
 
 #include "core/view.hpp"
 #include "graph/khop.hpp"
-#include "graph/traversal.hpp"
 
 namespace adhoc {
 
 namespace {
 
-/// Sorted component labels `u` belongs to or borders.
-std::vector<std::size_t> comps_of(const Graph& topo, NodeId u,
-                                  const std::vector<std::size_t>& labels) {
-    std::vector<std::size_t> out;
-    if (labels[u] != kUnreachable) out.push_back(labels[u]);
-    for (NodeId y : topo.neighbors(u)) {
-        if (labels[y] != kUnreachable) out.push_back(labels[y]);
+/// Component labels of the subgraph of `topo` induced on the local ids
+/// with `keep` set; kNoLocal elsewhere.
+std::vector<std::uint32_t> components(const LocalTopology& topo, const std::vector<char>& keep) {
+    std::vector<std::uint32_t> labels(topo.size(), kNoLocal);
+    std::vector<std::uint32_t> queue;
+    for (std::uint32_t root = 0; root < topo.size(); ++root) {
+        if (!keep[root] || labels[root] != kNoLocal) continue;
+        labels[root] = root;
+        queue.assign(1, root);
+        for (std::size_t head = 0; head < queue.size(); ++head) {
+            for (const std::uint32_t y : topo.row(queue[head])) {
+                if (!keep[y] || labels[y] != kNoLocal) continue;
+                labels[y] = root;
+                queue.push_back(y);
+            }
+        }
+    }
+    return labels;
+}
+
+/// Sorted component labels local node `u` belongs to or borders.
+std::vector<std::uint32_t> comps_of(const LocalTopology& topo, std::uint32_t u,
+                                    const std::vector<std::uint32_t>& labels) {
+    std::vector<std::uint32_t> out;
+    if (labels[u] != kNoLocal) out.push_back(labels[u]);
+    for (const std::uint32_t y : topo.row(u)) {
+        if (labels[y] != kNoLocal) out.push_back(labels[y]);
     }
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
 }
 
-bool intersects(const std::vector<std::size_t>& a, const std::vector<std::size_t>& b) {
+bool intersects(const std::vector<std::uint32_t>& a, const std::vector<std::uint32_t>& b) {
     auto ia = a.begin();
     auto ib = b.begin();
     while (ia != a.end() && ib != b.end()) {
@@ -47,29 +66,29 @@ std::vector<char> reduce_cds(const Graph& g, const std::vector<char>& cds, std::
     for (NodeId v = 0; v < g.node_count(); ++v) {
         if (!cds[v]) continue;
         const LocalTopology local = local_topology(g, v, hops);
-        const Graph& topo = local.graph;
         const Priority pv = keys.evaluate(v, NodeStatus::kDesignated);
 
         // H: visible higher-priority members (all members share the
         // committed-relay status S = 1.5, so keys decide).
-        std::vector<char> in_h(g.node_count(), 0);
-        for (NodeId x = 0; x < g.node_count(); ++x) {
-            if (x == v || !local.visible[x] || !cds[x]) continue;
-            if (keys.evaluate(x, NodeStatus::kDesignated) > pv) in_h[x] = 1;
+        std::vector<char> in_h(local.size(), 0);
+        for (std::uint32_t i = 0; i < local.size(); ++i) {
+            const NodeId x = local.members[i];
+            if (x == v || !cds[x]) continue;
+            if (keys.evaluate(x, NodeStatus::kDesignated) > pv) in_h[i] = 1;
         }
-        const auto labels = connected_components_filtered(topo, in_h);
+        const auto labels = components(local, in_h);
 
-        const auto nv = topo.neighbors(v);
+        const auto nv = local.row(local.local_of(v));
         bool droppable = true;
 
         // Condition 3: v itself must keep a (higher-priority) dominator.
         bool self_dominated = false;
-        for (NodeId x : nv) self_dominated = self_dominated || in_h[x];
+        for (const std::uint32_t x : nv) self_dominated = self_dominated || in_h[x];
         droppable = droppable && (self_dominated || nv.empty());
 
-        std::vector<std::vector<std::size_t>> comps(nv.size());
+        std::vector<std::vector<std::uint32_t>> comps(nv.size());
         for (std::size_t i = 0; i < nv.size() && droppable; ++i) {
-            comps[i] = comps_of(topo, nv[i], labels);
+            comps[i] = comps_of(local, nv[i], labels);
             // Condition 2: every neighbor stays dominated by some
             // higher-priority member.
             if (!in_h[nv[i]] && comps[i].empty()) droppable = false;
@@ -78,7 +97,7 @@ std::vector<char> reduce_cds(const Graph& g, const std::vector<char>& cds, std::
         // pairs, intermediates restricted to higher-priority members.
         for (std::size_t i = 0; i < nv.size() && droppable; ++i) {
             for (std::size_t j = i + 1; j < nv.size() && droppable; ++j) {
-                if (topo.has_edge(nv[i], nv[j])) continue;
+                if (local.has_edge(nv[i], nv[j])) continue;
                 if (!intersects(comps[i], comps[j])) droppable = false;
             }
         }

@@ -1,7 +1,5 @@
 #include "core/compact_view.hpp"
 
-#include <algorithm>
-
 namespace adhoc {
 
 LocalViewScratch& LocalViewScratch::tls() {
@@ -10,73 +8,13 @@ LocalViewScratch& LocalViewScratch::tls() {
 }
 
 void LocalViewScratch::compile(const View& view) {
-    if (const CompactTopology* cached = view.compact_topology(); cached != nullptr) {
-        // Fast path: a long-lived LocalTopology already carries its CSR.
-        // Alias it — only status/priorities below need per-call work.
-        const auto mem = view.members();
-        compact.size = static_cast<std::uint32_t>(mem.size());
-        compact.members = mem;
-        compact.offsets = cached->offsets;
-        compact.edges = cached->edges;
-    } else {
-        const std::size_t n = view.node_count();
-        if (g2l_.size() < n) {
-            g2l_.resize(n, 0);
-            g2l_stamp_.resize(n, 0);
-        }
-        ++epoch_;
-        if (epoch_ == 0) {  // epoch wrapped: every stamp is stale, start over
-            std::fill(g2l_stamp_.begin(), g2l_stamp_.end(), 0);
-            epoch_ = 1;
-        }
-
-        // Member list: either carried by the view or recovered by scanning.
-        members_store_.clear();
-        const auto known = view.members();
-        if (!known.empty()) {
-            members_store_.assign(known.begin(), known.end());
-        } else {
-            for (NodeId v = 0; v < n; ++v) {
-                if (view.visible(v)) members_store_.push_back(v);
-            }
-        }
-        const std::uint32_t m = static_cast<std::uint32_t>(members_store_.size());
-        compact.size = m;
-        for (std::uint32_t i = 0; i < m; ++i) {
-            const NodeId g = members_store_[i];
-            g2l_[g] = i;
-            g2l_stamp_[g] = epoch_;
-        }
-
-        // CSR adjacency — one pass over the members.  Rows inherit the
-        // sorted order of the underlying adjacency lists (ascending global
-        // == ascending local by construction).
-        offsets_store_.resize(m + 1);
-        edges_store_.clear();
-        const Graph& g = view.topology();
-        for (std::uint32_t i = 0; i < m; ++i) {
-            offsets_store_[i] = static_cast<std::uint32_t>(edges_store_.size());
-            for (NodeId y : g.neighbors(members_store_[i])) {
-                // The View contract isolates invisible nodes, but hand-built
-                // views are tolerated: silently drop edges to non-members.
-                if (y < g2l_stamp_.size() && g2l_stamp_[y] == epoch_) {
-                    edges_store_.push_back(g2l_[y]);
-                }
-            }
-        }
-        offsets_store_[m] = static_cast<std::uint32_t>(edges_store_.size());
-        compact.members = members_store_;
-        compact.offsets = offsets_store_;
-        compact.edges = edges_store_;
-    }
-
+    compact.bind(view.local());
     // Status and priorities: always per-call (they encode broadcast state).
+    // Members are visible by construction, so no membership test.
     const std::uint32_t m = compact.size;
-    compact.priority.resize(m);
-    compact.status.resize(m);
     for (std::uint32_t i = 0; i < m; ++i) {
         const NodeId v = compact.members[i];
-        const NodeStatus st = view.status(v);
+        const NodeStatus st = view.member_status(v);
         compact.status[i] = st;
         compact.priority[i] = view.keys().evaluate(v, st);
     }

@@ -1,15 +1,15 @@
 /// \file compact_view.hpp
-/// \brief Dense-id compilation of a View plus the per-thread scratch arena.
+/// \brief A View's per-decision kernel input plus the per-thread scratch arena.
 ///
 /// The decision kernels (coverage condition, LENWB connectivity, MAX_MIN)
 /// are invoked once per node per broadcast, and a naive implementation pays
 /// O(n) per call — full-size masks, distance arrays and component labels —
 /// even though the information they consume is bounded by the k-hop
-/// neighborhood.  `LocalViewScratch::compile` flattens the visible part of
-/// a View into contiguous arrays over *local* ids 0..m-1 (m = number of
-/// visible nodes):
+/// neighborhood.  Every View already holds its topology as a LocalTopology
+/// over *local* ids 0..m-1 (m = number of visible nodes), so
+/// `LocalViewScratch::compile` only aliases that CSR and adds what changes
+/// between decisions:
 ///
-///  - a CSR adjacency (`offsets`/`edges`) over local ids,
 ///  - the per-node `Priority`, evaluated exactly once per compilation
 ///    (instead of once per `view.priority(x)` call inside the kernels),
 ///  - the per-node `NodeStatus`.
@@ -88,38 +88,33 @@ inline void and_inplace(std::uint64_t* a, const std::uint64_t* b, std::size_t wo
 
 }  // namespace bits
 
-/// Sentinel for "no local id" / "unreached" in the compact arrays.
-inline constexpr std::uint32_t kNoLocal = 0xffffffffu;
-
 /// A View compiled to dense local ids (see file comment).
 ///
-/// The topology arrays are spans: they alias either the arena's own
-/// storage (views compiled from scratch) or a `CompactTopology` cached on
-/// a long-lived LocalTopology (the simulation fast path, which skips the
-/// per-call CSR build entirely).  Status and priorities are always
+/// The topology is the View's LocalTopology (or, in the ScaleEngine, a
+/// `compile_ball` output), borrowed.  Status and priorities are
 /// re-evaluated per compilation — they change between decisions.
 struct CompactLocalView {
-    std::uint32_t size = 0;                ///< m = number of visible nodes
-    std::span<const NodeId> members;       ///< local -> global id, ascending
-    std::span<const std::uint32_t> offsets;  ///< CSR row offsets, size m+1
-    std::span<const std::uint32_t> edges;  ///< CSR columns (local ids), ascending per row
-    std::vector<Priority> priority;        ///< Pr(x) under the view, cached
-    std::vector<NodeStatus> status;        ///< view status per local node
+    const LocalTopology* topo = nullptr;  ///< members + CSR, borrowed
+    std::uint32_t size = 0;               ///< m = number of visible nodes
+    std::span<const NodeId> members;      ///< local -> global id, ascending
+    std::vector<Priority> priority;       ///< Pr(x) under the view, cached
+    std::vector<NodeStatus> status;       ///< view status per local node
+
+    /// Borrows `t` and sizes the per-node arrays for it.
+    void bind(const LocalTopology& t) {
+        topo = &t;
+        size = static_cast<std::uint32_t>(t.size());
+        members = t.members;
+        priority.resize(size);
+        status.resize(size);
+    }
 
     /// Neighbor row of local node `x`.
     [[nodiscard]] std::span<const std::uint32_t> row(std::uint32_t x) const noexcept {
-        return {edges.data() + offsets[x], edges.data() + offsets[x + 1]};
+        return topo->row(x);
     }
-
-    [[nodiscard]] std::size_t degree(std::uint32_t x) const noexcept {
-        return offsets[x + 1] - offsets[x];
-    }
-
-    /// Adjacency test; binary-searches the smaller of the two rows.
     [[nodiscard]] bool has_edge(std::uint32_t u, std::uint32_t w) const noexcept {
-        if (degree(u) > degree(w)) std::swap(u, w);
-        const auto r = row(u);
-        return std::binary_search(r.begin(), r.end(), w);
+        return topo->has_edge(u, w);
     }
 };
 
@@ -129,23 +124,9 @@ class LocalViewScratch {
     /// The calling thread's arena (one per worker thread, reused forever).
     [[nodiscard]] static LocalViewScratch& tls();
 
-    /// Compiles `view` into `compact`.  O(|members| + local edges) when the
-    /// view carries a member list, O(n + local edges) otherwise.
+    /// Compiles `view` into `compact`: O(|members|), aliasing the view's
+    /// CSR.
     void compile(const View& view);
-
-    /// Local id of a global node; only valid for members of the most
-    /// recently compiled view.  Binary search over the member list — the
-    /// kernels only call this for their few entry points, and it works for
-    /// both the cached-CSR and the compiled-from-scratch paths.
-    [[nodiscard]] std::uint32_t local_of(NodeId global) const noexcept {
-        const auto it = std::lower_bound(compact.members.begin(), compact.members.end(), global);
-        return static_cast<std::uint32_t>(it - compact.members.begin());
-    }
-
-    /// True iff `global` is visible in the most recently compiled view.
-    [[nodiscard]] bool is_member(NodeId global) const noexcept {
-        return std::binary_search(compact.members.begin(), compact.members.end(), global);
-    }
 
     CompactLocalView compact;
 
@@ -161,17 +142,6 @@ class LocalViewScratch {
     std::vector<std::uint64_t> acc;     ///< running intersection accumulator
     std::vector<std::vector<std::uint64_t>> comp_bits;  ///< per-neighbor label sets
 
-  private:
-    // Storage backing `compact`'s spans when the view carries no
-    // precompiled CSR.
-    std::vector<NodeId> members_store_;
-    std::vector<std::uint32_t> offsets_store_;
-    std::vector<std::uint32_t> edges_store_;
-    // Epoch-stamped global -> local map; only used while building a CSR
-    // from scratch (O(1) invalidation between compilations).
-    std::vector<std::uint32_t> g2l_;
-    std::vector<std::uint32_t> g2l_stamp_;
-    std::uint32_t epoch_ = 0;
 };
 
 }  // namespace adhoc

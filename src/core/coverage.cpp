@@ -181,7 +181,7 @@ std::vector<char> connected_via_higher_priority(const View& view, NodeId u,
     LocalViewScratch& s = LocalViewScratch::tls();
     s.compile(view);
     const CompactLocalView& c = s.compact;
-    const std::uint32_t lu = s.local_of(u);
+    const std::uint32_t lu = view.local().local_of(u);
 
     bits::reset(s.mark, c.size);  // in-C membership
     if (s.queue.size() < c.size) s.queue.resize(c.size);
@@ -316,7 +316,7 @@ CoverageOutcome evaluate_coverage(const View& view, NodeId v, const CoverageOpti
     assert(view.visible(v));
     LocalViewScratch& s = LocalViewScratch::tls();
     s.compile(view);
-    const std::uint32_t lv = s.local_of(v);
+    const std::uint32_t lv = view.local().local_of(v);
     const Priority pv = view.keys().evaluate(v, self_status);
     return evaluate_coverage_compiled(s, lv, pv, opts);
 }

@@ -77,12 +77,12 @@ struct CoverageOutcome {
                                             NodeStatus self_status = NodeStatus::kUnvisited);
 
 /// Kernel entry point over an already-compiled scratch: `s.compact` must
-/// hold the evaluated node's local view (members/offsets/edges spans plus
+/// hold the evaluated node's local view (a bound LocalTopology plus
 /// per-member priority and status), `local_v` its local id, and `pv` its
 /// own fully-evaluated priority.  `evaluate_coverage` is exactly
 /// `compile` + this call; callers that assemble the compact view
 /// themselves — the ScaleEngine compiles each view with `compile_ball`
-/// into per-wheel storage and aliases the spans — skip the `View` object
+/// into per-wheel storage and binds it — skip the `View` object
 /// entirely and still run the identical decision kernel.
 [[nodiscard]] CoverageOutcome evaluate_coverage_compiled(LocalViewScratch& s,
                                                          std::uint32_t local_v,
@@ -115,6 +115,11 @@ struct CoverageOutcome {
 /// equivalence property test (`coverage_equivalence_test`) asserts both
 /// families agree bit-for-bit on every input.
 namespace reference {
+
+/// A local view in the full id space: a Graph over all `topo.id_space`
+/// ids whose only edges are the view's links (invisible nodes isolated).
+/// The reference kernels run on this form.
+[[nodiscard]] Graph expand(const LocalTopology& topo);
 
 [[nodiscard]] CoverageOutcome evaluate_coverage(const View& view, NodeId v,
                                                 const CoverageOptions& opts = {},

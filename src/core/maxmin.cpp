@@ -84,18 +84,20 @@ NodeId max_min_node(const View& view, NodeId u, NodeId w, const Priority& self_p
     LocalViewScratch& s = LocalViewScratch::tls();
     s.compile(view);
     build_candidate_order(s, self_priority);
-    const std::uint32_t r = max_min_node_local(s, s.local_of(u), s.local_of(w));
+    const LocalTopology& t = view.local();
+    const std::uint32_t r = max_min_node_local(s, t.local_of(u), t.local_of(w));
     return r == kNoLocal ? kInvalidNode : s.compact.members[r];
 }
 
 std::optional<std::vector<NodeId>> max_min_path(const View& view, NodeId u, NodeId w,
                                                 const Priority& self_priority) {
-    if (view.topology().has_edge(u, w)) return std::vector<NodeId>{};
+    if (view.has_edge(u, w)) return std::vector<NodeId>{};
     assert(view.visible(u) && view.visible(w));
     LocalViewScratch& s = LocalViewScratch::tls();
     s.compile(view);
     build_candidate_order(s, self_priority);
-    return max_min_path_local(s, s.local_of(u), s.local_of(w));
+    const LocalTopology& t = view.local();
+    return max_min_path_local(s, t.local_of(u), t.local_of(w));
 }
 
 bool is_replacement_path(const View& view, NodeId u, NodeId w,
@@ -103,10 +105,10 @@ bool is_replacement_path(const View& view, NodeId u, NodeId w,
     NodeId prev = u;
     for (NodeId x : intermediates) {
         if (!view.visible(x) || !(view.priority(x) > threshold)) return false;
-        if (!view.topology().has_edge(prev, x)) return false;
+        if (!view.has_edge(prev, x)) return false;
         prev = x;
     }
-    return view.topology().has_edge(prev, w);
+    return view.has_edge(prev, w);
 }
 
 }  // namespace adhoc

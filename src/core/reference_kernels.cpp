@@ -3,7 +3,9 @@
 ///
 /// These are the pre-optimization implementations of the coverage condition
 /// and MAX_MIN, kept verbatim (modulo namespace) as the semantic ground
-/// truth.  They allocate O(n) per call and are deliberately straightforward;
+/// truth.  They read a view's topology through `expand` — the
+/// full-id-space Graph form that views themselves no longer store.  They
+/// allocate O(n) per call and are deliberately straightforward;
 /// `coverage_equivalence_test` asserts the compact-view kernels in
 /// coverage.cpp / maxmin.cpp agree with them bit-for-bit, and bench_micro
 /// measures the gap.
@@ -59,11 +61,11 @@ void merge_visited_labels(const View& view, std::vector<std::size_t>& labels) {
 
 /// Sorted set of (merged) component labels that `u` belongs to or is
 /// adjacent to.
-std::vector<std::size_t> adjacent_components(const View& view, NodeId u,
+std::vector<std::size_t> adjacent_components(const Graph& topo, NodeId u,
                                              const std::vector<std::size_t>& labels) {
     std::vector<std::size_t> comps;
     if (labels[u] != kUnreachable) comps.push_back(labels[u]);
-    for (NodeId y : view.topology().neighbors(u)) {
+    for (NodeId y : topo.neighbors(u)) {
         if (labels[y] != kUnreachable) comps.push_back(labels[y]);
     }
     std::sort(comps.begin(), comps.end());
@@ -89,7 +91,8 @@ bool intersects(const std::vector<std::size_t>& a, const std::vector<std::size_t
 /// where the first H-node must be adjacent to `u`.  dist[x] = number of
 /// H-nodes on the walk up to and including x.  When `merge_visited`, the
 /// visited nodes behave as one hyper-node.
-std::vector<std::size_t> bounded_reach(const View& view, NodeId u, const std::vector<char>& in_h,
+std::vector<std::size_t> bounded_reach(const View& view, const Graph& topo, NodeId u,
+                                       const std::vector<char>& in_h,
                                        std::size_t max_intermediates, bool merge_visited) {
     std::vector<std::size_t> dist(view.node_count(), kUnreachable);
     std::deque<NodeId> queue;
@@ -106,7 +109,7 @@ std::vector<std::size_t> bounded_reach(const View& view, NodeId u, const std::ve
         }
     };
 
-    for (NodeId y : view.topology().neighbors(u)) {
+    for (NodeId y : topo.neighbors(u)) {
         if (!in_h[y] || dist[y] != kUnreachable) continue;
         dist[y] = 1;
         queue.push_back(y);
@@ -116,7 +119,7 @@ std::vector<std::size_t> bounded_reach(const View& view, NodeId u, const std::ve
         const NodeId x = queue.front();
         queue.pop_front();
         if (dist[x] >= max_intermediates) continue;
-        for (NodeId y : view.topology().neighbors(x)) {
+        for (NodeId y : topo.neighbors(x)) {
             if (!in_h[y] || dist[y] != kUnreachable) continue;
             dist[y] = dist[x] + 1;
             queue.push_back(y);
@@ -147,11 +150,23 @@ class Dsu {
 
 }  // namespace
 
+Graph expand(const LocalTopology& topo) {
+    std::vector<Edge> links;
+    for (std::uint32_t i = 0; i < topo.size(); ++i) {
+        for (const std::uint32_t j : topo.row(i)) {
+            if (j > i) links.push_back({topo.members[i], topo.members[j]});
+        }
+    }
+    // Rows ascend and so do their columns: the upper triangle is already
+    // canonical and lexicographically sorted.
+    return Graph::from_sorted_edges(topo.id_space, links);
+}
+
 std::vector<std::size_t> higher_priority_components(const View& view, const Priority& threshold,
                                                     bool merge_visited) {
     // The threshold owner is excluded by the strict comparison itself.
     const auto mask = higher_priority_mask(view, threshold, kInvalidNode);
-    auto labels = connected_components_filtered(view.topology(), mask);
+    auto labels = connected_components_filtered(expand(view.local()), mask);
     if (merge_visited) merge_visited_labels(view, labels);
     return labels;
 }
@@ -160,6 +175,7 @@ std::vector<char> connected_via_higher_priority(const View& view, NodeId u,
                                                 const Priority& threshold, bool merge_visited) {
     std::vector<char> in_c(view.node_count(), 0);
     if (!view.visible(u)) return in_c;
+    const Graph topo = expand(view.local());
     std::deque<NodeId> queue;
     bool visited_injected = false;
 
@@ -184,7 +200,7 @@ std::vector<char> connected_via_higher_priority(const View& view, NodeId u,
         // higher priority; lower-priority nodes may be reached (endpoints)
         // but not traversed.
         if (x != u && !(view.priority(x) > threshold)) continue;
-        for (NodeId y : view.topology().neighbors(x)) {
+        for (NodeId y : topo.neighbors(x)) {
             if (in_c[y]) continue;
             in_c[y] = 1;
             queue.push_back(y);
@@ -197,15 +213,16 @@ std::vector<char> connected_via_higher_priority(const View& view, NodeId u,
 CoverageOutcome evaluate_coverage(const View& view, NodeId v, const CoverageOptions& opts,
                                   NodeStatus self_status) {
     assert(view.visible(v));
+    const Graph topo = expand(view.local());
     const Priority pv = view.keys().evaluate(v, self_status);
-    const auto nv = view.topology().neighbors(v);
+    const auto nv = topo.neighbors(v);
     if (nv.size() <= 1) return {.covered = true};  // no neighbor pair to connect
 
     auto in_h = higher_priority_mask(view, pv, v);
     if (opts.coverage_radius > 0) {
         // Restricted implementations: only nodes within the radius may act
         // as coverage/replacement nodes.
-        const auto dist = bfs_distances(view.topology(), v);
+        const auto dist = bfs_distances(topo, v);
         for (NodeId x = 0; x < view.node_count(); ++x) {
             if (dist[x] == kUnreachable || dist[x] > opts.coverage_radius) in_h[x] = 0;
         }
@@ -217,12 +234,12 @@ CoverageOutcome evaluate_coverage(const View& view, NodeId v, const CoverageOpti
         const std::size_t cap = opts.max_path_hops - 1;
         for (std::size_t i = 0; i < nv.size(); ++i) {
             const NodeId u = nv[i];
-            const auto dist = bounded_reach(view, u, in_h, cap, opts.merge_visited);
+            const auto dist = bounded_reach(view, topo, u, in_h, cap, opts.merge_visited);
             for (std::size_t j = i + 1; j < nv.size(); ++j) {
                 const NodeId w = nv[j];
-                if (view.topology().has_edge(u, w)) continue;
+                if (topo.has_edge(u, w)) continue;
                 bool ok = false;
-                for (NodeId x : view.topology().neighbors(w)) {
+                for (NodeId x : topo.neighbors(w)) {
                     if (dist[x] != kUnreachable && dist[x] <= cap) {
                         ok = true;
                         break;
@@ -235,12 +252,12 @@ CoverageOutcome evaluate_coverage(const View& view, NodeId v, const CoverageOpti
     }
 
     // Component machinery shared by the full and strong conditions.
-    auto labels = connected_components_filtered(view.topology(), in_h);
+    auto labels = connected_components_filtered(topo, in_h);
     if (opts.merge_visited) merge_visited_labels(view, labels);
 
     std::vector<std::vector<std::size_t>> comps(nv.size());
     for (std::size_t i = 0; i < nv.size(); ++i) {
-        comps[i] = adjacent_components(view, nv[i], labels);
+        comps[i] = adjacent_components(topo, nv[i], labels);
     }
 
     if (opts.strong) {
@@ -263,7 +280,7 @@ CoverageOutcome evaluate_coverage(const View& view, NodeId v, const CoverageOpti
         for (std::size_t j = i + 1; j < nv.size(); ++j) {
             const NodeId u = nv[i];
             const NodeId w = nv[j];
-            if (view.topology().has_edge(u, w)) continue;
+            if (topo.has_edge(u, w)) continue;
             if (!intersects(comps[i], comps[j])) {
                 return {.covered = false, .uncovered_u = u, .uncovered_w = w};
             }
@@ -279,7 +296,8 @@ bool coverage_condition_holds(const View& view, NodeId v, const CoverageOptions&
 
 NodeId max_min_node(const View& view, NodeId u, NodeId w, const Priority& self_priority) {
     assert(view.visible(u) && view.visible(w));
-    if (view.topology().has_edge(u, w)) return kInvalidNode;  // no intermediate needed
+    const Graph topo = expand(view.local());
+    if (topo.has_edge(u, w)) return kInvalidNode;  // no intermediate needed
 
     // Candidate intermediates, highest priority first — recomputed on every
     // call (the production kernel sorts once per top-level invocation).
@@ -300,7 +318,7 @@ NodeId max_min_node(const View& view, NodeId u, NodeId w, const Priority& self_p
     active[u] = active[w] = 1;
     for (NodeId x : candidates) {
         active[x] = 1;
-        for (NodeId y : view.topology().neighbors(x)) {
+        for (NodeId y : topo.neighbors(x)) {
             if (active[y]) dsu.unite(x, y);
         }
         if (dsu.find(u) == dsu.find(w)) return x;
@@ -310,7 +328,7 @@ NodeId max_min_node(const View& view, NodeId u, NodeId w, const Priority& self_p
 
 std::optional<std::vector<NodeId>> max_min_path(const View& view, NodeId u, NodeId w,
                                                 const Priority& self_priority) {
-    if (view.topology().has_edge(u, w)) return std::vector<NodeId>{};  // step 1: return empty
+    if (view.has_edge(u, w)) return std::vector<NodeId>{};  // step 1: return empty
     const NodeId x = reference::max_min_node(view, u, w, self_priority);
     if (x == kInvalidNode) return std::nullopt;  // no replacement path exists
     auto left = reference::max_min_path(view, u, x, self_priority);

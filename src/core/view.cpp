@@ -4,12 +4,11 @@ namespace adhoc {
 
 namespace {
 
-std::vector<NodeStatus> status_from_masks(const std::vector<char>& visible,
+std::vector<NodeStatus> status_from_masks(const LocalTopology& topo,
                                           const std::vector<char>* visited,
                                           const std::vector<char>* designated) {
-    std::vector<NodeStatus> status(visible.size(), NodeStatus::kInvisible);
-    for (NodeId v = 0; v < visible.size(); ++v) {
-        if (!visible[v]) continue;
+    std::vector<NodeStatus> status(topo.id_space, NodeStatus::kInvisible);
+    for (const NodeId v : topo.members) {
         if (visited != nullptr && (*visited)[v]) {
             status[v] = NodeStatus::kVisited;
         } else if (designated != nullptr && (*designated)[v]) {
@@ -25,26 +24,16 @@ std::vector<NodeStatus> status_from_masks(const std::vector<char>& visible,
 
 View make_static_view(const Graph& g, NodeId center, std::size_t k, const PriorityKeys& keys) {
     LocalTopology topo = local_topology(g, center, k);
-    auto status = status_from_masks(topo.visible, nullptr, nullptr);
-    return View(std::move(topo.graph), std::move(topo.visible), std::move(status), &keys,
-                std::move(topo.members));
+    auto status = status_from_masks(topo, nullptr, nullptr);
+    return View(std::move(topo), std::move(status), &keys);
 }
 
 View make_dynamic_view(const Graph& g, NodeId center, std::size_t k, const PriorityKeys& keys,
                        const std::vector<char>& visited, const std::vector<char>& designated) {
     // The LocalTopology is a temporary here, so the view must own it.
     LocalTopology topo = local_topology(g, center, k);
-    auto status = status_from_masks(topo.visible, &visited, &designated);
-    return View(std::move(topo.graph), std::move(topo.visible), std::move(status), &keys,
-                std::move(topo.members));
-}
-
-View make_dynamic_view(const LocalTopology& topo, const PriorityKeys& keys,
-                       const std::vector<char>& visited, const std::vector<char>& designated) {
-    assert(visited.size() == topo.visible.size());
-    assert(designated.size() == topo.visible.size());
-    auto status = status_from_masks(topo.visible, &visited, &designated);
-    return View(&topo, std::move(status), &keys);
+    auto status = status_from_masks(topo, &visited, &designated);
+    return View(std::move(topo), std::move(status), &keys);
 }
 
 }  // namespace adhoc

@@ -7,14 +7,16 @@
 /// nodes to the bottom of the order, so local views are always <= the
 /// global view — the property Theorem 2's correctness argument rests on.
 ///
-/// Views come in two flavors with identical semantics:
-///  - *owning*: the view carries its own copy of topology/visibility
-///    (views built from scratch, e.g. `make_static_view`);
-///  - *borrowing*: the view references a long-lived `LocalTopology` (and
-///    possibly a status buffer) owned by the caller — the hot path for
-///    simulation agents, which would otherwise copy the whole adjacency
-///    structure on every decision.  The referenced objects must outlive
-///    the view.
+/// Views come in two flavors with identical semantics; both hold the
+/// topology as a `LocalTopology` (members plus a local-id CSR):
+///  - *owning*: the view carries its own LocalTopology (views built from
+///    scratch, e.g. `make_static_view`);
+///  - *borrowing*: the view references a long-lived LocalTopology and a
+///    status buffer owned by the caller — the hot path for simulation
+///    agents, which would otherwise copy the topology on every decision.
+///    The referenced objects must outlive the view.
+/// Statuses stay in the global id space (size n); node ids passed to a
+/// View are global.
 
 #pragma once
 
@@ -29,73 +31,61 @@
 namespace adhoc {
 
 /// An immutable snapshot a coverage decision is evaluated against.
-///
-/// The topology is carried in the original id space (invisible nodes are
-/// isolated in it), which keeps cross-view comparisons (Theorem 2 tests)
-/// trivial.
 class View {
   public:
     /// Builds an owning view.
-    /// \param topology   visible subgraph in the original id space
-    /// \param visible    visibility mask (size == node_count of original)
-    /// \param status     per-node status; ignored for invisible nodes
-    /// \param keys       static priority keys (shared, must outlive view)
-    /// \param members    optional sorted list of visible ids (may be empty)
-    View(Graph topology, std::vector<char> visible, std::vector<NodeStatus> status,
-         const PriorityKeys* keys, std::vector<NodeId> members = {})
-        : topology_storage_(std::move(topology)),
-          visible_storage_(std::move(visible)),
-          members_storage_(std::move(members)),
-          status_storage_(std::move(status)),
-          keys_(keys) {
+    /// \param topo    the visible topology
+    /// \param status  per-node status over all topo.id_space ids; ignored
+    ///                for invisible nodes
+    /// \param keys    static priority keys (shared, must outlive the view)
+    View(LocalTopology topo, std::vector<NodeStatus> status, const PriorityKeys* keys)
+        : owned_(std::move(topo)), status_storage_(std::move(status)), keys_(keys) {
         assert(keys_ != nullptr);
-        assert(visible_storage_.size() == topology_storage_.node_count());
-        assert(status_storage_.size() == topology_storage_.node_count());
+        assert(status_storage_.size() == owned_.id_space);
     }
 
-    /// Borrows topology/visibility/members from `topo`; owns the status.
-    /// `topo` must outlive the view.
-    View(const LocalTopology* topo, std::vector<NodeStatus> status, const PriorityKeys* keys)
-        : topo_(topo), status_storage_(std::move(status)), keys_(keys) {
-        assert(topo_ != nullptr && keys_ != nullptr);
-        assert(status_storage_.size() == topo_->graph.node_count());
-    }
-
-    /// Fully borrowing view: topology and status both live outside (the
+    /// Borrowing view: topology and status both live outside (the
     /// KnowledgeBase fast path — zero copies per decision).  Both must
     /// outlive the view.
     View(const LocalTopology* topo, const std::vector<NodeStatus>* status,
          const PriorityKeys* keys)
-        : topo_(topo), status_ptr_(status), keys_(keys) {
-        assert(topo_ != nullptr && status != nullptr && keys_ != nullptr);
-        assert(status->size() == topo_->graph.node_count());
+        : borrowed_(topo), status_ptr_(status), keys_(keys) {
+        assert(borrowed_ != nullptr && status != nullptr && keys_ != nullptr);
+        assert(status->size() == borrowed_->id_space);
     }
 
-    [[nodiscard]] const Graph& topology() const noexcept {
-        return topo_ != nullptr ? topo_->graph : topology_storage_;
+    /// The visible topology, owned or borrowed.
+    [[nodiscard]] const LocalTopology& local() const noexcept {
+        return borrowed_ != nullptr ? *borrowed_ : owned_;
     }
-    [[nodiscard]] std::size_t node_count() const noexcept { return topology().node_count(); }
+    [[nodiscard]] std::size_t node_count() const noexcept { return local().id_space; }
     [[nodiscard]] bool visible(NodeId v) const noexcept {
-        return (topo_ != nullptr ? topo_->visible[v] : visible_storage_[v]) != 0;
+        return local().local_of(v) != kNoLocal;
     }
 
-    /// Sorted visible node ids, or an empty span when the view was built
-    /// without a member list (consumers then fall back to scanning 0..n-1).
-    [[nodiscard]] std::span<const NodeId> members() const noexcept {
-        return topo_ != nullptr ? std::span<const NodeId>(topo_->members)
-                                : std::span<const NodeId>(members_storage_);
+    /// True iff (u, w) is a visible link.
+    [[nodiscard]] bool has_edge(NodeId u, NodeId w) const noexcept {
+        const std::uint32_t a = local().local_of(u);
+        const std::uint32_t b = local().local_of(w);
+        return a != kNoLocal && b != kNoLocal && local().has_edge(a, b);
     }
 
-    /// The borrowed topology's precompiled CSR, or nullptr when the view
-    /// owns its topology / the cache was never built (the kernels then
-    /// compile the adjacency themselves).
-    [[nodiscard]] const CompactTopology* compact_topology() const noexcept {
-        return topo_ != nullptr && !topo_->compact.offsets.empty() ? &topo_->compact : nullptr;
+    /// Visible neighbors of `v`, ascending (empty when `v` is invisible).
+    [[nodiscard]] std::vector<NodeId> neighbors(NodeId v) const {
+        std::vector<NodeId> out;
+        if (const std::uint32_t l = local().local_of(v); l != kNoLocal) {
+            for (const std::uint32_t y : local().row(l)) out.push_back(local().members[y]);
+        }
+        return out;
     }
 
     /// Status as captured by this view (kInvisible for invisible nodes).
     [[nodiscard]] NodeStatus status(NodeId v) const noexcept {
-        if (!visible(v)) return NodeStatus::kInvisible;
+        return visible(v) ? member_status(v) : NodeStatus::kInvisible;
+    }
+
+    /// Status of a member, read without the membership test.
+    [[nodiscard]] NodeStatus member_status(NodeId v) const noexcept {
         return status_ptr_ != nullptr ? (*status_ptr_)[v] : status_storage_[v];
     }
 
@@ -108,12 +98,10 @@ class View {
     [[nodiscard]] const PriorityKeys& keys() const noexcept { return *keys_; }
 
   private:
-    const LocalTopology* topo_ = nullptr;               ///< borrowed topology
+    LocalTopology owned_;                                 ///< used when not borrowing
+    const LocalTopology* borrowed_ = nullptr;             ///< borrowed topology
+    std::vector<NodeStatus> status_storage_;              ///< used when not borrowing
     const std::vector<NodeStatus>* status_ptr_ = nullptr;  ///< borrowed status
-    Graph topology_storage_;
-    std::vector<char> visible_storage_;
-    std::vector<NodeId> members_storage_;
-    std::vector<NodeStatus> status_storage_;
     const PriorityKeys* keys_;
 };
 
@@ -128,13 +116,6 @@ class View {
 /// for invisible nodes are ignored per the local-view clamping rule).
 [[nodiscard]] View make_dynamic_view(const Graph& g, NodeId center, std::size_t k,
                                      const PriorityKeys& keys, const std::vector<char>& visited,
-                                     const std::vector<char>& designated);
-
-/// Builds a dynamic view from a precomputed LocalTopology (avoids the BFS
-/// when the topology is cached, as simulation agents do).  The returned
-/// view *borrows* `topo`, which must outlive it.
-[[nodiscard]] View make_dynamic_view(const LocalTopology& topo, const PriorityKeys& keys,
-                                     const std::vector<char>& visited,
                                      const std::vector<char>& designated);
 
 }  // namespace adhoc

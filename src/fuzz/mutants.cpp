@@ -21,7 +21,7 @@ enum class Knob {
 /// correct structure (so kills come from the injected bug, not from an
 /// unrelated rewrite).
 bool broken_covered(const View& view, NodeId v, Knob knob) {
-    const Graph& topo = view.topology();
+    const Graph topo = reference::expand(view.local());
     std::vector<NodeId> neighbors(topo.neighbors(v).begin(), topo.neighbors(v).end());
     if (knob == Knob::kNeighborOffByOne && !neighbors.empty()) {
         neighbors.pop_back();  // the injected loop-bound bug

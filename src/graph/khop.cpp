@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -28,37 +29,10 @@ std::vector<NodeId> two_hop_cover_set(const Graph& g, NodeId v) {
     return nodes;
 }
 
-void populate_members(LocalTopology& topo) {
-    if (!topo.members.empty()) return;
-    topo.members.reserve(topo.visible.size());
-    for (NodeId u = 0; u < topo.visible.size(); ++u) {
-        if (topo.visible[u]) topo.members.push_back(u);
-    }
-}
-
-void compile_topology(LocalTopology& topo) {
-    if (!topo.compact.offsets.empty()) return;
-    populate_members(topo);
-    const std::vector<NodeId>& mem = topo.members;
-    CompactTopology& ct = topo.compact;
-    ct.offsets.reserve(mem.size() + 1);
-    ct.offsets.push_back(0);
-    for (const NodeId v : mem) {
-        for (const NodeId y : topo.graph.neighbors(v)) {
-            // Members are sorted, so local ids come from a binary search;
-            // edges to non-members (hand-built topologies) are dropped.
-            const auto it = std::lower_bound(mem.begin(), mem.end(), y);
-            if (it != mem.end() && *it == y) {
-                ct.edges.push_back(static_cast<std::uint32_t>(it - mem.begin()));
-            }
-        }
-        ct.offsets.push_back(static_cast<std::uint32_t>(ct.edges.size()));
-    }
-}
-
 std::size_t BallScratch::bytes() const noexcept {
-    return members.capacity() * sizeof(NodeId) + offsets.capacity() * sizeof(std::uint32_t) +
-           edges.capacity() * sizeof(std::uint32_t) + bfs.capacity() * sizeof(NodeId) +
+    return view.members.capacity() * sizeof(NodeId) +
+           view.offsets.capacity() * sizeof(std::uint32_t) +
+           view.edges.capacity() * sizeof(std::uint32_t) + bfs.capacity() * sizeof(NodeId) +
            dist.capacity() * sizeof(std::uint16_t) + stamp.capacity() * sizeof(std::uint32_t) +
            g2l.capacity() * sizeof(std::uint32_t);
 }
@@ -94,59 +68,61 @@ void compile_ball(const Graph& g, NodeId v, std::size_t k, BallScratch& s) {
             s.bfs.push_back(y);
         }
     }
-    s.members.assign(s.bfs.begin(), s.bfs.end());
-    std::sort(s.members.begin(), s.members.end());
-    const auto m = static_cast<std::uint32_t>(s.members.size());
-    for (std::uint32_t i = 0; i < m; ++i) s.g2l[s.members[i]] = i;
-    s.offsets.resize(m + 1);
-    s.edges.clear();
+    LocalTopology& out = s.view;
+    out.center = v;
+    out.hops = k;
+    out.stale = false;
+    out.id_space = n;
+    out.members.assign(s.bfs.begin(), s.bfs.end());
+    std::sort(out.members.begin(), out.members.end());
+    const auto m = static_cast<std::uint32_t>(out.members.size());
+    for (std::uint32_t i = 0; i < m; ++i) s.g2l[out.members[i]] = i;
+    out.offsets.resize(m + 1);
+    out.edges.clear();
     for (std::uint32_t i = 0; i < m; ++i) {
-        s.offsets[i] = static_cast<std::uint32_t>(s.edges.size());
-        const NodeId a = s.members[i];
+        out.offsets[i] = static_cast<std::uint32_t>(out.edges.size());
+        const NodeId a = out.members[i];
         const bool a_interior = s.dist[a] < k;
         for (NodeId b : g.neighbors(a)) {
             if (s.stamp[b] != s.epoch) continue;  // outside the ball
             // Link (a, b) is visible iff min(dist) <= k-1; both ends being
             // members bounds max(dist) at k already.
             if (!a_interior && s.dist[b] >= k) continue;
-            s.edges.push_back(s.g2l[b]);
+            out.edges.push_back(s.g2l[b]);
         }
     }
-    s.offsets[m] = static_cast<std::uint32_t>(s.edges.size());
+    out.offsets[m] = static_cast<std::uint32_t>(out.edges.size());
+}
+
+LocalTopology induced_topology(const Graph& g, NodeId center, std::size_t hops,
+                               std::vector<NodeId> members) {
+    assert(std::is_sorted(members.begin(), members.end()));
+    LocalTopology topo;
+    topo.center = center;
+    topo.hops = hops;
+    topo.id_space = g.node_count();
+    topo.members = std::move(members);
+    topo.offsets.reserve(topo.members.size() + 1);
+    topo.offsets.push_back(0);
+    for (const NodeId v : topo.members) {
+        for (const NodeId y : g.neighbors(v)) {
+            if (const std::uint32_t l = topo.local_of(y); l != kNoLocal) topo.edges.push_back(l);
+        }
+        topo.offsets.push_back(static_cast<std::uint32_t>(topo.edges.size()));
+    }
+    return topo;
 }
 
 LocalTopology local_topology(const Graph& g, NodeId v, std::size_t k) {
     assert(g.contains(v));
-    LocalTopology local;
-    local.center = v;
-    local.hops = k;
-
     if (k == 0) {  // global information
-        local.graph = g;
-        local.visible.assign(g.node_count(), 1);
-        populate_members(local);
-        return local;
+        std::vector<NodeId> all(g.node_count());
+        std::iota(all.begin(), all.end(), NodeId{0});
+        return induced_topology(g, v, 0, std::move(all));
     }
-
     thread_local BallScratch ball;
     compile_ball(g, v, k, ball);
-    const std::vector<NodeId>& mem = ball.members;
-    local.members = mem;
-    local.visible.assign(g.node_count(), 0);
-    for (const NodeId x : mem) local.visible[x] = 1;
-    // Rows ascend in global id and so do columns: the upper-triangle scan
-    // emits canonical edges already in lexicographic order.
-    std::vector<Edge> links;
-    links.reserve(ball.edges.size() / 2);
-    for (std::uint32_t i = 0; i + 1 < ball.offsets.size(); ++i) {
-        for (std::uint32_t e = ball.offsets[i]; e < ball.offsets[i + 1]; ++e) {
-            if (ball.edges[e] > i) links.push_back({mem[i], mem[ball.edges[e]]});
-        }
-    }
-    local.graph = Graph::from_sorted_edges(g.node_count(), links);
-    local.compact.offsets = ball.offsets;
-    local.compact.edges = ball.edges;
-    return local;
+    return ball.view;
 }
 
 }  // namespace adhoc

@@ -8,9 +8,17 @@
 /// exactly k hops away from v are *invisible*.  Getting this boundary right
 /// matters: Figure 6(a) in the paper hinges on link (7,8) being invisible
 /// under 2-hop information.
+///
+/// A `LocalTopology` is the one stored form of a local view: the sorted
+/// member list N_k(v) plus a CSR over local ids, so it costs O(ball), not
+/// O(n).  `compile_ball` builds Definition-2 views; `induced_topology`
+/// builds every other view (global, hello-built, hand-built).
 
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -25,19 +33,65 @@ namespace adhoc {
 /// neighbor-designating algorithms (DP/PDP/TDP/MPR) must cover.
 [[nodiscard]] std::vector<NodeId> two_hop_cover_set(const Graph& g, NodeId v);
 
+/// Sentinel for "no local id" / "unreached" in dense local-id arrays.
+inline constexpr std::uint32_t kNoLocal = 0xffffffffu;
+
+/// Local topology per Definition 2, over dense local ids.
+///
+/// Local id i names global node `members[i]`.  Members ascend, so local
+/// ids order nodes exactly as their global ids do.  Row i of the CSR
+/// (`offsets`/`edges`) lists the local ids of i's visible neighbors,
+/// ascending.  Every array is sized by the ball N_k(v), never by n, and
+/// only edges in E ∩ (N_{k-1}(v) × N_k(v)) are present.  The decision
+/// kernels borrow these arrays directly; the topology must not be mutated
+/// once a view refers to it.
+struct LocalTopology {
+    NodeId center = kInvalidNode;
+    std::size_t hops = 0;  ///< the k it was built with (0 == global)
+    /// Set by the hello layer when neighbor-liveness aging removed entries
+    /// from this view: decisions taken against it are "stale-view
+    /// decisions" (metered by the protocol's telemetry).  Analytic
+    /// Definition-2 views are never stale.
+    bool stale = false;
+    std::size_t id_space = 0;            ///< n: every member id is < id_space
+    std::vector<NodeId> members;         ///< visible nodes, ascending global ids
+    std::vector<std::uint32_t> offsets;  ///< CSR rows, size members+1
+    std::vector<std::uint32_t> edges;    ///< CSR columns (local ids), ascending per row
+
+    [[nodiscard]] std::size_t size() const noexcept { return members.size(); }
+
+    /// Local id of global node `v`, or kNoLocal when `v` is not visible.
+    [[nodiscard]] std::uint32_t local_of(NodeId v) const noexcept {
+        const auto it = std::lower_bound(members.begin(), members.end(), v);
+        return it != members.end() && *it == v ? static_cast<std::uint32_t>(it - members.begin())
+                                               : kNoLocal;
+    }
+
+    /// Neighbor row of local node `x` (local ids).
+    [[nodiscard]] std::span<const std::uint32_t> row(std::uint32_t x) const noexcept {
+        return {edges.data() + offsets[x], edges.data() + offsets[x + 1]};
+    }
+
+    /// Adjacency of two local ids; binary-searches the shorter row.
+    [[nodiscard]] bool has_edge(std::uint32_t a, std::uint32_t b) const noexcept {
+        if (row(a).size() > row(b).size()) std::swap(a, b);
+        const auto r = row(a);
+        return std::binary_search(r.begin(), r.end(), b);
+    }
+
+    friend bool operator==(const LocalTopology&, const LocalTopology&) = default;
+};
+
 /// Largest `k` a compiled ball accepts: hop distances are stored in 16
 /// bits.
 inline constexpr std::size_t kMaxBallHops = 65535;
 
 /// Caller-owned working memory and output of `compile_ball`.  The three
-/// O(n) arrays are validated by epoch stamps, so consecutive compiles
-/// clear nothing, and every buffer only grows — zero allocations per ball
-/// in steady state.
+/// O(n) working arrays are validated by epoch stamps, so consecutive
+/// compiles clear nothing, and every buffer only grows — zero allocations
+/// per ball in steady state.
 struct BallScratch {
-    // Output: G_k(v) over dense local ids (position in `members`).
-    std::vector<NodeId> members;         ///< N_k(v), ascending global ids
-    std::vector<std::uint32_t> offsets;  ///< CSR rows, size members+1
-    std::vector<std::uint32_t> edges;    ///< CSR columns (local ids), ascending per row
+    LocalTopology view;  ///< output: G_k(v)
     // Working set.
     std::vector<NodeId> bfs;           ///< BFS queue / discovery order
     std::vector<std::uint16_t> dist;   ///< hop distance from the center
@@ -50,61 +104,26 @@ struct BallScratch {
 };
 
 /// The one Definition-2 compile: a BFS from `v` truncated at depth `k`
-/// writes N_k(v) to `s.members` (ascending) and E ∩ (N_{k-1}(v) × N_k(v))
-/// to `s.offsets`/`s.edges` as a CSR over local ids.  Costs O(ball edges),
+/// writes G_k(v) to `s.view` — N_k(v) as its members and
+/// E ∩ (N_{k-1}(v) × N_k(v)) as its CSR.  Costs O(ball edges),
 /// independent of n.  Throws std::invalid_argument when k > kMaxBallHops.
 void compile_ball(const Graph& g, NodeId v, std::size_t k, BallScratch& s);
 
-/// Flat CSR adjacency of a LocalTopology's visible subgraph over dense
-/// local ids (position in `members`).  Edges between two exactly-k-hop
-/// nodes are absent by construction of the topology itself.
-/// `local_topology` (k >= 1) returns it filled; `compile_topology` builds
-/// it for global and hand-built views.  The decision kernels borrow these
-/// contiguous arrays instead of pointer-chasing the Graph's per-node heap
-/// rows on every call.  Empty `offsets` means "not built".
-struct CompactTopology {
-    std::vector<std::uint32_t> offsets;  ///< size members+1 when built
-    std::vector<std::uint32_t> edges;    ///< local ids, ascending per row
-};
+/// The builder for views that do not come from `compile_ball`: global
+/// information (k == 0), hello-built views and hand-built test views.
+/// Keeps the edges of `g` among `members` (ascending ids of `g`) and
+/// drops every edge to a non-member.
+[[nodiscard]] LocalTopology induced_topology(const Graph& g, NodeId center, std::size_t hops,
+                                             std::vector<NodeId> members);
 
-/// Local topology per Definition 2.
-///
-/// The returned graph has the same node-id space as `g`; nodes outside
-/// N_k(v) are isolated, and only edges in E ∩ (N_{k-1}(v) × N_k(v)) are
-/// present.  `visible[u]` marks membership in N_k(v).
-struct LocalTopology {
-    Graph graph;                ///< subgraph on the original id space
-    std::vector<char> visible;  ///< visible[u] == 1 iff u ∈ N_k(v)
-    NodeId center = kInvalidNode;
-    std::size_t hops = 0;       ///< the k it was built with (0 == global)
-    /// Visible node ids in ascending order — the dense-id compilation of
-    /// the view iterates this instead of scanning all n nodes.  Empty means
-    /// "not computed" (hand-built topologies); consumers fall back to
-    /// scanning `visible`.
-    std::vector<NodeId> members;
-    /// Dense-id CSR (see CompactTopology); the topology must not be
-    /// mutated once it is built.
-    CompactTopology compact;
-    /// Set by the hello layer when neighbor-liveness aging removed entries
-    /// from this view: decisions taken against it are "stale-view
-    /// decisions" (metered by the protocol's telemetry).  Analytic
-    /// Definition-2 views are never stale.
-    bool stale = false;
-};
-
-/// Fills `topo.members` from `topo.visible` (ascending).  No-op when the
-/// member list is already populated.
-void populate_members(LocalTopology& topo);
-
-/// Builds `topo.compact` (populating `members` first if needed) for
-/// global and hand-built views.  No-op when already built, which
-/// `local_topology` views with k >= 1 always are.
-void compile_topology(LocalTopology& topo);
-
-/// Extracts G_k(v) via `compile_ball`, with `members` and `compact`
-/// filled.  `k == 0` is interpreted as *global* information (the whole
-/// graph is visible); the paper's sweeps use k ∈ {2,3,4,5, global}.
-/// Throws std::invalid_argument when k > kMaxBallHops.
+/// Extracts G_k(v): a copy of `compile_ball`'s output.  `k == 0` is
+/// interpreted as *global* information (the whole graph is visible); the
+/// paper's sweeps use k ∈ {2,3,4,5, global}.  Throws
+/// std::invalid_argument when k > kMaxBallHops.
 [[nodiscard]] LocalTopology local_topology(const Graph& g, NodeId v, std::size_t k);
+
+/// No-op: every LocalTopology carries its CSR from construction.  Kept
+/// only because perfbench/ still calls it.
+inline void compile_topology(LocalTopology& /*topo*/) {}
 
 }  // namespace adhoc

@@ -4,54 +4,6 @@
 
 namespace adhoc {
 
-namespace {
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t x) {
-    out.push_back(static_cast<std::uint8_t>(x));
-    out.push_back(static_cast<std::uint8_t>(x >> 8));
-    out.push_back(static_cast<std::uint8_t>(x >> 16));
-    out.push_back(static_cast<std::uint8_t>(x >> 24));
-}
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t x) {
-    out.push_back(static_cast<std::uint8_t>(x));
-    out.push_back(static_cast<std::uint8_t>(x >> 8));
-}
-
-/// Bounds-checked cursor over the input buffer.
-class Reader {
-  public:
-    explicit Reader(const std::vector<std::uint8_t>& bytes) : bytes_(&bytes) {}
-
-    [[nodiscard]] std::optional<std::uint8_t> u8() {
-        if (pos_ + 1 > bytes_->size()) return std::nullopt;
-        return (*bytes_)[pos_++];
-    }
-    [[nodiscard]] std::optional<std::uint16_t> u16() {
-        if (pos_ + 2 > bytes_->size()) return std::nullopt;
-        const std::uint16_t x = static_cast<std::uint16_t>(
-            (*bytes_)[pos_] | ((*bytes_)[pos_ + 1] << 8));
-        pos_ += 2;
-        return x;
-    }
-    [[nodiscard]] std::optional<std::uint32_t> u32() {
-        if (pos_ + 4 > bytes_->size()) return std::nullopt;
-        const std::uint32_t x = static_cast<std::uint32_t>((*bytes_)[pos_]) |
-                                (static_cast<std::uint32_t>((*bytes_)[pos_ + 1]) << 8) |
-                                (static_cast<std::uint32_t>((*bytes_)[pos_ + 2]) << 16) |
-                                (static_cast<std::uint32_t>((*bytes_)[pos_ + 3]) << 24);
-        pos_ += 4;
-        return x;
-    }
-    [[nodiscard]] bool exhausted() const noexcept { return pos_ == bytes_->size(); }
-
-  private:
-    const std::vector<std::uint8_t>* bytes_;
-    std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 std::vector<std::uint8_t> encode_state(const BroadcastState& state) {
     assert(state.history.size() <= 255);
     assert(state.sender_two_hop.size() <= 65535);
@@ -60,17 +12,17 @@ std::vector<std::uint8_t> encode_state(const BroadcastState& state) {
     out.push_back(static_cast<std::uint8_t>(state.history.size()));
     for (const VisitedRecord& rec : state.history) {
         assert(rec.designated.size() <= 255);
-        put_u32(out, rec.node);
+        wire::put_u32(out, rec.node);
         out.push_back(static_cast<std::uint8_t>(rec.designated.size()));
-        for (NodeId d : rec.designated) put_u32(out, d);
+        for (NodeId d : rec.designated) wire::put_u32(out, d);
     }
-    put_u16(out, static_cast<std::uint16_t>(state.sender_two_hop.size()));
-    for (NodeId x : state.sender_two_hop) put_u32(out, x);
+    wire::put_u16(out, static_cast<std::uint16_t>(state.sender_two_hop.size()));
+    for (NodeId x : state.sender_two_hop) wire::put_u32(out, x);
     return out;
 }
 
 std::optional<BroadcastState> decode_state(const std::vector<std::uint8_t>& bytes) {
-    Reader reader(bytes);
+    wire::Reader reader(bytes);
     BroadcastState state;
 
     const auto records = reader.u8();

@@ -13,6 +13,9 @@
 ///
 /// `encode`/`decode` round-trip exactly, and `encoded_size` agrees with
 /// `piggyback_bytes` up to the fixed framing bytes (tested).
+///
+/// The `wire::` little-endian codec below is the one byte layer of the
+/// library; the traffic plane's summary vectors use it too.
 
 #pragma once
 
@@ -23,6 +26,52 @@
 #include "sim/packet.hpp"
 
 namespace adhoc {
+
+namespace wire {
+
+/// Appends `x` to `out`, least significant byte first.
+template <class T>
+void put_le(std::vector<std::uint8_t>& out, T x) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+        out.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
+    }
+}
+inline void put_u16(std::vector<std::uint8_t>& out, std::uint16_t x) { put_le(out, x); }
+inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t x) { put_le(out, x); }
+inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t x) { put_le(out, x); }
+
+/// Bounds-checked little-endian cursor over a byte range: a read past the
+/// end returns nullopt and consumes nothing.
+class Reader {
+  public:
+    Reader(const std::uint8_t* data, std::size_t size) noexcept : data_(data), size_(size) {}
+    explicit Reader(const std::vector<std::uint8_t>& bytes) noexcept
+        : Reader(bytes.data(), bytes.size()) {}
+
+    [[nodiscard]] std::optional<std::uint8_t> u8() { return read<std::uint8_t>(); }
+    [[nodiscard]] std::optional<std::uint16_t> u16() { return read<std::uint16_t>(); }
+    [[nodiscard]] std::optional<std::uint32_t> u32() { return read<std::uint32_t>(); }
+    [[nodiscard]] std::optional<std::uint64_t> u64() { return read<std::uint64_t>(); }
+    [[nodiscard]] bool exhausted() const noexcept { return pos_ == size_; }
+
+  private:
+    template <class T>
+    std::optional<T> read() {
+        if (size_ - pos_ < sizeof(T)) return std::nullopt;
+        T x = 0;
+        for (std::size_t i = 0; i < sizeof(T); ++i) {
+            x |= static_cast<T>(static_cast<T>(data_[pos_ + i]) << (8 * i));
+        }
+        pos_ += sizeof(T);
+        return x;
+    }
+
+    const std::uint8_t* data_;
+    std::size_t size_;
+    std::size_t pos_ = 0;
+};
+
+}  // namespace wire
 
 /// Serializes `state` to bytes.  Precondition: at most 255 history
 /// records, 255 designated per record, 65535 two-hop entries.

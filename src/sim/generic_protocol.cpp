@@ -54,13 +54,12 @@ GenericAgent::GenericAgent(const Graph& g, GenericConfig config,
       knowledge_(g, std::move(views)) {
     if (config_.timing == Timing::kStatic) {
         assert(config_.selection == Selection::kSelfPruning);
-        // Static status from the supplied views.
+        // Static status from the supplied views: no broadcast state yet,
+        // so every view serves all of its members as unvisited.
         static_forward_.assign(g.node_count(), 0);
-        const std::vector<char> none(g.node_count(), 0);
         for (NodeId v = 0; v < g.node_count(); ++v) {
-            const View view = make_dynamic_view(knowledge_.topology(v), keys_, none, none);
-            static_forward_[v] =
-                coverage_condition_holds(view, v, config_.coverage) ? 0 : 1;
+            const View view = knowledge_.view_of(v, keys_);
+            static_forward_[v] = coverage_condition_holds(view, v, config_.coverage) ? 0 : 1;
         }
     }
 }
@@ -192,48 +191,54 @@ std::vector<NodeId> GenericAgent::pick_designations(NodeId v) const {
         return {};
     }
     const ConstKnowledgeRef kn = knowledge_.at(v);
-    const Graph& local = kn.topology().graph;  // k >= 2 sees all N(w), w in N(v)
-    const NodeId u = kn.first_sender();        // kInvalidNode at the source
+    // Local ids throughout; k >= 2 sees all N(w), w in N(v).
+    const LocalTopology& local = kn.topology();
+    const std::uint32_t lv = local.local_of(v);
+    const NodeId u = kn.first_sender();  // kInvalidNode at the source
+    auto known = [&kn](NodeId x) { return kn.visited(x) || kn.designated(x); };
 
     // Uncovered 2-hop targets Y: nodes at exactly 2 hops in the local view
     // that are not already covered by a known visited/designated node.
-    std::vector<char> uncovered(graph_->node_count(), 0);
-    std::vector<NodeId> targets;
-    for (NodeId y : two_hop_cover_set(local, v)) {
-        if (local.has_edge(v, y)) continue;  // 1-hop: covered by v itself
-        uncovered[y] = 1;
+    std::vector<char> uncovered(local.size(), 0);
+    for (const std::uint32_t w : local.row(lv)) {
+        for (const std::uint32_t y : local.row(w)) {
+            if (y != lv && !local.has_edge(lv, y)) uncovered[y] = 1;  // 1-hop: covered by v
+        }
     }
     // Anything adjacent to (or equal to) a known visited/designated node is
     // already handled by that node's own transmission.
-    for (NodeId x = 0; x < graph_->node_count(); ++x) {
-        if (!kn.visited(x) && !kn.designated(x)) continue;
-        if (!kn.topology().visible[x]) continue;
+    for (std::uint32_t x = 0; x < local.size(); ++x) {
+        if (!known(local.members[x])) continue;
         uncovered[x] = 0;
-        for (NodeId y : local.neighbors(x)) uncovered[y] = 0;
+        for (const std::uint32_t y : local.row(x)) uncovered[y] = 0;
     }
-    for (NodeId y = 0; y < graph_->node_count(); ++y) {
+    std::vector<NodeId> targets;
+    for (std::uint32_t y = 0; y < local.size(); ++y) {
         if (uncovered[y]) targets.push_back(y);
     }
 
     // Candidates X: our neighbors that are not the sender and not already
     // visited/designated.
     std::vector<NodeId> candidates;
-    for (NodeId w : local.neighbors(v)) {
-        if (w == u || kn.visited(w) || kn.designated(w)) continue;
+    for (const std::uint32_t w : local.row(lv)) {
+        if (local.members[w] == u || known(local.members[w])) continue;
         candidates.push_back(w);
     }
 
     switch (config_.selection) {
-        case Selection::kNeighborDesignating:
-            return greedy_cover(local, candidates, targets);
+        case Selection::kNeighborDesignating: {
+            std::vector<NodeId> picked = greedy_cover(LocalIdGraph{local}, candidates, targets);
+            for (NodeId& w : picked) w = local.members[w];
+            return picked;
+        }
         case Selection::kHybridMaxDegree:
         case Selection::kHybridMinId: {
             const HybridPolicy policy = (config_.selection == Selection::kHybridMaxDegree)
                                             ? HybridPolicy::kMaxDegree
                                             : HybridPolicy::kMinId;
-            const NodeId w = designate_single(local, candidates, uncovered, policy);
+            const NodeId w = designate_single(LocalIdGraph{local}, candidates, uncovered, policy);
             if (w == kInvalidNode) return {};
-            return {w};
+            return {local.members[w]};
         }
         case Selection::kSelfPruning:
             break;

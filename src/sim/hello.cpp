@@ -108,13 +108,12 @@ void HelloProtocol::run(Rng& rng) {
 }
 
 LocalTopology HelloProtocol::view_of(NodeId v) const {
-    LocalTopology view;
-    view.center = v;
-    view.hops = rounds_run_;
-    view.graph = known_[v];
-    view.visible = heard_of_[v];
+    std::vector<NodeId> members;
+    for (NodeId x = 0; x < heard_of_[v].size(); ++x) {
+        if (heard_of_[v][x]) members.push_back(x);
+    }
+    LocalTopology view = induced_topology(known_[v], v, rounds_run_, std::move(members));
     view.stale = (stale_[v] != 0);
-    populate_members(view);
     return view;
 }
 

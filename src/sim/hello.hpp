@@ -61,8 +61,8 @@ class HelloProtocol {
     /// call once).
     void run(Rng& rng);
 
-    /// The view node `v` assembled: visible nodes and known edges, in the
-    /// original id space (same shape as `local_topology`).
+    /// The view node `v` assembled: the nodes it heard of and the links it
+    /// knows among them (same form as `local_topology`).
     [[nodiscard]] LocalTopology view_of(NodeId v) const;
 
     /// Total HELLO messages sent (n per round).

@@ -1,7 +1,8 @@
 #include "sim/node_agent.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace adhoc {
 
@@ -23,22 +24,46 @@ KnowledgeBase::KnowledgeBase(const Graph& g, std::size_t k)
     : topologies_(g.node_count()), k_(k) {
     const std::size_t n = g.node_count();
     init_state(n);
-    for (NodeId v = 0; v < n; ++v) {
-        topologies_[v] = local_topology(g, v, k);
-        compile_topology(topologies_[v]);  // kernels borrow the CSR per decision
-    }
+    for (NodeId v = 0; v < n; ++v) topologies_[v] = local_topology(g, v, k);
 }
 
+namespace {
+
+[[noreturn]] void reject_view(NodeId v, const std::string& what) {
+    throw std::invalid_argument("KnowledgeBase: views[" + std::to_string(v) + "] " + what);
+}
+
+}  // namespace
+
 KnowledgeBase::KnowledgeBase(const Graph& g, std::vector<LocalTopology> views)
-    : topologies_(g.node_count()), k_(0) {
+    : topologies_(std::move(views)), k_(0) {
     const std::size_t n = g.node_count();
-    assert(views.size() == n);
-    init_state(n);
-    for (NodeId v = 0; v < n; ++v) {
-        topologies_[v] = std::move(views[v]);
-        compile_topology(topologies_[v]);  // external views may omit members/CSR
-        k_ = topologies_[v].hops;          // uniform by construction
+    if (topologies_.size() != n) {
+        throw std::invalid_argument("KnowledgeBase: " + std::to_string(topologies_.size()) +
+                                    " views for " + std::to_string(n) + " nodes");
     }
+    for (NodeId v = 0; v < n; ++v) {
+        const LocalTopology& t = topologies_[v];
+        if (t.center != v) reject_view(v, "has center " + std::to_string(t.center));
+        for (std::size_t i = 0; i < t.members.size(); ++i) {
+            if (t.members[i] >= n) {
+                reject_view(v, "has member " + std::to_string(t.members[i]) +
+                                   " outside the " + std::to_string(n) + "-node graph");
+            }
+            if (i > 0 && t.members[i] <= t.members[i - 1]) {
+                reject_view(v, "members not strictly ascending: " +
+                                   std::to_string(t.members[i - 1]) + " then " +
+                                   std::to_string(t.members[i]));
+            }
+        }
+        if (t.local_of(v) == kNoLocal) reject_view(v, "does not contain its center");
+        if (t.offsets.size() != t.members.size() + 1) {
+            reject_view(v, "has " + std::to_string(t.offsets.size()) + " CSR offsets for " +
+                               std::to_string(t.members.size()) + " members");
+        }
+        k_ = t.hops;  // uniform by construction
+    }
+    init_state(n);
 }
 
 void KnowledgeBase::load_visited(NodeId v, const std::vector<char>& mask) {

@@ -47,11 +47,6 @@ class BasicKnowledgeRef {
     }
 
     [[nodiscard]] const LocalTopology& topology() const { return kb_->topology(v_); }
-    [[nodiscard]] LocalTopology& mutable_topology() const
-        requires(!std::is_const_v<KB>)
-    {
-        return kb_->topology(v_);
-    }
 
     [[nodiscard]] bool received() const { return kb_->received(v_); }
     [[nodiscard]] bool decided() const { return kb_->decided(v_); }
@@ -105,7 +100,10 @@ class KnowledgeBase {
     KnowledgeBase(const Graph& g, std::size_t k);
 
     /// Uses externally assembled views (e.g. from a simulated hello
-    /// protocol, possibly lossy).  One topology per node required.
+    /// protocol, possibly lossy).  Throws std::invalid_argument, naming
+    /// the offending value, unless there is one view per node, views[v]
+    /// is centered at v and contains v, its members are ids of `g` in
+    /// strictly ascending order, and its CSR has members+1 offsets.
     KnowledgeBase(const Graph& g, std::vector<LocalTopology> views);
 
     [[nodiscard]] KnowledgeRef at(NodeId v) { return {this, v}; }
@@ -115,7 +113,6 @@ class KnowledgeBase {
 
     // ---- direct SoA accessors (the proxy forwards here) --------------
     [[nodiscard]] const LocalTopology& topology(NodeId v) const { return topologies_[v]; }
-    [[nodiscard]] LocalTopology& topology(NodeId v) { return topologies_[v]; }
 
     [[nodiscard]] bool received(NodeId v) const { return bits::test(received_.data(), v); }
     [[nodiscard]] bool decided(NodeId v) const { return bits::test(decided_.data(), v); }

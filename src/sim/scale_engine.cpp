@@ -291,15 +291,10 @@ bool ScaleEngine::decide_with_visited(WheelScratch& ws, NodeId v) {
     BallScratch& ball = ws.ball;
     compile_ball(graph_, v, config_.generic.hops, ball);
     LocalViewScratch& s = LocalViewScratch::tls();
-    const auto m = static_cast<std::uint32_t>(ball.members.size());
-    s.compact.size = m;
-    s.compact.members = ball.members;
-    s.compact.offsets = ball.offsets;
-    s.compact.edges = ball.edges;
-    s.compact.priority.resize(m);
-    s.compact.status.resize(m);
+    s.compact.bind(ball.view);
+    const std::uint32_t m = s.compact.size;
     for (std::uint32_t i = 0; i < m; ++i) {
-        const NodeId x = ball.members[i];
+        const NodeId x = s.compact.members[i];
         NodeStatus st = NodeStatus::kUnvisited;
         for (NodeId y : ws.visited) {
             if (y == x) {

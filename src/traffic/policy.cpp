@@ -13,10 +13,7 @@ CoveragePolicy::CoveragePolicy(const Graph& g, std::size_t hops, PriorityScheme 
       coverage_(coverage),
       status_(g.node_count(), NodeStatus::kUnvisited) {
     views_.reserve(g.node_count());
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-        views_.push_back(local_topology(g, v, hops));
-        compile_topology(views_.back());
-    }
+    for (NodeId v = 0; v < g.node_count(); ++v) views_.push_back(local_topology(g, v, hops));
     touched_.reserve(8);
 }
 

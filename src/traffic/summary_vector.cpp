@@ -3,50 +3,9 @@
 #include <algorithm>
 #include <bit>
 
+#include "io/wire.hpp"
+
 namespace adhoc::traffic {
-namespace {
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-    out.push_back(static_cast<std::uint8_t>(v & 0xff));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-struct Reader {
-    const std::uint8_t* data;
-    std::size_t size;
-    std::size_t pos = 0;
-
-    bool u16(std::uint16_t* v) {
-        if (pos + 2 > size) return false;
-        *v = static_cast<std::uint16_t>(data[pos] | (data[pos + 1] << 8));
-        pos += 2;
-        return true;
-    }
-    bool u32(std::uint32_t* v) {
-        if (pos + 4 > size) return false;
-        *v = 0;
-        for (int i = 0; i < 4; ++i) *v |= std::uint32_t{data[pos + i]} << (8 * i);
-        pos += 4;
-        return true;
-    }
-    bool u64(std::uint64_t* v) {
-        if (pos + 8 > size) return false;
-        *v = 0;
-        for (int i = 0; i < 8; ++i) *v |= std::uint64_t{data[pos + i]} << (8 * i);
-        pos += 8;
-        return true;
-    }
-};
-
-}  // namespace
 
 SummaryVector summarize(const DupCache& cache) {
     SummaryVector sv;
@@ -73,36 +32,42 @@ std::size_t encoded_size(const SummaryVector& sv) {
 std::vector<std::uint8_t> encode(const SummaryVector& sv) {
     std::vector<std::uint8_t> out;
     out.reserve(encoded_size(sv));
-    put_u16(out, static_cast<std::uint16_t>(sv.sources.size()));
+    wire::put_u16(out, static_cast<std::uint16_t>(sv.sources.size()));
     for (const SourceSummary& s : sv.sources) {
-        put_u32(out, s.source);
-        put_u32(out, s.base);
-        put_u16(out, static_cast<std::uint16_t>(s.bits.size()));
-        for (const std::uint64_t w : s.bits) put_u64(out, w);
+        wire::put_u32(out, s.source);
+        wire::put_u32(out, s.base);
+        wire::put_u16(out, static_cast<std::uint16_t>(s.bits.size()));
+        for (const std::uint64_t w : s.bits) wire::put_u64(out, w);
     }
     return out;
 }
 
 bool decode(const std::uint8_t* data, std::size_t size, SummaryVector* out) {
-    Reader r{data, size};
-    std::uint16_t count = 0;
-    if (!r.u16(&count)) return false;
+    wire::Reader r(data, size);
+    const auto count = r.u16();
+    if (!count) return false;
     out->sources.clear();
-    out->sources.reserve(count);
+    out->sources.reserve(*count);
     NodeId prev = kInvalidNode;
-    for (std::uint16_t i = 0; i < count; ++i) {
+    for (std::uint16_t i = 0; i < *count; ++i) {
+        const auto source = r.u32();
+        const auto base = r.u32();
+        const auto words = r.u16();
+        if (!source || !base || !words) return false;
+        if (i > 0 && *source <= prev) return false;  // must be sorted, unique
+        prev = *source;
         SourceSummary s;
-        std::uint16_t words = 0;
-        if (!r.u32(&s.source) || !r.u32(&s.base) || !r.u16(&words)) return false;
-        if (i > 0 && s.source <= prev) return false;  // must be sorted, unique
-        prev = s.source;
-        s.bits.resize(words);
-        for (std::uint16_t w = 0; w < words; ++w) {
-            if (!r.u64(&s.bits[w])) return false;
+        s.source = *source;
+        s.base = *base;
+        s.bits.resize(*words);
+        for (std::uint64_t& w : s.bits) {
+            const auto word = r.u64();
+            if (!word) return false;
+            w = *word;
         }
         out->sources.push_back(std::move(s));
     }
-    return r.pos == size;
+    return r.exhausted();
 }
 
 std::vector<SessionKey> advertised_keys(const SummaryVector& sv) {

@@ -101,7 +101,7 @@ void expect_maxmin_agrees(const View& view, const std::string& label) {
     for (NodeId v = 0; v < view.node_count(); ++v) {
         if (!view.visible(v)) continue;
         const Priority pv = view.priority(v);
-        const auto nv = view.topology().neighbors(v);
+        const auto nv = view.neighbors(v);
         for (std::size_t i = 0; i < nv.size(); ++i) {
             for (std::size_t j = i + 1; j < nv.size(); ++j) {
                 ASSERT_EQ(max_min_node(view, nv[i], nv[j], pv),
@@ -117,11 +117,7 @@ void expect_maxmin_agrees(const View& view, const std::string& label) {
 
 View owning_view(const Graph& g, const std::vector<NodeStatus>& status,
                  const PriorityKeys& keys) {
-    const std::size_t n = g.node_count();
-    std::vector<NodeId> members(n);
-    for (NodeId v = 0; v < n; ++v) members[v] = v;
-    return View(Graph(g), std::vector<char>(n, 1), std::vector<NodeStatus>(status), &keys,
-                std::move(members));
+    return View(local_topology(g, 0, 0), std::vector<NodeStatus>(status), &keys);
 }
 
 TEST(CoverageEquivalence, RandomUnitDiskGraphs) {
@@ -243,10 +239,7 @@ TEST(CoverageEquivalence, KnowledgeBaseCachedViews) {
                             : designated[x] ? NodeStatus::kDesignated
                                             : NodeStatus::kUnvisited;
             }
-            const View owning = View(Graph(topo.graph), std::vector<char>(topo.visible),
-                                     std::move(status), &keys,
-                                     std::vector<NodeId>(topo.members.begin(),
-                                                         topo.members.end()));
+            const View owning = View(LocalTopology(topo), std::move(status), &keys);
             for (const CoverageOptions& opts : all_option_combos()) {
                 ASSERT_EQ(evaluate_coverage(cached, v, opts).covered,
                           evaluate_coverage(owning, v, opts).covered)

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
+#include "core/coverage.hpp"
 #include "graph/traversal.hpp"
 #include "graph/unit_disk.hpp"
 
@@ -18,49 +20,59 @@ namespace adhoc {
 namespace {
 
 /// Brute-force Definition 2: full BFS distances from the center, then a
-/// scan of every edge of g.  The CSR comes from `compile_topology` over
-/// the resulting subgraph, independently of `compile_ball`.
-LocalTopology oracle_topology(const Graph& g, NodeId v, std::size_t k) {
-    LocalTopology local;
-    local.center = v;
-    local.hops = k;
+/// scan of every edge of g.  Holds the answer in the full id space (a
+/// visibility mask and a subgraph of g); its CSR comes from
+/// `induced_topology` over that subgraph, independently of `compile_ball`.
+struct Oracle {
+    std::vector<char> visible;
+    Graph graph;
+    LocalTopology topo;
+};
+
+Oracle oracle_topology(const Graph& g, NodeId v, std::size_t k) {
+    Oracle o;
     const auto dist = bfs_distances(g, v);
-    local.visible.assign(g.node_count(), 0);
+    o.visible.assign(g.node_count(), 0);
+    std::vector<NodeId> members;
     for (NodeId u = 0; u < g.node_count(); ++u) {
         if (dist[u] != kUnreachable && dist[u] <= k) {
-            local.visible[u] = 1;
-            local.members.push_back(u);
+            o.visible[u] = 1;
+            members.push_back(u);
         }
     }
     // Edge (a,b) is visible iff min(dist) <= k-1 and max(dist) <= k.
-    Graph sub(g.node_count());
+    o.graph = Graph(g.node_count());
     for (const Edge& e : g.edges()) {
         const std::size_t da = dist[e.a];
         const std::size_t db = dist[e.b];
         if (da == kUnreachable || db == kUnreachable) continue;
-        if (std::min(da, db) <= k - 1 && std::max(da, db) <= k) sub.add_edge(e.a, e.b);
+        if (std::min(da, db) <= k - 1 && std::max(da, db) <= k) o.graph.add_edge(e.a, e.b);
     }
-    local.graph = std::move(sub);
-    compile_topology(local);
-    return local;
+    o.topo = induced_topology(o.graph, v, k, std::move(members));
+    return o;
 }
 
-void expect_same_topology(const LocalTopology& got, const LocalTopology& want,
+bool visible(const LocalTopology& t, NodeId u) { return t.local_of(u) != kNoLocal; }
+
+void expect_same_topology(const LocalTopology& got, const Oracle& want,
                           const std::string& where) {
-    ASSERT_EQ(got.center, want.center) << where;
-    ASSERT_EQ(got.hops, want.hops) << where;
-    ASSERT_EQ(got.members, want.members) << where;
-    ASSERT_EQ(got.visible, want.visible) << where;
-    ASSERT_EQ(got.graph.node_count(), want.graph.node_count()) << where;
-    ASSERT_EQ(got.graph.edge_count(), want.graph.edge_count()) << where;
+    ASSERT_EQ(got.center, want.topo.center) << where;
+    ASSERT_EQ(got.hops, want.topo.hops) << where;
+    ASSERT_EQ(got.members, want.topo.members) << where;
+    for (NodeId u = 0; u < want.visible.size(); ++u) {
+        ASSERT_EQ(visible(got, u), want.visible[u] != 0) << where << " node " << u;
+    }
+    const Graph full = reference::expand(got);
+    ASSERT_EQ(full.node_count(), want.graph.node_count()) << where;
+    ASSERT_EQ(full.edge_count(), want.graph.edge_count()) << where;
     for (NodeId u = 0; u < want.graph.node_count(); ++u) {
-        const auto a = got.graph.neighbors(u);
+        const auto a = full.neighbors(u);
         const auto b = want.graph.neighbors(u);
         ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
             << where << " row of node " << u;
     }
-    ASSERT_EQ(got.compact.offsets, want.compact.offsets) << where;
-    ASSERT_EQ(got.compact.edges, want.compact.edges) << where;
+    ASSERT_EQ(got.offsets, want.topo.offsets) << where;
+    ASSERT_EQ(got.edges, want.topo.edges) << where;
 }
 
 Graph gnp_graph(std::size_t n, double p, std::uint64_t seed) {
@@ -97,6 +109,49 @@ TEST(KHop, LocalTopologyMatchesBruteForceDefinition2) {
             }
         }
     }
+
+    // Hand-built: the builder keeps only links among members.  Node 2 is
+    // not a member, so 1-2 and 2-3 are dropped; every row stays ascending.
+    Graph g(5);
+    for (const Edge& e : {Edge{0, 1}, Edge{0, 3}, Edge{0, 4}, Edge{1, 2}, Edge{1, 4},
+                          Edge{2, 3}, Edge{3, 4}}) {
+        g.add_edge(e.a, e.b);
+    }
+    const LocalTopology t = induced_topology(g, 0, 2, {0, 1, 3, 4});
+    EXPECT_EQ(t.offsets, (std::vector<std::uint32_t>{0, 3, 5, 7, 10}));
+    EXPECT_EQ(t.edges, (std::vector<std::uint32_t>{1, 2, 3, 0, 3, 0, 3, 0, 1, 2}));
+    for (std::uint32_t i = 0; i < t.size(); ++i) {
+        EXPECT_TRUE(std::is_sorted(t.row(i).begin(), t.row(i).end())) << "row " << i;
+    }
+    const Graph full = reference::expand(t);
+    EXPECT_EQ(full.node_count(), 5u);
+    EXPECT_FALSE(full.has_edge(1, 2));
+    EXPECT_FALSE(full.has_edge(2, 3));
+    EXPECT_EQ(full.degree(2), 0u);
+    EXPECT_EQ(full.edge_count(), 5u);
+}
+
+TEST(KHop, LocalTopologyIsBallSized) {
+    // The same ball inside a 10x larger id space: only `id_space` may
+    // differ, so no array of a LocalTopology scales with n.
+    UnitDiskParams params;
+    params.node_count = 30;
+    params.average_degree = 6.0;
+    Rng gen(0x6b05);
+    const Graph g = generate_network_checked(params, gen).graph;
+    const std::size_t n = g.node_count();
+    Graph padded(10 * n);
+    for (const Edge& e : g.edges()) padded.add_edge(e.a, e.b);
+    for (const std::size_t k : {1u, 2u, 3u}) {
+        for (NodeId v = 0; v < n; ++v) {
+            const LocalTopology small = local_topology(g, v, k);
+            LocalTopology big = local_topology(padded, v, k);
+            EXPECT_EQ(small.id_space, n);
+            EXPECT_EQ(big.id_space, 10 * n);
+            big.id_space = small.id_space;
+            EXPECT_EQ(big, small) << "k=" << k << " center=" << v;
+        }
+    }
 }
 
 TEST(KHop, CompileBallRejectsHopsPastSixteenBits) {
@@ -110,7 +165,7 @@ TEST(KHop, CompileBallRejectsHopsPastSixteenBits) {
             << e.what();
     }
     compile_ball(g, 0, kMaxBallHops, ball);  // the limit itself is fine
-    EXPECT_EQ(ball.members, (std::vector<NodeId>{0, 1, 2, 3}));
+    EXPECT_EQ(ball.view.members, (std::vector<NodeId>{0, 1, 2, 3}));
 }
 
 TEST(KHop, ZeroHopIsSelf) {
@@ -138,8 +193,8 @@ TEST(KHop, TwoHopCoverSetExcludesSelf) {
 TEST(KHop, LocalTopologyGlobalWhenKZero) {
     const Graph g = cycle_graph(8);
     const LocalTopology t = local_topology(g, 3, 0);
-    EXPECT_EQ(t.graph, g);
-    for (char v : t.visible) EXPECT_TRUE(v);
+    EXPECT_EQ(reference::expand(t), g);
+    for (NodeId v = 0; v < g.node_count(); ++v) EXPECT_TRUE(visible(t, v));
 }
 
 TEST(KHop, OneHopViewHasNoNeighborNeighborLinks) {
@@ -149,11 +204,12 @@ TEST(KHop, OneHopViewHasNoNeighborNeighborLinks) {
     g.add_edge(0, 2);
     g.add_edge(1, 2);
     const LocalTopology t = local_topology(g, 0, 1);
-    EXPECT_TRUE(t.graph.has_edge(0, 1));
-    EXPECT_TRUE(t.graph.has_edge(0, 2));
-    EXPECT_FALSE(t.graph.has_edge(1, 2));  // both exactly 1 hop away
-    EXPECT_TRUE(t.visible[1]);
-    EXPECT_TRUE(t.visible[2]);
+    const Graph full = reference::expand(t);
+    EXPECT_TRUE(full.has_edge(0, 1));
+    EXPECT_TRUE(full.has_edge(0, 2));
+    EXPECT_FALSE(full.has_edge(1, 2));  // both exactly 1 hop away
+    EXPECT_TRUE(visible(t, 1));
+    EXPECT_TRUE(visible(t, 2));
 }
 
 TEST(KHop, TwoHopViewSeesNeighborNeighborLinksButNotBoundary) {
@@ -168,35 +224,37 @@ TEST(KHop, TwoHopViewSeesNeighborNeighborLinksButNotBoundary) {
     g.add_edge(2, 4);
     g.add_edge(3, 4);
     const LocalTopology t = local_topology(g, 0, 2);
-    EXPECT_TRUE(t.visible[3]);
-    EXPECT_TRUE(t.visible[4]);
-    EXPECT_TRUE(t.graph.has_edge(1, 3));   // 1-hop x 2-hop: visible
-    EXPECT_FALSE(t.graph.has_edge(3, 4));  // 2-hop x 2-hop: invisible
+    const Graph full = reference::expand(t);
+    EXPECT_TRUE(visible(t, 3));
+    EXPECT_TRUE(visible(t, 4));
+    EXPECT_TRUE(full.has_edge(1, 3));   // 1-hop x 2-hop: visible
+    EXPECT_FALSE(full.has_edge(3, 4));  // 2-hop x 2-hop: invisible
 
     // With 3-hop information the link becomes visible.
     const LocalTopology t3 = local_topology(g, 0, 3);
-    EXPECT_TRUE(t3.graph.has_edge(3, 4));
+    EXPECT_TRUE(reference::expand(t3).has_edge(3, 4));
 }
 
 TEST(KHop, InvisibleNodesAreIsolated) {
     const Graph g = path_graph(6);
     const LocalTopology t = local_topology(g, 0, 2);
-    EXPECT_FALSE(t.visible[3]);
-    EXPECT_FALSE(t.visible[4]);
-    EXPECT_EQ(t.graph.degree(3), 0u);
-    EXPECT_EQ(t.graph.degree(4), 0u);
+    const Graph full = reference::expand(t);
+    EXPECT_FALSE(visible(t, 3));
+    EXPECT_FALSE(visible(t, 4));
+    EXPECT_EQ(full.degree(3), 0u);
+    EXPECT_EQ(full.degree(4), 0u);
     // Edge (2,3) crosses the horizon: 2 is at dist 2, 3 at dist 3 -> gone.
-    EXPECT_FALSE(t.graph.has_edge(2, 3));
+    EXPECT_FALSE(full.has_edge(2, 3));
 }
 
 TEST(KHop, LocalTopologyIsSubgraph) {
     const Graph g = grid_graph(4, 4);
     for (std::size_t k = 1; k <= 4; ++k) {
-        const LocalTopology t = local_topology(g, 5, k);
-        for (const Edge& e : t.graph.edges()) {
+        const Graph full = reference::expand(local_topology(g, 5, k));
+        for (const Edge& e : full.edges()) {
             EXPECT_TRUE(g.has_edge(e.a, e.b));
         }
-        EXPECT_LE(t.graph.edge_count(), g.edge_count());
+        EXPECT_LE(full.edge_count(), g.edge_count());
     }
 }
 
@@ -204,9 +262,9 @@ TEST(KHop, MonotoneInK) {
     const Graph g = grid_graph(4, 4);
     std::size_t prev_edges = 0;
     for (std::size_t k = 1; k <= 6; ++k) {
-        const LocalTopology t = local_topology(g, 0, k);
-        EXPECT_GE(t.graph.edge_count(), prev_edges);
-        prev_edges = t.graph.edge_count();
+        const Graph full = reference::expand(local_topology(g, 0, k));
+        EXPECT_GE(full.edge_count(), prev_edges);
+        prev_edges = full.edge_count();
     }
     EXPECT_EQ(prev_edges, g.edge_count());  // k=6 covers the whole grid
 }
@@ -215,7 +273,7 @@ TEST(KHop, CenterIsAlwaysVisible) {
     const Graph g = cycle_graph(5);
     for (NodeId v = 0; v < 5; ++v) {
         const LocalTopology t = local_topology(g, v, 1);
-        EXPECT_TRUE(t.visible[v]);
+        EXPECT_TRUE(visible(t, v));
         EXPECT_EQ(t.center, v);
     }
 }

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace adhoc {
 namespace {
 
@@ -16,8 +19,8 @@ TEST(Knowledge, PrecomputesLocalTopologies) {
     const Graph g = path_graph(5);
     const KnowledgeBase kb(g, 2);
     EXPECT_EQ(kb.hops(), 2u);
-    EXPECT_TRUE(kb.at(0).topology().visible[2]);
-    EXPECT_FALSE(kb.at(0).topology().visible[3]);
+    EXPECT_NE(kb.at(0).topology().local_of(2), kNoLocal);
+    EXPECT_EQ(kb.at(0).topology().local_of(3), kNoLocal);
 }
 
 TEST(Knowledge, ObserveMarksSenderVisited) {
@@ -111,6 +114,71 @@ TEST(Knowledge, VisitedBeatsDesignatedInView) {
     kb.observe(1, make_tx(2, chain_state({}, 2, {}, 1)));   // then 2 transmits
     const View view = kb.view_of(1, keys);
     EXPECT_EQ(view.status(2), NodeStatus::kVisited);
+}
+
+/// Expects the external-view constructor to reject `views` with a
+/// message containing `what`.
+void expect_rejected(const Graph& g, std::vector<LocalTopology> views, const std::string& what) {
+    try {
+        const KnowledgeBase kb(g, std::move(views));
+        ADD_FAILURE() << "accepted; expected: " << what;
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    }
+}
+
+std::vector<LocalTopology> analytic_views(const Graph& g) {
+    std::vector<LocalTopology> views;
+    for (NodeId v = 0; v < g.node_count(); ++v) views.push_back(local_topology(g, v, 2));
+    return views;
+}
+
+TEST(Knowledge, ExternalViewsAccepted) {
+    const Graph g = path_graph(3);
+    const KnowledgeBase kb(g, analytic_views(g));
+    EXPECT_EQ(kb.hops(), 2u);
+}
+
+TEST(Knowledge, RejectsViewCountMismatch) {
+    const Graph g = path_graph(3);
+    auto views = analytic_views(g);
+    views.pop_back();
+    expect_rejected(g, std::move(views), "2 views for 3 nodes");
+}
+
+TEST(Knowledge, RejectsMiscenteredView) {
+    const Graph g = path_graph(3);
+    auto views = analytic_views(g);
+    views[1].center = 2;
+    expect_rejected(g, std::move(views), "views[1] has center 2");
+}
+
+TEST(Knowledge, RejectsMemberOutsideGraph) {
+    const Graph g = path_graph(3);
+    auto views = analytic_views(g);
+    views[0].members = {0, 1, 5};  // would index past the status buffer
+    expect_rejected(g, std::move(views), "views[0] has member 5 outside the 3-node graph");
+}
+
+TEST(Knowledge, RejectsUnsortedMembers) {
+    const Graph g = path_graph(3);
+    auto views = analytic_views(g);
+    views[2].members = {0, 2, 1};
+    expect_rejected(g, std::move(views), "views[2] members not strictly ascending: 2 then 1");
+}
+
+TEST(Knowledge, RejectsViewWithoutItsCenter) {
+    const Graph g = path_graph(3);
+    auto views = analytic_views(g);
+    views[0].members = {1, 2};
+    expect_rejected(g, std::move(views), "views[0] does not contain its center");
+}
+
+TEST(Knowledge, RejectsShortCsr) {
+    const Graph g = path_graph(3);
+    auto views = analytic_views(g);
+    views[1].offsets.pop_back();
+    expect_rejected(g, std::move(views), "views[1] has 3 CSR offsets for 3 members");
 }
 
 }  // namespace

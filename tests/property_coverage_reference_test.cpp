@@ -35,7 +35,7 @@ bool path_exists_dfs(const View& view, NodeId u, NodeId w,
         used[next] = 0;
         return found;
     };
-    for (NodeId next : view.topology().neighbors(current)) {
+    for (NodeId next : view.neighbors(current)) {
         if (try_next(next)) return true;
     }
     // The merge rule connects ALL visited nodes — including a visited
@@ -55,7 +55,7 @@ bool path_exists_dfs(const View& view, NodeId u, NodeId w,
 bool brute_force_full(const View& view, NodeId v, bool merge_visited,
                       NodeStatus self_status) {
     const Priority pv = view.keys().evaluate(v, self_status);
-    const auto nv = view.topology().neighbors(v);
+    const auto nv = view.neighbors(v);
     if (nv.size() <= 1) return true;
 
     std::vector<char> admissible(view.node_count(), 0);
@@ -79,7 +79,7 @@ bool brute_force_full(const View& view, NodeId v, bool merge_visited,
 bool brute_force_strong(const View& view, NodeId v, bool merge_visited,
                         NodeStatus self_status) {
     const Priority pv = view.keys().evaluate(v, self_status);
-    const auto nv = view.topology().neighbors(v);
+    const auto nv = view.neighbors(v);
     if (nv.size() <= 1) return true;
 
     std::vector<NodeId> candidates;
@@ -100,7 +100,7 @@ bool brute_force_strong(const View& view, NodeId v, bool merge_visited,
         for (NodeId u : nv) {
             bool ok = false;
             for (NodeId c : set) {
-                if (c == u || view.topology().has_edge(c, u)) {
+                if (c == u || view.has_edge(c, u)) {
                     ok = true;
                     break;
                 }
@@ -120,7 +120,7 @@ bool brute_force_strong(const View& view, NodeId v, bool merge_visited,
         while (!stack.empty()) {
             const NodeId x = stack.back();
             stack.pop_back();
-            for (NodeId y : view.topology().neighbors(x)) {
+            for (NodeId y : view.neighbors(x)) {
                 if (in_set[y] && !reached[y]) {
                     reached[y] = 1;
                     stack.push_back(y);

@@ -22,7 +22,7 @@ class Figure1 : public ::testing::Test {
 };
 
 TEST_F(Figure1, ViewA_AllUnvisited) {
-    const View view(g_, {1, 1, 1},
+    const View view(induced_topology(g_, 1, 0, {0, 1, 2}),
                     {NodeStatus::kUnvisited, NodeStatus::kUnvisited, NodeStatus::kUnvisited},
                     &keys_);
     // Pr(u) < Pr(v) < Pr(w) by id.
@@ -31,7 +31,7 @@ TEST_F(Figure1, ViewA_AllUnvisited) {
 }
 
 TEST_F(Figure1, ViewB_SourceVisited) {
-    const View view(g_, {1, 1, 1},
+    const View view(induced_topology(g_, 1, 0, {0, 1, 2}),
                     {NodeStatus::kUnvisited, NodeStatus::kVisited, NodeStatus::kUnvisited},
                     &keys_);
     // Pr(v) = (2, v) dominates both unvisited nodes.
@@ -41,7 +41,7 @@ TEST_F(Figure1, ViewB_SourceVisited) {
 }
 
 TEST_F(Figure1, ViewC_TwoVisited) {
-    const View view(g_, {1, 1, 1},
+    const View view(induced_topology(g_, 1, 0, {0, 1, 2}),
                     {NodeStatus::kUnvisited, NodeStatus::kVisited, NodeStatus::kVisited},
                     &keys_);
     EXPECT_GT(view.priority(2), view.priority(1));  // (2,w) > (2,v)
@@ -51,7 +51,7 @@ TEST_F(Figure1, ViewC_TwoVisited) {
 TEST(View, InvisibleNodesGetBottomPriority) {
     const Graph g = path_graph(3);
     const PriorityKeys keys(g, PriorityScheme::kId);
-    const View view(g, {1, 1, 0},
+    const View view(induced_topology(g, 0, 0, {0, 1}),
                     {NodeStatus::kUnvisited, NodeStatus::kUnvisited, NodeStatus::kVisited},
                     &keys);
     EXPECT_EQ(view.status(2), NodeStatus::kInvisible);  // visited but invisible
@@ -69,6 +69,20 @@ TEST(View, MakeStaticViewHasNoBroadcastState) {
     // k=2 on C6 from node 0: nodes 3 is at distance 3 -> invisible.
     EXPECT_FALSE(view.visible(3));
     EXPECT_TRUE(view.visible(2));
+}
+
+TEST(View, HasEdgeAndNeighborsReadTheLocalLinks) {
+    const Graph g = path_graph(6);
+    const PriorityKeys keys(g, PriorityScheme::kId);
+    const View view = make_static_view(g, 0, 2, keys);
+    EXPECT_EQ(view.node_count(), 6u);
+    EXPECT_TRUE(view.has_edge(0, 1));
+    EXPECT_TRUE(view.has_edge(2, 1));
+    EXPECT_FALSE(view.has_edge(0, 2));
+    EXPECT_FALSE(view.has_edge(2, 3));  // 3 is invisible
+    EXPECT_EQ(view.neighbors(1), (std::vector<NodeId>{0, 2}));
+    EXPECT_EQ(view.neighbors(2), (std::vector<NodeId>{1}));
+    EXPECT_TRUE(view.neighbors(3).empty());
 }
 
 TEST(View, MakeDynamicViewClampsInvisibleBroadcastState) {
