@@ -6,7 +6,9 @@
 /// and the production compact-view/spatial-grid version — and verifies
 /// during the same run that both produce identical results.  The
 /// fault_session kernel runs at n and at 2n down links
-/// (`fault_session_2n`), so its opt_ns ratio is the n vs 2n check.  Emits a
+/// (`fault_session_2n`), so its opt_ns ratio is the n vs 2n check.  The
+/// summary_diff kernel times one beacon diff (`missing_keys`) against the
+/// per-bit `holds` loop it replaced.  Emits a
 /// machine-readable document (schema adhoc-micro-v1) for the CI regression
 /// gate (tools/check_bench.py compares speedup ratios against the
 /// committed BENCH_micro.baseline.json).
@@ -39,6 +41,8 @@
 #include "sim/event_queue.hpp"
 #include "sim/node_agent.hpp"
 #include "stats/rng.hpp"
+#include "traffic/dup_cache.hpp"
+#include "traffic/summary_vector.hpp"
 
 namespace {
 
@@ -352,6 +356,64 @@ int main(int argc, char** argv) {
             const double ref_ns = time_ns([&] { guard = guard + run_ref(); }, reps) / per;
             const double opt_ns = time_ns([&] { guard = guard + run_opt(); }, reps) / per;
             push(down == n ? "fault_session" : "fault_session_2n", reps, ref_ns, opt_ns, match);
+        }
+
+        // --- summary-vector diff: per-bit holds loop vs word-parallel walk ---
+        //
+        // Nine duplicate caches (engine defaults: 64 sources, 256-bit
+        // windows) each receive 95% of one stream of 8n ids over 32
+        // sources; the kernel diffs eight neighbors' beacons against the
+        // ninth cache, the work one node does per beacon round.
+        {
+            Rng rng(opts.seed ^ (0x2545f4914f6cdd1dULL * n));
+            std::vector<std::uint32_t> next_seq(32, 0);
+            std::vector<traffic::DupCache> caches(9);
+            for (std::size_t i = 0; i < 8 * n; ++i) {
+                const auto source = static_cast<NodeId>(rng.index(next_seq.size()));
+                const std::uint32_t seq = next_seq[source]++;
+                for (traffic::DupCache& cache : caches) {
+                    if (rng.chance(0.95)) cache.insert(source, seq);
+                }
+            }
+            const traffic::DupCache& mine = caches.back();
+            std::vector<traffic::SummaryVector> beacons;
+            for (std::size_t k = 0; k + 1 < caches.size(); ++k) {
+                beacons.push_back(traffic::summarize(caches[k]));
+            }
+            bool match = true;
+            for (const traffic::SummaryVector& sv : beacons) {
+                match = match && traffic::missing_keys(sv, mine) ==
+                                     traffic::reference::missing_keys(sv, mine);
+            }
+            // Four passes over the beacons per repetition keep the fast
+            // side's timed span well above timer and interrupt noise.
+            constexpr std::size_t kPasses = 4;
+            const std::size_t reps = opts.smoke ? 10 : (n <= 500 ? 20 : 10);
+            const auto per = static_cast<double>(kPasses * beacons.size());
+            const double ref_ns = time_ns(
+                                      [&] {
+                                          for (std::size_t p = 0; p < kPasses; ++p) {
+                                              for (const traffic::SummaryVector& sv : beacons) {
+                                                  guard = guard +
+                                                          traffic::reference::missing_keys(sv, mine)
+                                                              .size();
+                                              }
+                                          }
+                                      },
+                                      reps) /
+                                  per;
+            const double opt_ns = time_ns(
+                                      [&] {
+                                          for (std::size_t p = 0; p < kPasses; ++p) {
+                                              for (const traffic::SummaryVector& sv : beacons) {
+                                                  guard = guard +
+                                                          traffic::missing_keys(sv, mine).size();
+                                              }
+                                          }
+                                      },
+                                      reps) /
+                                  per;
+            push("summary_diff", reps, ref_ns, opt_ns, match);
         }
 
         // 2-hop knowledge base carrying the broadcast state — the exact

@@ -35,7 +35,12 @@ ThreadPool::ThreadPool(std::size_t threads) {
 }
 
 ThreadPool::~ThreadPool() {
-    stop_.store(true, std::memory_order_release);
+    {
+        // Under the sleep mutex, like `pending_` in submit: a worker between
+        // its predicate check and its wait cannot miss the stop.
+        std::lock_guard<std::mutex> lock(sleep_mutex_);
+        stop_.store(true, std::memory_order_release);
+    }
     sleep_cv_.notify_all();
     for (std::thread& t : threads_) t.join();
     assert(pending_.load() == 0);
@@ -53,7 +58,13 @@ void ThreadPool::submit(std::function<void()> task) {
         std::lock_guard<std::mutex> lock(workers_[target]->mutex);
         workers_[target]->queue.push_back(std::move(task));
     }
-    pending_.fetch_add(1, std::memory_order_release);
+    {
+        // Bumping `pending_` outside the sleep mutex could land between a
+        // worker's predicate check and its wait, losing the notify and
+        // leaving the task queued with every worker asleep.
+        std::lock_guard<std::mutex> lock(sleep_mutex_);
+        pending_.fetch_add(1, std::memory_order_release);
+    }
     sleep_cv_.notify_one();
 }
 

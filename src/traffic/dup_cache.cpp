@@ -12,18 +12,20 @@ DupCache::DupCache(DupCacheConfig config) : config_(config) {
     config_.window = (config_.window + 63) / 64 * 64;
 }
 
+namespace {
+
+bool source_less(const DupCache::Entry& e, NodeId source) { return e.source < source; }
+
+}  // namespace
+
 DupCache::Entry* DupCache::find(NodeId source) {
-    for (Entry& e : entries_) {
-        if (e.source == source) return &e;
-    }
-    return nullptr;
+    const auto it = std::lower_bound(entries_.begin(), entries_.end(), source, source_less);
+    return it != entries_.end() && it->source == source ? &*it : nullptr;
 }
 
 const DupCache::Entry* DupCache::find(NodeId source) const {
-    for (const Entry& e : entries_) {
-        if (e.source == source) return &e;
-    }
-    return nullptr;
+    const auto it = std::lower_bound(entries_.begin(), entries_.end(), source, source_less);
+    return it != entries_.end() && it->source == source ? &*it : nullptr;
 }
 
 DupCache::Entry& DupCache::emplace(NodeId source, std::uint32_t seq) {
@@ -47,9 +49,10 @@ DupCache::Entry& DupCache::emplace(NodeId source, std::uint32_t seq) {
     // would below-window-suppress an earlier seq still in flight.
     e.base = seq >= config_.window ? seq - config_.window + 1 : 0;
     e.bits.assign(config_.window / 64, 0);
-    entries_.push_back(std::move(e));
+    const auto at = std::lower_bound(entries_.begin(), entries_.end(), source, source_less);
+    Entry& placed = *entries_.insert(at, std::move(e));
     peak_bytes_ = std::max(peak_bytes_, memory_bytes());
-    return entries_.back();
+    return placed;
 }
 
 CacheInsert DupCache::insert(NodeId source, std::uint32_t seq) {
@@ -66,7 +69,7 @@ CacheInsert DupCache::insert(NodeId source, std::uint32_t seq) {
         ++below_window_;
         return CacheInsert::kBelowWindow;
     }
-    if (seq >= e->base + config_.window) {
+    if (seq - e->base >= config_.window) {
         // Slide the window so `seq` lands on the last bit; everything the
         // shift pushes below the new base is forgotten.
         const std::uint32_t new_base = seq - config_.window + 1;
@@ -98,9 +101,23 @@ CacheInsert DupCache::insert(NodeId source, std::uint32_t seq) {
 
 bool DupCache::holds(NodeId source, std::uint32_t seq) const {
     const Entry* e = find(source);
-    if (e == nullptr || seq < e->base || seq >= e->base + config_.window) return false;
+    if (e == nullptr || seq < e->base || seq - e->base >= config_.window) return false;
     const std::uint32_t offset = seq - e->base;
     return (e->bits[offset / 64] >> (offset % 64) & 1) != 0;
+}
+
+std::uint64_t DupCache::held_word(const Entry& entry, std::int64_t start) const noexcept {
+    // Window bit j is seq base + j, so result bit i is window bit
+    // offset + i: a right shift of the window for offset >= 0, a left
+    // shift of its first word for offset < 0.
+    const std::int64_t offset = start - std::int64_t{entry.base};
+    if (offset <= -64 || offset >= std::int64_t{config_.window}) return 0;
+    if (offset < 0) return entry.bits[0] << -offset;
+    const auto word = static_cast<std::size_t>(offset / 64);
+    const auto bit = static_cast<unsigned>(offset % 64);
+    std::uint64_t held = entry.bits[word] >> bit;
+    if (bit != 0 && word + 1 < entry.bits.size()) held |= entry.bits[word + 1] << (64 - bit);
+    return held;
 }
 
 }  // namespace adhoc::traffic

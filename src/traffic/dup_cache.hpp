@@ -5,10 +5,11 @@
 /// One-shot runs mark duplicates with a single `received` flag because
 /// exactly one message exists.  Under continuous traffic a node sees
 /// thousands of `(source, seq)`-identified sessions and must answer "have
-/// I seen this one?" in O(1) with *bounded* memory — the classic DTN
+/// I seen this one?" fast with *bounded* memory — the classic DTN
 /// message-store problem.  The cache keeps at most `max_sources` per-source
-/// entries (least-recently-used eviction) and, per source, a `window`-bit
-/// bitmap anchored at a sliding base sequence number:
+/// entries (least-recently-used eviction), ascending by source so a lookup
+/// is a binary search, and, per source, a `window`-bit bitmap anchored at a
+/// sliding base sequence number:
 ///
 ///   - seq in [base, base+window): exact membership bit;
 ///   - seq >= base+window: the window slides forward, forgetting the
@@ -86,8 +87,14 @@ class DupCache {
         std::vector<std::uint64_t> bits;      ///< window/64 words
     };
 
-    /// Entries in insertion order (summaries sort by source themselves).
+    /// Entries in ascending source order.
     [[nodiscard]] const std::vector<Entry>& entries() const noexcept { return entries_; }
+
+    /// The held bits of `entry` for seqs `[start, start + 64)`: bit i
+    /// answers `holds(entry.source, start + i)`.  Seqs below the window
+    /// base or at or above `base + window` (negative ones included) read
+    /// as not held.  `entry` must be one of `entries()`.
+    [[nodiscard]] std::uint64_t held_word(const Entry& entry, std::int64_t start) const noexcept;
 
     [[nodiscard]] const DupCacheConfig& config() const noexcept { return config_; }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
+#include <iterator>
 
 #include "io/wire.hpp"
 
@@ -18,8 +20,11 @@ SummaryVector summarize(const DupCache& cache) {
         if (s.bits.empty()) continue;  // nothing held: nothing to advertise
         sv.sources.push_back(std::move(s));
     }
-    std::sort(sv.sources.begin(), sv.sources.end(),
-              [](const SourceSummary& a, const SourceSummary& b) { return a.source < b.source; });
+    // The cache keeps its entries ascending by source: already canonical.
+    assert(std::is_sorted(sv.sources.begin(), sv.sources.end(),
+                          [](const SourceSummary& a, const SourceSummary& b) {
+                              return a.source < b.source;
+                          }));
     return sv;
 }
 
@@ -88,6 +93,42 @@ std::vector<SessionKey> advertised_keys(const SummaryVector& sv) {
 
 std::vector<SessionKey> missing_keys(const SummaryVector& theirs, const DupCache& mine,
                                      std::size_t limit) {
+    // Both sides ascend by source, so one merge walk pairs each advertised
+    // source with its cache entry.  Per advertised word the gaps are
+    // `theirs & ~held`: one shifted-word read instead of 64 lookups.
+    constexpr std::int64_t kSeqSpace = std::int64_t{1} << 32;
+    std::vector<SessionKey> missing;
+    const std::vector<DupCache::Entry>& entries = mine.entries();
+    auto entry = entries.begin();
+    for (const SourceSummary& s : theirs.sources) {
+        assert(entry == entries.begin() || std::prev(entry)->source < s.source);
+        while (entry != entries.end() && entry->source < s.source) ++entry;
+        const bool known = entry != entries.end() && entry->source == s.source;
+        for (std::size_t w = 0; w < s.bits.size(); ++w) {
+            const std::int64_t start = std::int64_t{s.base} + 64 * static_cast<std::int64_t>(w);
+            std::uint64_t gaps = s.bits[w];
+            if (known) {
+                // Advertised seqs are u32: the part of a word past 2^32
+                // wraps around to seq 0.
+                std::uint64_t held = mine.held_word(*entry, start);
+                if (start + 64 > kSeqSpace) held |= mine.held_word(*entry, start - kSeqSpace);
+                gaps &= ~held;
+            }
+            while (gaps != 0) {
+                const int bit = std::countr_zero(gaps);
+                gaps &= gaps - 1;
+                missing.push_back(SessionKey{s.source, static_cast<std::uint32_t>(start + bit)});
+                if (limit != 0 && missing.size() >= limit) return missing;
+            }
+        }
+    }
+    return missing;
+}
+
+namespace reference {
+
+std::vector<SessionKey> missing_keys(const SummaryVector& theirs, const DupCache& mine,
+                                     std::size_t limit) {
     std::vector<SessionKey> missing;
     for (const SourceSummary& s : theirs.sources) {
         for (std::size_t w = 0; w < s.bits.size(); ++w) {
@@ -105,5 +146,7 @@ std::vector<SessionKey> missing_keys(const SummaryVector& theirs, const DupCache
     }
     return missing;
 }
+
+}  // namespace reference
 
 }  // namespace adhoc::traffic

@@ -78,9 +78,22 @@ struct SummaryVector {
 [[nodiscard]] std::vector<SessionKey> advertised_keys(const SummaryVector& sv);
 
 /// Ids advertised by `theirs` that `mine` does not hold — the gaps a node
-/// pulls after hearing a neighbor's beacon.  Capped at `limit` (0 = all).
+/// pulls after hearing a neighbor's beacon — in (advertised source, bit)
+/// order.  Capped at `limit` (0 = all).  `theirs.sources` must ascend, as
+/// `summarize` and `decode` guarantee: a merge walk against the cache's
+/// source-ordered entries and one word read per advertised word make the
+/// cost O(sources + advertised words + missing ids).
 [[nodiscard]] std::vector<SessionKey> missing_keys(const SummaryVector& theirs,
                                                    const DupCache& mine,
                                                    std::size_t limit = 0);
+
+/// The per-bit diff `missing_keys` replaced — one `holds` lookup per
+/// advertised id — kept as its oracle (tests, bench_micro).  Same output
+/// for every input.
+namespace reference {
+[[nodiscard]] std::vector<SessionKey> missing_keys(const SummaryVector& theirs,
+                                                   const DupCache& mine,
+                                                   std::size_t limit = 0);
+}  // namespace reference
 
 }  // namespace adhoc::traffic

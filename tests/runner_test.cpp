@@ -6,7 +6,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -116,6 +119,36 @@ TEST(ThreadPool, StressManyProducersManyConsumers) {
         for (auto& t : producers) t.join();
     }
     EXPECT_EQ(count.load(), 10'000u);
+}
+
+TEST(ThreadPool, IdleSubmitNeverLosesWakeup) {
+    // Each round hands one task to an idle pool from this (non-worker)
+    // thread, just as the previous task's worker heads back to sleep, and
+    // waits for it with a deadline.  A notify that lands between a
+    // worker's wait-predicate check and its wait is lost; the task then
+    // stays queued with every worker asleep and the round times out
+    // instead of hanging the test.
+    constexpr std::size_t kRounds = 2000;
+    for (std::size_t threads = 1; threads <= 4; ++threads) {
+        std::mutex mutex;
+        std::condition_variable cv;
+        std::size_t done = 0;
+        runner::ThreadPool pool(threads);  // destroyed first: drains before `done` dies
+        for (std::size_t round = 1; round <= kRounds; ++round) {
+            pool.submit([&] {
+                {
+                    std::lock_guard<std::mutex> lock(mutex);
+                    ++done;
+                }
+                cv.notify_one();
+            });
+            std::unique_lock<std::mutex> lock(mutex);
+            if (!cv.wait_for(lock, std::chrono::seconds(10), [&] { return done == round; })) {
+                FAIL() << "round " << round << " on " << threads
+                       << " workers: the submitted task never ran";
+            }
+        }
+    }
 }
 
 TEST(ThreadPool, DefaultJobsIsPositive) { EXPECT_GE(runner::ThreadPool::default_jobs(), 1u); }

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "stats/rng.hpp"
+
 namespace adhoc::traffic {
 namespace {
 
@@ -95,6 +100,57 @@ TEST(DupCache, MemoryNeverExceedsCeiling) {
     EXPECT_LE(cache.peak_bytes(), ceiling);
     EXPECT_EQ(cache.peak_bytes(), ceiling);  // bound was reached and held
     EXPECT_EQ(cache.source_count(), 8u);
+}
+
+TEST(DupCache, EntriesAscendBySourceAfterEveryInsertAndEviction) {
+    Rng rng(7);
+    DupCache cache(DupCacheConfig{.max_sources = 5, .window = 64});
+    const auto ascending = [&cache] {
+        const std::vector<DupCache::Entry>& entries = cache.entries();
+        for (std::size_t i = 1; i < entries.size(); ++i) {
+            if (entries[i - 1].source >= entries[i].source) return false;
+        }
+        return true;
+    };
+    for (std::size_t i = 0; i < 2000; ++i) {
+        const auto source = static_cast<NodeId>(rng.index(16));
+        const std::size_t evictions = cache.evictions();
+        cache.insert(source, static_cast<std::uint32_t>(rng.index(500)));
+        ASSERT_TRUE(ascending()) << "after insert " << i << " (source " << source << ", "
+                                 << (cache.evictions() > evictions ? "evicting" : "no eviction")
+                                 << ")";
+    }
+    EXPECT_GT(cache.evictions(), 100u);
+}
+
+TEST(DupCache, HeldWordReadsTheWindowAtAnyOffset) {
+    DupCache cache(DupCacheConfig{.max_sources = 2, .window = 128});
+    for (std::uint32_t q : {1000u, 1001u, 1064u, 1127u, 1100u}) cache.insert(3, q);
+    ASSERT_EQ(cache.entries().size(), 1u);
+    const DupCache::Entry& entry = cache.entries()[0];
+    ASSERT_EQ(entry.base, 1000u);
+    for (std::int64_t start = 800; start < 1300; ++start) {
+        std::uint64_t expected = 0;
+        for (std::uint32_t i = 0; i < 64; ++i) {
+            if (cache.holds(3, static_cast<std::uint32_t>(start + i))) expected |= 1ULL << i;
+        }
+        ASSERT_EQ(cache.held_word(entry, start), expected) << "start " << start;
+    }
+    EXPECT_EQ(cache.held_word(entry, -5), 0u);  // negative seqs are never held
+}
+
+TEST(DupCache, WindowEndingAtTheTopOfTheSeqSpace) {
+    // The largest seq anchors the window at 2^32 - window; base + window
+    // must not wrap to 0 and empty the window.
+    DupCache cache(DupCacheConfig{.max_sources = 2, .window = 64});
+    EXPECT_EQ(cache.insert(1, 0xFFFFFFFFu), CacheInsert::kNew);
+    EXPECT_EQ(cache.entries()[0].base, 0xFFFFFFC0u);
+    EXPECT_TRUE(cache.holds(1, 0xFFFFFFFFu));
+    EXPECT_EQ(cache.insert(1, 0xFFFFFFFFu), CacheInsert::kDuplicate);
+    EXPECT_EQ(cache.insert(1, 0xFFFFFFF0u), CacheInsert::kNew);
+    EXPECT_TRUE(cache.holds(1, 0xFFFFFFF0u));
+    EXPECT_TRUE(cache.holds(1, 0xFFFFFFFFu));  // no slide cleared it
+    EXPECT_EQ(cache.window_slides(), 0u);
 }
 
 }  // namespace

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "stats/rng.hpp"
 #include "traffic/dup_cache.hpp"
 
 namespace adhoc::traffic {
@@ -96,6 +100,109 @@ TEST(SummaryVector, MissingKeysDiffsAgainstLocalCache) {
     const std::vector<SessionKey> capped = missing_keys(sv, mine, /*limit=*/1);
     ASSERT_EQ(capped.size(), 1u);
     EXPECT_EQ(capped[0], (SessionKey{3, 0}));
+}
+
+/// A cache fed a lossy copy of one shared `(source, seq)` stream, plus its
+/// own far jumps, below-window stragglers and LRU churn, so two caches
+/// built from the same stream overlap partly and disagree on bases.
+DupCache random_cache(Rng& rng, const std::vector<SessionKey>& stream) {
+    static constexpr std::uint32_t kWindows[] = {64, 128, 256};
+    DupCache cache(DupCacheConfig{.max_sources = 2 + rng.index(7),
+                                  .window = kWindows[rng.index(3)]});
+    for (const SessionKey key : stream) {
+        if (rng.chance(0.3)) continue;  // lost on this side
+        std::uint32_t seq = key.seq;
+        if (rng.chance(0.02)) seq += 300 + static_cast<std::uint32_t>(rng.index(600));  // far slide
+        if (rng.chance(0.05)) seq = seq > 400 ? seq - 400 : 0;                        // straggler
+        cache.insert(key.source, seq);
+    }
+    return cache;
+}
+
+/// Interleaved per-source seq runs: mostly small steps forward, some
+/// reordering, some jumps past a whole window.
+std::vector<SessionKey> random_stream(Rng& rng) {
+    std::vector<std::uint32_t> next(12);
+    for (std::uint32_t& q : next) q = static_cast<std::uint32_t>(rng.index(200));
+    std::vector<SessionKey> stream(40 + rng.index(400));
+    for (SessionKey& key : stream) {
+        key.source = static_cast<NodeId>(rng.index(next.size()));
+        std::uint32_t& q = next[key.source];
+        q += rng.chance(0.05) ? 64 + static_cast<std::uint32_t>(rng.index(300))
+                              : static_cast<std::uint32_t>(rng.index(4));
+        key.seq = rng.chance(0.1) && q >= 5 ? q - static_cast<std::uint32_t>(rng.index(5)) : q;
+    }
+    return stream;
+}
+
+/// A hand-built advertisement: ascending sources (some the caches never
+/// saw), bases unaligned to 64 on either side of the cache's, 1-5 words.
+SummaryVector random_summary(Rng& rng, std::uint32_t around) {
+    SummaryVector sv;
+    for (NodeId source = 0; source < 14; ++source) {
+        if (!rng.chance(0.5)) continue;
+        SourceSummary s;
+        s.source = source;
+        s.base = around > 300 ? around - 300 + static_cast<std::uint32_t>(rng.index(600))
+                              : static_cast<std::uint32_t>(rng.index(600));
+        s.bits.resize(1 + rng.index(5));
+        for (std::uint64_t& w : s.bits) {
+            w = rng.engine()();
+            if (rng.chance(0.3)) w &= rng.engine()();  // sparser words too
+        }
+        sv.sources.push_back(std::move(s));
+    }
+    return sv;
+}
+
+void expect_matches_oracle(const SummaryVector& theirs, const DupCache& mine,
+                           const char* what, std::size_t trial) {
+    const std::vector<SessionKey> all = reference::missing_keys(theirs, mine);
+    for (const std::size_t limit : {std::size_t{0}, std::size_t{1}, std::size_t{7}, all.size()}) {
+        EXPECT_EQ(missing_keys(theirs, mine, limit), reference::missing_keys(theirs, mine, limit))
+            << what << " trial " << trial << " limit " << limit;
+    }
+}
+
+TEST(SummaryVector, MissingKeysMatchesPerBitOracle) {
+    Rng rng(20261017);
+    std::size_t gaps = 0;
+    std::size_t slides = 0;
+    std::size_t evictions = 0;
+    std::size_t below = 0;
+    for (std::size_t trial = 0; trial < 400; ++trial) {
+        const std::vector<SessionKey> stream = random_stream(rng);
+        const DupCache theirs = random_cache(rng, stream);
+        const DupCache mine = random_cache(rng, stream);
+        slides += mine.window_slides();
+        evictions += mine.evictions();
+        below += mine.below_window_hits();
+        gaps += reference::missing_keys(summarize(theirs), mine).size();
+
+        expect_matches_oracle(summarize(theirs), mine, "summary", trial);
+        expect_matches_oracle(summarize(mine), theirs, "reverse", trial);
+        expect_matches_oracle(random_summary(rng, stream.back().seq), mine, "hand-built", trial);
+    }
+    // The stream generator must actually reach every cache path.
+    EXPECT_GT(gaps, 0u);
+    EXPECT_GT(slides, 0u);
+    EXPECT_GT(evictions, 0u);
+    EXPECT_GT(below, 0u);
+}
+
+TEST(SummaryVector, MissingKeysMatchesOracleAcrossSeqWrap) {
+    // Advertised seqs are u32: a word past 2^32 wraps to seq 0.  The cache
+    // holds ids on both sides of the wrap (two sources).
+    DupCache mine(DupCacheConfig{.max_sources = 4, .window = 128});
+    for (std::uint32_t q : {0xFFFFFFFFu, 0xFFFFFFF0u, 0xFFFFFFC1u}) mine.insert(1, q);
+    for (std::uint32_t q : {0u, 3u, 41u}) mine.insert(2, q);
+    SummaryVector theirs;
+    for (NodeId source : {1u, 2u, 3u}) {
+        theirs.sources.push_back(SourceSummary{source, 0xFFFFFFA7u, {~0ULL, ~0ULL, 0x5555ULL}});
+    }
+    ASSERT_TRUE(mine.holds(1, 0xFFFFFFFFu));
+    expect_matches_oracle(theirs, mine, "wrap", 0);
+    EXPECT_EQ(missing_keys(theirs, mine).size(), 3u * (128 + 8) - 6);
 }
 
 TEST(SummaryVector, CanonicalEncodingIsDeterministic) {
