@@ -8,7 +8,10 @@
 /// fault_session kernel runs at n and at 2n down links
 /// (`fault_session_2n`), so its opt_ns ratio is the n vs 2n check.  The
 /// summary_diff kernel times one beacon diff (`missing_keys`) against the
-/// per-bit `holds` loop it replaced.  Emits a
+/// per-bit `holds` loop it replaced.  The policy_decision kernel replays
+/// one seeded traffic run's stream of generic-fr decisions through
+/// `CoveragePolicy`'s per-run memo, against a direct coverage evaluation
+/// of each decision.  Emits a
 /// machine-readable document (schema adhoc-micro-v1) for the CI regression
 /// gate (tools/check_bench.py compares speedup ratios against the
 /// committed BENCH_micro.baseline.json).
@@ -20,6 +23,7 @@
 /// nonzero if any kernel's optimized output diverges from its reference.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -31,6 +35,7 @@
 #include <vector>
 
 #include <queue>
+#include <span>
 
 #include "core/coverage.hpp"
 #include "core/priority.hpp"
@@ -42,7 +47,10 @@
 #include "sim/node_agent.hpp"
 #include "stats/rng.hpp"
 #include "traffic/dup_cache.hpp"
+#include "traffic/engine.hpp"
+#include "traffic/policy.hpp"
 #include "traffic/summary_vector.hpp"
+#include "traffic/workload.hpp"
 
 namespace {
 
@@ -259,6 +267,40 @@ std::uint64_t fault_session_workload(Session& session, const faults::FaultPlan& 
     return h;
 }
 
+/// One `should_forward` call of a traffic run.
+struct Decision {
+    NodeId v = kInvalidNode;
+    std::uint8_t count = 0;
+    std::array<NodeId, traffic::kMaxHistory> visited{};
+
+    [[nodiscard]] std::span<const NodeId> history() const { return {visited.data(), count}; }
+};
+
+/// Records the decisions a wrapped policy makes, with their answers.
+class RecordingPolicy final : public traffic::ForwardPolicy {
+  public:
+    explicit RecordingPolicy(const traffic::ForwardPolicy& inner) : inner_(&inner) {}
+
+    [[nodiscard]] std::string name() const override { return inner_->name(); }
+    [[nodiscard]] bool should_forward(NodeId v, std::span<const NodeId> visited) const override {
+        Decision d;
+        d.v = v;
+        d.count = static_cast<std::uint8_t>(visited.size());
+        std::copy(visited.begin(), visited.end(), d.visited.begin());
+        const bool forward = inner_->should_forward(v, visited);
+        decisions.push_back(d);
+        answers.push_back(forward);
+        return forward;
+    }
+    void begin_run() const override { inner_->begin_run(); }
+
+    mutable std::vector<Decision> decisions;
+    mutable std::vector<bool> answers;
+
+  private:
+    const traffic::ForwardPolicy* inner_;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -414,6 +456,63 @@ int main(int argc, char** argv) {
                                       reps) /
                                   per;
             push("summary_diff", reps, ref_ns, opt_ns, match);
+        }
+
+        // --- traffic decisions: direct coverage evaluation vs per-run memo ---
+        //
+        // One seeded 100-session generic-fr traffic run on the fixture
+        // network is recorded.  The reference evaluates every decision on
+        // the node's precompiled 2-hop view (the un-memoised policy); the
+        // optimized side replays the stream through the policy, starting
+        // each repetition with an empty memo.
+        {
+            const auto policy = traffic::make_policy(fx.graph, "generic-fr");
+            const RecordingPolicy recorder(*policy);
+            traffic::TrafficConfig tc;
+            tc.sessions = 100;
+            tc.rate = 4.0;
+            const traffic::Workload wl = traffic::make_workload(tc, n, opts.seed, 0);
+            Rng rng(opts.seed ^ 0x7aff1cULL);
+            (void)traffic::TrafficEngine(fx.graph, recorder).run(wl, rng);
+            const std::vector<Decision>& stream = recorder.decisions;
+
+            const PriorityKeys keys(fx.graph, PriorityScheme::kDegree);
+            std::vector<LocalTopology> views;
+            for (NodeId v = 0; v < n; ++v) views.push_back(local_topology(fx.graph, v, 2));
+            std::vector<NodeStatus> status(n, NodeStatus::kUnvisited);
+            const auto direct = [&](const Decision& d) {
+                for (const NodeId u : d.history()) status[u] = NodeStatus::kVisited;
+                const View view(&views[d.v], &status, &keys);
+                const bool forward = !coverage_condition_holds(view, d.v, CoverageOptions{});
+                for (const NodeId u : d.history()) status[u] = NodeStatus::kUnvisited;
+                return forward;
+            };
+            const auto replay = [&](auto&& decide) {
+                std::size_t forwards = 0;
+                for (const Decision& d : stream) forwards += decide(d) ? 1 : 0;
+                return forwards;
+            };
+            const auto memoised = [&](const Decision& d) {
+                return policy->should_forward(d.v, d.history());
+            };
+
+            bool match = !stream.empty();
+            policy->begin_run();
+            for (std::size_t i = 0; i < stream.size() && match; ++i) {
+                match = direct(stream[i]) == recorder.answers[i] &&
+                        memoised(stream[i]) == recorder.answers[i];
+            }
+            const std::size_t reps = opts.smoke ? 10 : (n <= 500 ? 20 : 10);
+            const auto per = static_cast<double>(stream.size());
+            const double ref_ns = time_ns([&] { guard = guard + replay(direct); }, reps) / per;
+            const double opt_ns = time_ns(
+                                      [&] {
+                                          policy->begin_run();
+                                          guard = guard + replay(memoised);
+                                      },
+                                      reps) /
+                                  per;
+            push("policy_decision", reps, ref_ns, opt_ns, match);
         }
 
         // 2-hop knowledge base carrying the broadcast state — the exact

@@ -136,12 +136,16 @@ std::uint64_t traffic_digest(const traffic::TrafficResult& r) {
     return h;
 }
 
-/// The continuous-traffic oracle: the scenario's multi-session workload
-/// runs to completion with every session in exactly one outcome class,
-/// the classification is self-consistent, no per-node duplicate cache
-/// exceeds its ceiling, the run reproduces bit-identically, and a
-/// fault-free lossless run delivers every session.  Returns an empty
-/// string when clean.
+/// The continuous-traffic oracle, over two legs: flooding and the
+/// memoised generic-fr policy.  In each leg the scenario's multi-session
+/// workload runs to completion with every session in exactly one outcome
+/// class, the classification is self-consistent, no per-node duplicate
+/// cache exceeds its ceiling, and a second run on the same (now reused)
+/// policy reproduces the first bit-identically.  Flooding keeps full
+/// delivery under any arrival order, so only its leg also requires a
+/// fault-free lossless run to deliver every session; FR may legitimately
+/// leave a session degraded under jitter.  Returns an empty string when
+/// clean.
 std::string traffic_violation(const Scenario& s, const Graph& knowledge) {
     traffic::TrafficConfig tc;
     tc.sessions = s.traffic_sessions;
@@ -150,61 +154,70 @@ std::string traffic_violation(const Scenario& s, const Graph& knowledge) {
     const traffic::Workload wl =
         traffic::make_workload(tc, knowledge.node_count(), s.run_seed, 0);
 
-    // Flooding keeps full delivery under any arrival order, so the
-    // fault-free delivery check below is jitter-robust.
-    const auto policy = traffic::make_policy(knowledge, "flooding");
     traffic::EngineConfig config;
     config.medium.loss_probability = s.loss;
     config.medium.jitter = s.jitter;
     const faults::FaultPlan plan = s.fault_plan();
 
-    const auto once = [&] {
-        traffic::TrafficEngine engine(knowledge, *policy, config);
-        if (s.has_faults()) engine.attach_faults(&plan);
-        Rng rng(runner::splitmix64(s.run_seed ^ 0x7aff1cULL));
-        return engine.run(wl, rng);
-    };
-    const traffic::TrafficResult r = once();
+    const auto leg = [&](const char* key, bool expect_delivery) -> std::string {
+        const auto policy = traffic::make_policy(knowledge, key);
+        const auto once = [&] {
+            traffic::TrafficEngine engine(knowledge, *policy, config);
+            if (s.has_faults()) engine.attach_faults(&plan);
+            Rng rng(runner::splitmix64(s.run_seed ^ 0x7aff1cULL));
+            return engine.run(wl, rng);
+        };
+        const traffic::TrafficResult r = once();
 
-    if (r.sessions.size() != s.traffic_sessions) {
-        return "engine reported " + std::to_string(r.sessions.size()) + " sessions, expected " +
-               std::to_string(s.traffic_sessions);
-    }
-    if (r.delivered + r.degraded + r.partitioned != r.sessions.size()) {
-        return "outcome classes do not partition the session set";
-    }
-    for (const traffic::SessionOutcome& outcome : r.sessions) {
-        switch (outcome.outcome) {
-            case faults::DeliveryOutcome::kDelivered:
-                if (outcome.delivered_up != outcome.up_count) {
-                    return "session classified delivered but an up node missed it";
-                }
-                break;
-            case faults::DeliveryOutcome::kPartitioned:
-                if (outcome.missed_reachable != 0) {
-                    return "session classified partitioned but a reachable up node missed it";
-                }
-                if (outcome.delivered_up == outcome.up_count) {
-                    return "session classified partitioned but every up node holds it";
-                }
-                break;
-            case faults::DeliveryOutcome::kDegraded:
-                if (outcome.missed_reachable == 0) {
-                    return "session classified degraded but no reachable up node missed it";
-                }
-                break;
+        if (r.sessions.size() != s.traffic_sessions) {
+            return "engine reported " + std::to_string(r.sessions.size()) +
+                   " sessions, expected " + std::to_string(s.traffic_sessions);
         }
-    }
-    if (r.cache_ceiling_bytes > 0 && r.cache_peak_bytes > r.cache_ceiling_bytes) {
-        return "duplicate cache grew past its ceiling (" + std::to_string(r.cache_peak_bytes) +
-               " > " + std::to_string(r.cache_ceiling_bytes) + " bytes)";
-    }
-    if (traffic_digest(once()) != traffic_digest(r)) {
-        return "two traffic runs of the same seed diverged";
-    }
-    if (!s.has_faults() && s.loss == 0.0 && r.delivered != r.sessions.size()) {
-        return std::to_string(r.sessions.size() - r.delivered) +
-               " sessions undelivered on a fault-free lossless medium";
+        if (r.delivered + r.degraded + r.partitioned != r.sessions.size()) {
+            return "outcome classes do not partition the session set";
+        }
+        for (const traffic::SessionOutcome& outcome : r.sessions) {
+            switch (outcome.outcome) {
+                case faults::DeliveryOutcome::kDelivered:
+                    if (outcome.delivered_up != outcome.up_count) {
+                        return "session classified delivered but an up node missed it";
+                    }
+                    break;
+                case faults::DeliveryOutcome::kPartitioned:
+                    if (outcome.missed_reachable != 0) {
+                        return "session classified partitioned but a reachable up node missed "
+                               "it";
+                    }
+                    if (outcome.delivered_up == outcome.up_count) {
+                        return "session classified partitioned but every up node holds it";
+                    }
+                    break;
+                case faults::DeliveryOutcome::kDegraded:
+                    if (outcome.missed_reachable == 0) {
+                        return "session classified degraded but no reachable up node missed it";
+                    }
+                    break;
+            }
+        }
+        if (r.cache_ceiling_bytes > 0 && r.cache_peak_bytes > r.cache_ceiling_bytes) {
+            return "duplicate cache grew past its ceiling (" +
+                   std::to_string(r.cache_peak_bytes) + " > " +
+                   std::to_string(r.cache_ceiling_bytes) + " bytes)";
+        }
+        if (traffic_digest(once()) != traffic_digest(r)) {
+            return "two traffic runs of the same seed diverged";
+        }
+        if (expect_delivery && !s.has_faults() && s.loss == 0.0 &&
+            r.delivered != r.sessions.size()) {
+            return std::to_string(r.sessions.size() - r.delivered) +
+                   " sessions undelivered on a fault-free lossless medium";
+        }
+        return {};
+    };
+
+    if (std::string violation = leg("flooding", true); !violation.empty()) return violation;
+    if (std::string violation = leg("generic-fr", false); !violation.empty()) {
+        return "generic-fr: " + violation;
     }
     return {};
 }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "telemetry/telemetry.hpp"
 
@@ -23,6 +25,8 @@ const telemetry::MetricId kMetricPulls = telemetry::counter("traffic.pulls");
 const telemetry::MetricId kMetricRepairs = telemetry::counter("traffic.repairs");
 const telemetry::MetricId kMetricEvictions = telemetry::counter("traffic.cache.evictions");
 const telemetry::MetricId kMetricCacheBytes = telemetry::gauge("traffic.cache.bytes", "bytes");
+const telemetry::MetricId kMetricMemoHits = telemetry::counter("traffic.policy.memo_hits");
+const telemetry::MetricId kMetricMemoMisses = telemetry::counter("traffic.policy.memo_misses");
 
 // Per-packet wire accounting (documented in docs/TRAFFIC.md): a data
 // packet is an 8-byte (source, seq) header plus 4 bytes per piggybacked
@@ -100,8 +104,11 @@ struct TrafficEngine::RunState {
 
 TrafficEngine::TrafficEngine(const Graph& g, const ForwardPolicy& policy, EngineConfig config)
     : graph_(&g), policy_(&policy), config_(config), medium_(config.medium) {
-    assert(config_.history <= kMaxHistory);
-    if (config_.history > kMaxHistory) config_.history = kMaxHistory;
+    if (config_.history > kMaxHistory) {
+        throw std::invalid_argument("traffic::EngineConfig::history is " +
+                                    std::to_string(config_.history) + ", above the maximum of " +
+                                    std::to_string(kMaxHistory));
+    }
 }
 
 void TrafficEngine::transmit_data(RunState& rs, std::uint32_t session, NodeId sender,
@@ -346,6 +353,7 @@ void TrafficEngine::classify(RunState& rs) {
 }
 
 TrafficResult TrafficEngine::run(const Workload& wl, Rng& rng) {
+    policy_->begin_run();
     RunState rs;
     rs.wl = &wl;
     rs.n = graph_->node_count();
@@ -467,6 +475,9 @@ TrafficResult TrafficEngine::run(const Workload& wl, Rng& rng) {
     telemetry::count(kMetricRepairs, rs.result.repairs_served);
     telemetry::count(kMetricEvictions, rs.result.cache_evictions);
     telemetry::gauge_sample(kMetricCacheBytes, rs.result.cache_peak_bytes);
+    const MemoStats memo = policy_->memo_stats();
+    telemetry::count(kMetricMemoHits, memo.hits);
+    telemetry::count(kMetricMemoMisses, memo.misses);
 
     return std::move(rs.result);
 }

@@ -55,7 +55,7 @@ namespace adhoc::traffic {
 struct EngineConfig {
     MediumConfig medium;       ///< collision-free MAC (paper assumption 1)
     DupCacheConfig cache;
-    std::size_t history = 2;   ///< piggybacked visited ids per data packet (max 4)
+    std::size_t history = 2;   ///< piggybacked visited ids per data packet (max kMaxHistory)
 
     bool recovery = true;      ///< summary-vector beacons + gap pulls
     double sv_interval = 4.0;  ///< beacon period (HELLO cadence)
@@ -114,7 +114,8 @@ struct TrafficResult {
 
 class TrafficEngine {
   public:
-    /// `g` and `policy` must outlive the engine.
+    /// `g` and `policy` must outlive the engine.  Throws
+    /// std::invalid_argument when `config.history` exceeds kMaxHistory.
     TrafficEngine(const Graph& g, const ForwardPolicy& policy, EngineConfig config = {});
 
     /// Attaches a fault plan for subsequent runs (nullptr = fault-free).
@@ -123,11 +124,11 @@ class TrafficEngine {
 
     /// Runs every session of `wl` to completion.  Always terminates: all
     /// recovery budgets are bounded and beacons stop after the horizon.
+    /// Starts with `policy.begin_run()`, so a reused policy answers as a
+    /// fresh one would.
     [[nodiscard]] TrafficResult run(const Workload& wl, Rng& rng);
 
   private:
-    static constexpr std::size_t kMaxHistory = 4;
-
     struct Packet {
         std::uint32_t session = 0;
         NodeId sender = kInvalidNode;

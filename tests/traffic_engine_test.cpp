@@ -8,6 +8,7 @@
 
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 
 #include "faults/fault_plan.hpp"
 #include "graph/graph.hpp"
@@ -37,6 +38,21 @@ std::string digest(const TrafficResult& r) {
     }
     for (const std::uint64_t b : r.latency_hist) out << '#' << b;
     return out.str();
+}
+
+TEST(TrafficEngine, HistoryAboveTheMaximumIsRejected) {
+    const Graph g = grid_graph(3, 3);
+    const auto policy = make_policy(g, "generic-fr");
+    EngineConfig config;
+    config.history = kMaxHistory;
+    EXPECT_NO_THROW(TrafficEngine(g, *policy, config));
+    config.history = 5;
+    try {
+        TrafficEngine engine(g, *policy, config);
+        FAIL() << "history 5 was accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("history is 5"), std::string::npos) << e.what();
+    }
 }
 
 TEST(TrafficEngine, FaultFreeFullDeliveryAcrossPolicies) {
