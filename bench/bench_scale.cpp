@@ -8,9 +8,9 @@
 /// scratch-compiled k-hop views) per size through `ScaleEngine`.  Reports
 /// events/sec, engine bytes/node and process peak RSS, and — on sizes where
 /// it is affordable — the same broadcasts through the reference `Simulator`
-/// to anchor a speedup_vs_legacy ratio and cross-check outcomes (generic
-/// runs additionally check transmission-digest equality; their cap is
-/// n <= 10^3 because `GenericAgent`'s knowledge base is O(n^2) memory).
+/// to anchor a speedup_vs_legacy ratio and cross-check outcomes, including
+/// transmission-digest equality (the generic cap is n <= 10^3 because
+/// `GenericAgent`'s knowledge base is O(n^2) memory).
 ///
 ///   bench_scale [--smoke] [--resilience] [--max-n N] [--jobs J] [--seed S]
 ///               [--json PATH] [--no-timing]
@@ -26,11 +26,12 @@
 ///
 /// Sharding happens *inside* each run (the engine's partitioned event
 /// wheels), so `--jobs` changes wall clock only: every simulation output —
-/// counts, completion times, the canonical order digest — is identical at
-/// any jobs value.  `--no-timing` additionally zeroes the wall-clock,
-/// events/sec, RSS and speedup fields in the JSON (schema adhoc-scale-v1),
-/// making the file *byte-identical* across jobs values; the CI scale-smoke
-/// job diffs a --jobs 1 run against a --jobs 8 run exactly that way.
+/// counts, completion times, the transmission-order digest — is a function
+/// of the seed alone, identical at any jobs (and wheel) value.
+/// `--no-timing` additionally zeroes the wall-clock, events/sec, RSS and
+/// speedup fields in the JSON (schema adhoc-scale-v1), making the file
+/// *byte-identical* across jobs values; the CI scale-smoke job diffs a
+/// --jobs 1 run against a --jobs 8 run exactly that way.
 ///
 /// Exits nonzero when flooding misses component-exact delivery, when any
 /// engine policy disagrees with flooding on reached nodes, or when a legacy
@@ -509,12 +510,19 @@ int main(int argc, char** argv) {
                 ref = legacy.broadcast(graph, source, legacy_rng);
                 legacy_wall = std::min(legacy_wall, seconds_since(t2));
             }
+            // One untimed traced run pins the transmission order too.
+            Rng traced_rng(opts.seed);
+            const std::uint64_t want_digest = reference_transmission_digest(
+                legacy.broadcast_traced(graph, source, traced_rng, MediumConfig{}).trace);
             if (ref.forward_count != flood.forward_count ||
-                ref.received_count != flood.received_count) {
+                ref.received_count != flood.received_count ||
+                want_digest != flood.order_digest) {
                 std::cerr << "bench_scale: engine flooding diverged from Simulator at n=" << n
                           << " (forwards " << flood.forward_count << " vs " << ref.forward_count
                           << ", received " << flood.received_count << " vs "
-                          << ref.received_count << ")\n";
+                          << ref.received_count << ", digest "
+                          << (want_digest == flood.order_digest ? "equal" : "DIFFERS")
+                          << ")\n";
                 ++violations;
             }
             if (legacy_wall > 0.0) {

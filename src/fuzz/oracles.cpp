@@ -268,8 +268,7 @@ std::string scale_divergence(const Scenario& s, const Graph& knowledge,
     if (got.completion_time != result.completion_time) {
         return "scale completion time diverged";
     }
-    if (cfg->policy == ScalePolicy::kGenericCoverage &&
-        got.order_digest != reference_transmission_digest(result.trace)) {
+    if (got.order_digest != reference_transmission_digest(result.trace)) {
         return "scale transmission-order digest diverged from the trace fold";
     }
     return {};

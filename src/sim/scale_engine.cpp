@@ -103,11 +103,10 @@ inline std::uint64_t mix(std::uint64_t h, std::uint64_t x) noexcept {
 
 inline constexpr std::uint64_t kDigestBasis = 0xcbf29ce484222325ULL;
 
-/// "No receipt yet this window."  Unreachable as a real key: the high word
-/// is the sender's transmission ordinal, and ordinal 0xffffffff is the
-/// not-yet-transmitted sentinel — a sender always has a real ordinal.
-inline constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
-inline constexpr std::uint32_t kNoRank = 0xffffffffu;
+/// Windows whose staged event count cannot amortize a barrier rendezvous
+/// run inline on the calling thread.  Both paths compute the identical
+/// result, so the adaptive choice never shows in counts or digests.
+inline constexpr std::size_t kParallelWindow = 4096;
 
 // ---- faulted windowed replay ------------------------------------------
 
@@ -182,35 +181,41 @@ ScaleEngine::ScaleEngine(const Graph& graph, ScaleConfig config)
     if (config_.jobs == 0) {
         throw std::invalid_argument("ScaleConfig.jobs must be >= 1");
     }
+    // A window stages at most one copy per directed edge, numbered by a
+    // 32-bit insertion sequence.
+    if (2 * graph.edge_count() > 0xffffffffULL) {
+        throw std::invalid_argument(
+            "graph edge count = " + std::to_string(graph.edge_count()) +
+            ": a window's 2|E| staged copies overflow the engine's 32-bit "
+            "insertion sequence — use at most 2147483647 edges");
+    }
     const std::size_t n = graph.node_count();
     config_.wheels = std::min(config_.wheels, std::max<std::size_t>(n, 1));
     block_ = (n + config_.wheels - 1) / config_.wheels;
     if (block_ == 0) block_ = 1;
     received_.assign(n, 0);
     forwarded_.assign(n, 0);
-    first_sender_.assign(n, kInvalidNode);
-    wheels_.resize(config_.wheels);
-    prev_.resize(config_.wheels * config_.wheels);
-    cur_.resize(config_.wheels * config_.wheels);
+    buckets_.resize(config_.wheels);
+    scratch_.resize(config_.wheels);
 
     if (config_.policy == ScalePolicy::kGenericCoverage) {
         validate_generic_config();
         keys_ = PriorityKeys(graph_, config_.generic.priority);
-        tx_rank_.assign(n, kNoRank);
-        best_key_.assign(n, kNoKey);
         chain_.assign(n * chain_stride(), kInvalidNode);
         chain_len_.assign(n, 0);
-        scratch_.resize(config_.wheels);
     }
 }
 
 ScaleEngine::~ScaleEngine() = default;
 
 std::size_t ScaleEngine::chain_stride() const noexcept {
-    // Static decisions ignore broadcast state entirely, so nothing is
-    // piggybacked; first-receipt carries the last `history` visited nodes.
-    return config_.generic.timing == Timing::kFirstReceipt ? config_.generic.history
-                                                           : 0;
+    // Flooding, self-pruning and static decisions ignore broadcast state
+    // entirely, so nothing is piggybacked; first-receipt generic coverage
+    // carries the last `history` visited nodes.
+    return config_.policy == ScalePolicy::kGenericCoverage &&
+                   config_.generic.timing == Timing::kFirstReceipt
+               ? config_.generic.history
+               : 0;
 }
 
 bool ScaleEngine::covered_by(NodeId v, NodeId u) const noexcept {
@@ -227,46 +232,13 @@ bool ScaleEngine::covered_by(NodeId v, NodeId u) const noexcept {
     return true;
 }
 
-void ScaleEngine::process_wheel(std::size_t w) {
-    Wheel& wheel = wheels_[w];
-    const std::size_t wheel_count = config_.wheels;
-    for (std::size_t d = 0; d < wheel_count; ++d) cur_[w * wheel_count + d].clear();
-    // Canonical order: source wheel 0..W-1, generation order within each —
-    // exactly the (time, seq) order a per-wheel priority queue would pop,
-    // since every pending event shares this window's delivery time.
-    for (std::size_t s = 0; s < wheel_count; ++s) {
-        for (const Staged& e : prev_[s * wheel_count + w]) {
-            const NodeId v = e.node;
-            ++wheel.delivered;
-            wheel.last_time = std::max(wheel.last_time, e.time);
-            wheel.digest = mix(wheel.digest, std::bit_cast<std::uint64_t>(e.time));
-            wheel.digest = mix(wheel.digest, (std::uint64_t{v} << 32) | e.sender);
-            if (received_[v]) continue;  // duplicate copy: snooped, not re-decided
-            received_[v] = 1;
-            first_sender_[v] = e.sender;
-            const bool forward =
-                config_.policy == ScalePolicy::kFlood || !covered_by(v, e.sender);
-            if (!forward) continue;
-            forwarded_[v] = 1;
-            const double next_time = e.time + config_.delay;
-            for (NodeId x : graph_.neighbors(v)) {
-                cur_[w * wheel_count + wheel_of(x)].push_back({next_time, x, v});
-            }
-        }
+bool ScaleEngine::forwards(WheelScratch& ws, NodeId v, NodeId u) {
+    switch (config_.policy) {
+        case ScalePolicy::kFlood: return true;
+        case ScalePolicy::kSelfPrune: return !covered_by(v, u);
+        case ScalePolicy::kGenericCoverage: return decide_generic(ws, v, u);
     }
-}
-
-std::uint64_t ScaleEngine::receipt_key(NodeId sender, NodeId v) const noexcept {
-    // The reference Simulator delivers a window's copies in (sender
-    // transmission time, schedule sequence) order, and the sequence numbers
-    // follow the sender's fanout loop over its sorted adjacency row.  So
-    // (sender's transmission ordinal, index of v in the sender's row) is
-    // the exact pop order — recovered here with a binary search instead of
-    // widening the Staged record.
-    const auto row = graph_.neighbors(sender);
-    const auto it = std::lower_bound(row.begin(), row.end(), v);
-    const auto idx = static_cast<std::uint64_t>(it - row.begin());
-    return (std::uint64_t{tx_rank_[sender]} << 32) | idx;
+    return true;
 }
 
 bool ScaleEngine::decide_generic(WheelScratch& ws, NodeId v, NodeId u) {
@@ -310,37 +282,20 @@ bool ScaleEngine::decide_with_visited(WheelScratch& ws, NodeId v) {
                 .covered;
 }
 
-void ScaleEngine::scan_wheel_generic(std::size_t w) {
-    Wheel& wheel = wheels_[w];
-    const std::size_t wheel_count = config_.wheels;
+void ScaleEngine::scan_wheel(std::size_t w) {
     WheelScratch& ws = scratch_[w];
-    ws.fresh.clear();
     ws.forwarders.clear();
-    // Pass 1: account every delivery and find, per not-yet-received node,
-    // the minimum receipt key — the copy the reference Simulator would pop
-    // first within this window.
-    for (std::size_t s = 0; s < wheel_count; ++s) {
-        for (const Staged& e : prev_[s * wheel_count + w]) {
-            const NodeId v = e.node;
-            ++wheel.delivered;
-            wheel.last_time = std::max(wheel.last_time, e.time);
-            if (received_[v]) continue;  // duplicate copy: snooped, not re-decided
-            const std::uint64_t key = receipt_key(e.sender, v);
-            if (best_key_[v] == kNoKey) ws.fresh.push_back(v);
-            if (key < best_key_[v]) {
-                best_key_[v] = key;
-                first_sender_[v] = e.sender;
-            }
-        }
-    }
-    // Pass 2: decide each first receipt against its first sender's packet.
-    // Chains of this window's senders are final (they transmitted last
-    // window), so the decisions are independent across wheels.
     const std::size_t h = chain_stride();
-    for (NodeId v : ws.fresh) {
+    // The bucket is in insertion-sequence order — the reference Simulator's
+    // pop order within the window — so the first copy of v met here IS v's
+    // first receipt.  The deciding state (the sender's chain) was final when
+    // the sender transmitted last window, so wheels decide independently.
+    for (const Staged& e : buckets_[w]) {
+        const NodeId v = e.node;
+        if (received_[v]) continue;  // duplicate copy: snooped, not re-decided
         received_[v] = 1;
-        const NodeId u = first_sender_[v];
-        if (!decide_generic(ws, v, u)) continue;
+        const NodeId u = e.sender;
+        if (!forwards(ws, v, u)) continue;
         forwarded_[v] = 1;
         if (h > 0) {
             // Outgoing chain: the last min(len(u), h-1) of the sender's
@@ -353,100 +308,8 @@ void ScaleEngine::scan_wheel_generic(std::size_t w) {
             cv[keep] = v;
             chain_len_[v] = static_cast<std::uint32_t>(keep + 1);
         }
-        ws.forwarders.push_back(v);
+        ws.forwarders.push_back((std::uint64_t{e.seq} << 32) | v);
     }
-}
-
-ScaleResult ScaleEngine::run_generic(NodeId source) {
-    const std::size_t n = graph_.node_count();
-    std::fill(received_.begin(), received_.end(), 0);
-    std::fill(forwarded_.begin(), forwarded_.end(), 0);
-    std::fill(first_sender_.begin(), first_sender_.end(), kInvalidNode);
-    std::fill(tx_rank_.begin(), tx_rank_.end(), kNoRank);
-    std::fill(best_key_.begin(), best_key_.end(), kNoKey);
-    std::fill(chain_len_.begin(), chain_len_.end(), 0);
-    for (Wheel& wheel : wheels_) wheel = Wheel{};
-    for (std::vector<Staged>& bucket : prev_) bucket.clear();
-    for (std::vector<Staged>& bucket : cur_) bucket.clear();
-    generic_digest_ = kDigestBasis;
-    next_rank_ = 0;
-
-    ScaleResult result;
-    if (n == 0) return result;
-
-    const std::size_t wheel_count = config_.wheels;
-    received_[source] = 1;
-    forwarded_[source] = 1;
-    tx_rank_[source] = next_rank_++;
-    generic_digest_ = mix(generic_digest_, std::bit_cast<std::uint64_t>(0.0));
-    generic_digest_ = mix(generic_digest_, source);
-    if (const std::size_t h = chain_stride(); h > 0) {
-        chain_[std::size_t{source} * h] = source;
-        chain_len_[source] = 1;
-    }
-    {
-        const std::size_t w = wheel_of(source);
-        for (NodeId x : graph_.neighbors(source)) {
-            prev_[w * wheel_count + wheel_of(x)].push_back({config_.delay, x, source});
-        }
-    }
-
-    std::optional<PhaseCrew> crew;
-    constexpr std::size_t kParallelWindow = 4096;
-    // All of a window's deliveries share one receive instant, accumulated
-    // by repeated addition exactly as the Simulator accumulates now_ +
-    // delay — bit-equality of times (hence digests) is preserved.
-    double window_time = config_.delay;
-
-    while (true) {
-        std::size_t queued = 0;
-        for (const std::vector<Staged>& bucket : prev_) queued += bucket.size();
-        result.peak_queue_events = std::max(result.peak_queue_events, queued);
-        if (queued == 0) break;
-        ++result.windows;
-        if (config_.jobs > 1 && queued >= kParallelWindow) {
-            if (!crew) crew.emplace(config_.jobs, wheel_count);
-            crew->run_phase([&](std::size_t w) { scan_wheel_generic(w); });
-        } else {
-            for (std::size_t w = 0; w < wheel_count; ++w) scan_wheel_generic(w);
-        }
-
-        // Serial rank step: merge the window's new forwarders in receipt-key
-        // order — the global (time, seq) order the reference Simulator
-        // decides in — assign dense transmission ordinals, fold the order
-        // digest, and stage the fanout.  O(F log F + fanout F) against the
-        // coverage kernels' O(F * ball edges): never the bottleneck.
-        merge_.clear();
-        for (std::size_t w = 0; w < wheel_count; ++w) {
-            for (NodeId v : scratch_[w].forwarders) merge_.push_back({best_key_[v], v});
-        }
-        std::sort(merge_.begin(), merge_.end());
-        for (std::vector<Staged>& bucket : cur_) bucket.clear();
-        const double next_time = window_time + config_.delay;
-        for (const auto& [key, v] : merge_) {
-            tx_rank_[v] = next_rank_++;
-            generic_digest_ = mix(generic_digest_, std::bit_cast<std::uint64_t>(window_time));
-            generic_digest_ = mix(generic_digest_, v);
-            const std::size_t row = wheel_of(v) * wheel_count;
-            for (NodeId x : graph_.neighbors(v)) {
-                cur_[row + wheel_of(x)].push_back({next_time, x, v});
-            }
-        }
-        prev_.swap(cur_);
-        window_time = next_time;
-    }
-
-    for (const Wheel& wheel : wheels_) {
-        result.delivered_events += wheel.delivered;
-        result.completion_time = std::max(result.completion_time, wheel.last_time);
-    }
-    result.order_digest = generic_digest_;
-    result.forward_count =
-        static_cast<std::size_t>(std::count(forwarded_.begin(), forwarded_.end(), 1));
-    result.received_count =
-        static_cast<std::size_t>(std::count(received_.begin(), received_.end(), 1));
-    result.full_delivery = result.received_count == n;
-    return result;
 }
 
 std::size_t ScaleEngine::window_index(double time) const noexcept {
@@ -620,7 +483,6 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
 
     std::fill(received_.begin(), received_.end(), 0);
     std::fill(forwarded_.begin(), forwarded_.end(), 0);
-    std::fill(first_sender_.begin(), first_sender_.end(), kInvalidNode);
     for (std::vector<REvent>& bucket : cal_) bucket.clear();
     work_.clear();
     packets_.clear();
@@ -669,7 +531,6 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
     }
 
     std::optional<PhaseCrew> crew;
-    constexpr std::size_t kParallelWindow = 4096;
     double completion = 0.0;
 
     for (std::size_t w = 0; r_pending_ > 0 && w < cal_.size(); ++w) {
@@ -761,7 +622,6 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
                     received_[v] = 1;
                     if (!first) break;  // duplicate copy: snooped only
                     held_pkt_[v] = e.payload;
-                    first_sender_[v] = packets_[e.payload].sender;
                     // RecoveryAgent::on_receive arms the holder beacon
                     // BEFORE the inner agent's fanout sequences.
                     if (recovery_on() && recovery_->max_beacons > 0) {
@@ -876,58 +736,79 @@ ScaleResult ScaleEngine::run(NodeId source) {
     // broadcast_resilient always runs with an active fault session, and
     // byte-parity requires mirroring that mode exactly.
     if (fault_plan_ != nullptr || recovery_on()) return run_resilient(source);
-    if (config_.policy == ScalePolicy::kGenericCoverage) return run_generic(source);
 
     const std::size_t n = graph_.node_count();
     std::fill(received_.begin(), received_.end(), 0);
     std::fill(forwarded_.begin(), forwarded_.end(), 0);
-    std::fill(first_sender_.begin(), first_sender_.end(), kInvalidNode);
-    for (Wheel& wheel : wheels_) wheel = Wheel{};
-    for (std::vector<Staged>& bucket : prev_) bucket.clear();
-    for (std::vector<Staged>& bucket : cur_) bucket.clear();
+    std::fill(chain_len_.begin(), chain_len_.end(), 0);
 
     ScaleResult result;
     if (n == 0) return result;
 
-    // The source transmits unconditionally at t = 0 (paper Section 5); its
-    // fanout is the first window's schedule.
+    // The source transmits unconditionally at t = 0 (paper Section 5).
     received_[source] = 1;
     forwarded_[source] = 1;
-    {
-        const std::size_t w = wheel_of(source);
-        for (NodeId x : graph_.neighbors(source)) {
-            prev_[w * config_.wheels + wheel_of(x)].push_back(
-                {config_.delay, x, source});
-        }
+    if (const std::size_t h = chain_stride(); h > 0) {
+        chain_[std::size_t{source} * h] = source;
+        chain_len_[source] = 1;
     }
+    merge_.assign(1, source);
 
-    // Workers are spun up lazily: a window whose event count cannot amortize
-    // a barrier rendezvous runs inline on the calling thread instead.  Both
-    // paths compute the identical result, so the adaptive choice never shows
-    // in counts or digests.
     std::optional<PhaseCrew> crew;
-    constexpr std::size_t kParallelWindow = 4096;
+    std::uint64_t digest = kDigestBasis;
+    // The transmit instant of `merge_`, accumulated by repeated addition
+    // exactly as the Simulator accumulates now_ + delay — bit-equality of
+    // times (hence digests) is preserved.
+    double now = 0.0;
 
     while (true) {
-        std::size_t queued = 0;
-        for (const std::vector<Staged>& bucket : prev_) queued += bucket.size();
-        result.peak_queue_events = std::max(result.peak_queue_events, queued);
-        if (queued == 0) break;
-        ++result.windows;
-        if (config_.jobs > 1 && queued >= kParallelWindow) {
-            if (!crew) crew.emplace(config_.jobs, config_.wheels);
-            crew->run_phase([&](std::size_t w) { process_wheel(w); });
-        } else {
-            for (std::size_t w = 0; w < config_.wheels; ++w) process_wheel(w);
+        // Serial step: `merge_` holds the window's forwarders in the order
+        // the reference Simulator transmits them.  Fold each transmission
+        // into the digest and stage its fanout along the sorted adjacency
+        // row, numbering copies in that global order — the Simulator's
+        // insertion sequence for the next window.  At 10^6 nodes the step
+        // waits on two dependent cache misses per sender (row header, then
+        // row); prefetching the row of a sender a few places ahead overlaps
+        // them.
+        for (std::vector<Staged>& bucket : buckets_) bucket.clear();
+        std::uint32_t seq = 0;
+        constexpr std::size_t kAhead = 8;
+        for (std::size_t i = 0; i < merge_.size(); ++i) {
+            if (i + kAhead < merge_.size()) {
+                const auto ahead = static_cast<NodeId>(merge_[i + kAhead]);
+                __builtin_prefetch(graph_.neighbors(ahead).data());
+            }
+            const auto v = static_cast<NodeId>(merge_[i]);
+            digest = mix(digest, std::bit_cast<std::uint64_t>(now));
+            digest = mix(digest, v);
+            for (NodeId x : graph_.neighbors(v)) {
+                buckets_[wheel_of(x)].push_back({seq++, x, v});
+            }
         }
-        prev_.swap(cur_);
+        result.peak_queue_events = std::max<std::size_t>(result.peak_queue_events, seq);
+        if (seq == 0) break;
+        now += config_.delay;
+        ++result.windows;
+        result.delivered_events += seq;
+        result.completion_time = now;
+
+        if (config_.jobs > 1 && seq >= kParallelWindow) {
+            if (!crew) crew.emplace(config_.jobs, config_.wheels);
+            crew->run_phase([&](std::size_t w) { scan_wheel(w); });
+        } else {
+            for (std::size_t w = 0; w < config_.wheels; ++w) scan_wheel(w);
+        }
+
+        // Each wheel's forwarders ascend by the sequence of their first
+        // receipt; merged, they are the next window's transmission order.
+        merge_.clear();
+        for (const WheelScratch& ws : scratch_) {
+            merge_.insert(merge_.end(), ws.forwarders.begin(), ws.forwarders.end());
+        }
+        std::sort(merge_.begin(), merge_.end());
     }
 
-    for (const Wheel& wheel : wheels_) {
-        result.delivered_events += wheel.delivered;
-        result.completion_time = std::max(result.completion_time, wheel.last_time);
-        result.order_digest = mix(result.order_digest, wheel.digest);
-    }
+    result.order_digest = digest;
     result.forward_count =
         static_cast<std::size_t>(std::count(forwarded_.begin(), forwarded_.end(), 1));
     result.received_count =
@@ -937,22 +818,16 @@ ScaleResult ScaleEngine::run(NodeId source) {
 }
 
 std::size_t ScaleEngine::state_bytes() const noexcept {
-    std::size_t bytes = received_.capacity() + forwarded_.capacity() +
-                        first_sender_.capacity() * sizeof(NodeId);
-    for (const std::vector<Staged>& bucket : prev_) {
+    std::size_t bytes = received_.capacity() + forwarded_.capacity();
+    for (const std::vector<Staged>& bucket : buckets_) {
         bytes += bucket.capacity() * sizeof(Staged);
     }
-    for (const std::vector<Staged>& bucket : cur_) {
-        bytes += bucket.capacity() * sizeof(Staged);
-    }
-    bytes += tx_rank_.capacity() * sizeof(std::uint32_t) +
-             best_key_.capacity() * sizeof(std::uint64_t) +
-             chain_.capacity() * sizeof(NodeId) +
+    bytes += chain_.capacity() * sizeof(NodeId) +
              chain_len_.capacity() * sizeof(std::uint32_t) +
-             merge_.capacity() * sizeof(std::pair<std::uint64_t, NodeId>);
+             merge_.capacity() * sizeof(std::uint64_t);
     for (const WheelScratch& ws : scratch_) {
         bytes += ws.fresh.capacity() * sizeof(NodeId) +
-                 ws.forwarders.capacity() * sizeof(NodeId) +
+                 ws.forwarders.capacity() * sizeof(std::uint64_t) +
                  ws.visited.capacity() * sizeof(NodeId) + ws.ball.bytes();
     }
     for (const std::vector<REvent>& bucket : cal_) {

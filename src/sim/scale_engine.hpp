@@ -11,44 +11,45 @@
 /// moment are the next window's.  No priority queue is needed at all: the
 /// staging buckets ARE the schedule.
 ///
-/// Sharding is by *wheel*, not by thread: nodes are block-partitioned into a
-/// fixed number of event wheels (`ScaleConfig::wheels`, independent of
-/// `jobs`), and the schedule is a double-buffered matrix of staging buckets
-/// `out[src][dst]`.  Each window runs ONE phase: wheel `w` walks the
-/// previous window's buckets `prev[s][w]` in canonical (source wheel,
-/// generation) order — exactly the (time, seq) pop order a per-wheel queue
-/// would produce — applies the forwarding policy to its own nodes' state,
-/// and stages resulting sends into `cur[w][dst]` in generation order.  A
-/// barrier publishes the window, the buffers swap, and the next window
-/// begins.
+/// Sharding is by *wheel*, not by thread: nodes are block-partitioned into
+/// a fixed number of event wheels (`ScaleConfig::wheels`, independent of
+/// `jobs`), and the schedule is one staging bucket per destination wheel.
+/// Every policy runs through ONE loop; each window has two steps:
+///
+///  - the phase, parallel over wheels: wheel `w` walks its bucket in order.
+///    The first copy of a node it meets is that node's first receipt, so
+///    the wheel marks it received and applies the policy predicate right
+///    there — flooding (always), self-pruning (N(v) not covered by
+///    N(u) u {u}) or generic coverage — and lists each forwarder with the
+///    sequence number of its first copy;
+///  - the serial step: the wheels' lists merge by sequence number into the
+///    global transmission order, each transmission is folded into the
+///    order digest, and its fanout is staged along the sender's sorted
+///    adjacency row, numbered by a per-window counter.
+///
+/// That counter IS the reference Simulator's insertion sequence within the
+/// window (senders in transmission order, neighbors in adjacency order), so
+/// each bucket is already in the Simulator's (time, seq) pop order and
+/// nothing is re-sorted.  Forward set, counts, completion time and the
+/// order digest are byte-identical to the serial `Simulator` for every
+/// policy, every `wheels` and every `jobs` value (tests/scale_engine_test.cpp
+/// and tests/scale_resilience_test.cpp prove it; the fuzzer's scale oracle
+/// keeps proving it).  The per-window counter is 32 bits: the constructor
+/// rejects graphs with 2|E| > 2^32 - 1.
 ///
 /// **Generic coverage at scale.**  `ScalePolicy::kGenericCoverage` runs the
-/// paper's coverage-condition decision (Sections 3-4) inside the windowed
-/// engine for the honorable axis subset — Static or First-Receipt timing ×
-/// self-pruning selection × k-hop views (k >= 1) × any priority/history/
-/// coverage knobs.  Under a collision-free uniform-delay medium a
-/// first-receipt self-pruning decision depends only on the *first received*
-/// transmission, so per-node protocol state collapses to the outgoing
-/// history chain (<= h node ids).  Each window the phase computes, per
-/// node, the minimum (sender transmission ordinal, adjacency index) receipt
-/// key — the exact (time, seq) pop order of the reference Simulator — and
-/// evaluates the coverage kernel of src/core/coverage.cpp over a compact
-/// local view compiled into per-wheel scratch by `compile_ball`
+/// paper's coverage-condition decision (Sections 3-4) for the honorable
+/// axis subset — Static or First-Receipt timing × self-pruning selection ×
+/// k-hop views (k >= 1) × any priority/history/coverage knobs.  Under a
+/// collision-free uniform-delay medium a first-receipt self-pruning
+/// decision depends only on the *first received* transmission, so per-node
+/// protocol state collapses to the outgoing history chain (<= h node ids).
+/// The phase evaluates the coverage kernel of src/core/coverage.cpp over a
+/// compact local view compiled into per-wheel scratch by `compile_ball`
 /// (src/graph/khop.hpp, the Definition-2 routine behind `local_topology`;
-/// zero allocations in steady state).  A short serial step
-/// then ranks the window's new forwarders in receipt-key order, folds the
-/// order digest, and stages their fanout.  Result: forward set, counts,
-/// completion time and transmission-order digest byte-identical to the
-/// serial `Simulator` running `GenericAgent` with the same `GenericConfig`
-/// (tests/scale_engine_test.cpp proves it across seeds × wheels × jobs, and
-/// the fuzzer's scale oracle keeps proving it continuously).
-///
-/// Every decision compiles its view afresh: O(ball edges), no standing
-/// memory, over the one immutable graph the engine was constructed with.
-///
-/// The phase parallelizes over wheels with any number of worker threads;
-/// the result (counts, completion time, and the order digest) is
-/// byte-identical for every `jobs` value.
+/// zero allocations in steady state).  Every decision compiles its view
+/// afresh: O(ball edges), no standing memory, over the one immutable graph
+/// the engine was constructed with.
 ///
 /// **Faults at scale.**  `attach_faults` threads a `faults::FaultPlan`
 /// (crash/recover schedules, link churn, counter-based asymmetric loss)
@@ -107,7 +108,7 @@ enum class ScaleViewMode {
 
 struct ScaleConfig {
     double delay = 1.0;       ///< uniform per-hop latency (> 0)
-    std::size_t wheels = 8;   ///< event-wheel shards; fixes the merged order
+    std::size_t wheels = 8;   ///< event-wheel shards; shards only, never changes the result
     std::size_t jobs = 1;     ///< worker threads (>= 1); never changes the result
     ScalePolicy policy = ScalePolicy::kFlood;
     /// Knobs for kGenericCoverage (ignored by the other policies).  The
@@ -128,17 +129,11 @@ struct ScaleResult {
     bool full_delivery = false;
     std::size_t windows = 0;            ///< synchronization rounds executed
     std::size_t peak_queue_events = 0;  ///< max events pending across wheels
-    /// kFlood/kSelfPrune: mix-fold over the canonical per-wheel drain
-    /// stream (wheel-major: every event's time bits, node, sender); a
-    /// function of (seed, wheels).  kGenericCoverage: mix-fold over the
-    /// *global transmission order* (each transmission's time bits and
-    /// node), independent of `wheels` as well as `jobs`, and equal to
-    /// `reference_transmission_digest` of a Simulator trace of the same
-    /// broadcast.  Either way, equal digests across `jobs` values prove
-    /// the processing order never diverged.  Faulted runs (any policy) use
-    /// the global transmission digest, equal to
-    /// `reference_transmission_digest` of the matching resilient Simulator
-    /// trace.
+    /// Mix-fold over the global transmission order (each transmission's
+    /// time bits and node), for every policy, fault-free or faulted.  It
+    /// equals `reference_transmission_digest` of a Simulator trace of the
+    /// same broadcast (`broadcast_resilient` for faulted runs), and so
+    /// depends on neither `wheels` nor `jobs`.
     std::uint64_t order_digest = 0;
 
     // ---- Fault/recovery accounting (zero / empty for fault-free runs),
@@ -149,11 +144,11 @@ struct ScaleResult {
     std::vector<char> down;            ///< nodes down at end of run (empty: no faults)
 };
 
-/// The generic-policy order digest computed from a reference `Simulator`
-/// trace: the same mix-fold over (time, node) of every kTransmit event, in
-/// trace order.  `ScaleResult::order_digest` of a kGenericCoverage run must
-/// equal this for a trace of the same broadcast — the differential anchor
-/// used by tests, the fuzz oracle and bench_scale's legacy cross-check.
+/// The order digest computed from a reference `Simulator` trace: the same
+/// mix-fold over (time, node) of every kTransmit event, in trace order.
+/// `ScaleResult::order_digest` must equal this for a trace of the same
+/// broadcast — the differential anchor used by tests, the fuzz oracle and
+/// bench_scale's legacy cross-check.
 [[nodiscard]] std::uint64_t reference_transmission_digest(const Trace& trace);
 
 class ScaleEngine {
@@ -168,7 +163,8 @@ class ScaleEngine {
     ScaleEngine& operator=(const ScaleEngine&) = delete;
 
     /// Runs one broadcast from `source` to quiescence.  Reusable: state is
-    /// reset on entry.
+    /// reset on entry.  An attached fault plan or armed recovery layer
+    /// routes the run through the faulted replay.
     [[nodiscard]] ScaleResult run(NodeId source);
 
     [[nodiscard]] const ScaleConfig& config() const noexcept { return config_; }
@@ -205,20 +201,23 @@ class ScaleEngine {
     [[nodiscard]] std::size_t state_bytes() const noexcept;
 
   private:
+    /// One staged copy of the next window.  All copies of a window share
+    /// one delivery instant, so only their order is stored.
     struct Staged {
-        double time;  ///< delivery instant
+        std::uint32_t seq;  ///< the Simulator's insertion order within the window
         NodeId node;
         NodeId sender;
     };
 
-    /// Per-wheel working set of the generic-coverage phase: window-local
-    /// first-receipt bookkeeping plus the view-compile buffers.  All
-    /// buffers only grow — zero allocations per decision in steady state.
+    /// Per-wheel working set of the window phase: the window's forwarders
+    /// plus the view-compile buffers.  All buffers only grow — zero
+    /// allocations per decision in steady state.
     struct WheelScratch {
-        std::vector<NodeId> fresh;       ///< first receipts found this window
-        std::vector<NodeId> forwarders;  ///< subset of fresh that forwards
-        std::vector<NodeId> visited;     ///< decision-time visited set (<= h+1)
-        BallScratch ball;                ///< the decision's compiled view
+        /// `(seq << 32) | node` of the wheel's forwarders, ascending seq.
+        std::vector<std::uint64_t> forwarders;
+        std::vector<NodeId> fresh;    ///< faulted pre-scan: first receipts to decide
+        std::vector<NodeId> visited;  ///< decision-time visited set (<= h+1)
+        BallScratch ball;             ///< the decision's compiled view
     };
 
     /// One replayed queue entry of the faulted plane.  `payload` indexes
@@ -245,16 +244,18 @@ class ScaleEngine {
     };
 
     [[nodiscard]] std::size_t wheel_of(NodeId v) const noexcept { return v / block_; }
-    void process_wheel(std::size_t w);
     [[nodiscard]] bool covered_by(NodeId v, NodeId u) const noexcept;
 
     void validate_generic_config() const;
-    [[nodiscard]] ScaleResult run_generic(NodeId source);
-    void scan_wheel_generic(std::size_t w);
-    [[nodiscard]] std::uint64_t receipt_key(NodeId sender, NodeId v) const noexcept;
+    /// One wheel's share of a fault-free window: first receipts, decisions,
+    /// outgoing chains, and the wheel's forwarder list.
+    void scan_wheel(std::size_t w);
+    /// The policy predicate: does `v`, first reached by `u`, forward?
+    [[nodiscard]] bool forwards(WheelScratch& ws, NodeId v, NodeId u);
     [[nodiscard]] bool decide_generic(WheelScratch& ws, NodeId v, NodeId u);
-    /// Outgoing history chain entries piggybacked per transmission (0 when
-    /// the timing is static — children ignore broadcast state anyway).
+    /// Outgoing history chain entries piggybacked per transmission (0 unless
+    /// the policy is first-receipt generic coverage — no other decision
+    /// reads broadcast state).
     [[nodiscard]] std::size_t chain_stride() const noexcept;
 
     // ---- faulted windowed replay (run_resilient and helpers) ----------
@@ -294,34 +295,21 @@ class ScaleEngine {
     // locations (no false word-sharing races, unlike packed bitsets).
     std::vector<char> received_;
     std::vector<char> forwarded_;
-    std::vector<NodeId> first_sender_;
 
-    struct Wheel {
-        std::size_t delivered = 0;
-        double last_time = 0.0;
-        std::uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a basis
-    };
-    std::vector<Wheel> wheels_;
-    /// Double-buffered staging matrix, indexed [src * wheels + dst].
-    /// `prev_` holds the current window's deliveries (read-only during the
-    /// phase); the phase (kFlood/kSelfPrune) or the serial rank step
-    /// (kGenericCoverage) stages the next window into `cur_`.  Swapped
-    /// between windows; capacity is kept.
-    std::vector<std::vector<Staged>> prev_;
-    std::vector<std::vector<Staged>> cur_;
+    /// The window's staged copies, one bucket per destination wheel, each
+    /// in insertion-sequence order.  Read-only during the phase; the serial
+    /// step refills them for the next window (capacity is kept).
+    std::vector<std::vector<Staged>> buckets_;
+    std::vector<WheelScratch> scratch_;  ///< one per wheel
+    std::vector<std::uint64_t> merge_;   ///< the window's forwarders, seq order
 
     // ---- kGenericCoverage state --------------------------------------
     PriorityKeys keys_;  ///< static priority keys of the graph
-    std::vector<std::uint32_t> tx_rank_;   ///< global transmission ordinal
-    std::vector<std::uint64_t> best_key_;  ///< min receipt key this window
-    std::vector<NodeId> chain_;            ///< outgoing history, stride h
+    std::vector<NodeId> chain_;  ///< outgoing history, stride h
     std::vector<std::uint32_t> chain_len_;
-    std::vector<WheelScratch> scratch_;  ///< one per wheel
-    std::vector<std::pair<std::uint64_t, NodeId>> merge_;  ///< serial rank sort
-    std::uint64_t generic_digest_ = 0;
-    std::uint32_t next_rank_ = 0;
 
     // ---- faulted plane state ------------------------------------------
+    std::uint64_t generic_digest_ = 0;  ///< transmission-order digest
     const faults::FaultPlan* fault_plan_ = nullptr;
     std::optional<faults::RecoveryConfig> recovery_;
     faults::FaultSession fsession_;

@@ -1,7 +1,8 @@
 /// ScaleEngine correctness: the sharded window-synchronous engine must
 /// agree with the reference `Simulator` running blind flooding, and its
-/// results — including the canonical order digest — must be identical for
-/// every worker-thread count and across repeated runs.
+/// results — including the transmission-order digest and the forward set —
+/// must be identical for every worker-thread count, every wheel count and
+/// across repeated runs.
 ///
 /// The generic-coverage differential plane holds the engine to a stricter
 /// standard: for every tested (seed × wheels × jobs) point, the forward
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "algorithms/flooding.hpp"
 #include "algorithms/generic.hpp"
@@ -84,22 +86,32 @@ TEST(ScaleEngine, RepeatedRunsAreIdentical) {
 
 TEST(ScaleEngine, WheelCountChangesShardingNotOutcome) {
     const UnitDiskNetwork net = make_network(200, 0x3e11);
-    ScaleResult by_wheels[3];
-    const std::size_t wheels[3] = {1, 8, 32};
-    for (int i = 0; i < 3; ++i) {
-        ScaleConfig cfg;
-        cfg.wheels = wheels[i];
-        cfg.jobs = 2;
-        ScaleEngine engine(net.graph, cfg);
-        by_wheels[i] = engine.run(5);
-    }
-    // The digest legitimately depends on the wheel partition (it *is* the
-    // merged order), but the physical outcome may not.
-    for (int i = 1; i < 3; ++i) {
-        EXPECT_EQ(by_wheels[i].delivered_events, by_wheels[0].delivered_events);
-        EXPECT_EQ(by_wheels[i].forward_count, by_wheels[0].forward_count);
-        EXPECT_EQ(by_wheels[i].received_count, by_wheels[0].received_count);
-        EXPECT_DOUBLE_EQ(by_wheels[i].completion_time, by_wheels[0].completion_time);
+    for (const ScalePolicy policy :
+         {ScalePolicy::kFlood, ScalePolicy::kSelfPrune, ScalePolicy::kGenericCoverage}) {
+        ScaleResult by_wheels[3];
+        std::vector<char> forwarded[3];
+        const std::size_t wheels[3] = {1, 8, 32};
+        for (int i = 0; i < 3; ++i) {
+            ScaleConfig cfg;
+            cfg.policy = policy;
+            cfg.generic = generic_fr_config(2);
+            cfg.wheels = wheels[i];
+            cfg.jobs = 2;
+            ScaleEngine engine(net.graph, cfg);
+            by_wheels[i] = engine.run(5);
+            forwarded[i] = engine.forwarded_mask();
+        }
+        for (int i = 1; i < 3; ++i) {
+            const auto tag = ::testing::Message() << "policy=" << static_cast<int>(policy)
+                                                  << " wheels=" << wheels[i];
+            EXPECT_EQ(forwarded[i], forwarded[0]) << tag;
+            EXPECT_EQ(by_wheels[i].order_digest, by_wheels[0].order_digest) << tag;
+            EXPECT_EQ(by_wheels[i].delivered_events, by_wheels[0].delivered_events) << tag;
+            EXPECT_EQ(by_wheels[i].forward_count, by_wheels[0].forward_count) << tag;
+            EXPECT_EQ(by_wheels[i].received_count, by_wheels[0].received_count) << tag;
+            EXPECT_DOUBLE_EQ(by_wheels[i].completion_time, by_wheels[0].completion_time)
+                << tag;
+        }
     }
 }
 
@@ -254,8 +266,8 @@ TEST(ScaleEngineGeneric, KnobVariationsMatchSimulator) {
 }
 
 TEST(ScaleEngineGeneric, DigestIndependentOfWheelsAndJobs) {
-    // Unlike the per-wheel-fold flood digest, the generic digest is the
-    // global transmission order: one value per (graph, source, config).
+    // The digest is the global transmission order: one value per (graph,
+    // source, config).
     const UnitDiskNetwork net = make_network(220, 0x777);
     std::uint64_t first = 0;
     bool have_first = false;

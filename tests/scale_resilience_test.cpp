@@ -5,7 +5,9 @@
 /// masks, every fault/recovery counter, completion time, outcome
 /// classification and the transmission-order digest — across seeds ×
 /// wheels {1, 3, 8} × jobs {1, 4}, for flooding, generic static/FR and
-/// self-pruning.  Plus: clean termination when everything crashes,
+/// self-pruning.  The fault-free engine (no plan attached) is held to the
+/// plain traced Simulator for flooding and self-pruning the same way, at
+/// wheels {1, 3, 8, 32}.  Plus: clean termination when everything crashes,
 /// partition classification on a cut vertex, and the validation surface
 /// of `attach_faults` / `set_recovery`.
 
@@ -227,6 +229,49 @@ TEST(ScaleResilience, SelfPruneMatchesResilientSimulator) {
                                plan, recovery_off());
         expect_resilient_match(sp, net.graph, 3, ScalePolicy::kSelfPrune, nullptr,
                                plan, aligned_recovery());
+    }
+}
+
+/// Fault-free differential: the engine with no plan attached must equal
+/// the reference `Simulator` trace at every (wheels, jobs) grid point —
+/// the first received copy, hence the forward set and the transmission
+/// digest, may not depend on how nodes are sharded.
+void expect_fault_free_match(const BroadcastAlgorithm& algo, const Graph& g,
+                             NodeId source, ScalePolicy policy) {
+    Rng rng(99);  // neither policy draws from it
+    const BroadcastResult ref = algo.broadcast_traced(g, source, rng, MediumConfig{});
+    const std::uint64_t ref_digest = reference_transmission_digest(ref.trace);
+
+    for (const std::size_t wheels : {1, 3, 8, 32}) {
+        for (const std::size_t jobs : {1, 4}) {
+            ScaleConfig cfg;
+            cfg.policy = policy;
+            cfg.wheels = wheels;
+            cfg.jobs = jobs;
+            ScaleEngine engine(g, cfg);
+            const ScaleResult got = engine.run(source);
+
+            const auto tag = ::testing::Message()
+                             << algo.name() << " wheels=" << wheels << " jobs=" << jobs;
+            EXPECT_EQ(engine.received_mask(), ref.received) << tag;
+            EXPECT_EQ(engine.forwarded_mask(), ref.transmitted) << tag;
+            EXPECT_EQ(got.forward_count, ref.forward_count) << tag;
+            EXPECT_EQ(got.received_count, ref.received_count) << tag;
+            EXPECT_EQ(got.completion_time, ref.completion_time) << tag;
+            EXPECT_EQ(got.full_delivery, ref.full_delivery) << tag;
+            EXPECT_EQ(got.order_digest, ref_digest) << tag;
+        }
+    }
+}
+
+TEST(ScaleResilience, FaultFreeFloodAndSelfPruneMatchSimulator) {
+    const FloodingAlgorithm flood;
+    const SelfPruneAlgorithm sp;
+    for (const std::uint64_t seed : {0x77aULL, 0x88bULL, 0x99cULL}) {
+        const UnitDiskNetwork net = make_network(300, seed);
+        const NodeId source = static_cast<NodeId>(seed % net.graph.node_count());
+        expect_fault_free_match(flood, net.graph, source, ScalePolicy::kFlood);
+        expect_fault_free_match(sp, net.graph, source, ScalePolicy::kSelfPrune);
     }
 }
 

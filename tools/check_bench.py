@@ -27,8 +27,8 @@ adhoc-resilience-v1 (bench_resilience)
 adhoc-scale-v1 (bench_scale)
     Per (nodes, policy) row the deterministic simulation outputs —
     delivered_events, forward_count, received_count, full_delivery,
-    windows, completion_time and the canonical order_digest — must match
-    the baseline *exactly*: they are pure functions of (seed, wheels), so
+    windows, completion_time and the transmission order_digest — must
+    match the baseline *exactly*: they are pure functions of the seed, so
     any drift is a semantic change in the engine, not noise.  All policies
     at one size must agree on received_count (forwarding policies change
     who transmits, never who is reached).  Engine state bytes per node may
