@@ -24,6 +24,7 @@
 #pragma once
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -35,10 +36,12 @@
 
 #include "faults/fault_plan.hpp"
 #include "faults/outcome.hpp"
+#include "graph/unit_disk.hpp"
 #include "io/cli.hpp"
 #include "runner/campaign.hpp"
 #include "runner/json_sink.hpp"
 #include "runner/progress.hpp"
+#include "runner/seed.hpp"
 #include "stats/experiment.hpp"
 #include "stats/table.hpp"
 #include "telemetry/sinks.hpp"
@@ -67,6 +70,24 @@ struct OutcomeMix {
                std::to_string(partitioned);
     }
 };
+
+/// bench_scale's constant-density placement (also bench_micro's large
+/// compile_ball rows): n uniform points in a 1000 x 1000 square with the
+/// analytic degree-6 range, which keeps construction O(n) through the
+/// spatial grid (range_for_link_count would be O(n^2) pairs).  Pure
+/// function of (seed, n).
+inline Graph scale_placement(std::uint64_t seed, std::size_t n) {
+    Rng rng(runner::splitmix64(seed ^ (0x5ca1eULL * n)));
+    const double area = 1000.0;
+    std::vector<Point2D> positions(n);
+    for (Point2D& p : positions) {
+        p.x = rng.uniform(0.0, area);
+        p.y = rng.uniform(0.0, area);
+    }
+    const double range =
+        std::sqrt(6.0 * area * area / (3.14159265358979323846 * static_cast<double>(n)));
+    return unit_disk_graph(positions, range);
+}
 
 /// One-line human summary of a fault plan for bench cell headers:
 /// "<crashes> crashes (<recovers> recover), <flaps> link flaps, <asym>

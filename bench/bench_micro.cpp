@@ -11,7 +11,12 @@
 /// per-bit `holds` loop it replaced.  The policy_decision kernel replays
 /// one seeded traffic run's stream of generic-fr decisions through
 /// `CoveragePolicy`'s per-run memo, against a direct coverage evaluation
-/// of each decision.  Emits a
+/// of each decision.  The compile_ball kernel builds every node's 2-hop
+/// Definition-2 view with `compile_ball` into one reused scratch, against
+/// an independent construction (ball BFS, `induced_topology`, boundary
+/// links dropped); besides the per-size rows, the full run adds it at
+/// n = 10^4 and 10^5 on bench_scale's placement, so the per-ball cost from
+/// n to 10n is visible.  Emits a
 /// machine-readable document (schema adhoc-micro-v1) for the CI regression
 /// gate (tools/check_bench.py compares speedup ratios against the
 /// committed BENCH_micro.baseline.json).
@@ -36,11 +41,14 @@
 
 #include <queue>
 #include <span>
+#include <unordered_map>
 
+#include "bench_common.hpp"
 #include "core/coverage.hpp"
 #include "core/priority.hpp"
 #include "core/view.hpp"
 #include "faults/fault_session.hpp"
+#include "graph/khop.hpp"
 #include "graph/unit_disk.hpp"
 #include "runner/json_sink.hpp"
 #include "sim/event_queue.hpp"
@@ -303,6 +311,68 @@ class RecordingPolicy final : public traffic::ForwardPolicy {
 
 }  // namespace
 
+/// The reference side of the compile_ball kernel, independent of it: a
+/// ball-sized BFS with hash-map distances, `induced_topology` over the
+/// members, then the links between two nodes exactly k hops out dropped.
+LocalTopology definition2_ball(const Graph& g, NodeId v, std::size_t k) {
+    std::unordered_map<NodeId, std::size_t> dist{{v, 0}};
+    std::vector<NodeId> members{v};
+    for (std::size_t head = 0; head < members.size(); ++head) {
+        const NodeId x = members[head];
+        const std::size_t dx = dist.at(x);
+        if (dx == k) continue;
+        for (const NodeId y : g.neighbors(x)) {
+            if (dist.emplace(y, dx + 1).second) members.push_back(y);
+        }
+    }
+    std::sort(members.begin(), members.end());
+    LocalTopology t = induced_topology(g, v, k, std::move(members));
+    std::vector<std::uint32_t> offsets{0};
+    std::vector<std::uint32_t> edges;
+    for (std::uint32_t i = 0; i < t.size(); ++i) {
+        const bool interior = dist.at(t.members[i]) < k;
+        for (const std::uint32_t l : t.row(i)) {
+            if (interior || dist.at(t.members[l]) < k) edges.push_back(l);
+        }
+        offsets.push_back(static_cast<std::uint32_t>(edges.size()));
+    }
+    t.offsets = std::move(offsets);
+    t.edges = std::move(edges);
+    return t;
+}
+
+/// The compile_ball kernel on `g` at k = 2: ns per ball for both sides,
+/// and whether every node's view matched.
+runner::MicroKernelResult compile_ball_kernel(const Graph& g, std::size_t reps,
+                                              volatile std::size_t& guard) {
+    constexpr std::size_t kHops = 2;
+    const std::size_t n = g.node_count();
+    BallScratch ball;
+    bool match = true;
+    for (NodeId v = 0; v < n && match; ++v) {
+        compile_ball(g, v, kHops, ball);
+        match = ball.view == definition2_ball(g, v, kHops);
+    }
+    const double ref_ns = time_ns(
+                              [&] {
+                                  for (NodeId v = 0; v < n; ++v) {
+                                      guard = guard + definition2_ball(g, v, kHops).edges.size();
+                                  }
+                              },
+                              reps) /
+                          static_cast<double>(n);
+    const double opt_ns = time_ns(
+                              [&] {
+                                  for (NodeId v = 0; v < n; ++v) {
+                                      compile_ball(g, v, kHops, ball);
+                                      guard = guard + ball.view.edges.size();
+                                  }
+                              },
+                              reps) /
+                          static_cast<double>(n);
+    return {"compile_ball", n, reps, ref_ns, opt_ns, ref_ns / opt_ns, match};
+}
+
 int main(int argc, char** argv) {
     const MicroOptions opts = parse(argc, argv);
     const std::vector<std::size_t> sizes =
@@ -314,6 +384,12 @@ int main(int argc, char** argv) {
     bool all_match = true;
     // Sink defeating dead-code elimination of the timed bodies.
     volatile std::size_t guard = 0;
+    const auto report = [&](const runner::MicroKernelResult& r) {
+        results.push_back(r);
+        all_match = all_match && r.match;
+        std::cout << "  " << r.name << ": ref " << r.ref_ns << " ns, opt " << r.opt_ns
+                  << " ns, speedup " << r.speedup << (r.match ? "" : "  MISMATCH") << '\n';
+    };
 
     for (const std::size_t n : sizes) {
         Fixture fx(n, opts.seed);
@@ -321,11 +397,7 @@ int main(int argc, char** argv) {
 
         auto push = [&](const char* name, std::size_t reps, double ref_ns, double opt_ns,
                         bool match) {
-            results.push_back({name, n, reps, ref_ns, opt_ns, ref_ns / opt_ns, match});
-            all_match = all_match && match;
-            std::cout << "  " << name << ": ref " << ref_ns << " ns, opt " << opt_ns
-                      << " ns, speedup " << ref_ns / opt_ns << (match ? "" : "  MISMATCH")
-                      << '\n';
+            report({name, n, reps, ref_ns, opt_ns, ref_ns / opt_ns, match});
         };
 
         // --- unit-disk generation: all-pairs scan vs spatial grid ---
@@ -605,6 +677,15 @@ int main(int argc, char** argv) {
                     reps) /
                 static_cast<double>(n);
             push(strong ? "coverage_strong" : "coverage_full", reps, ref_ns, opt_ns, match);
+        }
+
+        // --- Definition-2 view compile, one ball per node ---
+        report(compile_ball_kernel(fx.graph, opts.smoke ? 10 : 20, guard));
+    }
+    if (!opts.smoke) {
+        for (const std::size_t n : {std::size_t{10000}, std::size_t{100000}}) {
+            std::cout << "n=" << n << " (bench_scale placement)\n";
+            report(compile_ball_kernel(bench::scale_placement(opts.seed, n), 3, guard));
         }
     }
 

@@ -122,22 +122,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-/// Constant-density placement shared by both panels: analytic degree-6
-/// range keeps graph construction O(n) (range_for_link_count would be
-/// O(n^2) pairs).  Pure function of (seed, n).
-Graph make_placement(const ScaleOptions& opts, std::size_t n) {
-    Rng rng(runner::splitmix64(opts.seed ^ (0x5ca1eULL * n)));
-    const double area = 1000.0;
-    std::vector<Point2D> positions(n);
-    for (Point2D& p : positions) {
-        p.x = rng.uniform(0.0, area);
-        p.y = rng.uniform(0.0, area);
-    }
-    const double range =
-        std::sqrt(6.0 * area * area / (3.14159265358979323846 * static_cast<double>(n)));
-    return unit_disk_graph(positions, range);
-}
-
 struct Row {
     std::size_t nodes = 0;
     std::size_t edges = 0;
@@ -284,7 +268,7 @@ int run_resilience(const ScaleOptions& opts) {
     std::size_t violations = 0;
 
     for (const std::size_t n : sizes) {
-        const Graph graph = make_placement(opts, n);
+        const Graph graph = bench::scale_placement(opts.seed, n);
         const NodeId source = 0;
         // Repetitions vary the fault plan (run index), not the placement;
         // a single run keeps the 10^5/10^6 cells affordable.
@@ -454,7 +438,7 @@ int main(int argc, char** argv) {
     std::size_t violations = 0;
 
     for (const std::size_t n : sizes) {
-        const Graph graph = make_placement(opts, n);
+        const Graph graph = bench::scale_placement(opts.seed, n);
         const NodeId source = 0;
 
         ScaleConfig cfg;

@@ -22,8 +22,7 @@ namespace {
 
 /// Replays a broadcast trace and extracts the reverse path a RREQ builds:
 /// each node remembers the first neighbor it heard the request from.
-std::vector<NodeId> discovered_route(const Graph& g, const Trace& trace, NodeId source,
-                                     NodeId destination) {
+std::vector<NodeId> discovered_route(const Trace& trace, NodeId source, NodeId destination) {
     std::map<NodeId, NodeId> first_heard_from;
     for (const TraceEvent& e : trace.events()) {
         if (e.kind == TraceKind::kReceive && !first_heard_from.contains(e.node)) {
@@ -47,7 +46,7 @@ void discover(const char* label, const BroadcastAlgorithm& algo, const Graph& g,
               NodeId source, NodeId destination, std::uint64_t seed) {
     Rng rng(seed);
     const auto result = algo.broadcast_traced(g, source, rng, {});
-    const auto route = discovered_route(g, result.trace, source, destination);
+    const auto route = discovered_route(result.trace, source, destination);
     std::cout << label << ": " << result.forward_count << " RREQ transmissions, route ";
     if (route.empty()) {
         std::cout << "NOT FOUND\n";

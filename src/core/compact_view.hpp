@@ -140,8 +140,10 @@ class LocalViewScratch {
     std::vector<std::uint64_t> in_h;    ///< higher-priority membership bitset
     std::vector<std::uint64_t> mark;    ///< generic label/visited bitset
     std::vector<std::uint64_t> acc;     ///< running intersection accumulator
-    std::vector<std::vector<std::uint64_t>> comp_bits;  ///< per-neighbor label sets
-
+    std::vector<std::uint64_t> row_bits; ///< one node's neighbor row, as a bitset
+    /// Per-neighbor label sets, flat: neighbor i's set is the `words`-word
+    /// run starting at i * words.
+    std::vector<std::uint64_t> comp_bits;
 };
 
 }  // namespace adhoc

@@ -1,6 +1,7 @@
 #include "core/coverage.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "core/compact_view.hpp"
@@ -40,38 +41,47 @@ std::uint32_t components_on_bits(LocalViewScratch& s) {
     s.labels.assign(c.size, kNoLocal);
     if (s.queue.size() < c.size) s.queue.resize(c.size);
     std::uint32_t next = 0;
-    for (std::uint32_t root = 0; root < c.size; ++root) {
-        if (!bits::test(s.in_h.data(), root) || s.labels[root] != kNoLocal) continue;
-        std::size_t head = 0;
-        std::size_t tail = 0;
-        s.labels[root] = next;
-        s.queue[tail++] = root;
-        while (head < tail) {
-            const std::uint32_t x = s.queue[head++];
-            for (std::uint32_t y : c.row(x)) {
-                if (!bits::test(s.in_h.data(), y) || s.labels[y] != kNoLocal) continue;
-                s.labels[y] = next;
-                s.queue[tail++] = y;
+    const std::size_t words = bits::word_count(c.size);
+    for (std::size_t wi = 0; wi < words; ++wi) {
+        // Roots ascend: the set bits of each word, low to high.
+        for (std::uint64_t word = s.in_h[wi]; word != 0; word &= word - 1) {
+            const auto root =
+                static_cast<std::uint32_t>(wi * bits::kWordBits + std::countr_zero(word));
+            if (s.labels[root] != kNoLocal) continue;
+            std::size_t head = 0;
+            std::size_t tail = 0;
+            s.labels[root] = next;
+            s.queue[tail++] = root;
+            while (head < tail) {
+                const std::uint32_t x = s.queue[head++];
+                for (std::uint32_t y : c.row(x)) {
+                    if (!bits::test(s.in_h.data(), y) || s.labels[y] != kNoLocal) continue;
+                    s.labels[y] = next;
+                    s.queue[tail++] = y;
+                }
             }
+            ++next;
         }
-        ++next;
     }
     return next;
 }
 
 /// Remaps component labels so every component containing a visited node
 /// shares one label (the merged "visited super-component").  The visited
-/// label set and its minimum are collected in one pass.
+/// label set, its size and its minimum are collected in one pass; with at
+/// most one visited component the remap is the identity and is skipped.
 void merge_visited_labels(LocalViewScratch& s, std::uint32_t label_count) {
     const CompactLocalView& c = s.compact;
     std::uint32_t rep = kNoLocal;
+    std::uint32_t visited_components = 0;
     bits::reset(s.mark, label_count);
     for (std::uint32_t x = 0; x < c.size; ++x) {
         if (s.labels[x] == kNoLocal || c.status[x] != NodeStatus::kVisited) continue;
         rep = std::min(rep, s.labels[x]);
+        visited_components += !bits::test(s.mark.data(), s.labels[x]);
         bits::set(s.mark.data(), s.labels[x]);
     }
-    if (rep == kNoLocal) return;
+    if (visited_components <= 1) return;
     for (std::uint32_t x = 0; x < c.size; ++x) {
         if (s.labels[x] != kNoLocal && bits::test(s.mark.data(), s.labels[x])) {
             s.labels[x] = rep;
@@ -80,15 +90,26 @@ void merge_visited_labels(LocalViewScratch& s, std::uint32_t label_count) {
 }
 
 /// Label set that local node `u` belongs to or is adjacent to, as a bitset
-/// over label ids (the word-parallel replacement for the sorted label
-/// vectors the reference kernel intersects pairwise).
-void adjacent_component_bits(const LocalViewScratch& s, std::uint32_t u,
-                             std::vector<std::uint64_t>& out, std::uint32_t label_count) {
-    bits::reset(out, label_count);
-    if (s.labels[u] != kNoLocal) bits::set(out.data(), s.labels[u]);
+/// over label ids into the zeroed words at `out` (the word-parallel
+/// replacement for the sorted label vectors the reference kernel
+/// intersects pairwise).
+void adjacent_component_bits(const LocalViewScratch& s, std::uint32_t u, std::uint64_t* out) {
+    if (s.labels[u] != kNoLocal) bits::set(out, s.labels[u]);
     for (std::uint32_t y : s.compact.row(u)) {
-        if (s.labels[y] != kNoLocal) bits::set(out.data(), s.labels[y]);
+        if (s.labels[y] != kNoLocal) bits::set(out, s.labels[y]);
     }
+}
+
+/// Sets the bits of `u`'s neighbor row in `s.row_bits`: an O(deg) adjacency
+/// index for the pair loops, which test u–w adjacency with one bit read
+/// instead of a binary search.  `unmark_row` zeroes the words it touched,
+/// so the bitset is all-zero again between rows.
+void mark_row(LocalViewScratch& s, std::uint32_t u) {
+    for (std::uint32_t y : s.compact.row(u)) bits::set(s.row_bits.data(), y);
+}
+
+void unmark_row(LocalViewScratch& s, std::uint32_t u) {
+    for (std::uint32_t y : s.compact.row(u)) s.row_bits[y / bits::kWordBits] = 0;
 }
 
 /// Bounded-depth reach of H-nodes from `u` (paper: replacement paths with
@@ -245,12 +266,14 @@ CoverageOutcome evaluate_coverage_compiled(LocalViewScratch& s, std::uint32_t lv
         // Bounded replacement paths (Span): pairwise BFS with a depth cap
         // of max_path_hops - 1 intermediates.
         const std::size_t cap = opts.max_path_hops - 1;
+        bits::reset(s.row_bits, c.size);
         for (std::size_t i = 0; i < nv.size(); ++i) {
             const std::uint32_t u = nv[i];
             bounded_reach(s, u, cap, opts.merge_visited);
+            mark_row(s, u);
             for (std::size_t j = i + 1; j < nv.size(); ++j) {
                 const std::uint32_t w = nv[j];
-                if (c.has_edge(u, w)) continue;
+                if (bits::test(s.row_bits.data(), w)) continue;
                 bool ok = false;
                 for (std::uint32_t x : c.row(w)) {
                     if (s.dist[x] != kNoLocal && s.dist[x] <= cap) {
@@ -264,6 +287,7 @@ CoverageOutcome evaluate_coverage_compiled(LocalViewScratch& s, std::uint32_t lv
                             .uncovered_w = c.members[w]};
                 }
             }
+            unmark_row(s, u);
         }
         return {.covered = true};
     }
@@ -272,21 +296,20 @@ CoverageOutcome evaluate_coverage_compiled(LocalViewScratch& s, std::uint32_t lv
     const std::uint32_t label_count = components_on_bits(s);
     if (opts.merge_visited) merge_visited_labels(s, label_count);
 
-    if (s.comp_bits.size() < nv.size()) s.comp_bits.resize(nv.size());
-    for (std::size_t i = 0; i < nv.size(); ++i) {
-        adjacent_component_bits(s, nv[i], s.comp_bits[i], label_count);
-    }
     const std::size_t words = bits::word_count(label_count);
+    bits::reset(s.comp_bits, nv.size() * words * bits::kWordBits);
+    const auto comp = [&](std::size_t i) { return s.comp_bits.data() + i * words; };
+    for (std::size_t i = 0; i < nv.size(); ++i) adjacent_component_bits(s, nv[i], comp(i));
 
     if (opts.strong) {
         // Strong condition: one component must dominate every neighbor.
-        if (!bits::any(s.comp_bits[0].data(), words)) {
+        if (!bits::any(comp(0), words)) {
             return {.covered = false, .uncovered_u = c.members[nv[0]]};
         }
         bits::reset(s.acc, label_count);
-        std::copy_n(s.comp_bits[0].begin(), words, s.acc.begin());
+        std::copy_n(comp(0), words, s.acc.begin());
         for (std::size_t i = 1; i < nv.size(); ++i) {
-            bits::and_inplace(s.acc.data(), s.comp_bits[i].data(), words);
+            bits::and_inplace(s.acc.data(), comp(i), words);
             if (!bits::any(s.acc.data(), words)) {
                 return {.covered = false, .uncovered_u = c.members[nv[i]]};
             }
@@ -296,17 +319,20 @@ CoverageOutcome evaluate_coverage_compiled(LocalViewScratch& s, std::uint32_t lv
 
     // Full pairwise condition.  Note this relation is not transitive, so
     // all O(deg^2) pairs are checked.
+    bits::reset(s.row_bits, c.size);
     for (std::size_t i = 0; i < nv.size(); ++i) {
+        const std::uint32_t u = nv[i];
+        mark_row(s, u);
         for (std::size_t j = i + 1; j < nv.size(); ++j) {
-            const std::uint32_t u = nv[i];
             const std::uint32_t w = nv[j];
-            if (c.has_edge(u, w)) continue;
-            if (!bits::intersects(s.comp_bits[i].data(), s.comp_bits[j].data(), words)) {
+            if (bits::test(s.row_bits.data(), w)) continue;
+            if (!bits::intersects(comp(i), comp(j), words)) {
                 return {.covered = false,
                         .uncovered_u = c.members[u],
                         .uncovered_w = c.members[w]};
             }
         }
+        unmark_row(s, u);
     }
     return {.covered = true};
 }

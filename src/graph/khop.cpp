@@ -34,7 +34,7 @@ std::size_t BallScratch::bytes() const noexcept {
            view.offsets.capacity() * sizeof(std::uint32_t) +
            view.edges.capacity() * sizeof(std::uint32_t) + bfs.capacity() * sizeof(NodeId) +
            dist.capacity() * sizeof(std::uint16_t) + stamp.capacity() * sizeof(std::uint32_t) +
-           g2l.capacity() * sizeof(std::uint32_t);
+           g2l.capacity() * sizeof(std::uint32_t) + cols.capacity() * sizeof(std::uint32_t);
 }
 
 void compile_ball(const Graph& g, NodeId v, std::size_t k, BallScratch& s) {
@@ -54,18 +54,30 @@ void compile_ball(const Graph& g, NodeId v, std::size_t k, BallScratch& s) {
         std::fill(s.stamp.begin(), s.stamp.end(), 0);
         s.epoch = 1;
     }
-    s.bfs.clear();
-    s.bfs.push_back(v);
-    s.stamp[v] = s.epoch;
+    const std::uint32_t epoch = s.epoch;
+    // Both passes below are branch-free per adjacency entry: the entry is
+    // written to the next free slot unconditionally and the slot is kept
+    // by advancing the end by a 0/1 predicate.  The stamp, dist and g2l
+    // words of a non-member hold stale but initialised values, so reading
+    // them is harmless.
+    if (s.bfs.empty()) s.bfs.resize(1);
+    s.bfs[0] = v;
+    s.stamp[v] = epoch;
     s.dist[v] = 0;
-    for (std::size_t head = 0; head < s.bfs.size(); ++head) {
+    std::size_t tail = 1;
+    for (std::size_t head = 0; head < tail; ++head) {
         const NodeId x = s.bfs[head];
         if (s.dist[x] == k) continue;
-        for (NodeId y : g.neighbors(x)) {
-            if (s.stamp[y] == s.epoch) continue;
-            s.stamp[y] = s.epoch;
-            s.dist[y] = static_cast<std::uint16_t>(s.dist[x] + 1);
-            s.bfs.push_back(y);
+        const auto row = g.neighbors(x);
+        if (s.bfs.size() < tail + row.size()) s.bfs.resize(2 * (tail + row.size()));
+        const auto next = static_cast<std::uint16_t>(s.dist[x] + 1);
+        NodeId* const queue = s.bfs.data();
+        for (const NodeId y : row) {
+            const bool fresh = s.stamp[y] != epoch;
+            s.stamp[y] = epoch;
+            s.dist[y] = fresh ? next : s.dist[y];
+            queue[tail] = y;
+            tail += fresh;
         }
     }
     LocalTopology& out = s.view;
@@ -73,25 +85,29 @@ void compile_ball(const Graph& g, NodeId v, std::size_t k, BallScratch& s) {
     out.hops = k;
     out.stale = false;
     out.id_space = n;
-    out.members.assign(s.bfs.begin(), s.bfs.end());
+    out.members.assign(s.bfs.begin(), s.bfs.begin() + static_cast<std::ptrdiff_t>(tail));
     std::sort(out.members.begin(), out.members.end());
     const auto m = static_cast<std::uint32_t>(out.members.size());
     for (std::uint32_t i = 0; i < m; ++i) s.g2l[out.members[i]] = i;
     out.offsets.resize(m + 1);
-    out.edges.clear();
+    std::size_t e = 0;
     for (std::uint32_t i = 0; i < m; ++i) {
-        out.offsets[i] = static_cast<std::uint32_t>(out.edges.size());
+        out.offsets[i] = static_cast<std::uint32_t>(e);
         const NodeId a = out.members[i];
         const bool a_interior = s.dist[a] < k;
-        for (NodeId b : g.neighbors(a)) {
-            if (s.stamp[b] != s.epoch) continue;  // outside the ball
-            // Link (a, b) is visible iff min(dist) <= k-1; both ends being
-            // members bounds max(dist) at k already.
-            if (!a_interior && s.dist[b] >= k) continue;
-            out.edges.push_back(s.g2l[b]);
+        const auto row = g.neighbors(a);
+        if (s.cols.size() < e + row.size()) s.cols.resize(2 * (e + row.size()));
+        std::uint32_t* const cols = s.cols.data();
+        for (const NodeId b : row) {
+            // Link (a, b) is visible iff b is a member and min(dist) <= k-1;
+            // both ends being members bounds max(dist) at k already.
+            const bool visible = (s.stamp[b] == epoch) & (a_interior | (s.dist[b] < k));
+            cols[e] = s.g2l[b];
+            e += visible;
         }
     }
-    out.offsets[m] = static_cast<std::uint32_t>(out.edges.size());
+    out.offsets[m] = static_cast<std::uint32_t>(e);
+    out.edges.assign(s.cols.begin(), s.cols.begin() + static_cast<std::ptrdiff_t>(e));
 }
 
 LocalTopology induced_topology(const Graph& g, NodeId center, std::size_t hops,

@@ -89,7 +89,9 @@ inline constexpr std::size_t kMaxBallHops = 65535;
 /// Caller-owned working memory and output of `compile_ball`.  The three
 /// O(n) working arrays are validated by epoch stamps, so consecutive
 /// compiles clear nothing, and every buffer only grows — zero allocations
-/// per ball in steady state.
+/// per ball in steady state.  The BFS queue and the CSR column buffer are
+/// written past their live end (a slot per scanned adjacency entry), so
+/// each is sized to the largest such write seen so far, not to the ball.
 struct BallScratch {
     LocalTopology view;  ///< output: G_k(v)
     // Working set.
@@ -97,6 +99,7 @@ struct BallScratch {
     std::vector<std::uint16_t> dist;   ///< hop distance from the center
     std::vector<std::uint32_t> stamp;  ///< epoch stamps validating dist/g2l
     std::vector<std::uint32_t> g2l;    ///< global -> local id
+    std::vector<std::uint32_t> cols;   ///< CSR columns before the exact-size copy
     std::uint32_t epoch = 0;
 
     /// Heap bytes held (capacity, not size).

@@ -2,6 +2,8 @@
 
 #include <ostream>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 namespace adhoc {
 
@@ -9,7 +11,7 @@ void write_dot(std::ostream& out, const Graph& g, const NodeStyling& styling) {
     out << "graph adhoc {\n  node [shape=circle];\n";
     for (NodeId v = 0; v < g.node_count(); ++v) {
         out << "  " << v;
-        std::vector<std::string> attrs;
+        std::vector<std::string_view> attrs;
         if (v < styling.forward.size() && styling.forward[v]) {
             attrs.push_back("style=filled, fillcolor=black, fontcolor=white");
         }

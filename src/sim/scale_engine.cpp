@@ -21,20 +21,27 @@ namespace {
 /// of very short phases (one per window); spawning threads per phase costs
 /// more than the phase itself, so the workers persist for the whole run and
 /// rendezvous on an epoch counter.  Wheels are claimed from an atomic
-/// cursor, each exactly once; `run_phase` returns only after every worker
-/// has checked the phase in (the acquire on `done_` is the barrier that
-/// publishes every wheel's writes to every other wheel).  Idle workers park
-/// on `epoch_` and the caller on `done_` (`std::atomic::wait`), so a crew
-/// between phases burns no CPU.
+/// cursor, each exactly once, and `fn(wheel, worker)` gets the claiming
+/// worker's index in [0, crew size) — the calling thread is worker 0 — so
+/// per-worker scratch needs no locking.  `run_phase` returns only after
+/// every worker has checked the phase in (the acquire on `done_` is the
+/// barrier that publishes every wheel's writes to every other wheel).  Idle
+/// workers park on `epoch_` and the caller on `done_`
+/// (`std::atomic::wait`), so a crew between phases burns no CPU.
 class PhaseCrew {
   public:
     PhaseCrew(std::size_t jobs, std::size_t wheel_count)
         : wheel_count_(wheel_count) {
-        const std::size_t extra = std::min(jobs, wheel_count) - 1;
+        const std::size_t extra = crew_size(jobs, wheel_count) - 1;
         workers_.reserve(extra);
-        for (std::size_t t = 0; t < extra; ++t) {
-            workers_.emplace_back([this] { worker_loop(); });
+        for (std::size_t t = 1; t <= extra; ++t) {
+            workers_.emplace_back([this, t] { worker_loop(t); });
         }
+    }
+
+    /// Threads a crew runs, the caller included.
+    [[nodiscard]] static std::size_t crew_size(std::size_t jobs, std::size_t wheel_count) {
+        return std::min(jobs, wheel_count);
     }
 
     ~PhaseCrew() {
@@ -47,35 +54,35 @@ class PhaseCrew {
     template <typename F>
     void run_phase(F&& fn) {
         if (workers_.empty()) {
-            for (std::size_t i = 0; i < wheel_count_; ++i) fn(i);
+            for (std::size_t i = 0; i < wheel_count_; ++i) fn(i, 0);
             return;
         }
-        fn_ = [&fn](std::size_t i) { fn(i); };
+        fn_ = [&fn](std::size_t i, std::size_t worker) { fn(i, worker); };
         next_.store(0, std::memory_order_relaxed);
         done_.store(0, std::memory_order_relaxed);
         epoch_.fetch_add(1, std::memory_order_release);
         epoch_.notify_all();
-        claim();  // the calling thread is crew too
+        claim(0);  // the calling thread is crew too
         for (std::size_t d; (d = done_.load(std::memory_order_acquire)) < workers_.size();) {
             done_.wait(d, std::memory_order_acquire);
         }
     }
 
   private:
-    void claim() {
+    void claim(std::size_t worker) {
         for (std::size_t i;
              (i = next_.fetch_add(1, std::memory_order_relaxed)) < wheel_count_;) {
-            fn_(i);
+            fn_(i, worker);
         }
     }
 
-    void worker_loop() {
+    void worker_loop(std::size_t worker) {
         std::uint64_t seen = 0;
         while (true) {
             epoch_.wait(seen, std::memory_order_acquire);
             ++seen;
             if (stop_.load(std::memory_order_acquire)) return;
-            claim();
+            claim(worker);
             // Only the last check-in can release the caller, so only it wakes it.
             if (done_.fetch_add(1, std::memory_order_release) + 1 == workers_.size()) {
                 done_.notify_all();
@@ -84,7 +91,7 @@ class PhaseCrew {
     }
 
     std::size_t wheel_count_;
-    std::function<void(std::size_t)> fn_;
+    std::function<void(std::size_t, std::size_t)> fn_;
     std::vector<std::thread> workers_;
     std::atomic<std::uint64_t> epoch_{0};
     std::atomic<std::size_t> next_{0};
@@ -197,6 +204,7 @@ ScaleEngine::ScaleEngine(const Graph& graph, ScaleConfig config)
     forwarded_.assign(n, 0);
     buckets_.resize(config_.wheels);
     scratch_.resize(config_.wheels);
+    deciders_.resize(PhaseCrew::crew_size(config_.jobs, config_.wheels));
 
     if (config_.policy == ScalePolicy::kGenericCoverage) {
         validate_generic_config();
@@ -232,35 +240,35 @@ bool ScaleEngine::covered_by(NodeId v, NodeId u) const noexcept {
     return true;
 }
 
-bool ScaleEngine::forwards(WheelScratch& ws, NodeId v, NodeId u) {
+bool ScaleEngine::forwards(DecideScratch& ds, NodeId v, NodeId u) {
     switch (config_.policy) {
         case ScalePolicy::kFlood: return true;
         case ScalePolicy::kSelfPrune: return !covered_by(v, u);
-        case ScalePolicy::kGenericCoverage: return decide_generic(ws, v, u);
+        case ScalePolicy::kGenericCoverage: return decide_generic(ds, v, u);
     }
     return true;
 }
 
-bool ScaleEngine::decide_generic(WheelScratch& ws, NodeId v, NodeId u) {
+bool ScaleEngine::decide_generic(DecideScratch& ds, NodeId v, NodeId u) {
     const GenericConfig& gc = config_.generic;
     // Decision-time visited set.  Static: empty (the static forward set is
     // computed over all-unvisited views).  First-receipt: exactly what the
     // first received packet carries — the sender's outgoing chain (which
     // ends with the sender itself when history >= 1).
-    ws.visited.clear();
+    ds.visited.clear();
     if (gc.timing == Timing::kFirstReceipt) {
         if (const std::size_t h = gc.history; h > 0) {
             const NodeId* chain = chain_.data() + std::size_t{u} * h;
-            ws.visited.assign(chain, chain + chain_len_[u]);
+            ds.visited.assign(chain, chain + chain_len_[u]);
         } else {
-            ws.visited.push_back(u);
+            ds.visited.push_back(u);
         }
     }
-    return decide_with_visited(ws, v);
+    return decide_with_visited(ds, v);
 }
 
-bool ScaleEngine::decide_with_visited(WheelScratch& ws, NodeId v) {
-    BallScratch& ball = ws.ball;
+bool ScaleEngine::decide_with_visited(DecideScratch& ds, NodeId v) {
+    BallScratch& ball = ds.ball;
     compile_ball(graph_, v, config_.generic.hops, ball);
     LocalViewScratch& s = LocalViewScratch::tls();
     s.compact.bind(ball.view);
@@ -268,7 +276,7 @@ bool ScaleEngine::decide_with_visited(WheelScratch& ws, NodeId v) {
     for (std::uint32_t i = 0; i < m; ++i) {
         const NodeId x = s.compact.members[i];
         NodeStatus st = NodeStatus::kUnvisited;
-        for (NodeId y : ws.visited) {
+        for (NodeId y : ds.visited) {
             if (y == x) {
                 st = NodeStatus::kVisited;
                 break;
@@ -282,8 +290,9 @@ bool ScaleEngine::decide_with_visited(WheelScratch& ws, NodeId v) {
                 .covered;
 }
 
-void ScaleEngine::scan_wheel(std::size_t w) {
+void ScaleEngine::scan_wheel(std::size_t w, std::size_t worker) {
     WheelScratch& ws = scratch_[w];
+    DecideScratch& ds = deciders_[worker];
     ws.forwarders.clear();
     const std::size_t h = chain_stride();
     // The bucket is in insertion-sequence order — the reference Simulator's
@@ -295,7 +304,7 @@ void ScaleEngine::scan_wheel(std::size_t w) {
         if (received_[v]) continue;  // duplicate copy: snooped, not re-decided
         received_[v] = 1;
         const NodeId u = e.sender;
-        if (!forwards(ws, v, u)) continue;
+        if (!forwards(ds, v, u)) continue;
         forwarded_[v] = 1;
         if (h > 0) {
             // Outgoing chain: the last min(len(u), h-1) of the sender's
@@ -460,20 +469,20 @@ void ScaleEngine::resend_resilient(NodeId v, double now) {
     fanout_resilient(v, false, pid, kInvalidNode, now + config_.delay);
 }
 
-bool ScaleEngine::decide_resilient(WheelScratch& ws, NodeId v, const RPacket& pkt) {
+bool ScaleEngine::decide_resilient(DecideScratch& ds, NodeId v, const RPacket& pkt) {
     // Same decision-time visited set as decide_generic, but from the
     // per-packet chain pool: under recovery a first receipt may be a repair
     // whose chain depth differs from the data plane's.
-    ws.visited.clear();
+    ds.visited.clear();
     if (config_.generic.timing == Timing::kFirstReceipt) {
         if (pkt.chain_len > 0) {
             const NodeId* chain = r_chain_.data() + pkt.chain_off;
-            ws.visited.assign(chain, chain + pkt.chain_len);
+            ds.visited.assign(chain, chain + pkt.chain_len);
         } else {
-            ws.visited.push_back(pkt.sender);
+            ds.visited.push_back(pkt.sender);
         }
     }
-    return decide_with_visited(ws, v);
+    return decide_with_visited(ds, v);
 }
 
 ScaleResult ScaleEngine::run_resilient(NodeId source) {
@@ -594,11 +603,10 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
                 scratch_[wheel_of(v)].fresh.push_back(v);
             }
             if (!crew) crew.emplace(config_.jobs, config_.wheels);
-            crew->run_phase([&](std::size_t wi) {
-                WheelScratch& ws = scratch_[wi];
-                for (NodeId v : ws.fresh) {
-                    pre_dec_[v] =
-                        decide_resilient(ws, v, packets_[pre_pkt_[v]]) ? 1 : 0;
+            crew->run_phase([&](std::size_t wi, std::size_t worker) {
+                DecideScratch& ds = deciders_[worker];
+                for (NodeId v : scratch_[wi].fresh) {
+                    pre_dec_[v] = decide_resilient(ds, v, packets_[pre_pkt_[v]]) ? 1 : 0;
                 }
             });
         }
@@ -636,8 +644,7 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
                     } else if (prescan && pre_stamp_[v] == pre_epoch_) {
                         forward = pre_dec_[v] != 0;
                     } else {
-                        forward = decide_resilient(scratch_[wheel_of(v)], v,
-                                                   packets_[e.payload]);
+                        forward = decide_resilient(deciders_[0], v, packets_[e.payload]);
                     }
                     if (forward) transmit_resilient(v, e.time);
                     break;
@@ -794,9 +801,9 @@ ScaleResult ScaleEngine::run(NodeId source) {
 
         if (config_.jobs > 1 && seq >= kParallelWindow) {
             if (!crew) crew.emplace(config_.jobs, config_.wheels);
-            crew->run_phase([&](std::size_t w) { scan_wheel(w); });
+            crew->run_phase([&](std::size_t w, std::size_t worker) { scan_wheel(w, worker); });
         } else {
-            for (std::size_t w = 0; w < config_.wheels; ++w) scan_wheel(w);
+            for (std::size_t w = 0; w < config_.wheels; ++w) scan_wheel(w, 0);
         }
 
         // Each wheel's forwarders ascend by the sequence of their first
@@ -827,8 +834,10 @@ std::size_t ScaleEngine::state_bytes() const noexcept {
              merge_.capacity() * sizeof(std::uint64_t);
     for (const WheelScratch& ws : scratch_) {
         bytes += ws.fresh.capacity() * sizeof(NodeId) +
-                 ws.forwarders.capacity() * sizeof(std::uint64_t) +
-                 ws.visited.capacity() * sizeof(NodeId) + ws.ball.bytes();
+                 ws.forwarders.capacity() * sizeof(std::uint64_t);
+    }
+    for (const DecideScratch& ds : deciders_) {
+        bytes += ds.visited.capacity() * sizeof(NodeId) + ds.ball.bytes();
     }
     for (const std::vector<REvent>& bucket : cal_) {
         bytes += bucket.capacity() * sizeof(REvent);

@@ -45,11 +45,15 @@
 /// decision depends only on the *first received* transmission, so per-node
 /// protocol state collapses to the outgoing history chain (<= h node ids).
 /// The phase evaluates the coverage kernel of src/core/coverage.cpp over a
-/// compact local view compiled into per-wheel scratch by `compile_ball`
-/// (src/graph/khop.hpp, the Definition-2 routine behind `local_topology`;
-/// zero allocations in steady state).  Every decision compiles its view
-/// afresh: O(ball edges), no standing memory, over the one immutable graph
-/// the engine was constructed with.
+/// compact local view compiled by `compile_ball` (src/graph/khop.hpp, the
+/// Definition-2 routine behind `local_topology`; zero allocations in steady
+/// state).  Every decision compiles its view afresh: O(ball edges), no
+/// standing memory, over the one immutable graph the engine was constructed
+/// with.  The compile scratch belongs to the crew worker taking the
+/// decision, not to the wheel: a decision's state dies with it, so
+/// min(jobs, wheels) scratch sets serve every wheel.  Its O(n) arrays are
+/// the bulk of a generic engine's bytes/node, so at `jobs == 1` there is
+/// exactly one set, whatever `wheels` is.
 ///
 /// **Faults at scale.**  `attach_faults` threads a `faults::FaultPlan`
 /// (crash/recover schedules, link churn, counter-based asymmetric loss)
@@ -100,7 +104,7 @@ enum class ScalePolicy {
 };
 
 /// Where `kGenericCoverage` gets its Definition-2 local views.  There is
-/// one backend — a per-decision `compile_ball` into per-wheel scratch — so
+/// one backend — a per-decision `compile_ball` into per-worker scratch — so
 /// the value selects nothing.
 enum class ScaleViewMode {
     kScratch,
@@ -209,13 +213,17 @@ class ScaleEngine {
         NodeId sender;
     };
 
-    /// Per-wheel working set of the window phase: the window's forwarders
-    /// plus the view-compile buffers.  All buffers only grow — zero
-    /// allocations per decision in steady state.
+    /// Per-wheel output of the window phase.  Buffers only grow.
     struct WheelScratch {
         /// `(seq << 32) | node` of the wheel's forwarders, ascending seq.
         std::vector<std::uint64_t> forwarders;
-        std::vector<NodeId> fresh;    ///< faulted pre-scan: first receipts to decide
+        std::vector<NodeId> fresh;  ///< faulted pre-scan: first receipts to decide
+    };
+
+    /// Per-worker working set of one coverage decision, reused for every
+    /// wheel the worker claims (see the file comment).  All buffers only
+    /// grow — zero allocations per decision in steady state.
+    struct DecideScratch {
         std::vector<NodeId> visited;  ///< decision-time visited set (<= h+1)
         BallScratch ball;             ///< the decision's compiled view
     };
@@ -247,12 +255,13 @@ class ScaleEngine {
     [[nodiscard]] bool covered_by(NodeId v, NodeId u) const noexcept;
 
     void validate_generic_config() const;
-    /// One wheel's share of a fault-free window: first receipts, decisions,
-    /// outgoing chains, and the wheel's forwarder list.
-    void scan_wheel(std::size_t w);
+    /// One wheel's share of a fault-free window: first receipts, decisions
+    /// (in crew worker `worker`'s scratch), outgoing chains, and the wheel's
+    /// forwarder list.
+    void scan_wheel(std::size_t w, std::size_t worker);
     /// The policy predicate: does `v`, first reached by `u`, forward?
-    [[nodiscard]] bool forwards(WheelScratch& ws, NodeId v, NodeId u);
-    [[nodiscard]] bool decide_generic(WheelScratch& ws, NodeId v, NodeId u);
+    [[nodiscard]] bool forwards(DecideScratch& ds, NodeId v, NodeId u);
+    [[nodiscard]] bool decide_generic(DecideScratch& ds, NodeId v, NodeId u);
     /// Outgoing history chain entries piggybacked per transmission (0 unless
     /// the policy is first-receipt generic coverage — no other decision
     /// reads broadcast state).
@@ -275,16 +284,15 @@ class ScaleEngine {
     /// Appends a packet (sender `v`, chain = last `history` of the first
     /// received chain + v, FR timing only) and returns its table index.
     [[nodiscard]] std::uint32_t make_packet(NodeId v, std::size_t history);
-    [[nodiscard]] bool decide_resilient(WheelScratch& ws, NodeId v,
-                                        const RPacket& pkt);
+    [[nodiscard]] bool decide_resilient(DecideScratch& ds, NodeId v, const RPacket& pkt);
     [[nodiscard]] bool recovery_on() const noexcept {
         return recovery_.has_value() && recovery_->enabled;
     }
 
     /// Decision body shared by the fault-free and faulted planes:
-    /// evaluates the coverage condition for `v` with `ws.visited` already
+    /// evaluates the coverage condition for `v` with `ds.visited` already
     /// holding the decision-time visited set.
-    [[nodiscard]] bool decide_with_visited(WheelScratch& ws, NodeId v);
+    [[nodiscard]] bool decide_with_visited(DecideScratch& ds, NodeId v);
 
     const Graph& graph_;
     ScaleConfig config_;
@@ -301,6 +309,9 @@ class ScaleEngine {
     /// step refills them for the next window (capacity is kept).
     std::vector<std::vector<Staged>> buckets_;
     std::vector<WheelScratch> scratch_;  ///< one per wheel
+    /// One per crew worker (min(jobs, wheels)); index 0 is the calling
+    /// thread, which also takes every decision made outside a crew phase.
+    std::vector<DecideScratch> deciders_;
     std::vector<std::uint64_t> merge_;   ///< the window's forwarders, seq order
 
     // ---- kGenericCoverage state --------------------------------------

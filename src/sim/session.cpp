@@ -22,7 +22,7 @@ SessionResult run_session(const Graph& g, std::vector<BroadcastRequest> requests
     const std::size_t avg_degree =
         g.node_count() > 0 ? 2 * g.edge_count() / g.node_count() : 0;
     const std::size_t in_flight = 2 * (1 + avg_degree);
-    for (const BroadcastRequest& req : requests) {
+    for ([[maybe_unused]] const BroadcastRequest& req : requests) {
         assert(req.agent != nullptr && g.contains(req.source));
         sims.push_back(std::make_unique<Simulator>(g, medium));
         sims.back()->reserve_hint(in_flight, in_flight * (1 + avg_degree));

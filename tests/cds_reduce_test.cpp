@@ -22,7 +22,9 @@ TEST(CdsReduce, NeverGrowsTheSet) {
     const auto cds = cluster_cds(net.graph);
     const auto reduced = reduce_cds(net.graph, cds);
     for (NodeId v = 0; v < 50; ++v) {
-        if (reduced[v]) EXPECT_TRUE(cds[v]);
+        if (reduced[v]) {
+            EXPECT_TRUE(cds[v]);
+        }
     }
     EXPECT_LE(set_size(reduced), set_size(cds));
 }
@@ -114,7 +116,9 @@ TEST(CdsReduce, LocalViewsReduceNoMoreThanGlobal) {
     const auto global = reduce_cds(net.graph, cds, 0);
     // Membership: dropped under local => dropped under global.
     for (NodeId v = 0; v < 60; ++v) {
-        if (cds[v] && !local[v]) EXPECT_FALSE(global[v]) << v;
+        if (cds[v] && !local[v]) {
+            EXPECT_FALSE(global[v]) << v;
+        }
     }
 }
 

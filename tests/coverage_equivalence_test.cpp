@@ -13,12 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
 #include "core/coverage.hpp"
 #include "core/maxmin.hpp"
 #include "core/priority.hpp"
 #include "core/view.hpp"
+#include "graph/traversal.hpp"
 #include "graph/unit_disk.hpp"
 #include "sim/node_agent.hpp"
 #include "stats/rng.hpp"
@@ -191,6 +193,123 @@ TEST(CoverageEquivalence, AdversarialStructuredGraphs) {
             expect_maxmin_agrees(view, name);
         }
     }
+}
+
+/// The shape of H(v), the nodes that outrank an unvisited `v`, which
+/// selects the kernel's paths: its component count (the label words the
+/// flat bitsets hold) and how many of its components hold a visited node
+/// (>= 2: `merge_visited_labels` remaps; exactly 1: it skips the remap,
+/// which would be the identity).
+struct HShape {
+    std::size_t labels = 0;
+    std::size_t visited_components = 0;
+};
+
+HShape h_shape(const View& view, NodeId v) {
+    const Priority pv = view.keys().evaluate(v, NodeStatus::kUnvisited);
+    const std::vector<std::size_t> label =
+        reference::higher_priority_components(view, pv, false);
+    std::set<std::size_t> all;
+    std::set<std::size_t> visited;
+    for (NodeId x = 0; x < label.size(); ++x) {
+        if (x == v || label[x] == kUnreachable) continue;
+        all.insert(label[x]);
+        if (view.status(x) == NodeStatus::kVisited) visited.insert(label[x]);
+    }
+    return {all.size(), visited.size()};
+}
+
+/// A comb around a low-priority center (id priority): leaves 0..m-1 rank
+/// below the center m, which is adjacent to all of them; pendant m+1+i
+/// hangs off leaf i; a hub 2m+1 touches every leaf (but the last when
+/// `cut_last`).  H(center) is the m pendants (labels 0..m-1) plus the hub
+/// (label m), so with m > 64 every label set spans two words and the
+/// shared hub label lives in the second one.
+Graph comb_graph(NodeId m, bool cut_last) {
+    Graph g(2 * m + 2);
+    const NodeId hub = 2 * m + 1;
+    for (NodeId i = 0; i < m; ++i) {
+        g.add_edge(i, m);
+        g.add_edge(i, m + 1 + i);
+        if (!cut_last || i + 1 < m) g.add_edge(i, hub);
+    }
+    return g;
+}
+
+TEST(CoverageEquivalence, MultiWordLabelSetsAndVisitedComponentPaths) {
+    constexpr NodeId kM = 70;
+    const NodeId hub = 2 * kM + 1;
+    const NodeId last_pendant = 2 * kM;
+    const std::vector<std::pair<std::string, std::vector<NodeId>>> visited_sets = {
+        {"none", {}},
+        {"one pendant", {kM + 1}},
+        {"hub", {hub}},
+        {"first+last pendants", {kM + 1, last_pendant}},
+        {"pendant+hub", {kM + 4, hub}},
+    };
+    for (const bool cut_last : {false, true}) {
+        const Graph g = comb_graph(kM, cut_last);
+        const PriorityKeys keys(g, PriorityScheme::kId);
+        for (const auto& [name, visited] : visited_sets) {
+            std::vector<NodeStatus> status(g.node_count(), NodeStatus::kUnvisited);
+            for (const NodeId x : visited) status[x] = NodeStatus::kVisited;
+            const View view = owning_view(g, status, keys);
+            const std::string label = name + (cut_last ? " cut" : "");
+            ASSERT_GT(view.local().size(), 64u) << label;
+            const HShape shape = h_shape(view, kM);
+            ASSERT_EQ(shape.labels, kM + 1u) << label;
+            ASSERT_EQ(shape.visited_components, visited.size()) << label;
+            expect_kernels_agree(view, label);
+
+            // The verdicts the paths must produce at the center: the hub
+            // label (second word) connects every leaf pair unless the last
+            // leaf is cut off.  Then the first uncovered pair is (leaf 0,
+            // leaf m-1) — except when the remap merges the first and last
+            // pendants, which covers that pair and moves the witness on.
+            const bool moved = name == "first+last pendants";
+            for (const bool merge : {false, true}) {
+                const CoverageOutcome got =
+                    evaluate_coverage(view, kM, CoverageOptions{.merge_visited = merge});
+                EXPECT_EQ(got.covered, !cut_last) << label << " merge=" << merge;
+                if (!cut_last) continue;
+                EXPECT_EQ(got.uncovered_u, merge && moved ? 1u : 0u) << label;
+                EXPECT_EQ(got.uncovered_w, kM - 1) << label;
+            }
+        }
+    }
+}
+
+TEST(CoverageEquivalence, VisitedComponentCountsOnRandomGraphs) {
+    // Sparse placements with few or many visited nodes: every kernel path
+    // keyed on the visited-component count must be taken many times.
+    Rng rng(0x5eed);
+    std::size_t remap = 0;
+    std::size_t skip = 0;
+    for (int iter = 0; iter < 24; ++iter) {
+        const std::size_t n = 30 + rng.index(31);  // 30..60
+        std::vector<Point2D> pts(n);
+        for (Point2D& p : pts) {
+            p.x = rng.uniform(0.0, 10.0);
+            p.y = rng.uniform(0.0, 10.0);
+        }
+        const Graph g = unit_disk_graph(
+            pts, std::sqrt(4.0 * 100.0 / (3.14159265358979323846 * static_cast<double>(n))));
+        const PriorityKeys keys(g, PriorityScheme::kNcr);
+        std::vector<NodeStatus> status(n, NodeStatus::kUnvisited);
+        const double p_visited = iter % 2 == 0 ? 0.04 : 0.3;
+        for (NodeStatus& st : status) {
+            if (rng.chance(p_visited)) st = NodeStatus::kVisited;
+        }
+        const View view = owning_view(g, status, keys);
+        for (NodeId v = 0; v < n; ++v) {
+            const HShape shape = h_shape(view, v);
+            remap += shape.visited_components >= 2;
+            skip += shape.visited_components == 1;
+        }
+        expect_kernels_agree(view, "visited#" + std::to_string(iter));
+    }
+    EXPECT_GE(remap, 100u);
+    EXPECT_GE(skip, 100u);
 }
 
 // The KnowledgeBase path hands kernels a *borrowing* view whose CSR comes

@@ -168,6 +168,34 @@ TEST(KHop, CompileBallRejectsHopsPastSixteenBits) {
     EXPECT_EQ(ball.view.members, (std::vector<NodeId>{0, 1, 2, 3}));
 }
 
+TEST(KHop, CompileBallGrowsItsBuffersAcrossBallSizes) {
+    // One scratch reused over balls of very different shapes: a star's
+    // leaves (two members, but a 299-entry hub row to scan) before its hub
+    // (300 members), and a dense unit-disk graph of a larger id space.
+    // `compile_ball` writes one queue slot and one column slot per scanned
+    // adjacency entry, so these force the grow-only buffers and the O(n)
+    // arrays to grow mid-stream; every ball must still equal Definition 2.
+    std::vector<std::pair<std::string, Graph>> graphs;
+    graphs.emplace_back("star 300", star_graph(300));
+    UnitDiskParams params;
+    params.node_count = 400;
+    params.average_degree = 40.0;
+    Rng gen(0x6b06);
+    graphs.emplace_back("dense unit-disk", generate_network_checked(params, gen).graph);
+    BallScratch ball;
+    for (const auto& [name, g] : graphs) {
+        for (const std::size_t k : {1u, 2u, 3u}) {
+            for (NodeId i = 0; i < g.node_count(); ++i) {
+                const NodeId v = (i + 1) % static_cast<NodeId>(g.node_count());
+                compile_ball(g, v, k, ball);
+                expect_same_topology(ball.view, oracle_topology(g, v, k),
+                                     name + " k=" + std::to_string(k) +
+                                         " center=" + std::to_string(v));
+            }
+        }
+    }
+}
+
 TEST(KHop, ZeroHopIsSelf) {
     const Graph g = path_graph(4);
     const auto n0 = k_hop_nodes(g, 2, 0);

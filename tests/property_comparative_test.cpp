@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "algorithms/dominant_pruning.hpp"
 #include "algorithms/flooding.hpp"
 #include "algorithms/generic.hpp"
@@ -81,7 +83,8 @@ TEST_P(Comparative, PaperOrderingsHoldOnAverage) {
 
 INSTANTIATE_TEST_SUITE_P(Densities, Comparative, ::testing::Values(6.0, 18.0),
                          [](const ::testing::TestParamInfo<double>& info) {
-                             return "d" + std::to_string(static_cast<int>(info.param));
+                             return std::string("d").append(
+                                 std::to_string(static_cast<int>(info.param)));
                          });
 
 }  // namespace

@@ -31,6 +31,27 @@ UnitDiskNetwork make_network(std::size_t n, std::uint64_t seed) {
     return generate_network_checked(params, gen);
 }
 
+/// Source -> 96 hubs -> 64 leaves each, plus chords between matching
+/// leaves of adjacent hubs: windows 2 and 3 queue >= 6000 events, past the
+/// inline threshold, so jobs > 1 runs the PhaseCrew workers (and the
+/// faulted plane's parallel decision pre-scan).
+constexpr NodeId kHubs = 96;
+constexpr NodeId kLeaves = 64;
+
+NodeId wide_leaf(NodeId hub, NodeId j) { return 1 + kHubs + hub * kLeaves + j; }
+
+Graph wide_window_graph() {
+    Graph g(1 + kHubs * (1 + kLeaves));
+    for (NodeId h = 0; h < kHubs; ++h) {
+        g.add_edge(0, 1 + h);
+        for (NodeId j = 0; j < kLeaves; ++j) {
+            g.add_edge(1 + h, wide_leaf(h, j));
+            if (j % 4 == 0) g.add_edge(wide_leaf(h, j), wide_leaf((h + 1) % kHubs, j));
+        }
+    }
+    return g;
+}
+
 TEST(ScaleEngine, FloodMatchesReferenceSimulator) {
     const UnitDiskNetwork net = make_network(200, 0xab5e11);
     const NodeId source = 7;
@@ -141,25 +162,11 @@ TEST(ScaleEngine, RejectsDegenerateConfig) {
 }
 
 TEST(ScaleEngine, WideWindowsEngageWorkersWithoutChangingResults) {
-    // Source -> 96 hubs -> 64 leaves each, plus chords between matching
-    // leaves of adjacent hubs: windows 2 and 3 queue >= 6000 events, past
-    // the inline threshold, so jobs > 1 runs the PhaseCrew workers (and
-    // the faulted plane's parallel decision pre-scan).  CI also runs this
-    // under ThreadSanitizer.
-    constexpr NodeId kHubs = 96;
-    constexpr NodeId kLeaves = 64;
-    Graph g(1 + kHubs * (1 + kLeaves));
-    const auto leaf = [](NodeId hub, NodeId j) { return 1 + kHubs + hub * kLeaves + j; };
-    for (NodeId h = 0; h < kHubs; ++h) {
-        g.add_edge(0, 1 + h);
-        for (NodeId j = 0; j < kLeaves; ++j) {
-            g.add_edge(1 + h, leaf(h, j));
-            if (j % 4 == 0) g.add_edge(leaf(h, j), leaf((h + 1) % kHubs, j));
-        }
-    }
+    // CI also runs this under ThreadSanitizer.
+    const Graph g = wide_window_graph();
     faults::FaultPlan plan;  // crashes land before window 2's deliveries
     for (NodeId h = 0; h < kHubs; h += 7) {
-        plan.events.push_back({0.5, faults::FaultKind::kNodeCrash, leaf(h, 5), Edge{}});
+        plan.events.push_back({0.5, faults::FaultKind::kNodeCrash, wide_leaf(h, 5), Edge{}});
     }
     const faults::FaultPlan* const plans[] = {nullptr, &plan};
     for (const ScalePolicy policy :
@@ -287,6 +294,66 @@ TEST(ScaleEngineGeneric, DigestIndependentOfWheelsAndJobs) {
             EXPECT_EQ(r.order_digest, first) << "wheels=" << w << " jobs=" << j;
         }
     }
+}
+
+TEST(ScaleEngineGeneric, MatchesSimulatorAtEveryWheelAndJobCount) {
+    const UnitDiskNetwork net = make_network(180, 0x88a);
+    for (const GenericConfig& gc : {generic_fr_config(2), generic_static_config(2)}) {
+        for (const std::size_t w : {1ULL, 3ULL, 8ULL, 32ULL}) {
+            for (const std::size_t j : {1ULL, 4ULL}) {
+                expect_engine_matches_simulator(net.graph, 3, gc, w, j);
+            }
+        }
+    }
+}
+
+TEST(ScaleEngineGeneric, DecisionScratchIsPerWorkerNotPerWheel) {
+    // The O(n) compile scratch belongs to crew workers, not wheels: at
+    // jobs 1 the wheel count moves state_bytes only through the per-wheel
+    // staging and forwarder buffers, while each extra worker that takes a
+    // decision adds a scratch set of its own.  Windows here are wide
+    // enough to wake the crew, and results stay identical throughout.
+    const Graph g = wide_window_graph();
+    const std::size_t n = g.node_count();
+    const auto config = [](std::size_t wheels, std::size_t jobs) {
+        ScaleConfig cfg;
+        cfg.policy = ScalePolicy::kGenericCoverage;
+        cfg.generic = generic_fr_config(2);
+        cfg.wheels = wheels;
+        cfg.jobs = jobs;
+        return cfg;
+    };
+    ScaleEngine base(g, config(1, 1));
+    const ScaleResult want = base.run(0);
+    const std::vector<char> want_forwarded = base.forwarded_mask();
+    std::size_t bytes_jobs1[2] = {0, 0};
+    for (const std::size_t w : {1ULL, 3ULL, 8ULL, 32ULL}) {
+        for (const std::size_t j : {1ULL, 4ULL}) {
+            ScaleEngine engine(g, config(w, j));
+            const ScaleResult got = engine.run(0);
+            const auto tag = ::testing::Message() << "wheels=" << w << " jobs=" << j;
+            EXPECT_EQ(got.order_digest, want.order_digest) << tag;
+            EXPECT_EQ(got.forward_count, want.forward_count) << tag;
+            EXPECT_EQ(got.delivered_events, want.delivered_events) << tag;
+            EXPECT_DOUBLE_EQ(got.completion_time, want.completion_time) << tag;
+            EXPECT_EQ(engine.forwarded_mask(), want_forwarded) << tag;
+            if (j == 1 && (w == 1 || w == 32)) bytes_jobs1[w == 32] = engine.state_bytes();
+        }
+    }
+    const std::size_t lo = std::min(bytes_jobs1[0], bytes_jobs1[1]);
+    const std::size_t hi = std::max(bytes_jobs1[0], bytes_jobs1[1]);
+    EXPECT_LT(hi - lo, 10 * n) << "wheels 1: " << bytes_jobs1[0]
+                               << " B, wheels 32: " << bytes_jobs1[1] << " B";
+
+    // Which worker claims which wheel is up to the scheduler, so rerun
+    // until a second worker has compiled a ball (state only grows).
+    ScaleEngine crew(g, config(32, 4));
+    std::size_t crew_bytes = 0;
+    for (int attempt = 0; attempt < 8 && crew_bytes <= bytes_jobs1[1]; ++attempt) {
+        EXPECT_EQ(crew.run(0).order_digest, want.order_digest);
+        crew_bytes = crew.state_bytes();
+    }
+    EXPECT_GT(crew_bytes, bytes_jobs1[1]);
 }
 
 TEST(ScaleEngineGeneric, RejectsUnhonorableGenericKnobs) {

@@ -50,7 +50,9 @@ TEST(Stojmenovic, NeverForwardsOutsideWuLiCds) {
     const auto result = algo.broadcast(net.graph, src, run);
     for (NodeId v = 0; v < net.graph.node_count(); ++v) {
         if (v == src) continue;
-        if (result.transmitted[v]) EXPECT_TRUE(cds[v]) << "node " << v;
+        if (result.transmitted[v]) {
+            EXPECT_TRUE(cds[v]) << "node " << v;
+        }
     }
 }
 
