@@ -1,13 +1,18 @@
-// Campaign driver: runs a named set of the paper's sweep figures/ablations
-// in one invocation, sharded over the campaign runner's thread pool, with
-// progress/ETA on stderr and one BENCH_<figure>.json per figure when
-// --json DIR is given.
+// Campaign driver and the one definition of the paper's sweep figures
+// (Figs. 10-16) and the Section 4.2/6.3/7.2 ablations: runs a named set of
+// them in one invocation, sharded over the campaign runner's thread pool,
+// with progress/ETA on stderr and one BENCH_<figure>.json per figure when
+// --json DIR is given.  A single figure's stdout has the layout of its
+// results/<figure>.txt: the heading, a blank line, then one table per panel.
 //
 //   bench_campaign --list
 //   bench_campaign --figures fig10_timing,fig12_space --runs 200 --jobs 0
+//   bench_campaign --figures fig15_first_receipt --gnuplot fig15_first_receipt
 //   bench_campaign --full --jobs 8 --json results/json
 //
-// Exit status is nonzero if any figure records a delivery failure (see
+// Every --figures name and the --json directory are checked before anything
+// runs (exit 2 on an unknown name, 1 on a directory that cannot be created).
+// Exit status is 1 if any figure records a delivery failure (see
 // bench_common.hpp) — the campaign keeps going so one regression doesn't
 // hide another.
 
@@ -17,6 +22,8 @@
 #include <filesystem>
 #include <functional>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 
 #include "algorithms/dominant_pruning.hpp"
 #include "algorithms/generic.hpp"
@@ -33,15 +40,21 @@ namespace {
 
 struct FigureSpec {
     const char* name;
-    const char* caption;
+    // Printed verbatim (plus a blank line) before the first panel; --list
+    // shows its first line.
+    const char* heading;
     // Builds the figure's algorithms and runs its panels through the session.
     std::function<void(bench::Bench&)> run;
 };
 
-// Each spec mirrors the panels of the standalone binary of the same name.
+std::string_view first_line(std::string_view text) { return text.substr(0, text.find('\n')); }
+
+// The "Paper:" notes give the expected ordering of each figure's curves.
 const std::vector<FigureSpec>& figure_registry() {
     static const std::vector<FigureSpec> specs{
-        {"fig10_timing", "timing options (2-hop, ID priority)",
+        // Paper: Static > FR > FRB >= FRBD forward nodes.
+        {"fig10_timing",
+         "Figure 10: timing options (2-hop, ID priority)",
          [](bench::Bench& b) {
              const GenericBroadcast stat(generic_static_config(2, PriorityScheme::kId),
                                          "Static");
@@ -52,7 +65,9 @@ const std::vector<FigureSpec>& figure_registry() {
              b.run_panel("d=6, 2-hop", algos, 6.0);
              b.run_panel("d=18, 2-hop", algos, 18.0);
          }},
-        {"fig11_selection", "selection options (first-receipt, 2-hop, ID priority)",
+        // Paper: MinPri worst; SP/ND/MaxDeg close, MaxDeg best (ND lags when dense).
+        {"fig11_selection",
+         "Figure 11: selection options (first-receipt, 2-hop, ID priority)",
          [](bench::Bench& b) {
              GenericConfig nd_cfg = generic_fr_config(2, PriorityScheme::kId);
              nd_cfg.selection = Selection::kNeighborDesignating;
@@ -64,7 +79,9 @@ const std::vector<FigureSpec>& figure_registry() {
              b.run_panel("d=6, 2-hop", algos, 6.0);
              b.run_panel("d=18, 2-hop", algos, 18.0);
          }},
-        {"fig12_space", "space options (first-receipt self-pruning, ID priority)",
+        // Paper: monotone gain with k, diminishing; 2-/3-hop close to global.
+        {"fig12_space",
+         "Figure 12: space options (first-receipt self-pruning, ID priority)",
          [](bench::Bench& b) {
              const GenericBroadcast k2(generic_fr_config(2, PriorityScheme::kId), "2-hop");
              const GenericBroadcast k3(generic_fr_config(3, PriorityScheme::kId), "3-hop");
@@ -75,7 +92,9 @@ const std::vector<FigureSpec>& figure_registry() {
              b.run_panel("d=6", algos, 6.0);
              b.run_panel("d=18", algos, 18.0);
          }},
-        {"fig13_priority", "priority options (first-receipt self-pruning, 2-hop)",
+        // Paper: ID > Degree > NCR when sparse; all close when dense.
+        {"fig13_priority",
+         "Figure 13: priority options (first-receipt self-pruning, 2-hop)",
          [](bench::Bench& b) {
              const GenericBroadcast id(generic_fr_config(2, PriorityScheme::kId), "ID");
              const GenericBroadcast deg(generic_fr_config(2, PriorityScheme::kDegree),
@@ -85,7 +104,9 @@ const std::vector<FigureSpec>& figure_registry() {
              b.run_panel("d=6, 2-hop", algos, 6.0);
              b.run_panel("d=18, 2-hop", algos, 18.0);
          }},
-        {"fig14_static", "static algorithms (NCR priority; MPR: designating time)",
+        // Paper, worst to best: MPR, Span, Rule k, Generic.
+        {"fig14_static",
+         "Figure 14: static algorithms (NCR priority; MPR: designating time)",
          [](bench::Bench& b) {
              const MprAlgorithm mpr;
              for (std::size_t k : {2u, 3u}) {
@@ -101,7 +122,9 @@ const std::vector<FigureSpec>& figure_registry() {
                  b.run_panel("d=18, " + std::to_string(k) + "-hop", algos, 18.0);
              }
          }},
-        {"fig15_first_receipt", "first-receipt algorithms (Degree priority)",
+        // Paper, worst to best: DP, PDP, LENWB, Generic.
+        {"fig15_first_receipt",
+         "Figure 15: first-receipt algorithms (Degree priority)",
          [](bench::Bench& b) {
              const DominantPruningAlgorithm dp(DominantPruningVariant::kDp);
              const DominantPruningAlgorithm pdp(DominantPruningVariant::kPdp);
@@ -115,7 +138,9 @@ const std::vector<FigureSpec>& figure_registry() {
                  b.run_panel("d=18, " + std::to_string(k) + "-hop", algos, 18.0);
              }
          }},
-        {"fig16_backoff", "first-receipt-with-backoff algorithms",
+        // Paper: Generic well below SBA (indirect coverage via replacement paths).
+        {"fig16_backoff",
+         "Figure 16: first-receipt-with-backoff algorithms",
          [](bench::Bench& b) {
              for (std::size_t k : {2u, 3u}) {
                  const SbaAlgorithm sba(SbaConfig{.hops = k, .history = k > 2 ? 2u : 1u});
@@ -126,7 +151,9 @@ const std::vector<FigureSpec>& figure_registry() {
                  b.run_panel("d=18, " + std::to_string(k) + "-hop", algos, 18.0);
              }
          }},
-        {"ablation_history", "piggybacked visited-history depth h (generic FR, 2-hop)",
+        // Paper (Section 7.2): h=1 -> 2 helps a little, deeper history is flat.
+        {"ablation_history",
+         "Ablation: piggybacked visited-history depth h (generic FR, 2-hop)",
          [](bench::Bench& b) {
              std::vector<GenericBroadcast> variants;
              variants.reserve(5);
@@ -140,7 +167,12 @@ const std::vector<FigureSpec>& figure_registry() {
              b.run_panel("d=6, 2-hop", algos, 6.0);
              b.run_panel("d=18, 2-hop", algos, 18.0);
          }},
-        {"ablation_tdp_pdp", "the neighbor-designating family (2-hop, greedy designation)",
+        // Paper (Section 6.3): PDP matches TDP without TDP's piggybacked N2(u).
+        {"ablation_tdp_pdp",
+         "Ablation: the neighbor-designating family (2-hop, greedy designation)\n"
+         "TDP piggybacks N2(u) in every packet (O(n) extra bytes); PDP and\n"
+         "AHBP pay nothing.  Expected: TDP <= PDP <= DP with TDP ~ PDP;\n"
+         "AHBP's sibling-gateway elimination lands near PDP.",
          [](bench::Bench& b) {
              const DominantPruningAlgorithm dp(DominantPruningVariant::kDp);
              const DominantPruningAlgorithm tdp(DominantPruningVariant::kTdp);
@@ -150,7 +182,10 @@ const std::vector<FigureSpec>& figure_registry() {
              b.run_panel("d=6, 2-hop", algos, 6.0);
              b.run_panel("d=18, 2-hop", algos, 18.0);
          }},
-        {"ablation_relaxed", "strict vs relaxed designation (Section 4.2's S=1.5 rule)",
+        // Paper (Section 4.2): a designated node may prune itself at priority S=1.5.
+        {"ablation_relaxed",
+         "Ablation: strict vs relaxed designation (Section 4.2's S=1.5 rule;\n"
+         "first-receipt, 2-hop, ID priority)",
          [](bench::Bench& b) {
              auto make = [](Selection sel, bool strict, const char* label) {
                  GenericConfig cfg = hybrid_config(sel);
@@ -191,45 +226,60 @@ int main(int argc, char** argv) {
     bench::BenchOptions opts = bench::parse_options(argc, argv);
     opts.progress = true;  // the campaign driver always reports progress
 
+    const auto& registry = figure_registry();
     std::vector<std::string> wanted;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--figures" && i + 1 < argc) {
             wanted = split_csv(argv[++i]);
         } else if (arg == "--list") {
-            for (const auto& spec : figure_registry()) {
-                std::cout << spec.name << "  —  " << spec.caption << '\n';
+            for (const auto& spec : registry) {
+                std::cout << spec.name << "  —  " << first_line(spec.heading) << '\n';
             }
             return 0;
         }
     }
     if (wanted.empty()) {
-        for (const auto& spec : figure_registry()) wanted.emplace_back(spec.name);
+        for (const auto& spec : registry) wanted.emplace_back(spec.name);
     }
 
-    const std::string json_dir = opts.json_path;  // --json names a DIRECTORY here
-    if (!json_dir.empty()) std::filesystem::create_directories(json_dir);
-
-    int exit_code = 0;
-    std::size_t done = 0;
+    // Resolve every name before running anything: a typo late in the list
+    // must not cost the figures before it.
+    std::vector<const FigureSpec*> figures;
     for (const std::string& name : wanted) {
-        const auto& registry = figure_registry();
         const auto it = std::find_if(registry.begin(), registry.end(),
                                      [&](const FigureSpec& s) { return s.name == name; });
         if (it == registry.end()) {
             std::cerr << "unknown figure: " << name << " (see --list)\n";
             return 2;
         }
-        std::cerr << "=== [" << ++done << "/" << wanted.size() << "] " << it->name << ": "
-                  << it->caption << " ===\n";
-        std::cout << it->name << ": " << it->caption << "\n\n";
+        figures.push_back(&*it);
+    }
+
+    const std::string json_dir = opts.json_path;  // --json names a DIRECTORY here
+    if (!json_dir.empty()) {
+        std::error_code ec;
+        std::filesystem::create_directories(json_dir, ec);
+        if (ec) {
+            std::cerr << "bench_campaign: cannot create " << json_dir << ": " << ec.message()
+                      << '\n';
+            return 1;
+        }
+    }
+
+    int exit_code = 0;
+    std::size_t done = 0;
+    for (const FigureSpec* fig : figures) {
+        std::cerr << "=== [" << ++done << "/" << figures.size() << "] " << fig->name << ": "
+                  << first_line(fig->heading) << " ===\n";
+        std::cout << fig->heading << "\n\n";
 
         bench::BenchOptions fig_opts = opts;
         if (!json_dir.empty()) {
-            fig_opts.json_path = json_dir + "/BENCH_" + name + ".json";
+            fig_opts.json_path = json_dir + "/BENCH_" + fig->name + ".json";
         }
-        bench::Bench bench(name, fig_opts);
-        it->run(bench);
+        bench::Bench bench(fig->name, fig_opts);
+        fig->run(bench);
         exit_code = std::max(exit_code, bench.finish());
     }
     return exit_code;

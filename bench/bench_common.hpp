@@ -1,8 +1,9 @@
 /// \file bench_common.hpp
 /// \brief Shared scaffolding for the figure-reproduction benches.
 ///
-/// Every fig*.cpp binary runs the paper's sweep (n = 20..100, d ∈ {6, 18})
-/// for its algorithm set and prints paper-style tables.  Command line:
+/// Every sweep bench (bench_campaign's figures, the ablation binaries)
+/// runs the paper's sweep (n = 20..100, d ∈ {6, 18}) for its algorithm set
+/// and prints paper-style tables.  Command line:
 ///   --runs N     cap repetitions per cell (default 200)
 ///   --full       run until the paper's CI rule (90% CI within ±1%) or 2000
 ///   --seed S     change the base seed

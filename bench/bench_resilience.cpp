@@ -41,6 +41,7 @@
 #include "faults/outcome.hpp"
 #include "faults/recovery.hpp"
 #include "graph/unit_disk.hpp"
+#include "io/json.hpp"
 #include "runner/seed.hpp"
 #include "runner/thread_pool.hpp"
 
@@ -233,7 +234,7 @@ void write_json(std::ostream& out, const std::vector<Panel>& panels,
     for (std::size_t p = 0; p < panels.size(); ++p) {
         const Panel& panel = panels[p];
         out << "    {\n";
-        out << "      \"title\": \"" << runner::json_escape(panel.title) << "\",\n";
+        out << "      \"title\": \"" << io::json_escape(panel.title) << "\",\n";
         out << "      \"cells\": [\n";
         for (std::size_t c = 0; c < panel.cells.size(); ++c) {
             const CellResult& cr = panel.cells[c];
@@ -242,7 +243,7 @@ void write_json(std::ostream& out, const std::vector<Panel>& panels,
                 << ", \"algorithms\": [\n";
             for (std::size_t a = 0; a < algorithms.size(); ++a) {
                 const AlgoStats& s = cr.stats[a];
-                out << "          {\"name\": \"" << runner::json_escape(algorithms[a]->name())
+                out << "          {\"name\": \"" << io::json_escape(algorithms[a]->name())
                     << "\", \"delivery_ratio\": "
                     << s.delivery_sum / static_cast<double>(runs)
                     << ", \"forward_mean\": " << s.forward_sum / static_cast<double>(runs)

@@ -41,6 +41,7 @@
 #include "bench_common.hpp"
 #include "faults/fault_plan.hpp"
 #include "graph/unit_disk.hpp"
+#include "io/json.hpp"
 #include "runner/seed.hpp"
 #include "runner/thread_pool.hpp"
 #include "telemetry/sinks.hpp"
@@ -277,7 +278,7 @@ void write_json(std::ostream& out, const std::vector<Panel>& panels,
     for (std::size_t p = 0; p < panels.size(); ++p) {
         const Panel& panel = panels[p];
         out << "    {\n";
-        out << "      \"title\": \"" << runner::json_escape(panel.title) << "\",\n";
+        out << "      \"title\": \"" << io::json_escape(panel.title) << "\",\n";
         out << "      \"cells\": [\n";
         for (std::size_t c = 0; c < panel.cells.size(); ++c) {
             const CellResult& cr = panel.cells[c];

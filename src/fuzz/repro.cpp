@@ -11,7 +11,7 @@
 #include <variant>
 #include <vector>
 
-#include "runner/json_sink.hpp"  // json_escape
+#include "io/json.hpp"
 
 namespace adhoc::fuzz {
 namespace {
@@ -117,8 +117,30 @@ class JsonParser {
                     case 'r': out.push_back('\r'); break;
                     case 'b': out.push_back('\b'); break;
                     case 'f': out.push_back('\f'); break;
+                    case 'u': {
+                        // json_escape writes \u00XX for control bytes.  Strings
+                        // are byte strings here, so only U+0000..U+007F (one
+                        // byte each) can be represented.
+                        const std::string hex = text_.substr(pos_, 4);
+                        unsigned code = 0;
+                        const auto [end, ec] =
+                            std::from_chars(hex.data(), hex.data() + hex.size(), code, 16);
+                        if (hex.size() != 4 || ec != std::errc{} ||
+                            end != hex.data() + hex.size()) {
+                            set_error("malformed escape '\\u" + hex + "'");
+                            return std::nullopt;
+                        }
+                        if (code > 0x7f) {
+                            set_error("unsupported escape '\\u" + hex +
+                                      "' (only \\u0000-\\u007f decode to one byte)");
+                            return std::nullopt;
+                        }
+                        out.push_back(static_cast<char>(code));
+                        pos_ += 4;
+                        break;
+                    }
                     default:
-                        set_error("unsupported escape");
+                        set_error(std::string("unsupported escape '\\") + esc + "'");
                         return std::nullopt;
                 }
             } else {
@@ -302,14 +324,14 @@ std::string to_repro_json(const Repro& repro) {
     out << std::setprecision(17);  // doubles must round-trip exactly
     out << "{\n";
     out << "  \"schema\": \"adhoc-repro-v1\",\n";
-    out << "  \"family\": \"" << runner::json_escape(s.family) << "\",\n";
+    out << "  \"family\": \"" << io::json_escape(s.family) << "\",\n";
     out << "  \"run_seed\": \"" << s.run_seed << "\",\n";
     out << "  \"node_count\": " << s.node_count << ",\n";
     out << "  \"edges\": ";
     write_edges(out, s.edges);
     out << ",\n";
     out << "  \"source\": " << s.source << ",\n";
-    out << "  \"algorithm\": \"" << runner::json_escape(s.config.algorithm) << "\",\n";
+    out << "  \"algorithm\": \"" << io::json_escape(s.config.algorithm) << "\",\n";
     out << "  \"timing\": \"" << to_string(s.config.timing) << "\",\n";
     out << "  \"selection\": \"" << to_string(s.config.selection) << "\",\n";
     out << "  \"hops\": " << s.config.hops << ",\n";
@@ -363,13 +385,13 @@ std::string to_repro_json(const Repro& repro) {
         }
         out << "],\n";
     }
-    out << "  \"oracle\": \"" << runner::json_escape(repro.oracle) << "\",\n";
+    out << "  \"oracle\": \"" << io::json_escape(repro.oracle) << "\",\n";
     if (repro.digest.has_value()) {
         std::ostringstream hex;
         hex << std::hex << *repro.digest;
         out << "  \"digest\": \"0x" << hex.str() << "\",\n";
     }
-    out << "  \"note\": \"" << runner::json_escape(repro.note) << "\"\n";
+    out << "  \"note\": \"" << io::json_escape(repro.note) << "\"\n";
     out << "}\n";
     return out.str();
 }

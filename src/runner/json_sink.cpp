@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <ostream>
 
+#include "io/json.hpp"
+
 namespace adhoc::runner {
 
 namespace {
@@ -39,34 +41,11 @@ void write_number(std::ostream& out, double x) {
 
 }  // namespace
 
-std::string json_escape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
-
 void write_bench_json(std::ostream& out, const BenchRunInfo& info,
                       const std::vector<PanelResult>& panels) {
     out << "{\n";
     out << "  \"schema\": \"adhoc-bench-v1\",\n";
-    out << "  \"bench\": \"" << json_escape(info.name) << "\",\n";
+    out << "  \"bench\": \"" << io::json_escape(info.name) << "\",\n";
     out << "  \"seed\": " << info.seed << ",\n";
     out << "  \"jobs\": " << info.jobs << ",\n";
     out << "  \"min_runs\": " << info.min_runs << ",\n";
@@ -83,7 +62,7 @@ void write_bench_json(std::ostream& out, const BenchRunInfo& info,
         const PanelResult& panel = panels[p];
         out << (p == 0 ? "\n" : ",\n");
         out << "    {\n";
-        out << "      \"title\": \"" << json_escape(panel.title) << "\",\n";
+        out << "      \"title\": \"" << io::json_escape(panel.title) << "\",\n";
         out << "      \"average_degree\": ";
         write_number(out, panel.average_degree);
         out << ",\n";
@@ -92,7 +71,7 @@ void write_bench_json(std::ostream& out, const BenchRunInfo& info,
             const AlgorithmSeries& series = panel.series[s];
             out << (s == 0 ? "\n" : ",\n");
             out << "        {\n";
-            out << "          \"name\": \"" << json_escape(series.name) << "\",\n";
+            out << "          \"name\": \"" << io::json_escape(series.name) << "\",\n";
             out << "          \"points\": [";
             for (std::size_t i = 0; i < series.points.size(); ++i) {
                 const SeriesPoint& point = series.points[i];
@@ -117,7 +96,7 @@ void write_micro_json(std::ostream& out, const MicroRunInfo& info,
                       const std::vector<MicroKernelResult>& kernels) {
     out << "{\n";
     out << "  \"schema\": \"adhoc-micro-v1\",\n";
-    out << "  \"bench\": \"" << json_escape(info.name) << "\",\n";
+    out << "  \"bench\": \"" << io::json_escape(info.name) << "\",\n";
     out << "  \"seed\": " << info.seed << ",\n";
     out << "  \"smoke\": " << (info.smoke ? "true" : "false") << ",\n";
     out << "  \"wall_time_seconds\": ";
@@ -127,7 +106,7 @@ void write_micro_json(std::ostream& out, const MicroRunInfo& info,
     for (std::size_t i = 0; i < kernels.size(); ++i) {
         const MicroKernelResult& k = kernels[i];
         out << (i == 0 ? "\n" : ",\n");
-        out << "    {\"name\": \"" << json_escape(k.name) << "\", \"n\": " << k.n
+        out << "    {\"name\": \"" << io::json_escape(k.name) << "\", \"n\": " << k.n
             << ", \"reps\": " << k.reps << ", \"ref_ns\": ";
         write_number(out, k.ref_ns);
         out << ", \"opt_ns\": ";

@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "stats/experiment.hpp"
@@ -57,9 +56,6 @@ struct BenchRunInfo {
     /// as the "metrics" member when non-empty; empty = telemetry disabled.
     std::string metrics_json;
 };
-
-/// Escapes a string for inclusion inside a JSON string literal.
-[[nodiscard]] std::string json_escape(std::string_view s);
 
 /// Writes the full document (pretty-printed, trailing newline).
 void write_bench_json(std::ostream& out, const BenchRunInfo& info,

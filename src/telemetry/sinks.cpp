@@ -8,28 +8,11 @@
 #include <sstream>
 #include <utility>
 
+#include "io/json.hpp"
+
 namespace adhoc::telemetry {
 
 namespace {
-
-/// Metric names and labels are dotted identifiers, but escape defensively.
-std::string escape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
 
 void append_u64_array(std::string& out, const std::vector<std::uint64_t>& xs) {
     out += '[';
@@ -96,7 +79,7 @@ std::string metrics_json(const Snapshot& snapshot, bool include_timing) {
     for (const Entry& e : entries) {
         if (!first) out += ", ";
         first = false;
-        out += '"' + escape(e.def->name) + "\": {";
+        out += '"' + io::json_escape(e.def->name) + "\": {";
         const MetricValue& v = *e.value;
         switch (e.def->kind) {
             case Kind::kCounter:
@@ -129,7 +112,7 @@ std::string metrics_json(const Snapshot& snapshot, bool include_timing) {
                 break;
             }
         }
-        if (!e.def->unit.empty()) out += ", \"unit\": \"" + escape(e.def->unit) + '"';
+        if (!e.def->unit.empty()) out += ", \"unit\": \"" + io::json_escape(e.def->unit) + '"';
         out += '}';
     }
     out += '}';
@@ -170,9 +153,9 @@ void jsonl_write_run(std::string_view label,
     JsonlSink& sink = jsonl_sink();
     std::lock_guard<std::mutex> lock(sink.mutex);
     if (!sink.file) return;
-    std::string line = "{\"type\": \"run\", \"label\": \"" + escape(label) + '"';
+    std::string line = "{\"type\": \"run\", \"label\": \"" + io::json_escape(label) + '"';
     for (const auto& [key, value] : fields) {
-        line += ", \"" + escape(key) + "\": " + std::to_string(value);
+        line += ", \"" + io::json_escape(key) + "\": " + std::to_string(value);
     }
     line += ", \"ts_ns\": " + std::to_string(timeline_now_ns());
     line += ", \"metrics\": " + metrics_json(snapshot, /*include_timing=*/true) + "}\n";
@@ -190,7 +173,7 @@ bool jsonl_consume_spans(const std::vector<Span>& spans) {
         std::fprintf(sink.file,
                      "{\"type\": \"span\", \"name\": \"%s\", \"ts_ns\": %" PRIu64
                      ", \"dur_ns\": %" PRIu64 ", \"tid\": %" PRIu32 "}\n",
-                     escape(metric(span.metric).name).c_str(), span.ts_ns, span.dur_ns,
+                     io::json_escape(metric(span.metric).name).c_str(), span.ts_ns, span.dur_ns,
                      span.tid);
     }
     std::fflush(sink.file);
@@ -264,8 +247,9 @@ void write_chrome_trace(std::ostream& out, const std::vector<ChromeEvent>& event
     for (std::size_t i = 0; i < events.size(); ++i) {
         const ChromeEvent& e = events[i];
         char num[64];
-        out << "{\"name\":\"" << escape(e.name) << "\",\"cat\":\"" << escape(e.cat)
-            << "\",\"ph\":\"" << e.ph << "\",\"pid\":1,\"tid\":" << e.tid;
+        out << "{\"name\":\"" << io::json_escape(e.name) << "\",\"cat\":\""
+            << io::json_escape(e.cat) << "\",\"ph\":\"" << e.ph
+            << "\",\"pid\":1,\"tid\":" << e.tid;
         std::snprintf(num, sizeof(num), "%.3f", e.ts_us);
         out << ",\"ts\":" << num;
         if (e.ph == 'X') {

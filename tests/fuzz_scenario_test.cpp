@@ -87,6 +87,40 @@ TEST(FuzzRepro, RoundTripPreservesEverything) {
     }
 }
 
+TEST(FuzzRepro, ControlBytesRoundTrip) {
+    // json_escape writes \n \r \t short and every other byte below 0x20 as
+    // \u00XX; the reader must take all of them back.
+    for (int c = 0x00; c <= 0x1f; ++c) {
+        Repro repro;
+        repro.scenario.node_count = 2;
+        repro.scenario.edges = {{0, 1}};
+        repro.note = "a" + std::string(1, static_cast<char>(c)) + "b";
+        std::string error;
+        const auto parsed = parse_repro(to_repro_json(repro), &error);
+        ASSERT_TRUE(parsed.has_value()) << "byte " << c << ": " << error;
+        EXPECT_EQ(parsed->note, repro.note) << "byte " << c;
+    }
+}
+
+TEST(FuzzRepro, RejectsUnrepresentableUnicodeEscapes) {
+    Repro repro;
+    repro.scenario.node_count = 2;
+    repro.scenario.edges = {{0, 1}};
+    repro.note = "MARK";
+    const std::string good = to_repro_json(repro);
+    const auto rejects_with = [&](const std::string& note, const std::string& needle) {
+        std::string text = good;
+        text.replace(text.find("MARK"), 4, note);
+        std::string error;
+        EXPECT_FALSE(parse_repro(text, &error).has_value()) << note;
+        EXPECT_NE(error.find(needle), std::string::npos) << error;
+    };
+    rejects_with("\\u00e9", "\\u00e9");  // beyond one byte
+    rejects_with("\\u12", "\\u12");      // too short
+    rejects_with("\\u00zz", "\\u00zz");  // not hex
+    rejects_with("\\x", "\\x");          // unknown escape letter
+}
+
 TEST(FuzzRepro, ExactUint64AndDoubleRoundTrip) {
     Repro repro;
     repro.scenario.node_count = 2;

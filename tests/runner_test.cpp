@@ -17,6 +17,7 @@
 
 #include "algorithms/flooding.hpp"
 #include "algorithms/generic.hpp"
+#include "io/json.hpp"
 #include "runner/campaign.hpp"
 #include "runner/json_sink.hpp"
 #include "runner/seed.hpp"
@@ -264,9 +265,9 @@ TEST(Campaign, StoppingRuleRespectsMaxRuns) {
 // ------------------------------------------------------------- JSON sink --
 
 TEST(JsonSink, EscapesStrings) {
-    EXPECT_EQ(runner::json_escape("plain"), "plain");
-    EXPECT_EQ(runner::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    EXPECT_EQ(runner::json_escape(std::string(1, '\x01')), "\\u0001");
+    EXPECT_EQ(io::json_escape("plain"), "plain");
+    EXPECT_EQ(io::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    EXPECT_EQ(io::json_escape(std::string(1, '\x01')), "\\u0001");
 }
 
 TEST(JsonSink, WritesWellFormedDocument) {

@@ -349,5 +349,26 @@ TEST(ChromeTrace, WriterEmitsLoadableStructure) {
               std::count(json.begin(), json.end(), ']'));
 }
 
+TEST(ChromeTrace, ExactBytesThroughSharedEscaper) {
+    // Dotted metric names pass through the escaper untouched; quotes and
+    // backslashes are escaped the same way the bench and repro writers do.
+    std::vector<tel::ChromeEvent> events(2);
+    events[0].name = "sim.run";
+    events[0].tid = 2;
+    events[0].ts_us = 1.5;
+    events[0].dur_us = 2.0;
+    events[1].name = "q\"b\\s";
+    events[1].ph = 'i';
+    std::ostringstream out;
+    tel::write_chrome_trace(out, events);
+    EXPECT_EQ(out.str(),
+              "{\"traceEvents\":[\n"
+              "{\"name\":\"sim.run\",\"cat\":\"adhoc\",\"ph\":\"X\",\"pid\":1,\"tid\":2,"
+              "\"ts\":1.500,\"dur\":2.000},\n"
+              "{\"name\":\"q\\\"b\\\\s\",\"cat\":\"adhoc\",\"ph\":\"i\",\"pid\":1,\"tid\":0,"
+              "\"ts\":0.000,\"s\":\"t\"}\n"
+              "],\"displayTimeUnit\":\"ms\"}\n");
+}
+
 }  // namespace
 }  // namespace adhoc

@@ -3,9 +3,10 @@
 #
 #   tools/plot_figures.sh [build-dir] [out-dir]
 #
-# Runs every fig* bench with --gnuplot, then renders each emitted .dat with
-# gnuplot (if installed).  Each data file is one figure panel; columns are
-# algorithms, rows are network sizes.
+# Runs each of the paper's sweep figures through bench_campaign with
+# --gnuplot, then renders each emitted .dat with gnuplot (if installed).
+# Each data file is one figure panel; columns are algorithms, rows are
+# network sizes.
 
 set -eu
 BUILD=${1:-build}
@@ -13,12 +14,12 @@ OUT=${2:-plots}
 mkdir -p "$OUT"
 cd "$OUT"
 
-for bench in fig10_timing fig11_selection fig12_space fig13_priority \
-             fig14_static fig15_first_receipt fig16_backoff; do
-  bin="../$BUILD/bench/$bench"
-  [ -x "$bin" ] || { echo "missing $bin (build first)"; exit 1; }
-  echo "running $bench ..."
-  "$bin" --runs 200 --gnuplot "$bench" > "$bench.txt"
+bin="../$BUILD/bench/bench_campaign"
+[ -x "$bin" ] || { echo "missing $bin (build first)"; exit 1; }
+for fig in fig10_timing fig11_selection fig12_space fig13_priority \
+           fig14_static fig15_first_receipt fig16_backoff; do
+  echo "running $fig ..."
+  "$bin" --figures "$fig" --runs 200 --gnuplot "$fig" > "$fig.txt"
 done
 
 if ! command -v gnuplot > /dev/null 2>&1; then
