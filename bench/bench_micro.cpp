@@ -10,13 +10,14 @@
 /// summary_diff kernel times one beacon diff (`missing_keys`) against the
 /// per-bit `holds` loop it replaced.  The policy_decision kernel replays
 /// one seeded traffic run's stream of generic-fr decisions through
-/// `CoveragePolicy`'s per-run memo, against a direct coverage evaluation
-/// of each decision.  The compile_ball kernel builds every node's 2-hop
-/// Definition-2 view with `compile_ball` into one reused scratch, against
-/// an independent construction (ball BFS, `induced_topology`, boundary
-/// links dropped); besides the per-size rows, the full run adds it at
-/// n = 10^4 and 10^5 on bench_scale's placement, so the per-ball cost from
-/// n to 10n is visible.  Emits a
+/// `CoveragePolicy`'s per-run memo, against a direct `reference::`
+/// evaluation of each decision.  The compile_ball kernel builds every
+/// node's 2-hop Definition-2 view with `compile_ball` into one reused
+/// scratch, against an independent construction (ball BFS,
+/// `induced_topology`, boundary links dropped); besides the per-size rows,
+/// the full run adds it at n = 10^4 and 10^5 on bench_scale's placement,
+/// so the per-ball cost from n to 10n is visible, and next to it a
+/// coverage_full row that decides on those balls.  Emits a
 /// machine-readable document (schema adhoc-micro-v1) for the CI regression
 /// gate (tools/check_bench.py compares speedup ratios against the
 /// committed BENCH_micro.baseline.json).
@@ -373,6 +374,54 @@ runner::MicroKernelResult compile_ball_kernel(const Graph& g, std::size_t reps,
     return {"compile_ball", n, reps, ref_ns, opt_ns, ref_ns / opt_ns, match};
 }
 
+/// The full coverage condition on `g`'s k = 2 `compile_ball` views — the
+/// ScaleEngine's decision input — with ~20% of the nodes visited and
+/// degree priorities (generic-fr's): ns per decision for both sides.  The
+/// reference pays O(n) per call, so both sides run on the same evenly
+/// spaced sample of balls, held compiled; `match` compares every outcome.
+runner::MicroKernelResult coverage_ball_kernel(const Graph& g, std::uint64_t seed,
+                                               std::size_t reps, volatile std::size_t& guard) {
+    constexpr std::size_t kHops = 2;
+    constexpr std::size_t kSample = 1024;
+    const std::size_t n = g.node_count();
+    const PriorityKeys keys(g, PriorityScheme::kDegree);
+    Rng rng(seed ^ 0xc0ffeeULL);
+    std::vector<NodeStatus> status(n, NodeStatus::kUnvisited);
+    for (NodeStatus& st : status) {
+        if (rng.chance(0.2)) st = NodeStatus::kVisited;
+    }
+    std::vector<NodeId> centers;
+    std::vector<LocalTopology> balls;
+    BallScratch ball;
+    const std::size_t samples = std::min(n, kSample);
+    for (std::size_t i = 0; i < samples; ++i) {
+        const auto v = static_cast<NodeId>(i * n / samples);
+        compile_ball(g, v, kHops, ball);
+        centers.push_back(v);
+        balls.push_back(ball.view);
+    }
+    const auto sweep = [&](auto&& evaluate) {
+        std::size_t covered = 0;
+        for (std::size_t i = 0; i < centers.size(); ++i) {
+            covered += evaluate(View(&balls[i], &status, &keys), centers[i]).covered ? 1 : 0;
+        }
+        return covered;
+    };
+    const auto production = [](const View& view, NodeId v) { return evaluate_coverage(view, v); };
+    const auto naive = [](const View& view, NodeId v) {
+        return reference::evaluate_coverage(view, v);
+    };
+    bool match = true;
+    for (std::size_t i = 0; i < centers.size() && match; ++i) {
+        const View view(&balls[i], &status, &keys);
+        match = same_outcome(production(view, centers[i]), naive(view, centers[i]));
+    }
+    const auto per = static_cast<double>(centers.size());
+    const double ref_ns = time_ns([&] { guard = guard + sweep(naive); }, reps) / per;
+    const double opt_ns = time_ns([&] { guard = guard + sweep(production); }, reps) / per;
+    return {"coverage_full", n, reps, ref_ns, opt_ns, ref_ns / opt_ns, match};
+}
+
 int main(int argc, char** argv) {
     const MicroOptions opts = parse(argc, argv);
     const std::vector<std::size_t> sizes =
@@ -534,9 +583,10 @@ int main(int argc, char** argv) {
         //
         // One seeded 100-session generic-fr traffic run on the fixture
         // network is recorded.  The reference evaluates every decision on
-        // the node's precompiled 2-hop view (the un-memoised policy); the
-        // optimized side replays the stream through the policy, starting
-        // each repetition with an empty memo.
+        // the node's precompiled 2-hop view with `reference::`, like every
+        // other row's reference side, so a faster production kernel does
+        // not read as a slower memo.  The optimized side replays the stream
+        // through the policy, starting each repetition with an empty memo.
         {
             const auto policy = traffic::make_policy(fx.graph, "generic-fr");
             const RecordingPolicy recorder(*policy);
@@ -555,7 +605,7 @@ int main(int argc, char** argv) {
             const auto direct = [&](const Decision& d) {
                 for (const NodeId u : d.history()) status[u] = NodeStatus::kVisited;
                 const View view(&views[d.v], &status, &keys);
-                const bool forward = !coverage_condition_holds(view, d.v, CoverageOptions{});
+                const bool forward = !reference::evaluate_coverage(view, d.v).covered;
                 for (const NodeId u : d.history()) status[u] = NodeStatus::kUnvisited;
                 return forward;
             };
@@ -685,7 +735,9 @@ int main(int argc, char** argv) {
     if (!opts.smoke) {
         for (const std::size_t n : {std::size_t{10000}, std::size_t{100000}}) {
             std::cout << "n=" << n << " (bench_scale placement)\n";
-            report(compile_ball_kernel(bench::scale_placement(opts.seed, n), 3, guard));
+            const Graph g = bench::scale_placement(opts.seed, n);
+            report(compile_ball_kernel(g, 3, guard));
+            report(coverage_ball_kernel(g, opts.seed, 3, guard));
         }
     }
 

@@ -17,8 +17,9 @@
 /// Local ids are assigned in ascending global-id order, so iterating
 /// locals 0..m-1 visits the same node sequence the naive kernels produce
 /// by scanning globals 0..n-1 and skipping invisible nodes — the property
-/// that makes the optimized kernels bit-for-bit equivalent to the
-/// `reference::` implementations.
+/// that makes the optimized kernels return the same verdicts and witnesses
+/// as the `reference::` implementations (the full coverage condition on a
+/// view of at most 64 members computes no component labels at all).
 ///
 /// The arena is thread-local and reused across calls: every buffer only
 /// ever grows, so steady-state kernel evaluation performs no heap

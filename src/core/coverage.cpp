@@ -13,8 +13,10 @@
 // local ids with reused buffers — zero heap allocations per call in steady
 // state — and map results back to global ids on the way out.  Iteration
 // orders mirror the retained `reference::` kernels exactly (local ids are
-// assigned in ascending global order), so verdicts, witnesses and component
-// labels are bit-for-bit identical.
+// assigned in ascending global order), so verdicts and witness pairs are
+// bit-for-bit identical, as are the labels `higher_priority_components`
+// returns.  The full condition on views of at most 64 members computes no
+// labels at all: it decides on one-word node masks.
 
 namespace adhoc {
 
@@ -156,6 +158,71 @@ void bounded_reach(LocalViewScratch& s, std::uint32_t u, std::size_t max_interme
     }
 }
 
+/// The full condition (unbounded paths, no radius) on one-word node masks,
+/// for views of at most 64 members.  H's components grow by frontier ORs
+/// (the visited H-nodes seed the first one when `merge_visited`), and each
+/// component's closed neighbourhood `reach` is the set of nodes that
+/// component touches.  Neighbours u, w of v share a component iff w lies in
+/// the union of the reaches of the components that touch u, so each u gets
+/// its failing partners as one mask; the lowest set bit above u is the
+/// reference kernel's first failing (i, j > i) pair.
+CoverageOutcome full_condition_on_words(const CompactLocalView& c, std::uint32_t lv,
+                                        const Priority& pv, bool merge_visited) {
+    constexpr std::uint64_t kOne = 1;
+    std::uint64_t row[bits::kWordBits];
+    std::uint64_t in_h = 0;
+    std::uint64_t visited = 0;
+    for (std::uint32_t x = 0; x < c.size; ++x) {
+        std::uint64_t r = 0;
+        for (std::uint32_t y : c.row(x)) r |= kOne << y;
+        row[x] = r;
+        in_h |= std::uint64_t{c.priority[x] > pv} << x;
+        visited |= std::uint64_t{c.status[x] == NodeStatus::kVisited} << x;
+    }
+    in_h &= ~(kOne << lv);
+
+    std::uint64_t comp[bits::kWordBits];
+    std::uint64_t reach[bits::kWordBits];
+    std::uint32_t count = 0;
+    std::uint64_t left = in_h;
+    std::uint64_t seed = merge_visited ? in_h & visited : 0;
+    while (left != 0) {
+        if (seed == 0) seed = left & (~left + 1);
+        std::uint64_t members = seed;
+        std::uint64_t touched = 0;
+        for (std::uint64_t frontier = seed; frontier != 0;) {
+            std::uint64_t next = 0;
+            for (std::uint64_t f = frontier; f != 0; f &= f - 1) next |= row[std::countr_zero(f)];
+            touched |= next;
+            frontier = next & left & ~members;
+            members |= frontier;
+        }
+        comp[count] = members;
+        reach[count] = members | touched;
+        ++count;
+        left &= ~members;
+        seed = 0;
+    }
+
+    const std::uint64_t nbrs = row[lv];
+    for (std::uint64_t rest = nbrs; rest != 0; rest &= rest - 1) {
+        const auto u = static_cast<std::uint32_t>(std::countr_zero(rest));
+        const std::uint64_t closed = row[u] | (kOne << u);
+        std::uint64_t partners = 0;
+        for (std::uint32_t k = 0; k < count; ++k) {
+            partners |= (comp[k] & closed) != 0 ? reach[k] : 0;
+        }
+        // Neighbours above u that are neither adjacent to u nor joined to it.
+        const std::uint64_t failing = rest & ~(kOne << u) & ~closed & ~partners;
+        if (failing != 0) {
+            return {.covered = false,
+                    .uncovered_u = c.members[u],
+                    .uncovered_w = c.members[std::countr_zero(failing)]};
+        }
+    }
+    return {.covered = true};
+}
+
 /// Plain BFS hop distances from `source` over the compact topology, into
 /// `s.dist` (kNoLocal = unreachable).  Used by the coverage-radius clamp.
 void compact_bfs(LocalViewScratch& s, std::uint32_t source) {
@@ -249,6 +316,10 @@ CoverageOutcome evaluate_coverage_compiled(LocalViewScratch& s, std::uint32_t lv
     const CompactLocalView& c = s.compact;
     const auto nv = c.row(lv);
     if (nv.size() <= 1) return {.covered = true};  // no neighbor pair to connect
+    if (c.size <= bits::kWordBits && !opts.strong && opts.max_path_hops == 0 &&
+        opts.coverage_radius == 0) {
+        return full_condition_on_words(c, lv, pv, opts.merge_visited);
+    }
 
     higher_priority_bits(s, pv, lv);
     if (opts.coverage_radius > 0) {

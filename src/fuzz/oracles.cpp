@@ -641,7 +641,7 @@ CheckReport check_scenario(const Scenario& s, const AlgorithmPool& pool) {
     }
 
     // Compact-vs-reference kernel agreement on sampled views.
-    if (knowledge.node_count() <= 40) {
+    if (knowledge.node_count() <= 96) {
         const std::string mismatch = kernel_disagreement(s, knowledge);
         if (!mismatch.empty()) return fail("kernels", mismatch, digest);
     }

@@ -738,13 +738,18 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
 }
 
 ScaleResult ScaleEngine::run(NodeId source) {
+    const std::size_t n = graph_.node_count();
+    if (n > 0 && source >= n) {
+        throw std::invalid_argument("ScaleEngine::run: source " + std::to_string(source) +
+                                    " is not a node of the " + std::to_string(n) +
+                                    "-node graph");
+    }
     // Any attached plan (even an empty one) or armed recovery layer routes
     // through the serial windowed replay — the reference machine's
     // broadcast_resilient always runs with an active fault session, and
     // byte-parity requires mirroring that mode exactly.
     if (fault_plan_ != nullptr || recovery_on()) return run_resilient(source);
 
-    const std::size_t n = graph_.node_count();
     std::fill(received_.begin(), received_.end(), 0);
     std::fill(forwarded_.begin(), forwarded_.end(), 0);
     std::fill(chain_len_.begin(), chain_len_.end(), 0);

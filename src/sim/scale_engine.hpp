@@ -168,7 +168,9 @@ class ScaleEngine {
 
     /// Runs one broadcast from `source` to quiescence.  Reusable: state is
     /// reset on entry.  An attached fault plan or armed recovery layer
-    /// routes the run through the faulted replay.
+    /// routes the run through the faulted replay.  Throws
+    /// std::invalid_argument when the graph is non-empty and `source` is
+    /// not one of its nodes; an empty graph returns an empty result.
     [[nodiscard]] ScaleResult run(NodeId source);
 
     [[nodiscard]] const ScaleConfig& config() const noexcept { return config_; }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "telemetry/telemetry.hpp"
 
@@ -93,7 +95,11 @@ BroadcastResult Simulator::run(NodeId source, Agent& agent, Rng& rng) {
 }
 
 void Simulator::begin(NodeId source, Agent& agent, Rng& rng, double start_time) {
-    assert(graph_->contains(source));
+    if (!graph_->contains(source)) {
+        throw std::invalid_argument("Simulator::begin: source " + std::to_string(source) +
+                                    " is not a node of the " +
+                                    std::to_string(graph_->node_count()) + "-node graph");
+    }
     reset(graph_->node_count());
     source_ = source;
     rng_ = &rng;

@@ -107,7 +107,8 @@ class Simulator {
     // ---- Steppable API (used by sessions and debuggers) --------------
 
     /// Arms a broadcast without processing events.  `agent` and `rng`
-    /// must outlive the stepping phase.
+    /// must outlive the stepping phase.  Throws std::invalid_argument when
+    /// `source` is not a node of the graph (`run` too).
     void begin(NodeId source, Agent& agent, Rng& rng, double start_time = 0.0);
 
     /// True while events remain.

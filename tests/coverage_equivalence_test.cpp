@@ -310,6 +310,38 @@ TEST(CoverageEquivalence, VisitedComponentCountsOnRandomGraphs) {
     }
     EXPECT_GE(remap, 100u);
     EXPECT_GE(skip, 100u);
+
+    // The one-word boundary: global views of 63, 64 and 65 members (the
+    // full condition decides on 64-bit node masks up to 64 and on label
+    // bitsets above), with node 63 — the word's top bit — placed at the
+    // centre so it has many neighbours.  Every option combination runs, so
+    // merge_visited is both on and off.
+    std::size_t top_bit_views = 0;
+    for (const std::size_t n : {std::size_t{63}, std::size_t{64}, std::size_t{65}}) {
+        for (int trial = 0; trial < 4; ++trial) {
+            std::vector<Point2D> pts(n);
+            for (Point2D& p : pts) {
+                p.x = rng.uniform(0.0, 10.0);
+                p.y = rng.uniform(0.0, 10.0);
+            }
+            const NodeId top = static_cast<NodeId>(std::min<std::size_t>(63, n - 1));
+            pts[top] = {5.0, 5.0};
+            const Graph g = unit_disk_graph(pts, 1.8);
+            const PriorityKeys keys(g, PriorityScheme::kNcr);
+            std::vector<NodeStatus> status(n, NodeStatus::kUnvisited);
+            for (NodeStatus& st : status) {
+                if (rng.chance(0.3)) st = NodeStatus::kVisited;
+            }
+            status[top] = NodeStatus::kUnvisited;
+            const View view = owning_view(g, status, keys);
+            ASSERT_EQ(view.local().size(), n);
+            ASSERT_GE(g.degree(top), 2u) << "n=" << n << " trial " << trial;
+            top_bit_views += n > 63 && h_shape(view, top).visited_components >= 2;
+            expect_kernels_agree(view, "boundary n=" + std::to_string(n) + " trial " +
+                                           std::to_string(trial));
+        }
+    }
+    EXPECT_GE(top_bit_views, 6u);
 }
 
 // The KnowledgeBase path hands kernels a *borrowing* view whose CSR comes

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -159,6 +160,26 @@ TEST(ScaleEngine, RejectsDegenerateConfig) {
     ScaleConfig bad_jobs;
     bad_jobs.jobs = 0;
     EXPECT_THROW(ScaleEngine(g, bad_jobs), std::invalid_argument);
+}
+
+TEST(ScaleEngine, RejectsSourceOutsideTheGraph) {
+    Graph g(4);
+    g.add_edge(0, 1);
+    ScaleEngine engine(g, ScaleConfig{});
+    try {
+        (void)engine.run(4);
+        ADD_FAILURE() << "source 4 of a 4-node graph ran";
+    } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("source 4"), std::string::npos) << what;
+        EXPECT_NE(what.find("4-node"), std::string::npos) << what;
+    }
+    EXPECT_EQ(engine.run(0).received_count, 2u);  // the engine is still usable
+
+    // An empty graph has no source to check: run returns the empty result.
+    const Graph empty;
+    ScaleEngine idle(empty, ScaleConfig{});
+    EXPECT_EQ(idle.run(0).received_count, 0u);
 }
 
 TEST(ScaleEngine, WideWindowsEngageWorkersWithoutChangingResults) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace adhoc {
 namespace {
 
@@ -73,6 +76,21 @@ TEST(Simulator, FloodReachesEveryone) {
     // Path of 5: the far end transmits at t=4; its (redundant) delivery
     // back to node 3 is the final event at t=5.
     EXPECT_DOUBLE_EQ(result.completion_time, 5.0);
+}
+
+TEST(Simulator, RejectsSourceOutsideTheGraph) {
+    const Graph g = path_graph(5);
+    Simulator sim(g);
+    RelayAll agent(5);
+    Rng rng(1);
+    try {
+        sim.run(7, agent, rng);
+        ADD_FAILURE() << "source 7 of a 5-node graph ran";
+    } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("source 7"), std::string::npos) << what;
+        EXPECT_NE(what.find("5-node"), std::string::npos) << what;
+    }
 }
 
 TEST(Simulator, SourceOnlyCoversNeighborsOnly) {
