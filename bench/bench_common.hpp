@@ -24,6 +24,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -32,6 +33,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -39,6 +41,7 @@
 #include "faults/outcome.hpp"
 #include "graph/unit_disk.hpp"
 #include "io/cli.hpp"
+#include "io/json.hpp"
 #include "runner/campaign.hpp"
 #include "runner/json_sink.hpp"
 #include "runner/progress.hpp"
@@ -69,6 +72,89 @@ struct OutcomeMix {
     [[nodiscard]] std::string split() const {
         return std::to_string(delivered) + '/' + std::to_string(degraded) + '/' +
                std::to_string(partitioned);
+    }
+};
+
+/// Members of one JSON object in insertion order: a row's key,
+/// deterministic, ratios or timing block, or a document's meta.
+class Fields {
+  public:
+    Fields& count(std::string_view name, std::uint64_t value) {
+        return add(name, std::to_string(value));
+    }
+    Fields& real(std::string_view name, double value) {
+        return add(name, io::json_number(value));
+    }
+    Fields& flag(std::string_view name, bool value) {
+        return add(name, value ? "true" : "false");
+    }
+    Fields& text(std::string_view name, std::string_view value) {
+        return add(name, '"' + io::json_escape(value) + '"');
+    }
+    /// A timing entry: every repetition (at least one), then their min
+    /// and median.
+    Fields& samples(std::string_view name, std::vector<double> reps) {
+        std::string list = "{\"reps\": [";
+        for (std::size_t i = 0; i < reps.size(); ++i) {
+            if (i != 0) list += ", ";
+            list += io::json_number(reps[i]);
+        }
+        std::sort(reps.begin(), reps.end());
+        const std::size_t m = reps.size() / 2;
+        const double median = reps.size() % 2 == 1 ? reps[m] : 0.5 * (reps[m - 1] + reps[m]);
+        return add(name, list + "], \"min\": " + io::json_number(reps.front()) +
+                             ", \"median\": " + io::json_number(median) + '}');
+    }
+    [[nodiscard]] bool empty() const { return body_.empty(); }
+    [[nodiscard]] std::string json() const { return '{' + body_ + '}'; }
+
+  private:
+    Fields& add(std::string_view name, const std::string& value) {
+        if (!body_.empty()) body_ += ", ";
+        body_ += '"' + io::json_escape(name) + "\": " + value;
+        return *this;
+    }
+    std::string body_;
+};
+
+/// One `adhoc-rows-v1` document, the schema of every document that
+/// tools/check_bench.py gates (docs/PERF.md).  `meta` holds run-invariant
+/// fields only; anything that varies with --jobs or the wall clock goes in
+/// a row's `timing`.  `ratios` (same-process speedups) is written only
+/// when a row has one.
+struct RowsDoc {
+    struct Row {
+        Fields key;
+        Fields deterministic;
+        Fields ratios;
+        Fields timing;
+    };
+
+    explicit RowsDoc(std::string name) : bench(std::move(name)) {}
+
+    std::string bench;
+    Fields meta;
+    std::vector<Row> rows;
+
+    /// Writes the document to `path`; false, with a message on stderr,
+    /// when the file cannot be opened.
+    [[nodiscard]] bool write(const std::string& path) const {
+        std::ofstream out(path);
+        if (!out) {
+            std::cerr << bench << ": cannot write " << path << '\n';
+            return false;
+        }
+        out << "{\n  \"schema\": \"adhoc-rows-v1\",\n  \"bench\": \"" << io::json_escape(bench)
+            << "\",\n  \"meta\": " << meta.json() << ",\n  \"rows\": [";
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            const Row& r = rows[i];
+            out << (i == 0 ? "\n" : ",\n") << "    {\"key\": " << r.key.json()
+                << ", \"deterministic\": " << r.deterministic.json();
+            if (!r.ratios.empty()) out << ", \"ratios\": " << r.ratios.json();
+            out << ", \"timing\": " << r.timing.json() << '}';
+        }
+        out << "\n  ]\n}\n";
+        return true;
     }
 };
 

@@ -17,10 +17,10 @@
 /// `induced_topology`, boundary links dropped); besides the per-size rows,
 /// the full run adds it at n = 10^4 and 10^5 on bench_scale's placement,
 /// so the per-ball cost from n to 10n is visible, and next to it a
-/// coverage_full row that decides on those balls.  Emits a
-/// machine-readable document (schema adhoc-micro-v1) for the CI regression
-/// gate (tools/check_bench.py compares speedup ratios against the
-/// committed BENCH_micro.baseline.json).
+/// coverage_full row that decides on those balls.  Emits an adhoc-rows-v1
+/// document (docs/PERF.md) for the CI regression gate: tools/check_bench.py
+/// compares each row's `speedup` ratio against the committed
+/// bench/baselines/bench_micro.json.
 ///
 ///   bench_micro [--smoke] [--seed S] [--json PATH]
 ///
@@ -34,8 +34,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,7 +51,6 @@
 #include "faults/fault_session.hpp"
 #include "graph/khop.hpp"
 #include "graph/unit_disk.hpp"
-#include "runner/json_sink.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/node_agent.hpp"
 #include "stats/rng.hpp"
@@ -89,20 +88,56 @@ MicroOptions parse(int argc, char** argv) {
     return opts;
 }
 
-/// Best-of-reps ns per call of `fn`: each repetition is timed separately
-/// and the minimum is reported, which discards scheduler/frequency noise
-/// far better than the mean — important for the CI regression gate, which
-/// compares speedup ratios across runs.
-template <typename Fn>
-double time_ns(Fn&& fn, std::size_t reps) {
-    double best = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < reps; ++r) {
-        const auto t0 = std::chrono::steady_clock::now();
-        fn();
-        const auto t1 = std::chrono::steady_clock::now();
-        best = std::min(best, std::chrono::duration<double, std::nano>(t1 - t0).count());
+/// Times the size sweep runs (see `Kernel::speedup`).
+constexpr std::size_t kReplicas = 9;
+
+/// One kernel row: ns per op of every timed call of both sides, one
+/// measurement of `reps` calls per side per replica of the sweep, and
+/// whether the optimized output matched the reference in all of them.
+struct Kernel {
+    std::string name;
+    std::size_t n = 0;
+    std::size_t reps = 0;
+    std::vector<double> ref_ns;
+    std::vector<double> opt_ns;
+    bool match = false;
+
+    /// One measurement's ratio is best-of-reps: the minimum discards
+    /// scheduler and frequency noise far better than the mean.  It still
+    /// swings with the state the machine is in during those few
+    /// milliseconds, so the speedup is the median over the replicas; the
+    /// CI gate compares it across runs.
+    [[nodiscard]] double speedup() const {
+        const auto best = [this](const std::vector<double>& ns, std::size_t at) {
+            const auto first = ns.begin() + static_cast<std::ptrdiff_t>(at);
+            return *std::min_element(first, first + static_cast<std::ptrdiff_t>(reps));
+        };
+        std::vector<double> ratios;
+        for (std::size_t at = 0; at < ref_ns.size(); at += reps) {
+            ratios.push_back(best(ref_ns, at) / best(opt_ns, at));
+        }
+        std::sort(ratios.begin(), ratios.end());
+        return ratios[ratios.size() / 2];
     }
-    return best;
+};
+
+/// Times `reps` reference calls, then `reps` optimized calls, in ns per
+/// op (`ops` operations per call).
+template <typename Ref, typename Opt>
+Kernel time_kernel(std::string name, std::size_t n, Ref&& ref, Opt&& opt, std::size_t reps,
+                   double ops, bool match) {
+    const auto timed = [reps, ops](auto& fn) {
+        std::vector<double> ns;
+        for (std::size_t r = 0; r < reps; ++r) {
+            const auto t0 = std::chrono::steady_clock::now();
+            fn();
+            const auto t1 = std::chrono::steady_clock::now();
+            ns.push_back(std::chrono::duration<double, std::nano>(t1 - t0).count() / ops);
+        }
+        return ns;
+    };
+    std::vector<double> ref_ns = timed(ref);
+    return {std::move(name), n, reps, std::move(ref_ns), timed(opt), match};
 }
 
 bool same_graph(const Graph& a, const Graph& b) {
@@ -344,8 +379,7 @@ LocalTopology definition2_ball(const Graph& g, NodeId v, std::size_t k) {
 
 /// The compile_ball kernel on `g` at k = 2: ns per ball for both sides,
 /// and whether every node's view matched.
-runner::MicroKernelResult compile_ball_kernel(const Graph& g, std::size_t reps,
-                                              volatile std::size_t& guard) {
+Kernel compile_ball_kernel(const Graph& g, std::size_t reps, volatile std::size_t& guard) {
     constexpr std::size_t kHops = 2;
     const std::size_t n = g.node_count();
     BallScratch ball;
@@ -354,24 +388,20 @@ runner::MicroKernelResult compile_ball_kernel(const Graph& g, std::size_t reps,
         compile_ball(g, v, kHops, ball);
         match = ball.view == definition2_ball(g, v, kHops);
     }
-    const double ref_ns = time_ns(
-                              [&] {
-                                  for (NodeId v = 0; v < n; ++v) {
-                                      guard = guard + definition2_ball(g, v, kHops).edges.size();
-                                  }
-                              },
-                              reps) /
-                          static_cast<double>(n);
-    const double opt_ns = time_ns(
-                              [&] {
-                                  for (NodeId v = 0; v < n; ++v) {
-                                      compile_ball(g, v, kHops, ball);
-                                      guard = guard + ball.view.edges.size();
-                                  }
-                              },
-                              reps) /
-                          static_cast<double>(n);
-    return {"compile_ball", n, reps, ref_ns, opt_ns, ref_ns / opt_ns, match};
+    return time_kernel(
+        "compile_ball", n,
+        [&] {
+            for (NodeId v = 0; v < n; ++v) {
+                guard = guard + definition2_ball(g, v, kHops).edges.size();
+            }
+        },
+        [&] {
+            for (NodeId v = 0; v < n; ++v) {
+                compile_ball(g, v, kHops, ball);
+                guard = guard + ball.view.edges.size();
+            }
+        },
+        reps, static_cast<double>(n), match);
 }
 
 /// The full coverage condition on `g`'s k = 2 `compile_ball` views — the
@@ -379,8 +409,8 @@ runner::MicroKernelResult compile_ball_kernel(const Graph& g, std::size_t reps,
 /// degree priorities (generic-fr's): ns per decision for both sides.  The
 /// reference pays O(n) per call, so both sides run on the same evenly
 /// spaced sample of balls, held compiled; `match` compares every outcome.
-runner::MicroKernelResult coverage_ball_kernel(const Graph& g, std::uint64_t seed,
-                                               std::size_t reps, volatile std::size_t& guard) {
+Kernel coverage_ball_kernel(const Graph& g, std::uint64_t seed, std::size_t reps,
+                            volatile std::size_t& guard) {
     constexpr std::size_t kHops = 2;
     constexpr std::size_t kSample = 1024;
     const std::size_t n = g.node_count();
@@ -416,10 +446,10 @@ runner::MicroKernelResult coverage_ball_kernel(const Graph& g, std::uint64_t see
         const View view(&balls[i], &status, &keys);
         match = same_outcome(production(view, centers[i]), naive(view, centers[i]));
     }
-    const auto per = static_cast<double>(centers.size());
-    const double ref_ns = time_ns([&] { guard = guard + sweep(naive); }, reps) / per;
-    const double opt_ns = time_ns([&] { guard = guard + sweep(production); }, reps) / per;
-    return {"coverage_full", n, reps, ref_ns, opt_ns, ref_ns / opt_ns, match};
+    return time_kernel(
+        "coverage_full", n, [&] { guard = guard + sweep(naive); },
+        [&] { guard = guard + sweep(production); }, reps, static_cast<double>(centers.size()),
+        match);
 }
 
 int main(int argc, char** argv) {
@@ -427,40 +457,50 @@ int main(int argc, char** argv) {
     const std::vector<std::size_t> sizes =
         opts.smoke ? std::vector<std::size_t>{100, 500}
                    : std::vector<std::size_t>{100, 500, 1000, 2000};
+    // Replicas of the whole sweep, rather than more repetitions in a row,
+    // so every measurement starts from the state the other kernels leave
+    // behind, as the first one does.
+    std::vector<std::size_t> schedule;
+    for (std::size_t r = 0; r < kReplicas; ++r) {
+        schedule.insert(schedule.end(), sizes.begin(), sizes.end());
+    }
 
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<runner::MicroKernelResult> results;
-    bool all_match = true;
     // Sink defeating dead-code elimination of the timed bodies.
     volatile std::size_t guard = 0;
-    const auto report = [&](const runner::MicroKernelResult& r) {
-        results.push_back(r);
-        all_match = all_match && r.match;
-        std::cout << "  " << r.name << ": ref " << r.ref_ns << " ns, opt " << r.opt_ns
-                  << " ns, speedup " << r.speedup << (r.match ? "" : "  MISMATCH") << '\n';
+    // Rows in first-report order; a later replica's measurement of the
+    // same (kernel, n) joins its row.
+    std::vector<Kernel> kernels;
+    std::map<std::size_t, std::string> headings;  ///< printed above each size's rows
+    const auto report = [&](const Kernel& k) {
+        const auto same = [&k](const Kernel& row) { return row.name == k.name && row.n == k.n; };
+        const auto row = std::find_if(kernels.begin(), kernels.end(), same);
+        if (row == kernels.end()) {
+            kernels.push_back(k);
+        } else {
+            row->ref_ns.insert(row->ref_ns.end(), k.ref_ns.begin(), k.ref_ns.end());
+            row->opt_ns.insert(row->opt_ns.end(), k.opt_ns.begin(), k.opt_ns.end());
+            row->match = row->match && k.match;
+        }
     };
 
-    for (const std::size_t n : sizes) {
+    for (const std::size_t n : schedule) {
         Fixture fx(n, opts.seed);
-        std::cout << "n=" << n << " (" << fx.graph.edge_count() << " edges)\n";
-
-        auto push = [&](const char* name, std::size_t reps, double ref_ns, double opt_ns,
-                        bool match) {
-            report({name, n, reps, ref_ns, opt_ns, ref_ns / opt_ns, match});
-        };
+        headings.emplace(n, "n=" + std::to_string(n) + " (" +
+                                std::to_string(fx.graph.edge_count()) + " edges)");
 
         // --- unit-disk generation: all-pairs scan vs spatial grid ---
         {
             const std::size_t reps = opts.smoke ? 10 : (n <= 500 ? 20 : 10);
             const Graph gref = reference::unit_disk_graph(fx.positions, fx.range);
             const bool match = same_graph(gref, fx.graph);
-            const double ref_ns = time_ns(
-                [&] { guard = guard + reference::unit_disk_graph(fx.positions, fx.range).edge_count(); },
-                reps);
-            const double opt_ns =
-                time_ns([&] { guard = guard + unit_disk_graph(fx.positions, fx.range).edge_count(); },
-                        reps);
-            push("unit_disk_gen", reps, ref_ns, opt_ns, match);
+            report(time_kernel(
+                "unit_disk_gen", n,
+                [&] {
+                    guard = guard +
+                            reference::unit_disk_graph(fx.positions, fx.range).edge_count();
+                },
+                [&] { guard = guard + unit_disk_graph(fx.positions, fx.range).edge_count(); },
+                reps, 1.0, match));
         }
 
         // --- scheduler: reference priority_queue vs calendar queue ---
@@ -476,15 +516,11 @@ int main(int argc, char** argv) {
                                scheduler_workload(opt_q, events, opts.seed);
             const std::size_t reps = opts.smoke ? 10 : (n <= 500 ? 20 : 10);
             const double per = static_cast<double>(3 * events);  // ops per workload
-            const double ref_ns =
-                time_ns([&] { guard = guard + scheduler_workload(ref_q, events, opts.seed); },
-                        reps) /
-                per;
-            const double opt_ns =
-                time_ns([&] { guard = guard + scheduler_workload(opt_q, events, opts.seed); },
-                        reps) /
-                per;
-            push("event_queue_ops", reps, ref_ns, opt_ns, match);
+            report(time_kernel(
+                "event_queue_ops", n,
+                [&] { guard = guard + scheduler_workload(ref_q, events, opts.seed); },
+                [&] { guard = guard + scheduler_workload(opt_q, events, opts.seed); }, reps, per,
+                match));
         }
 
         // --- fault session: linear down-link scan vs indexed set ---
@@ -516,9 +552,9 @@ int main(int argc, char** argv) {
             match = match && ref_down == opt_down && opt_down.size() == down;
             const std::size_t reps = opts.smoke ? 10 : (n <= 500 ? 20 : 10);
             const double per = static_cast<double>(plan.events.size() + sample.size());
-            const double ref_ns = time_ns([&] { guard = guard + run_ref(); }, reps) / per;
-            const double opt_ns = time_ns([&] { guard = guard + run_opt(); }, reps) / per;
-            push(down == n ? "fault_session" : "fault_session_2n", reps, ref_ns, opt_ns, match);
+            report(time_kernel(down == n ? "fault_session" : "fault_session_2n", n,
+                               [&] { guard = guard + run_ref(); },
+                               [&] { guard = guard + run_opt(); }, reps, per, match));
         }
 
         // --- summary-vector diff: per-bit holds loop vs word-parallel walk ---
@@ -553,30 +589,23 @@ int main(int argc, char** argv) {
             constexpr std::size_t kPasses = 4;
             const std::size_t reps = opts.smoke ? 10 : (n <= 500 ? 20 : 10);
             const auto per = static_cast<double>(kPasses * beacons.size());
-            const double ref_ns = time_ns(
-                                      [&] {
-                                          for (std::size_t p = 0; p < kPasses; ++p) {
-                                              for (const traffic::SummaryVector& sv : beacons) {
-                                                  guard = guard +
-                                                          traffic::reference::missing_keys(sv, mine)
-                                                              .size();
-                                              }
-                                          }
-                                      },
-                                      reps) /
-                                  per;
-            const double opt_ns = time_ns(
-                                      [&] {
-                                          for (std::size_t p = 0; p < kPasses; ++p) {
-                                              for (const traffic::SummaryVector& sv : beacons) {
-                                                  guard = guard +
-                                                          traffic::missing_keys(sv, mine).size();
-                                              }
-                                          }
-                                      },
-                                      reps) /
-                                  per;
-            push("summary_diff", reps, ref_ns, opt_ns, match);
+            report(time_kernel(
+                "summary_diff", n,
+                [&] {
+                    for (std::size_t p = 0; p < kPasses; ++p) {
+                        for (const traffic::SummaryVector& sv : beacons) {
+                            guard = guard + traffic::reference::missing_keys(sv, mine).size();
+                        }
+                    }
+                },
+                [&] {
+                    for (std::size_t p = 0; p < kPasses; ++p) {
+                        for (const traffic::SummaryVector& sv : beacons) {
+                            guard = guard + traffic::missing_keys(sv, mine).size();
+                        }
+                    }
+                },
+                reps, per, match));
         }
 
         // --- traffic decisions: direct coverage evaluation vs per-run memo ---
@@ -626,15 +655,13 @@ int main(int argc, char** argv) {
             }
             const std::size_t reps = opts.smoke ? 10 : (n <= 500 ? 20 : 10);
             const auto per = static_cast<double>(stream.size());
-            const double ref_ns = time_ns([&] { guard = guard + replay(direct); }, reps) / per;
-            const double opt_ns = time_ns(
-                                      [&] {
-                                          policy->begin_run();
-                                          guard = guard + replay(memoised);
-                                      },
-                                      reps) /
-                                  per;
-            push("policy_decision", reps, ref_ns, opt_ns, match);
+            report(time_kernel(
+                "policy_decision", n, [&] { guard = guard + replay(direct); },
+                [&] {
+                    policy->begin_run();
+                    guard = guard + replay(memoised);
+                },
+                reps, per, match));
         }
 
         // 2-hop knowledge base carrying the broadcast state — the exact
@@ -671,25 +698,20 @@ int main(int argc, char** argv) {
                 }
             }
             const std::size_t reps = opts.smoke ? 10 : (n <= 500 ? 20 : 10);
-            const double ref_ns = time_ns(
-                                      [&] {
-                                          for (NodeId v = 0; v < n; ++v) {
-                                              const auto built = build_ref(v);
-                                              guard = guard + built.first.edge_count() +
-                                                      built.second.node_count();
-                                          }
-                                      },
-                                      reps) /
-                                  static_cast<double>(n);
-            const double opt_ns = time_ns(
-                                      [&] {
-                                          for (NodeId v = 0; v < n; ++v) {
-                                              guard = guard + kb.view_of(v, fx.keys).node_count();
-                                          }
-                                      },
-                                      reps) /
-                                  static_cast<double>(n);
-            push("view_build", reps, ref_ns, opt_ns, match);
+            report(time_kernel(
+                "view_build", n,
+                [&] {
+                    for (NodeId v = 0; v < n; ++v) {
+                        const auto built = build_ref(v);
+                        guard = guard + built.first.edge_count() + built.second.node_count();
+                    }
+                },
+                [&] {
+                    for (NodeId v = 0; v < n; ++v) {
+                        guard = guard + kb.view_of(v, fx.keys).node_count();
+                    }
+                },
+                reps, static_cast<double>(n), match));
         }
 
         // --- coverage condition, one decision per node on its 2-hop view ---
@@ -707,26 +729,21 @@ int main(int argc, char** argv) {
                                      reference::evaluate_coverage(view, v, copts));
             }
             const std::size_t reps = opts.smoke ? 8 : (n <= 500 ? 10 : 6);
-            const double ref_ns =
-                time_ns(
-                    [&] {
-                        for (NodeId v = 0; v < n; ++v) {
-                            guard = guard + reference::evaluate_coverage(kb.view_of(v, fx.keys), v, copts)
-                                         .covered;
-                        }
-                    },
-                    reps) /
-                static_cast<double>(n);
-            const double opt_ns =
-                time_ns(
-                    [&] {
-                        for (NodeId v = 0; v < n; ++v) {
-                            guard = guard + evaluate_coverage(kb.view_of(v, fx.keys), v, copts).covered;
-                        }
-                    },
-                    reps) /
-                static_cast<double>(n);
-            push(strong ? "coverage_strong" : "coverage_full", reps, ref_ns, opt_ns, match);
+            report(time_kernel(
+                strong ? "coverage_strong" : "coverage_full", n,
+                [&] {
+                    for (NodeId v = 0; v < n; ++v) {
+                        const View view = kb.view_of(v, fx.keys);
+                        guard = guard + reference::evaluate_coverage(view, v, copts).covered;
+                    }
+                },
+                [&] {
+                    for (NodeId v = 0; v < n; ++v) {
+                        const View view = kb.view_of(v, fx.keys);
+                        guard = guard + evaluate_coverage(view, v, copts).covered;
+                    }
+                },
+                reps, static_cast<double>(n), match));
         }
 
         // --- Definition-2 view compile, one ball per node ---
@@ -734,27 +751,35 @@ int main(int argc, char** argv) {
     }
     if (!opts.smoke) {
         for (const std::size_t n : {std::size_t{10000}, std::size_t{100000}}) {
-            std::cout << "n=" << n << " (bench_scale placement)\n";
+            headings.emplace(n, "n=" + std::to_string(n) + " (bench_scale placement)");
             const Graph g = bench::scale_placement(opts.seed, n);
             report(compile_ball_kernel(g, 3, guard));
             report(coverage_ball_kernel(g, opts.seed, 3, guard));
         }
     }
 
-    if (!opts.json_path.empty()) {
-        runner::MicroRunInfo info;
-        info.name = "bench_micro";
-        info.seed = opts.seed;
-        info.smoke = opts.smoke;
-        info.wall_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-        std::ofstream out(opts.json_path);
-        if (!out) {
-            std::cerr << "bench_micro: cannot write " << opts.json_path << '\n';
-            return 1;
+    bench::RowsDoc doc("bench_micro");
+    doc.meta.count("seed", opts.seed).flag("smoke", opts.smoke);
+    bool all_match = true;
+    std::size_t last_n = 0;
+    for (const Kernel& k : kernels) {
+        if (k.n != last_n) {
+            last_n = k.n;
+            std::cout << headings.at(k.n) << '\n';
         }
-        runner::write_micro_json(out, info, results);
+        all_match = all_match && k.match;
+        std::cout << "  " << k.name << ": ref "
+                  << *std::min_element(k.ref_ns.begin(), k.ref_ns.end()) << " ns, opt "
+                  << *std::min_element(k.opt_ns.begin(), k.opt_ns.end()) << " ns, speedup "
+                  << k.speedup() << (k.match ? "" : "  MISMATCH") << '\n';
+        bench::RowsDoc::Row& row = doc.rows.emplace_back();
+        row.key.text("kernel", k.name).count("n", k.n);
+        row.deterministic.flag("match", k.match);
+        row.ratios.real("speedup", k.speedup());
+        row.timing.samples("ref_ns", k.ref_ns).samples("opt_ns", k.opt_ns);
     }
+
+    if (!opts.json_path.empty() && !doc.write(opts.json_path)) return 1;
 
     if (!all_match) {
         std::cerr << "bench_micro: optimized kernels diverged from reference\n";

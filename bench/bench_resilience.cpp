@@ -11,8 +11,8 @@
 /// Determinism: every run's simulation RNG and fault plan derive from
 /// `runner::derive_run_seed` substreams of (seed, cell, run index); runs
 /// are sharded over a thread pool but merged in run-index order, and the
-/// JSON sink (schema adhoc-resilience-v1) carries no wall-clock or jobs
-/// fields — the file is byte-identical at any --jobs value.
+/// JSON sink (schema adhoc-rows-v1, docs/PERF.md) carries no wall-clock or
+/// jobs fields — the file is byte-identical at any --jobs value.
 ///
 /// Extra flag (on top of bench_common's): --smoke shrinks the sweep to a
 /// sanity-size grid for CI.
@@ -25,7 +25,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <mutex>
@@ -41,7 +40,6 @@
 #include "faults/outcome.hpp"
 #include "faults/recovery.hpp"
 #include "graph/unit_disk.hpp"
-#include "io/json.hpp"
 #include "runner/seed.hpp"
 #include "runner/thread_pool.hpp"
 
@@ -216,52 +214,41 @@ void print_panel(const Panel& panel, const std::vector<const BroadcastAlgorithm*
     std::cout << '\n';
 }
 
-/// adhoc-resilience-v1 sink.  Deliberately excludes wall-clock time and
-/// --jobs so the bytes depend only on (seed, sweep, runs).
-void write_json(std::ostream& out, const std::vector<Panel>& panels,
-                const std::vector<const BroadcastAlgorithm*>& algorithms,
-                const bench::BenchOptions& opts, std::size_t node_count, double degree,
-                std::size_t runs) {
-    out << std::setprecision(17);
-    out << "{\n";
-    out << "  \"schema\": \"adhoc-resilience-v1\",\n";
-    out << "  \"name\": \"bench_resilience\",\n";
-    out << "  \"seed\": \"" << opts.seed << "\",\n";
-    out << "  \"node_count\": " << node_count << ",\n";
-    out << "  \"average_degree\": " << degree << ",\n";
-    out << "  \"runs_per_cell\": " << runs << ",\n";
-    out << "  \"panels\": [\n";
-    for (std::size_t p = 0; p < panels.size(); ++p) {
-        const Panel& panel = panels[p];
-        out << "    {\n";
-        out << "      \"title\": \"" << io::json_escape(panel.title) << "\",\n";
-        out << "      \"cells\": [\n";
-        for (std::size_t c = 0; c < panel.cells.size(); ++c) {
-            const CellResult& cr = panel.cells[c];
-            out << "        {\"crash_rate\": " << cr.cell.crash_rate
-                << ", \"loss\": " << cr.cell.loss << ", \"beta\": " << cr.cell.beta
-                << ", \"algorithms\": [\n";
+/// The adhoc-rows-v1 document: one row per (panel, cell, algorithm).  It
+/// carries no wall-clock or --jobs field, so the bytes depend only on
+/// (seed, sweep, runs).
+bench::RowsDoc rows_doc(const std::vector<Panel>& panels,
+                        const std::vector<const BroadcastAlgorithm*>& algorithms,
+                        const bench::BenchOptions& opts, std::size_t node_count, double degree,
+                        std::size_t runs) {
+    bench::RowsDoc doc("bench_resilience");
+    doc.meta.count("seed", opts.seed)
+        .count("node_count", node_count)
+        .real("average_degree", degree)
+        .count("runs_per_cell", runs);
+    const auto per_run = static_cast<double>(runs);
+    for (const Panel& panel : panels) {
+        for (const CellResult& cr : panel.cells) {
             for (std::size_t a = 0; a < algorithms.size(); ++a) {
                 const AlgoStats& s = cr.stats[a];
-                out << "          {\"name\": \"" << io::json_escape(algorithms[a]->name())
-                    << "\", \"delivery_ratio\": "
-                    << s.delivery_sum / static_cast<double>(runs)
-                    << ", \"forward_mean\": " << s.forward_sum / static_cast<double>(runs)
-                    << ", \"delivered\": " << s.mix.delivered
-                    << ", \"degraded\": " << s.mix.degraded
-                    << ", \"partitioned\": " << s.mix.partitioned
-                    << ", \"retransmits\": " << s.retransmits
-                    << ", \"sinr_rejections\": " << s.sinr_rejections
-                    << ", \"captures\": " << s.captures << "}"
-                    << (a + 1 < algorithms.size() ? "," : "") << "\n";
+                bench::RowsDoc::Row& row = doc.rows.emplace_back();
+                row.key.text("panel", panel.title)
+                    .real("crash_rate", cr.cell.crash_rate)
+                    .real("loss", cr.cell.loss)
+                    .real("beta", cr.cell.beta)
+                    .text("algorithm", algorithms[a]->name());
+                row.deterministic.real("delivery_ratio", s.delivery_sum / per_run)
+                    .real("forward_mean", s.forward_sum / per_run)
+                    .count("delivered", s.mix.delivered)
+                    .count("degraded", s.mix.degraded)
+                    .count("partitioned", s.mix.partitioned)
+                    .count("retransmits", s.retransmits)
+                    .count("sinr_rejections", s.sinr_rejections)
+                    .count("captures", s.captures);
             }
-            out << "        ]}" << (c + 1 < panel.cells.size() ? "," : "") << "\n";
         }
-        out << "      ]\n";
-        out << "    }" << (p + 1 < panels.size() ? "," : "") << "\n";
     }
-    out << "  ]\n";
-    out << "}\n";
+    return doc;
 }
 
 }  // namespace
@@ -330,13 +317,9 @@ int main(int argc, char** argv) {
     print_panel(sinr_panel, algorithms, runs);
     panels.push_back(std::move(sinr_panel));
 
-    if (!opts.json_path.empty()) {
-        std::ofstream out(opts.json_path);
-        if (!out) {
-            std::cerr << "bench_resilience: cannot write " << opts.json_path << '\n';
-            return 1;
-        }
-        write_json(out, panels, algorithms, opts, node_count, degree, runs);
+    if (!opts.json_path.empty() &&
+        !rows_doc(panels, algorithms, opts, node_count, degree, runs).write(opts.json_path)) {
+        return 1;
     }
     return 0;
 }

@@ -13,7 +13,7 @@
 /// Determinism: every run's topology, workload, fault plan and simulation
 /// RNG derive from `runner::derive_run_seed` substreams of (seed, cell,
 /// run index); runs are sharded over a thread pool but merged in run-index
-/// order, and the JSON sink (schema adhoc-saturation-v1) carries no
+/// order, and the JSON sink (schema adhoc-rows-v1, docs/PERF.md) carries no
 /// wall-clock or jobs fields — the file is byte-identical at any --jobs
 /// value.
 ///
@@ -31,7 +31,6 @@
 #include <condition_variable>
 #include <cstdio>
 #include <iterator>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <mutex>
@@ -41,7 +40,6 @@
 #include "bench_common.hpp"
 #include "faults/fault_plan.hpp"
 #include "graph/unit_disk.hpp"
-#include "io/json.hpp"
 #include "runner/seed.hpp"
 #include "runner/thread_pool.hpp"
 #include "telemetry/sinks.hpp"
@@ -260,56 +258,46 @@ void print_panel(const Panel& panel, std::size_t runs, std::size_t sessions_per_
     std::cout << '\n';
 }
 
-/// adhoc-saturation-v1 sink.  Deliberately excludes wall-clock time and
-/// --jobs so the bytes depend only on (seed, sweep, runs).
-void write_json(std::ostream& out, const std::vector<Panel>& panels,
-                const bench::BenchOptions& opts, std::size_t node_count, double degree,
-                std::size_t runs, std::size_t sessions_per_run) {
-    out << std::setprecision(17);
-    out << "{\n";
-    out << "  \"schema\": \"adhoc-saturation-v1\",\n";
-    out << "  \"name\": \"bench_saturation\",\n";
-    out << "  \"seed\": \"" << opts.seed << "\",\n";
-    out << "  \"node_count\": " << node_count << ",\n";
-    out << "  \"average_degree\": " << degree << ",\n";
-    out << "  \"runs_per_cell\": " << runs << ",\n";
-    out << "  \"sessions_per_run\": " << sessions_per_run << ",\n";
-    out << "  \"panels\": [\n";
-    for (std::size_t p = 0; p < panels.size(); ++p) {
-        const Panel& panel = panels[p];
-        out << "    {\n";
-        out << "      \"title\": \"" << io::json_escape(panel.title) << "\",\n";
-        out << "      \"cells\": [\n";
-        for (std::size_t c = 0; c < panel.cells.size(); ++c) {
-            const CellResult& cr = panel.cells[c];
-            out << "        {\"load\": " << cr.cell.load << ", \"algorithms\": [\n";
+/// The adhoc-rows-v1 document: one row per (panel, load, policy).  It
+/// carries no wall-clock or --jobs field, so the bytes depend only on
+/// (seed, sweep, runs).
+bench::RowsDoc rows_doc(const std::vector<Panel>& panels, const bench::BenchOptions& opts,
+                        std::size_t node_count, double degree, std::size_t runs,
+                        std::size_t sessions_per_run) {
+    bench::RowsDoc doc("bench_saturation");
+    doc.meta.count("seed", opts.seed)
+        .count("node_count", node_count)
+        .real("average_degree", degree)
+        .count("runs_per_cell", runs)
+        .count("sessions_per_run", sessions_per_run);
+    for (const Panel& panel : panels) {
+        for (const CellResult& cr : panel.cells) {
             for (std::size_t a = 0; a < std::size(kPolicies); ++a) {
                 const AlgoStats& s = cr.stats[a];
-                out << "          {\"name\": \"" << kPolicies[a] << "\""
-                    << ", \"delivered\": " << s.delivered
-                    << ", \"degraded\": " << s.degraded
-                    << ", \"partitioned\": " << s.partitioned
-                    << ", \"throughput\": " << s.throughput()
-                    << ", \"latency_p50\": " << s.latency_quantile(0.50)
-                    << ", \"latency_p95\": " << s.latency_quantile(0.95)
-                    << ", \"latency_p99\": " << s.latency_quantile(0.99)
-                    << ", \"data_tx\": " << s.data_tx << ", \"bytes_per_node\": "
-                    << static_cast<double>(s.bytes) /
-                           static_cast<double>(runs * node_count)
-                    << ", \"duplicates\": " << s.duplicates
-                    << ", \"sv_beacons\": " << s.sv_beacons << ", \"pulls\": " << s.pulls
-                    << ", \"repairs\": " << s.repairs
-                    << ", \"cache_peak_bytes\": " << s.cache_peak
-                    << ", \"cache_ceiling_bytes\": " << s.cache_ceiling << "}"
-                    << (a + 1 < std::size(kPolicies) ? "," : "") << "\n";
+                bench::RowsDoc::Row& row = doc.rows.emplace_back();
+                row.key.text("panel", panel.title)
+                    .real("load", cr.cell.load)
+                    .text("algorithm", kPolicies[a]);
+                row.deterministic.count("delivered", s.delivered)
+                    .count("degraded", s.degraded)
+                    .count("partitioned", s.partitioned)
+                    .real("throughput", s.throughput())
+                    .count("latency_p50", s.latency_quantile(0.50))
+                    .count("latency_p95", s.latency_quantile(0.95))
+                    .count("latency_p99", s.latency_quantile(0.99))
+                    .count("data_tx", s.data_tx)
+                    .real("bytes_per_node", static_cast<double>(s.bytes) /
+                                                static_cast<double>(runs * node_count))
+                    .count("duplicates", s.duplicates)
+                    .count("sv_beacons", s.sv_beacons)
+                    .count("pulls", s.pulls)
+                    .count("repairs", s.repairs)
+                    .count("cache_peak_bytes", s.cache_peak)
+                    .count("cache_ceiling_bytes", s.cache_ceiling);
             }
-            out << "        ]}" << (c + 1 < panel.cells.size() ? "," : "") << "\n";
         }
-        out << "      ]\n";
-        out << "    }" << (p + 1 < panels.size() ? "," : "") << "\n";
     }
-    out << "  ]\n";
-    out << "}\n";
+    return doc;
 }
 
 }  // namespace
@@ -369,13 +357,10 @@ int main(int argc, char** argv) {
         }
     }
 
-    if (!opts.json_path.empty()) {
-        std::ofstream out(opts.json_path);
-        if (!out) {
-            std::cerr << "bench_saturation: cannot write " << opts.json_path << '\n';
-            return 1;
-        }
-        write_json(out, panels, opts, node_count, degree, runs, sessions_per_run);
+    if (!opts.json_path.empty() &&
+        !rows_doc(panels, opts, node_count, degree, runs, sessions_per_run)
+             .write(opts.json_path)) {
+        return 1;
     }
     return violations == 0 ? 0 : 1;
 }

@@ -18,7 +18,7 @@
 /// `--resilience` switches to the fault/recovery panel: the same
 /// placements swept over crash {0, 5%, 15%} x link-churn {off, on} fault
 /// cells with the windowed NACK recovery layer attached, classified per
-/// run via `faults::classify_outcome` (schema adhoc-scale-resilience-v1,
+/// run via `faults::classify_outcome` (bench name bench_scale_resilience,
 /// default sink BENCH_scale_resilience.json).  Its wall times cover
 /// `ScaleEngine::run` alone.  Unless `--no-timing` is given, each policy's
 /// first cell also times a warm repeat of run 0 and the panel exits nonzero
@@ -28,10 +28,10 @@
 /// wheels), so `--jobs` changes wall clock only: every simulation output —
 /// counts, completion times, the transmission-order digest — is a function
 /// of the seed alone, identical at any jobs (and wheel) value.
-/// `--no-timing` additionally zeroes the wall-clock, events/sec, RSS and
-/// speedup fields in the JSON (schema adhoc-scale-v1), making the file
-/// *byte-identical* across jobs values; the CI scale-smoke job diffs a
-/// --jobs 1 run against a --jobs 8 run exactly that way.
+/// Both panels write schema adhoc-rows-v1 (docs/PERF.md); wall times and
+/// RSS go in each row's `timing`, which `--no-timing` leaves empty, making
+/// the file *byte-identical* across jobs values; the CI scale-smoke job
+/// diffs a --jobs 1 run against a --jobs 8 run exactly that way.
 ///
 /// Exits nonzero when flooding misses component-exact delivery, when any
 /// engine policy disagrees with flooding on reached nodes, or when a legacy
@@ -122,54 +122,51 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
+/// The transmission-order digest as the 16-digit hex string the rows carry.
+std::string hex_digest(std::uint64_t digest) {
+    char text[32];
+    std::snprintf(text, sizeof text, "%016llx", static_cast<unsigned long long>(digest));
+    return text;
+}
+
 struct Row {
     std::size_t nodes = 0;
     std::size_t edges = 0;
     const char* policy = "";
     ScaleResult result;
     double engine_bytes_per_node = 0.0;
-    // Timing block — zeroed under --no-timing so the JSON is byte-identical
-    // across --jobs values.
-    double wall_seconds = 0.0;
-    double events_per_sec = 0.0;
+    // Timing block — left empty under --no-timing so the JSON is
+    // byte-identical across --jobs values.
+    std::vector<double> run_s;     ///< every timed repetition
+    std::vector<double> legacy_s;  ///< flood rows where the Simulator ran
     std::size_t rss_bytes = 0;
-    double legacy_events_per_sec = 0.0;  ///< 0 = legacy not run at this size
+    double events_per_sec = 0.0;
     double speedup_vs_legacy = 0.0;
 };
 
-void write_json(std::ostream& out, const ScaleOptions& opts, const std::vector<Row>& rows) {
-    out << std::setprecision(17);
-    out << "{\n";
-    out << "  \"schema\": \"adhoc-scale-v1\",\n";
-    out << "  \"name\": \"bench_scale\",\n";
-    out << "  \"seed\": \"" << opts.seed << "\",\n";
-    out << "  \"wheels\": 8,\n";
-    out << "  \"rows\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row& r = rows[i];
-        char digest[32];
-        std::snprintf(digest, sizeof digest, "%016llx",
-                      static_cast<unsigned long long>(r.result.order_digest));
-        out << "    {\"nodes\": " << r.nodes << ", \"edges\": " << r.edges
-            << ", \"policy\": \"" << r.policy << "\""
-            << ", \"delivered_events\": " << r.result.delivered_events
-            << ", \"forward_count\": " << r.result.forward_count
-            << ", \"received_count\": " << r.result.received_count
-            << ", \"full_delivery\": " << (r.result.full_delivery ? "true" : "false")
-            << ", \"windows\": " << r.result.windows
-            << ", \"peak_queue_events\": " << r.result.peak_queue_events
-            << ", \"completion_time\": " << r.result.completion_time
-            << ", \"order_digest\": \"" << digest << "\""
-            << ", \"engine_bytes_per_node\": " << r.engine_bytes_per_node
-            << ", \"wall_seconds\": " << r.wall_seconds
-            << ", \"events_per_sec\": " << r.events_per_sec
-            << ", \"peak_rss_bytes\": " << r.rss_bytes
-            << ", \"legacy_events_per_sec\": " << r.legacy_events_per_sec
-            << ", \"speedup_vs_legacy\": " << r.speedup_vs_legacy << "}"
-            << (i + 1 < rows.size() ? "," : "") << "\n";
+bench::RowsDoc rows_doc(const ScaleOptions& opts, const std::vector<Row>& rows) {
+    bench::RowsDoc doc("bench_scale");
+    doc.meta.count("seed", opts.seed).count("wheels", 8);
+    for (const Row& r : rows) {
+        bench::RowsDoc::Row& row = doc.rows.emplace_back();
+        row.key.count("nodes", r.nodes).text("policy", r.policy);
+        row.deterministic.count("edges", r.edges)
+            .count("delivered_events", r.result.delivered_events)
+            .count("forward_count", r.result.forward_count)
+            .count("received_count", r.result.received_count)
+            .flag("full_delivery", r.result.full_delivery)
+            .count("windows", r.result.windows)
+            .count("peak_queue_events", r.result.peak_queue_events)
+            .real("completion_time", r.result.completion_time)
+            .text("order_digest", hex_digest(r.result.order_digest))
+            .real("engine_bytes_per_node", r.engine_bytes_per_node);
+        if (!r.run_s.empty()) {
+            row.timing.samples("run_s", r.run_s)
+                .samples("peak_rss_bytes", {static_cast<double>(r.rss_bytes)});
+        }
+        if (!r.legacy_s.empty()) row.timing.samples("legacy_run_s", r.legacy_s);
     }
-    out << "  ]\n";
-    out << "}\n";
+    return doc;
 }
 
 /// One (size, policy, fault cell) aggregate of the resilience panel.
@@ -193,43 +190,36 @@ struct ResilienceRow {
     double completion_sum = 0.0;
     /// FNV-style fold of the per-run canonical order digests.
     std::uint64_t order_digest = 0xcbf29ce484222325ULL;
-    double wall_seconds = 0.0;
-    double events_per_sec = 0.0;
+    std::vector<double> run_s;  ///< per-run wall time; empty under --no-timing
 };
 
-void write_resilience_json(std::ostream& out, const ScaleOptions& opts,
-                           const std::vector<ResilienceRow>& rows) {
-    out << std::setprecision(17);
-    out << "{\n";
-    out << "  \"schema\": \"adhoc-scale-resilience-v1\",\n";
-    out << "  \"name\": \"bench_scale_resilience\",\n";
-    out << "  \"seed\": \"" << opts.seed << "\",\n";
-    out << "  \"wheels\": 8,\n";
-    out << "  \"rows\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const ResilienceRow& r = rows[i];
-        char digest[32];
-        std::snprintf(digest, sizeof digest, "%016llx",
-                      static_cast<unsigned long long>(r.order_digest));
-        out << "    {\"nodes\": " << r.nodes << ", \"policy\": \"" << r.policy << "\""
-            << ", \"crash_rate\": " << r.crash_rate
-            << ", \"churn\": " << (r.churn ? "true" : "false") << ", \"runs\": " << r.runs
-            << ", \"delivery_ratio\": " << r.delivery_ratio
-            << ", \"delivered\": " << r.mix.delivered << ", \"degraded\": " << r.mix.degraded
-            << ", \"partitioned\": " << r.mix.partitioned
-            << ", \"received_sum\": " << r.received_sum
-            << ", \"forward_sum\": " << r.forward_sum
-            << ", \"retransmits\": " << r.retransmits << ", \"control_count\": " << r.controls
-            << ", \"fault_suppressed\": " << r.fault_suppressed
-            << ", \"delivered_events\": " << r.delivered_events
-            << ", \"windows\": " << r.windows << ", \"completion_sum\": " << r.completion_sum
-            << ", \"order_digest\": \"" << digest << "\""
-            << ", \"wall_seconds\": " << r.wall_seconds
-            << ", \"events_per_sec\": " << r.events_per_sec << "}"
-            << (i + 1 < rows.size() ? "," : "") << "\n";
+bench::RowsDoc resilience_rows_doc(const ScaleOptions& opts,
+                                   const std::vector<ResilienceRow>& rows) {
+    bench::RowsDoc doc("bench_scale_resilience");
+    doc.meta.count("seed", opts.seed).count("wheels", 8);
+    for (const ResilienceRow& r : rows) {
+        bench::RowsDoc::Row& row = doc.rows.emplace_back();
+        row.key.count("nodes", r.nodes)
+            .text("policy", r.policy)
+            .real("crash_rate", r.crash_rate)
+            .flag("churn", r.churn);
+        row.deterministic.count("runs", r.runs)
+            .real("delivery_ratio", r.delivery_ratio)
+            .count("delivered", r.mix.delivered)
+            .count("degraded", r.mix.degraded)
+            .count("partitioned", r.mix.partitioned)
+            .count("received_sum", r.received_sum)
+            .count("forward_sum", r.forward_sum)
+            .count("retransmits", r.retransmits)
+            .count("control_count", r.controls)
+            .count("fault_suppressed", r.fault_suppressed)
+            .count("delivered_events", r.delivered_events)
+            .count("windows", r.windows)
+            .real("completion_sum", r.completion_sum)
+            .text("order_digest", hex_digest(r.order_digest));
+        if (!r.run_s.empty()) row.timing.samples("run_s", r.run_s);
     }
-    out << "  ]\n";
-    out << "}\n";
+    return doc;
 }
 
 /// The --resilience panel: crash/churn fault cells on the same placements
@@ -332,15 +322,12 @@ int run_resilience(const ScaleOptions& opts) {
                 row.runs = runs;
                 // Only engine->run is timed; attaching the plan and
                 // classifying the outcome stay outside the span.
-                double wall = 0.0;
-                double cold = 0.0;
+                std::vector<double> walls;
                 for (std::size_t run = 0; run < runs; ++run) {
                     p.engine->attach_faults(&plans[run]);
                     const auto t0 = std::chrono::steady_clock::now();
                     const ScaleResult res = p.engine->run(source);
-                    const double run_wall = seconds_since(t0);
-                    wall += run_wall;
-                    if (run == 0) cold = run_wall;
+                    walls.push_back(seconds_since(t0));
                     const faults::ResilienceSummary sum = faults::classify_outcome(
                         graph, source, p.engine->received_mask(), plans[run]);
                     row.delivery_ratio += sum.delivery_ratio;
@@ -364,6 +351,7 @@ int run_resilience(const ScaleOptions& opts) {
                     const auto t0 = std::chrono::steady_clock::now();
                     (void)p.engine->run(source);
                     const double warm = seconds_since(t0);
+                    const double cold = walls.front();
                     std::cout << "    " << std::setw(14) << std::left << p.name << std::right
                               << std::setprecision(4) << "  cold=" << cold
                               << " s  warm=" << warm << " s\n";
@@ -376,11 +364,7 @@ int run_resilience(const ScaleOptions& opts) {
                 }
                 p.engine->attach_faults(nullptr);
                 row.delivery_ratio /= static_cast<double>(runs);
-                if (opts.timing) {
-                    row.wall_seconds = wall;
-                    row.events_per_sec =
-                        wall > 0.0 ? static_cast<double>(row.delivered_events) / wall : 0.0;
-                }
+                if (opts.timing) row.run_s = std::move(walls);
                 // Fault-free cells must deliver the full source component:
                 // any degraded run there is a real bug, not bad luck
                 // (isolated nodes classify as partitioned, which is fine).
@@ -404,13 +388,8 @@ int run_resilience(const ScaleOptions& opts) {
         std::cout << "\n";
     }
 
-    if (!opts.json_path.empty()) {
-        std::ofstream out(opts.json_path);
-        if (!out) {
-            std::cerr << "bench_scale: cannot write " << opts.json_path << '\n';
-            return 1;
-        }
-        write_resilience_json(out, opts, rows);
+    if (!opts.json_path.empty() && !resilience_rows_doc(opts, rows).write(opts.json_path)) {
+        return 1;
     }
     return violations == 0 ? 0 : 1;
 }
@@ -465,34 +444,33 @@ int main(int argc, char** argv) {
         // scheduler noise.  10^6 nodes keeps a single timed run.
         const std::size_t reps = opts.timing ? (n <= 100'000 ? 3 : 1) : 1;
         const auto timed_run = [&](ScaleEngine& e, ScaleResult& out) {
-            double wall = std::numeric_limits<double>::infinity();
+            std::vector<double> walls;
             (void)e.run(source);  // warm-up
             for (std::size_t r = 0; r < reps; ++r) {
                 const auto t0 = std::chrono::steady_clock::now();
                 out = e.run(source);
-                wall = std::min(wall, seconds_since(t0));
+                walls.push_back(seconds_since(t0));
             }
-            return wall;
+            return walls;
         };
         ScaleResult flood;
         ScaleResult prune;
         ScaleResult gstatic;
         ScaleResult gfr;
-        const double flood_wall = timed_run(engine, flood);
-        const double prune_wall = timed_run(pruned, prune);
-        const double gstatic_wall = timed_run(generic_static, gstatic);
-        const double gfr_wall = timed_run(generic_fr, gfr);
+        const std::vector<double> flood_walls = timed_run(engine, flood);
+        const std::vector<double> prune_walls = timed_run(pruned, prune);
+        const std::vector<double> gstatic_walls = timed_run(generic_static, gstatic);
+        const std::vector<double> gfr_walls = timed_run(generic_fr, gfr);
 
-        double legacy_eps = 0.0;
+        std::vector<double> legacy_walls;
         if (n <= kLegacyCap) {
             FloodingAlgorithm legacy;
             BroadcastResult ref;
-            double legacy_wall = std::numeric_limits<double>::infinity();
             for (std::size_t r = 0; r < 3; ++r) {
                 Rng legacy_rng(opts.seed);
                 const auto t2 = std::chrono::steady_clock::now();
                 ref = legacy.broadcast(graph, source, legacy_rng);
-                legacy_wall = std::min(legacy_wall, seconds_since(t2));
+                legacy_walls.push_back(seconds_since(t2));
             }
             // One untimed traced run pins the transmission order too.
             Rng traced_rng(opts.seed);
@@ -508,9 +486,6 @@ int main(int argc, char** argv) {
                           << (want_digest == flood.order_digest ? "equal" : "DIFFERS")
                           << ")\n";
                 ++violations;
-            }
-            if (legacy_wall > 0.0) {
-                legacy_eps = static_cast<double>(flood.delivered_events) / legacy_wall;
             }
         }
         // Generic cross-check caps at 10^3: `GenericAgent` keeps a
@@ -578,8 +553,8 @@ int main(int argc, char** argv) {
         check_delivery("generic_fr", gfr);
 
         const std::size_t rss = peak_rss_bytes();
-        const auto make_row = [&](const char* policy, const ScaleResult& res, double wall,
-                                  double engine_bytes) {
+        const auto make_row = [&](const char* policy, const ScaleResult& res,
+                                  const std::vector<double>& walls, double engine_bytes) {
             Row row;
             row.nodes = n;
             row.edges = graph.edge_count();
@@ -587,24 +562,31 @@ int main(int argc, char** argv) {
             row.result = res;
             row.engine_bytes_per_node = engine_bytes / static_cast<double>(n);
             if (opts.timing) {
-                row.wall_seconds = wall;
+                const double wall = *std::min_element(walls.begin(), walls.end());
+                row.run_s = walls;
+                row.rss_bytes = rss;
                 row.events_per_sec =
                     wall > 0.0 ? static_cast<double>(res.delivered_events) / wall : 0.0;
-                row.rss_bytes = rss;
-                if (std::strcmp(policy, "flood") == 0 && legacy_eps > 0.0) {
-                    row.legacy_events_per_sec = legacy_eps;
-                    row.speedup_vs_legacy = row.events_per_sec / legacy_eps;
+                const double legacy_wall =
+                    legacy_walls.empty()
+                        ? 0.0
+                        : *std::min_element(legacy_walls.begin(), legacy_walls.end());
+                if (std::strcmp(policy, "flood") == 0 && legacy_wall > 0.0) {
+                    row.legacy_s = legacy_walls;
+                    row.speedup_vs_legacy =
+                        row.events_per_sec /
+                        (static_cast<double>(res.delivered_events) / legacy_wall);
                 }
             }
             return row;
         };
-        rows.push_back(make_row("flood", flood, flood_wall,
+        rows.push_back(make_row("flood", flood, flood_walls,
                                 static_cast<double>(engine.state_bytes())));
-        rows.push_back(make_row("self_prune", prune, prune_wall,
+        rows.push_back(make_row("self_prune", prune, prune_walls,
                                 static_cast<double>(pruned.state_bytes())));
-        rows.push_back(make_row("generic_static", gstatic, gstatic_wall,
+        rows.push_back(make_row("generic_static", gstatic, gstatic_walls,
                                 static_cast<double>(generic_static.state_bytes())));
-        rows.push_back(make_row("generic_fr", gfr, gfr_wall,
+        rows.push_back(make_row("generic_fr", gfr, gfr_walls,
                                 static_cast<double>(generic_fr.state_bytes())));
 
         const Row& fr = rows[rows.size() - 4];
@@ -625,13 +607,6 @@ int main(int argc, char** argv) {
                   << " /" << n << "\n";
     }
 
-    if (!opts.json_path.empty()) {
-        std::ofstream out(opts.json_path);
-        if (!out) {
-            std::cerr << "bench_scale: cannot write " << opts.json_path << '\n';
-            return 1;
-        }
-        write_json(out, opts, rows);
-    }
+    if (!opts.json_path.empty() && !rows_doc(opts, rows).write(opts.json_path)) return 1;
     return violations == 0 ? 0 : 1;
 }

@@ -1,14 +1,9 @@
 #include "fuzz/repro.hpp"
 
-#include <cctype>
-#include <charconv>
-#include <cmath>
+#include <array>
 #include <fstream>
 #include <iomanip>
-#include <map>
-#include <memory>
 #include <sstream>
-#include <variant>
 #include <vector>
 
 #include "io/json.hpp"
@@ -16,275 +11,65 @@
 namespace adhoc::fuzz {
 namespace {
 
-// ---- Minimal JSON reader ---------------------------------------------
-//
-// Restricted to what the repro schema needs (objects, arrays, strings,
-// finite numbers, booleans); kept private to this translation unit.  The
-// repo deliberately has no third-party JSON dependency.
+using io::find;
+using io::get_bool;
+using io::get_number;
+using io::get_string;
+using io::get_u64_string;
+using io::JsonArray;
+using io::JsonObject;
+using io::JsonValue;
 
-struct JsonValue;
-using JsonArray = std::vector<JsonValue>;
-using JsonObject = std::map<std::string, JsonValue>;
+// ---- Repro-specific accessors ------------------------------------------
 
-struct JsonValue {
-    std::variant<std::nullptr_t, bool, double, std::string, JsonArray, JsonObject> v;
-};
-
-class JsonParser {
-  public:
-    JsonParser(const std::string& text, std::string* error) : text_(text), error_(error) {}
-
-    std::optional<JsonValue> parse() {
-        auto value = parse_value();
-        if (!value) return std::nullopt;
-        skip_ws();
-        if (pos_ != text_.size()) {
-            set_error("trailing characters after document");
-            return std::nullopt;
-        }
-        return value;
+/// Entries [first, first + N) of array `v` as numbers (an edge pair, a
+/// crash triple, ...); nullopt unless `v` is an array of exactly first + N
+/// entries whose last N are numbers.
+template <std::size_t N>
+std::optional<std::array<double, N>> numbers(const JsonValue& v, std::size_t first = 0) {
+    const JsonArray* arr = v.get<JsonArray>();
+    if (arr == nullptr || arr->size() != first + N) return std::nullopt;
+    std::array<double, N> out{};
+    for (std::size_t i = 0; i < N; ++i) {
+        const double* x = (*arr)[first + i].get<double>();
+        if (x == nullptr) return std::nullopt;
+        out[i] = *x;
     }
-
-  private:
-    void set_error(const std::string& what) {
-        if (error_ != nullptr && error_->empty()) {
-            *error_ = what + " (offset " + std::to_string(pos_) + ")";
-        }
-    }
-
-    void skip_ws() {
-        while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-            ++pos_;
-        }
-    }
-
-    bool consume(char c) {
-        skip_ws();
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    std::optional<JsonValue> parse_value() {
-        skip_ws();
-        if (pos_ >= text_.size()) {
-            set_error("unexpected end of input");
-            return std::nullopt;
-        }
-        const char c = text_[pos_];
-        if (c == '{') return parse_object();
-        if (c == '[') return parse_array();
-        if (c == '"') {
-            auto s = parse_string();
-            if (!s) return std::nullopt;
-            return JsonValue{std::move(*s)};
-        }
-        if (text_.compare(pos_, 4, "true") == 0) {
-            pos_ += 4;
-            return JsonValue{true};
-        }
-        if (text_.compare(pos_, 5, "false") == 0) {
-            pos_ += 5;
-            return JsonValue{false};
-        }
-        if (text_.compare(pos_, 4, "null") == 0) {
-            pos_ += 4;
-            return JsonValue{nullptr};
-        }
-        return parse_number();
-    }
-
-    std::optional<std::string> parse_string() {
-        if (!consume('"')) {
-            set_error("expected string");
-            return std::nullopt;
-        }
-        std::string out;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"') return out;
-            if (c == '\\') {
-                if (pos_ >= text_.size()) break;
-                const char esc = text_[pos_++];
-                switch (esc) {
-                    case '"': out.push_back('"'); break;
-                    case '\\': out.push_back('\\'); break;
-                    case '/': out.push_back('/'); break;
-                    case 'n': out.push_back('\n'); break;
-                    case 't': out.push_back('\t'); break;
-                    case 'r': out.push_back('\r'); break;
-                    case 'b': out.push_back('\b'); break;
-                    case 'f': out.push_back('\f'); break;
-                    case 'u': {
-                        // json_escape writes \u00XX for control bytes.  Strings
-                        // are byte strings here, so only U+0000..U+007F (one
-                        // byte each) can be represented.
-                        const std::string hex = text_.substr(pos_, 4);
-                        unsigned code = 0;
-                        const auto [end, ec] =
-                            std::from_chars(hex.data(), hex.data() + hex.size(), code, 16);
-                        if (hex.size() != 4 || ec != std::errc{} ||
-                            end != hex.data() + hex.size()) {
-                            set_error("malformed escape '\\u" + hex + "'");
-                            return std::nullopt;
-                        }
-                        if (code > 0x7f) {
-                            set_error("unsupported escape '\\u" + hex +
-                                      "' (only \\u0000-\\u007f decode to one byte)");
-                            return std::nullopt;
-                        }
-                        out.push_back(static_cast<char>(code));
-                        pos_ += 4;
-                        break;
-                    }
-                    default:
-                        set_error(std::string("unsupported escape '\\") + esc + "'");
-                        return std::nullopt;
-                }
-            } else {
-                out.push_back(c);
-            }
-        }
-        set_error("unterminated string");
-        return std::nullopt;
-    }
-
-    std::optional<JsonValue> parse_number() {
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '-' ||
-                text_[pos_] == '+' || text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E')) {
-            ++pos_;
-        }
-        double value = 0.0;
-        const auto [end, ec] = std::from_chars(text_.data() + start, text_.data() + pos_, value);
-        if (ec != std::errc{} || end != text_.data() + pos_ || start == pos_) {
-            set_error("malformed number");
-            return std::nullopt;
-        }
-        return JsonValue{value};
-    }
-
-    std::optional<JsonValue> parse_array() {
-        consume('[');
-        JsonArray out;
-        skip_ws();
-        if (consume(']')) return JsonValue{std::move(out)};
-        while (true) {
-            auto value = parse_value();
-            if (!value) return std::nullopt;
-            out.push_back(std::move(*value));
-            if (consume(',')) continue;
-            if (consume(']')) return JsonValue{std::move(out)};
-            set_error("expected ',' or ']'");
-            return std::nullopt;
-        }
-    }
-
-    std::optional<JsonValue> parse_object() {
-        consume('{');
-        JsonObject out;
-        skip_ws();
-        if (consume('}')) return JsonValue{std::move(out)};
-        while (true) {
-            skip_ws();
-            auto key = parse_string();
-            if (!key) return std::nullopt;
-            if (!consume(':')) {
-                set_error("expected ':'");
-                return std::nullopt;
-            }
-            auto value = parse_value();
-            if (!value) return std::nullopt;
-            out.emplace(std::move(*key), std::move(*value));
-            if (consume(',')) continue;
-            if (consume('}')) return JsonValue{std::move(out)};
-            set_error("expected ',' or '}'");
-            return std::nullopt;
-        }
-    }
-
-    const std::string& text_;
-    std::string* error_;
-    std::size_t pos_ = 0;
-};
-
-// ---- Field accessors --------------------------------------------------
-
-const JsonValue* find(const JsonObject& obj, const std::string& key) {
-    const auto it = obj.find(key);
-    return it == obj.end() ? nullptr : &it->second;
+    return out;
 }
 
-bool get_string(const JsonObject& obj, const std::string& key, std::string* out,
+/// Reads member `key`, an array of N-number entries, passing each entry
+/// to `add`.  An absent member is an error only when `required`.
+template <std::size_t N, typename Add>
+bool get_tuples(const JsonObject& obj, const std::string& key, bool required, Add&& add,
                 std::string* error) {
     const JsonValue* v = find(obj, key);
-    if (v == nullptr || !std::holds_alternative<std::string>(v->v)) {
-        if (error != nullptr && error->empty()) *error = "missing string field '" + key + "'";
+    if (v == nullptr && !required) return true;
+    const JsonArray* items = v == nullptr ? nullptr : v->get<JsonArray>();
+    if (items == nullptr) {
+        if (error != nullptr && error->empty()) *error = "missing array '" + key + "'";
         return false;
     }
-    *out = std::get<std::string>(v->v);
-    return true;
-}
-
-bool get_number(const JsonObject& obj, const std::string& key, double* out, std::string* error) {
-    const JsonValue* v = find(obj, key);
-    if (v == nullptr || !std::holds_alternative<double>(v->v)) {
-        if (error != nullptr && error->empty()) *error = "missing numeric field '" + key + "'";
-        return false;
-    }
-    *out = std::get<double>(v->v);
-    return true;
-}
-
-bool get_bool(const JsonObject& obj, const std::string& key, bool* out, std::string* error) {
-    const JsonValue* v = find(obj, key);
-    if (v == nullptr || !std::holds_alternative<bool>(v->v)) {
-        if (error != nullptr && error->empty()) *error = "missing boolean field '" + key + "'";
-        return false;
-    }
-    *out = std::get<bool>(v->v);
-    return true;
-}
-
-bool get_u64_string(const JsonObject& obj, const std::string& key, int base, std::uint64_t* out,
-                    std::string* error) {
-    std::string s;
-    if (!get_string(obj, key, &s, error)) return false;
-    std::string_view digits = s;
-    if (base == 16 && digits.starts_with("0x")) digits.remove_prefix(2);
-    const auto [end, ec] =
-        std::from_chars(digits.data(), digits.data() + digits.size(), *out, base);
-    if (ec != std::errc{} || end != digits.data() + digits.size() || digits.empty()) {
-        if (error != nullptr && error->empty()) *error = "malformed integer in '" + key + "'";
-        return false;
+    for (const JsonValue& item : *items) {
+        const auto entry = numbers<N>(item);
+        if (!entry) {
+            if (error != nullptr && error->empty()) *error = "malformed entry in '" + key + "'";
+            return false;
+        }
+        add(*entry);
     }
     return true;
 }
 
 bool get_edges(const JsonObject& obj, const std::string& key, std::vector<Edge>* out,
                std::string* error) {
-    const JsonValue* v = find(obj, key);
-    if (v == nullptr || !std::holds_alternative<JsonArray>(v->v)) {
-        if (error != nullptr && error->empty()) *error = "missing edge array '" + key + "'";
-        return false;
-    }
     out->clear();
-    for (const JsonValue& item : std::get<JsonArray>(v->v)) {
-        if (!std::holds_alternative<JsonArray>(item.v)) return false;
-        const JsonArray& pair = std::get<JsonArray>(item.v);
-        if (pair.size() != 2 || !std::holds_alternative<double>(pair[0].v) ||
-            !std::holds_alternative<double>(pair[1].v)) {
-            if (error != nullptr && error->empty()) *error = "malformed edge in '" + key + "'";
-            return false;
-        }
-        out->push_back(Edge{static_cast<NodeId>(std::get<double>(pair[0].v)),
-                            static_cast<NodeId>(std::get<double>(pair[1].v))});
-    }
-    return true;
+    return get_tuples<2>(
+        obj, key, true,
+        [&](const std::array<double, 2>& e) {
+            out->push_back(Edge{static_cast<NodeId>(e[0]), static_cast<NodeId>(e[1])});
+        },
+        error);
 }
 
 // ---- Enum spellings (reusing the library's to_string forms) -----------
@@ -397,14 +182,14 @@ std::string to_repro_json(const Repro& repro) {
 }
 
 std::optional<Repro> parse_repro(const std::string& text, std::string* error) {
-    JsonParser parser(text, error);
-    auto doc = parser.parse();
+    const auto doc = io::parse_json(text, error);
     if (!doc) return std::nullopt;
-    if (!std::holds_alternative<JsonObject>(doc->v)) {
+    const JsonObject* root = doc->get<JsonObject>();
+    if (root == nullptr) {
         if (error != nullptr && error->empty()) *error = "top-level value is not an object";
         return std::nullopt;
     }
-    const JsonObject& obj = std::get<JsonObject>(doc->v);
+    const JsonObject& obj = *root;
 
     std::string schema;
     if (!get_string(obj, "schema", &schema, error)) return std::nullopt;
@@ -453,111 +238,69 @@ std::optional<Repro> parse_repro(const std::string& text, std::string* error) {
     if (!get_number(obj, "loss", &s.loss, error)) return std::nullopt;
     if (!get_number(obj, "jitter", &s.jitter, error)) return std::nullopt;
     if (!get_edges(obj, "lost_edges", &s.lost_edges, error)) return std::nullopt;
-    if (const JsonValue* v = find(obj, "crashes"); v != nullptr) {
-        if (!std::holds_alternative<JsonArray>(v->v)) {
-            if (error != nullptr && error->empty()) *error = "malformed 'crashes'";
-            return std::nullopt;
-        }
-        for (const JsonValue& item : std::get<JsonArray>(v->v)) {
-            const JsonArray* triple =
-                std::holds_alternative<JsonArray>(item.v) ? &std::get<JsonArray>(item.v) : nullptr;
-            if (triple == nullptr || triple->size() != 3 ||
-                !std::holds_alternative<double>((*triple)[0].v) ||
-                !std::holds_alternative<double>((*triple)[1].v) ||
-                !std::holds_alternative<double>((*triple)[2].v)) {
-                if (error != nullptr && error->empty()) *error = "malformed entry in 'crashes'";
-                return std::nullopt;
-            }
-            s.crashes.push_back(CrashFault{static_cast<NodeId>(std::get<double>((*triple)[0].v)),
-                                           std::get<double>((*triple)[1].v),
-                                           std::get<double>((*triple)[2].v)});
-        }
-    }
-    if (const JsonValue* v = find(obj, "asym"); v != nullptr) {
-        if (!std::holds_alternative<JsonArray>(v->v)) {
-            if (error != nullptr && error->empty()) *error = "malformed 'asym'";
-            return std::nullopt;
-        }
-        for (const JsonValue& item : std::get<JsonArray>(v->v)) {
-            const JsonArray* quad =
-                std::holds_alternative<JsonArray>(item.v) ? &std::get<JsonArray>(item.v) : nullptr;
-            if (quad == nullptr || quad->size() != 4 ||
-                !std::holds_alternative<double>((*quad)[0].v) ||
-                !std::holds_alternative<double>((*quad)[1].v) ||
-                !std::holds_alternative<double>((*quad)[2].v) ||
-                !std::holds_alternative<double>((*quad)[3].v)) {
-                if (error != nullptr && error->empty()) *error = "malformed entry in 'asym'";
-                return std::nullopt;
-            }
-            s.asym.push_back(AsymLoss{Edge{static_cast<NodeId>(std::get<double>((*quad)[0].v)),
-                                           static_cast<NodeId>(std::get<double>((*quad)[1].v))},
-                                      std::get<double>((*quad)[2].v),
-                                      std::get<double>((*quad)[3].v)});
-        }
-    }
+    const bool faults_ok =
+        get_tuples<3>(
+            obj, "crashes", false,
+            [&](const std::array<double, 3>& c) {
+                s.crashes.push_back(CrashFault{static_cast<NodeId>(c[0]), c[1], c[2]});
+            },
+            error) &&
+        get_tuples<4>(
+            obj, "asym", false,
+            [&](const std::array<double, 4>& a) {
+                s.asym.push_back(AsymLoss{
+                    Edge{static_cast<NodeId>(a[0]), static_cast<NodeId>(a[1])}, a[2], a[3]});
+            },
+            error);
+    if (!faults_ok) return std::nullopt;
     if (find(obj, "recovery") != nullptr) {
         if (!get_bool(obj, "recovery", &s.recovery, error)) return std::nullopt;
     }
     if (const JsonValue* v = find(obj, "traffic"); v != nullptr) {
-        const JsonArray* triple =
-            std::holds_alternative<JsonArray>(v->v) ? &std::get<JsonArray>(v->v) : nullptr;
-        if (triple == nullptr || triple->size() != 3 ||
-            !std::holds_alternative<double>((*triple)[0].v) ||
-            !std::holds_alternative<double>((*triple)[1].v) ||
-            !std::holds_alternative<bool>((*triple)[2].v)) {
+        const JsonArray* t = v->get<JsonArray>();
+        if (t == nullptr || t->size() != 3 || (*t)[0].get<double>() == nullptr ||
+            (*t)[1].get<double>() == nullptr || (*t)[2].get<bool>() == nullptr) {
             if (error != nullptr && error->empty()) *error = "malformed 'traffic'";
             return std::nullopt;
         }
-        s.traffic_sessions = static_cast<std::size_t>(std::get<double>((*triple)[0].v));
-        s.traffic_rate = std::get<double>((*triple)[1].v);
-        s.traffic_bursty = std::get<bool>((*triple)[2].v);
+        s.traffic_sessions = static_cast<std::size_t>(*(*t)[0].get<double>());
+        s.traffic_rate = *(*t)[1].get<double>();
+        s.traffic_bursty = *(*t)[2].get<bool>();
     }
     if (find(obj, "scale_check") != nullptr) {
         if (!get_bool(obj, "scale_check", &s.scale_check, error)) return std::nullopt;
     }
     if (const JsonValue* v = find(obj, "medium"); v != nullptr) {
-        const JsonArray* arr =
-            std::holds_alternative<JsonArray>(v->v) ? &std::get<JsonArray>(v->v) : nullptr;
-        bool shaped = arr != nullptr && arr->size() == 6 &&
-                      std::holds_alternative<std::string>((*arr)[0].v);
-        for (std::size_t i = 1; shaped && i < 6; ++i) {
-            shaped = std::holds_alternative<double>((*arr)[i].v);
-        }
-        if (!shaped) {
+        const auto params = numbers<5>(*v, 1);
+        const std::string* name =
+            params ? (*v->get<JsonArray>())[0].get<std::string>() : nullptr;
+        if (name == nullptr) {
             if (error != nullptr && error->empty()) *error = "malformed 'medium'";
             return std::nullopt;
         }
-        const auto backend = medium_backend_from_string(std::get<std::string>((*arr)[0].v));
+        const auto backend = medium_backend_from_string(*name);
         if (!backend || *backend == MediumBackend::kIdeal) {
             // "ideal" is canonical absence: the writer never emits it.
             if (error != nullptr && error->empty()) {
-                *error = "unknown medium backend '" + std::get<std::string>((*arr)[0].v) + "'";
+                *error = "unknown medium backend '" + *name + "'";
             }
             return std::nullopt;
         }
         s.medium_backend = *backend;
-        s.sinr_alpha = std::get<double>((*arr)[1].v);
-        s.sinr_beta = std::get<double>((*arr)[2].v);
-        s.sinr_noise = std::get<double>((*arr)[3].v);
-        s.interference_range = std::get<double>((*arr)[4].v);
-        s.vulnerability_window = std::get<double>((*arr)[5].v);
-        const JsonValue* pv = find(obj, "positions");
-        if (pv == nullptr || !std::holds_alternative<JsonArray>(pv->v)) {
+        s.sinr_alpha = (*params)[0];
+        s.sinr_beta = (*params)[1];
+        s.sinr_noise = (*params)[2];
+        s.interference_range = (*params)[3];
+        s.vulnerability_window = (*params)[4];
+        if (find(obj, "positions") == nullptr) {
             if (error != nullptr && error->empty()) *error = "'medium' requires 'positions'";
             return std::nullopt;
         }
-        for (const JsonValue& item : std::get<JsonArray>(pv->v)) {
-            const JsonArray* pair =
-                std::holds_alternative<JsonArray>(item.v) ? &std::get<JsonArray>(item.v) : nullptr;
-            if (pair == nullptr || pair->size() != 2 ||
-                !std::holds_alternative<double>((*pair)[0].v) ||
-                !std::holds_alternative<double>((*pair)[1].v)) {
-                if (error != nullptr && error->empty()) *error = "malformed entry in 'positions'";
-                return std::nullopt;
-            }
-            s.positions.push_back(
-                Point2D{std::get<double>((*pair)[0].v), std::get<double>((*pair)[1].v)});
-        }
+        const bool positions_ok = get_tuples<2>(
+            obj, "positions", true,
+            [&](const std::array<double, 2>& p) { s.positions.push_back(Point2D{p[0], p[1]}); },
+            error);
+        if (!positions_ok) return std::nullopt;
     } else if (find(obj, "positions") != nullptr) {
         if (error != nullptr && error->empty()) *error = "'positions' requires a 'medium' entry";
         return std::nullopt;

@@ -1,9 +1,12 @@
 /// \file json_sink.hpp
-/// \brief Machine-readable bench results: the BENCH_*.json sink.
+/// \brief The campaign sink: sweep results as a BENCH_*.json document.
 ///
-/// Every bench binary can mirror its tables into one JSON document (flag
-/// `--json PATH`), so sweeps become diffable artifacts that CI and plotting
-/// scripts consume without scraping stdout.  Schema `adhoc-bench-v1`:
+/// Every sweep bench (bench_campaign's figures, the ablation binaries) can
+/// mirror its tables into one JSON document (flag `--json PATH`), so sweeps
+/// become diffable artifacts that plotting scripts consume without scraping
+/// stdout.  The gated benches (bench_micro, bench_resilience,
+/// bench_saturation, bench_scale) write `adhoc-rows-v1` instead; see
+/// docs/PERF.md.  Schema `adhoc-bench-v1`:
 ///
 /// {
 ///   "schema": "adhoc-bench-v1",
@@ -60,32 +63,5 @@ struct BenchRunInfo {
 /// Writes the full document (pretty-printed, trailing newline).
 void write_bench_json(std::ostream& out, const BenchRunInfo& info,
                       const std::vector<PanelResult>& panels);
-
-/// One kernel measurement from bench_micro (schema `adhoc-micro-v1`):
-/// reference vs optimized implementation of the same computation, with the
-/// equivalence verdict recorded next to the timings.  The regression gate
-/// (tools/check_bench.py) compares `speedup` against the committed
-/// baseline — ratios transfer across machines where raw ns do not.
-struct MicroKernelResult {
-    std::string name;      ///< kernel id, e.g. "coverage_full"
-    std::size_t n = 0;     ///< problem size (node count)
-    std::size_t reps = 0;  ///< timed repetitions per implementation
-    double ref_ns = 0.0;   ///< mean ns per op, reference implementation
-    double opt_ns = 0.0;   ///< mean ns per op, optimized implementation
-    double speedup = 0.0;  ///< ref_ns / opt_ns
-    bool match = false;    ///< optimized results identical to reference
-};
-
-/// Run-level metadata for the micro document.
-struct MicroRunInfo {
-    std::string name;
-    std::uint64_t seed = 0;
-    bool smoke = false;
-    double wall_seconds = 0.0;
-};
-
-/// Writes the adhoc-micro-v1 document (pretty-printed, trailing newline).
-void write_micro_json(std::ostream& out, const MicroRunInfo& info,
-                      const std::vector<MicroKernelResult>& kernels);
 
 }  // namespace adhoc::runner

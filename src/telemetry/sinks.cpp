@@ -184,58 +184,21 @@ bool jsonl_consume_spans(const std::vector<Span>& spans) {
 
 // -------------------------------------------------------- JSONL parsing --
 
-namespace {
-
-/// Finds `"key":` and returns the character offset just past the colon
-/// (and any following spaces); npos when absent.
-std::size_t find_value(std::string_view line, std::string_view key) {
-    const std::string needle = '"' + std::string(key) + '"';
-    const std::size_t at = line.find(needle);
-    if (at == std::string_view::npos) return std::string_view::npos;
-    std::size_t pos = at + needle.size();
-    while (pos < line.size() && (line[pos] == ' ' || line[pos] == ':')) ++pos;
-    return pos;
-}
-
-bool parse_u64_at(std::string_view line, std::string_view key, std::uint64_t* out) {
-    const std::size_t pos = find_value(line, key);
-    if (pos == std::string_view::npos || pos >= line.size()) return false;
-    std::uint64_t value = 0;
-    std::size_t digits = 0;
-    for (std::size_t i = pos; i < line.size() && line[i] >= '0' && line[i] <= '9'; ++i) {
-        value = value * 10 + static_cast<std::uint64_t>(line[i] - '0');
-        ++digits;
-    }
-    if (digits == 0) return false;
-    *out = value;
-    return true;
-}
-
-bool parse_string_at(std::string_view line, std::string_view key, std::string* out) {
-    std::size_t pos = find_value(line, key);
-    if (pos == std::string_view::npos || pos >= line.size() || line[pos] != '"') return false;
-    ++pos;
-    std::string value;
-    while (pos < line.size() && line[pos] != '"') {
-        if (line[pos] == '\\' && pos + 1 < line.size()) ++pos;  // unescape quote/backslash
-        value += line[pos++];
-    }
-    if (pos >= line.size()) return false;  // unterminated
-    *out = std::move(value);
-    return true;
-}
-
-}  // namespace
-
 std::optional<SpanRecord> parse_span_line(std::string_view line) {
+    const std::optional<io::JsonValue> doc = io::parse_json(line);
+    const io::JsonObject* obj = doc ? doc->get<io::JsonObject>() : nullptr;
     std::string type;
-    if (!parse_string_at(line, "type", &type) || type != "span") return std::nullopt;
+    if (obj == nullptr || !io::get_string(*obj, "type", &type, nullptr) || type != "span") {
+        return std::nullopt;
+    }
     SpanRecord record;
     std::uint64_t tid = 0;
-    if (!parse_string_at(line, "name", &record.name)) return std::nullopt;
-    if (!parse_u64_at(line, "ts_ns", &record.ts_ns)) return std::nullopt;
-    if (!parse_u64_at(line, "dur_ns", &record.dur_ns)) return std::nullopt;
-    if (!parse_u64_at(line, "tid", &tid)) return std::nullopt;
+    if (!io::get_string(*obj, "name", &record.name, nullptr) ||
+        !io::get_u64(*obj, "ts_ns", &record.ts_ns, nullptr) ||
+        !io::get_u64(*obj, "dur_ns", &record.dur_ns, nullptr) ||
+        !io::get_u64(*obj, "tid", &tid, nullptr) || tid > UINT32_MAX) {
+        return std::nullopt;
+    }
     record.tid = static_cast<std::uint32_t>(tid);
     return record;
 }

@@ -1,5 +1,6 @@
 #include "telemetry/telemetry.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
@@ -225,8 +226,11 @@ void record_duration(MetricId id, std::chrono::steady_clock::time_point start) {
     v.sum += ns;
     if (ns > v.max) v.max = ns;
     if (spans_enabled()) {
-        const auto ts =
-            static_cast<std::uint64_t>(std::chrono::nanoseconds(start - epoch()).count());
+        // The epoch starts at its first use, which can fall inside the
+        // first span: such a span starts at the epoch rather than before
+        // it (a negative offset would wrap to ~2^64).
+        const auto ts = static_cast<std::uint64_t>(
+            std::chrono::nanoseconds(std::max(start, epoch()) - epoch()).count());
         t_spans.push_back(Span{id, ts, ns, thread_index()});
         if (t_spans.size() >= kSpanFlushThreshold) flush_thread_spans();
     }

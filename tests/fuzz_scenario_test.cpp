@@ -94,7 +94,7 @@ TEST(FuzzRepro, ControlBytesRoundTrip) {
         Repro repro;
         repro.scenario.node_count = 2;
         repro.scenario.edges = {{0, 1}};
-        repro.note = "a" + std::string(1, static_cast<char>(c)) + "b";
+        repro.note = std::string{'a', static_cast<char>(c), 'b'};
         std::string error;
         const auto parsed = parse_repro(to_repro_json(repro), &error);
         ASSERT_TRUE(parsed.has_value()) << "byte " << c << ": " << error;

@@ -1,11 +1,13 @@
-// Unit tests for edge-list / DOT / SVG output.
+// Unit tests for edge-list / DOT / SVG output and the JSON module.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "io/dot.hpp"
 #include "io/edge_list.hpp"
+#include "io/json.hpp"
 #include "io/svg.hpp"
 
 namespace adhoc {
@@ -112,6 +114,45 @@ TEST(Svg, TimelineRendersReachedUnreachedAndForward) {
     EXPECT_NE(svg.find("stroke=\"black\""), std::string::npos);   // forward outline
     EXPECT_NE(svg.find("rgb("), std::string::npos);               // heat colors
     EXPECT_NE(svg.find("</svg>"), std::string::npos);
+}
+
+TEST(Json, NumbersRoundTripInShortestForm) {
+    EXPECT_EQ(io::json_number(3.0), "3");
+    EXPECT_EQ(io::json_number(-0.5), "-0.5");
+    EXPECT_EQ(io::json_number(0.1), "0.1");
+    EXPECT_EQ(io::json_number(std::numeric_limits<double>::infinity()), "null");
+    for (const double x : {1.0 / 3.0, 36138.083333333336, 1e-7, 2.5e300}) {
+        std::string error;
+        const auto doc = io::parse_json("{\"x\": " + io::json_number(x) + "}", &error);
+        ASSERT_TRUE(doc.has_value()) << error;
+        double back = 0.0;
+        ASSERT_TRUE(io::get_number(*doc->get<io::JsonObject>(), "x", &back, &error));
+        EXPECT_EQ(back, x);
+    }
+}
+
+TEST(Json, AccessorsCheckTypesAndIntegerRange) {
+    const auto doc = io::parse_json(
+        R"({"n": 9007199254740992, "big": 9007199254740994, "neg": -1, "half": 0.5,
+            "s": "x", "b": true})");
+    ASSERT_TRUE(doc.has_value());
+    const io::JsonObject& obj = *doc->get<io::JsonObject>();
+    std::uint64_t u = 0;
+    EXPECT_TRUE(io::get_u64(obj, "n", &u, nullptr));
+    EXPECT_EQ(u, 9007199254740992u);
+    for (const char* key : {"big", "neg", "half", "s", "missing"}) {
+        std::string error;
+        EXPECT_FALSE(io::get_u64(obj, key, &u, &error)) << key;
+        EXPECT_NE(error.find(key), std::string::npos) << error;
+    }
+    std::string text;
+    bool flag = false;
+    EXPECT_FALSE(io::get_string(obj, "b", &text, nullptr));
+    EXPECT_TRUE(io::get_bool(obj, "b", &flag, nullptr));
+    EXPECT_TRUE(flag);
+    std::string error;
+    EXPECT_FALSE(io::parse_json("{\"a\": 1} x", &error).has_value());
+    EXPECT_NE(error.find("trailing"), std::string::npos) << error;
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "algorithms/flooding.hpp"
 #include "algorithms/generic.hpp"
 #include "fuzz/fuzzer.hpp"
+#include "io/json.hpp"
 #include "runner/campaign.hpp"
 #include "telemetry/sinks.hpp"
 
@@ -292,6 +293,22 @@ TEST(SpanPipeline, ParseSpanLineRoundTrip) {
     EXPECT_EQ(record->ts_ns, 1200u);
     EXPECT_EQ(record->dur_ns, 3400u);
     EXPECT_EQ(record->tid, 2u);
+
+    // A value that spells a later key must not be read as that key.
+    const auto named_tid = tel::parse_span_line(
+        "{\"type\": \"span\", \"name\": \"tid\", \"ts_ns\": 5, \"dur_ns\": 7, \"tid\": 1}");
+    ASSERT_TRUE(named_tid.has_value());
+    EXPECT_EQ(named_tid->name, "tid");
+    EXPECT_EQ(named_tid->ts_ns, 5u);
+    EXPECT_EQ(named_tid->dur_ns, 7u);
+    EXPECT_EQ(named_tid->tid, 1u);
+
+    // Every escape json_escape writes decodes back: a\tb, not atb.
+    const auto tabbed = tel::parse_span_line(
+        "{\"type\": \"span\", \"name\": \"" + io::json_escape("a\tb") +
+        "\", \"ts_ns\": 1, \"dur_ns\": 2, \"tid\": 3}");
+    ASSERT_TRUE(tabbed.has_value());
+    EXPECT_EQ(tabbed->name, "a\tb");
 }
 
 TEST(SpanPipeline, ParseSpanLineRejectsOtherRecords) {

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Self-test for check_bench.py.
 
-Synthesizes minimal baseline/current documents per schema and asserts the
-gate's exit codes: identical runs pass, drifted deterministic fields fail,
-rows missing from the baseline warn by default and fail under
---strict-extra.  Run by ctest (tool: check_bench_selftest); needs only the
-stdlib and check_bench.py next to this file.
+Builds small adhoc-rows-v1 documents and asserts the gate's exit codes:
+identical documents pass, any drifted deterministic value fails, a row
+missing on either side fails, a ratio below its floor fails while one at
+or above --healthy passes, timing is never gated, and a schema, bench or
+meta mismatch is rejected.  Run by ctest (check_bench_selftest); needs
+only the stdlib and check_bench.py next to this file.
 """
 
 import copy
@@ -20,57 +21,39 @@ CHECKER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "check_bench.
 
 def run_checker(baseline, current, *flags):
     with tempfile.TemporaryDirectory() as tmp:
-        bpath = os.path.join(tmp, "baseline.json")
-        cpath = os.path.join(tmp, "current.json")
-        with open(bpath, "w", encoding="utf-8") as fh:
-            json.dump(baseline, fh)
-        with open(cpath, "w", encoding="utf-8") as fh:
-            json.dump(current, fh)
-        proc = subprocess.run(
-            [sys.executable, CHECKER, bpath, cpath, *flags],
-            capture_output=True, text=True, check=False)
-        return proc
+        paths = []
+        for name, doc in (("baseline.json", baseline), ("current.json", current)):
+            paths.append(os.path.join(tmp, name))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        return subprocess.run([sys.executable, CHECKER, *paths, *flags],
+                              capture_output=True, text=True, check=False)
 
 
-def resilience_doc():
-    algo = {"name": "Flooding", "delivery_ratio": 1.0, "forward_mean": 24.0,
-            "delivered": 6, "degraded": 0, "partitioned": 0,
-            "retransmits": 0, "sinr_rejections": 0, "captures": 120}
+def doc():
+    """Two rows: a scale-style deterministic row and a micro-style ratio row."""
     return {
-        "schema": "adhoc-resilience-v1",
-        "name": "bench_resilience",
-        "panels": [{
-            "title": "delivery vs SINR capture threshold (crash=0, loss=0)",
-            "cells": [{"crash_rate": 0.0, "loss": 0.0, "beta": 0.0,
-                       "algorithms": [algo]}],
-        }],
+        "schema": "adhoc-rows-v1",
+        "bench": "bench_test",
+        "meta": {"seed": 42},
+        "rows": [
+            {"key": {"nodes": 1000, "policy": "flood"},
+             "deterministic": {"forward_count": 982, "full_delivery": False,
+                               "delivery_ratio": 0.96875,
+                               "order_digest": "44a3016048cc5a0f"},
+             "timing": {"run_s": {"reps": [0.5, 0.4], "min": 0.4, "median": 0.45}}},
+            {"key": {"kernel": "coverage_full", "n": 100},
+             "deterministic": {"match": True},
+             "ratios": {"speedup": 5.0},
+             "timing": {}},
+        ],
     }
 
 
-def scale_resilience_doc():
-    row = {"nodes": 1000, "policy": "flood", "crash_rate": 0.05,
-           "churn": True, "runs": 3, "delivery_ratio": 1.0,
-           "delivered": 0, "degraded": 0, "partitioned": 3,
-           "received_sum": 2946, "forward_sum": 2946, "retransmits": 9,
-           "control_count": 8451, "fault_suppressed": 2066,
-           "delivered_events": 17000, "windows": 150,
-           "completion_sum": 150.0, "order_digest": "44a3016048cc5a0f",
-           "wall_seconds": 0, "events_per_sec": 0}
-    return {
-        "schema": "adhoc-scale-resilience-v1",
-        "name": "bench_scale_resilience",
-        "seed": "42",
-        "wheels": 8,
-        "rows": [row],
-    }
-
-
-def micro_doc():
-    return {
-        "schema": "adhoc-micro-v1",
-        "kernels": [{"name": "coverage", "n": 64, "speedup": 5.0,
-                     "match": True}],
-    }
+def drifted(row, section, field, value):
+    cur = doc()
+    cur["rows"][row][section][field] = value
+    return cur
 
 
 CHECKS = []
@@ -83,106 +66,95 @@ def check(name):
     return wrap
 
 
-@check("resilience: identical runs pass")
-def _(doc=resilience_doc()):
-    assert run_checker(doc, doc).returncode == 0
+def fails(baseline, current, needle, *flags):
+    proc = run_checker(baseline, current, *flags)
+    assert proc.returncode == 1, proc
+    assert needle in proc.stderr, proc.stderr
 
 
-@check("resilience: drifted counter fails")
+@check("identical documents pass")
 def _():
-    base = resilience_doc()
-    cur = copy.deepcopy(base)
-    cur["panels"][0]["cells"][0]["algorithms"][0]["sinr_rejections"] = 7
-    proc = run_checker(base, cur)
-    assert proc.returncode == 1
-    assert "sinr_rejections" in proc.stderr
+    assert run_checker(doc(), doc()).returncode == 0
 
 
-@check("resilience: cell missing from current fails")
+@check("drifted digest fails")
 def _():
-    base = resilience_doc()
-    cur = copy.deepcopy(base)
-    cur["panels"][0]["cells"][0]["algorithms"] = []
-    assert run_checker(base, cur).returncode == 1
+    fails(doc(), drifted(0, "deterministic", "order_digest", "deadbeefdeadbeef"),
+          "order_digest")
 
 
-@check("scale-resilience: identical runs pass")
-def _(doc=scale_resilience_doc()):
-    assert run_checker(doc, doc).returncode == 0
-
-
-@check("scale-resilience: drifted digest fails")
+@check("drifted bool fails, and a bool never equals a number")
 def _():
-    base = scale_resilience_doc()
-    cur = copy.deepcopy(base)
-    cur["rows"][0]["order_digest"] = "deadbeefdeadbeef"
-    proc = run_checker(base, cur)
-    assert proc.returncode == 1
-    assert "order_digest" in proc.stderr
+    fails(doc(), drifted(1, "deterministic", "match", False), "match")
+    fails(doc(), drifted(0, "deterministic", "full_delivery", 0), "full_delivery")
 
 
-@check("scale-resilience: delivery drop within the floor passes")
+@check("drifted integer fails")
 def _():
-    base = scale_resilience_doc()
-    cur = copy.deepcopy(base)
-    cur["rows"][0]["delivery_ratio"] = 0.96
-    assert run_checker(base, cur).returncode == 0
+    fails(doc(), drifted(0, "deterministic", "forward_count", 983), "forward_count")
 
 
-@check("scale-resilience: delivery drop below the floor fails")
+@check("drifted double fails, however small the drift")
 def _():
-    base = scale_resilience_doc()
-    cur = copy.deepcopy(base)
-    cur["rows"][0]["delivery_ratio"] = 0.90
-    proc = run_checker(base, cur)
-    assert proc.returncode == 1
-    assert "delivery_ratio" in proc.stderr
+    fails(doc(), drifted(0, "deterministic", "delivery_ratio", 0.96874), "delivery_ratio")
 
 
-@check("scale-resilience: timing fields are not gated")
+@check("deterministic field missing on either side fails")
 def _():
-    base = scale_resilience_doc()
-    cur = copy.deepcopy(base)
-    cur["rows"][0]["wall_seconds"] = 42.0
-    cur["rows"][0]["events_per_sec"] = 1.0
-    assert run_checker(base, cur).returncode == 0
+    cur = doc()
+    del cur["rows"][0]["deterministic"]["forward_count"]
+    fails(doc(), cur, "forward_count")
+    fails(cur, doc(), "forward_count")
 
 
-@check("extras: row missing from baseline warns but passes")
+@check("row missing from the current run fails")
 def _():
-    cur = resilience_doc()
-    base = copy.deepcopy(cur)
-    base["panels"][0]["cells"][0]["algorithms"] = []
-    proc = run_checker(base, cur)
+    cur = doc()
+    del cur["rows"][1]
+    fails(doc(), cur, "missing from current run")
+
+
+@check("row missing from the baseline fails")
+def _():
+    base = doc()
+    del base["rows"][0]
+    fails(base, doc(), "missing from baseline")
+
+
+@check("ratio below its floor fails")
+def _():
+    fails(doc(), drifted(1, "ratios", "speedup", 3.7), "below floor")
+
+
+@check("ratio within --max-regression passes")
+def _():
+    assert run_checker(doc(), drifted(1, "ratios", "speedup", 3.8)).returncode == 0
+    fails(doc(), drifted(1, "ratios", "speedup", 3.8), "below floor",
+          "--max-regression", "0.1")
+
+
+@check("ratio at or above --healthy passes")
+def _():
+    base = drifted(1, "ratios", "speedup", 100.0)
+    assert run_checker(base, drifted(1, "ratios", "speedup", 20.0)).returncode == 0
+    fails(base, drifted(1, "ratios", "speedup", 19.9), "below floor")
+
+
+@check("timing is printed, never gated")
+def _():
+    cur = drifted(0, "timing", "run_s", {"reps": [9.0], "min": 9.0, "median": 9.0})
+    proc = run_checker(doc(), cur)
     assert proc.returncode == 0
-    assert "missing from baseline" in proc.stdout
+    assert "run_s min 9" in proc.stdout
 
 
-@check("extras: --strict-extra turns the warning into a failure")
+@check("schema, bench or meta mismatch exits nonzero")
 def _():
-    cur = resilience_doc()
-    base = copy.deepcopy(cur)
-    base["panels"][0]["cells"][0]["algorithms"] = []
-    proc = run_checker(base, cur, "--strict-extra")
-    assert proc.returncode == 1
-    assert "missing from baseline" in proc.stderr
-
-
-@check("extras: micro checker warns about unpinned kernels too")
-def _():
-    cur = micro_doc()
-    cur["kernels"].append({"name": "maxmin", "n": 128, "speedup": 3.0,
-                           "match": True})
-    proc = run_checker(micro_doc(), cur)
-    assert proc.returncode == 0
-    assert "missing from baseline" in proc.stdout
-    assert run_checker(micro_doc(), cur, "--strict-extra").returncode == 1
-
-
-@check("schema mismatch between files is rejected")
-def _():
-    proc = run_checker(resilience_doc(), micro_doc())
-    assert proc.returncode != 0
+    for field, value in (("schema", "adhoc-scale-v1"), ("bench", "bench_other"),
+                         ("meta", {"seed": 7})):
+        cur = doc()
+        cur[field] = value
+        assert run_checker(doc(), cur).returncode == 2, field
 
 
 def main():
