@@ -20,9 +20,10 @@
 /// cells with the windowed NACK recovery layer attached, classified per
 /// run via `faults::classify_outcome` (bench name bench_scale_resilience,
 /// default sink BENCH_scale_resilience.json).  Its wall times cover
-/// `ScaleEngine::run` alone.  Unless `--no-timing` is given, each policy's
-/// first cell also times a warm repeat of run 0 and the panel exits nonzero
-/// when the cold run took more than 3x that repeat.
+/// `ScaleEngine::run` alone; each row's timing block also carries the
+/// engine's bytes/node after its runs.  Unless `--no-timing` is given, each
+/// policy's first cell also times a warm repeat of run 0 and the panel
+/// exits nonzero when the cold run took more than 3x that repeat.
 ///
 /// Sharding happens *inside* each run (the engine's partitioned event
 /// wheels), so `--jobs` changes wall clock only: every simulation output —
@@ -191,6 +192,9 @@ struct ResilienceRow {
     /// FNV-style fold of the per-run canonical order digests.
     std::uint64_t order_digest = 0xcbf29ce484222325ULL;
     std::vector<double> run_s;  ///< per-run wall time; empty under --no-timing
+    /// `state_bytes()` / n after the row's runs.  Timing-only: the engine's
+    /// decision scratch depends on --jobs once windows reach 4096 events.
+    double engine_bytes_per_node = 0.0;
 };
 
 bench::RowsDoc resilience_rows_doc(const ScaleOptions& opts,
@@ -217,7 +221,10 @@ bench::RowsDoc resilience_rows_doc(const ScaleOptions& opts,
             .count("windows", r.windows)
             .real("completion_sum", r.completion_sum)
             .text("order_digest", hex_digest(r.order_digest));
-        if (!r.run_s.empty()) row.timing.samples("run_s", r.run_s);
+        if (!r.run_s.empty()) {
+            row.timing.samples("run_s", r.run_s)
+                .samples("engine_bytes_per_node", {r.engine_bytes_per_node});
+        }
     }
     return doc;
 }
@@ -342,6 +349,8 @@ int run_resilience(const ScaleOptions& opts) {
                     row.completion_sum += res.completion_time;
                     row.order_digest = (row.order_digest ^ res.order_digest) * 0x100000001b3ULL;
                 }
+                row.engine_bytes_per_node = static_cast<double>(p.engine->state_bytes()) /
+                                            static_cast<double>(n);
                 // Regression guard: the policy's first cell is its engine's
                 // cold run, so repeat run 0 warm and fail when the cold run
                 // costs more than kMaxColdOverWarm times the warm one.  The

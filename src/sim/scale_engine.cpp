@@ -5,10 +5,12 @@
 #include <bit>
 #include <cmath>
 #include <functional>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "core/coverage.hpp"
 #include "core/view.hpp"
@@ -118,9 +120,11 @@ inline constexpr std::size_t kParallelWindow = 4096;
 // ---- faulted windowed replay ------------------------------------------
 
 /// Calendar horizon for *plan* event times (engine-generated events are
-/// bounded by the run's own dynamics).  2^20 windows of empty buckets is
-/// ~24 MB worst-case — far past any real schedule, cheap enough to keep the
-/// resize in push_revent unconditional.
+/// bounded by the run's own dynamics).  The calendar keeps one 16-byte
+/// bucket header per window up to the furthest event, so a plan at the
+/// horizon costs ~16 MB of headers — far past any real schedule, cheap
+/// enough to keep the resize in push_to unconditional.  Event storage is
+/// chunked and recycled, so it does not scale with the horizon.
 inline constexpr std::size_t kMaxWindows = std::size_t{1} << 20;
 
 // REvent.kind values.  The numeric order is irrelevant: buckets sort by
@@ -395,12 +399,44 @@ void ScaleEngine::set_recovery(const faults::RecoveryConfig& config) {
     recovery_ = config;
 }
 
-void ScaleEngine::push_revent(double time, std::uint32_t kind, NodeId node,
-                              std::uint32_t payload) {
-    const std::size_t w = window_index(time);
+void ScaleEngine::push_to(std::size_t w, double time, std::uint32_t kind, NodeId node,
+                          std::uint32_t payload) {
     if (cal_.size() <= w) cal_.resize(w + 1);
-    cal_[w].push_back({time, r_seq_++, kind, node, payload});
+    Bucket& bucket = cal_[w];
+    const std::size_t slot = bucket.count % kChunkEvents;
+    if (slot == 0) {  // first event, or the tail chunk is full
+        if (free_chunks_.empty()) {
+            free_chunks_.push_back(static_cast<std::uint32_t>(chunks_.size()));
+            chunks_.push_back(std::make_unique<Chunk>());
+        }
+        const std::uint32_t c = free_chunks_.back();
+        free_chunks_.pop_back();
+        if (bucket.count == 0) {
+            bucket.first = c;
+        } else {
+            chunks_[bucket.last]->next = c;
+        }
+        bucket.last = c;
+    }
+    chunks_[bucket.last]->events[slot] = {time, r_seq_++, kind, node, payload};
+    ++bucket.count;
     ++r_pending_;
+}
+
+void ScaleEngine::drain_bucket(std::size_t w) {
+    const Bucket bucket = std::exchange(cal_[w], Bucket{});
+    work_.clear();
+    std::uint32_t c = bucket.first;
+    for (std::size_t left = bucket.count;;) {  // callers skip empty buckets
+        const Chunk& chunk = *chunks_[c];
+        const std::size_t take = std::min(left, kChunkEvents);
+        work_.insert(work_.end(), chunk.events, chunk.events + take);
+        free_chunks_.push_back(c);
+        left -= take;
+        if (left == 0) break;
+        c = chunk.next;
+    }
+    r_pending_ -= bucket.count;
 }
 
 void ScaleEngine::fanout_resilient(NodeId sender, bool control, std::uint32_t payload,
@@ -410,13 +446,14 @@ void ScaleEngine::fanout_resilient(NodeId sender, bool control, std::uint32_t pa
     // link short-circuits the draw (|| in the reference) so the counter
     // stream position stays identical.
     const std::uint32_t kind = control ? kRControl : kRDelivery;
+    const std::size_t w = window_index(next_time);  // one instant per fanout
     for (NodeId nbr : graph_.neighbors(sender)) {
         if (only_target != kInvalidNode && nbr != only_target) continue;
         if (!fsession_.link_up(sender, nbr) || fsession_.drop_directed(sender, nbr)) {
             ++r_suppressed_;
             continue;
         }
-        push_revent(next_time, kind, nbr, payload);
+        push_to(w, next_time, kind, nbr, payload);
     }
 }
 
@@ -492,7 +529,11 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
 
     std::fill(received_.begin(), received_.end(), 0);
     std::fill(forwarded_.begin(), forwarded_.end(), 0);
-    for (std::vector<REvent>& bucket : cal_) bucket.clear();
+    // Every chunk is free at run start (a run cut short by an exception
+    // may have left some queued); the header array restarts empty.
+    cal_.clear();
+    free_chunks_.resize(chunks_.size());
+    std::iota(free_chunks_.begin(), free_chunks_.end(), 0u);
     work_.clear();
     packets_.clear();
     controls_.clear();
@@ -543,20 +584,22 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
     double completion = 0.0;
 
     for (std::size_t w = 0; r_pending_ > 0 && w < cal_.size(); ++w) {
-        if (cal_[w].empty()) continue;
+        if (cal_[w].count == 0) continue;
         result.peak_queue_events = std::max(result.peak_queue_events, r_pending_);
         ++result.windows;
-        // Swap the bucket out before draining: processing pushes into
-        // future buckets, which may reallocate the calendar.
-        work_.clear();
-        work_.swap(cal_[w]);
-        r_pending_ -= work_.size();
+        drain_bucket(w);
         // Within a bucket, (time, seq) is the reference queue's pop order;
         // buckets partition the time axis into disjoint ascending ranges,
         // so the concatenation of sorted buckets IS the global pop order.
-        std::sort(work_.begin(), work_.end(), [](const REvent& a, const REvent& b) {
+        // Pushes append in seq order, so a bucket is out of (time, seq)
+        // order only when its events' times differ (off-boundary plan
+        // times, FP noise in accumulated instants) — sort just those.
+        const auto pop_order = [](const REvent& a, const REvent& b) {
             return a.time != b.time ? a.time < b.time : a.seq < b.seq;
-        });
+        };
+        if (!std::is_sorted(work_.begin(), work_.end(), pop_order)) {
+            std::sort(work_.begin(), work_.end(), pop_order);
+        }
 
         // Fault prefix: plan events carry the lowest sequences, so they
         // normally sort ahead of all same-window traffic.  Applying them up
@@ -844,10 +887,11 @@ std::size_t ScaleEngine::state_bytes() const noexcept {
     for (const DecideScratch& ds : deciders_) {
         bytes += ds.visited.capacity() * sizeof(NodeId) + ds.ball.bytes();
     }
-    for (const std::vector<REvent>& bucket : cal_) {
-        bytes += bucket.capacity() * sizeof(REvent);
-    }
-    bytes += work_.capacity() * sizeof(REvent) +
+    bytes += cal_.capacity() * sizeof(Bucket) +
+             chunks_.capacity() * sizeof(std::unique_ptr<Chunk>) +
+             chunks_.size() * sizeof(Chunk) +
+             free_chunks_.capacity() * sizeof(std::uint32_t) +
+             work_.capacity() * sizeof(REvent) +
              packets_.capacity() * sizeof(RPacket) +
              controls_.capacity() * sizeof(RControl) +
              r_chain_.capacity() * sizeof(NodeId) +

@@ -79,6 +79,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -202,8 +203,9 @@ class ScaleEngine {
     }
     [[nodiscard]] const std::vector<char>& received_mask() const noexcept { return received_; }
 
-    /// Engine-owned working memory (per-node state plus staging-bucket
-    /// high-water marks), for the bench's bytes/node metric.
+    /// Engine-owned working memory (per-node state, staging-bucket
+    /// high-water marks, and the faulted plane's calendar — bucket headers,
+    /// event chunks and the drain buffer), for the bench's bytes/node metric.
     [[nodiscard]] std::size_t state_bytes() const noexcept;
 
   private:
@@ -252,6 +254,20 @@ class ScaleEngine {
         NodeId sender;
         std::uint32_t kind;  ///< kBeaconMsg / kNackMsg
     };
+    /// Events per calendar chunk (16 KiB of events).
+    static constexpr std::size_t kChunkEvents = 512;
+    /// A fixed-size block of one bucket's events; `next` links the bucket's
+    /// chunks in push order.
+    struct Chunk {
+        REvent events[kChunkEvents];
+        std::uint32_t next = 0;
+    };
+    /// One calendar window: a chain of chunks holding `count` events.
+    struct Bucket {
+        std::uint32_t first = 0;  ///< head chunk (meaningful when count > 0)
+        std::uint32_t last = 0;   ///< tail chunk, where pushes append
+        std::size_t count = 0;
+    };
 
     [[nodiscard]] std::size_t wheel_of(NodeId v) const noexcept { return v / block_; }
     [[nodiscard]] bool covered_by(NodeId v, NodeId u) const noexcept;
@@ -272,7 +288,16 @@ class ScaleEngine {
     // ---- faulted windowed replay (run_resilient and helpers) ----------
     [[nodiscard]] ScaleResult run_resilient(NodeId source);
     [[nodiscard]] std::size_t window_index(double time) const noexcept;
-    void push_revent(double time, std::uint32_t kind, NodeId node, std::uint32_t payload);
+    void push_revent(double time, std::uint32_t kind, NodeId node, std::uint32_t payload) {
+        push_to(window_index(time), time, kind, node, payload);
+    }
+    /// Appends an event to window `w`'s bucket, taking a chunk from the
+    /// free list when the bucket is empty or its tail chunk is full.
+    void push_to(std::size_t w, double time, std::uint32_t kind, NodeId node,
+                 std::uint32_t payload);
+    /// Moves window `w`'s events into `work_` in push order and returns the
+    /// bucket's chunks to the free list.
+    void drain_bucket(std::size_t w);
     /// Mirrors `Simulator::schedule_deliveries`: per-link fault gating and
     /// counter-based loss draws in sorted-adjacency order, one queued
     /// event (and one insertion sequence) per surviving link.
@@ -327,8 +352,23 @@ class ScaleEngine {
     std::optional<faults::RecoveryConfig> recovery_;
     faults::FaultSession fsession_;
     faults::FaultPlan empty_plan_;  ///< session target when recovery runs planless
-    std::vector<std::vector<REvent>> cal_;  ///< window calendar buckets
-    std::vector<REvent> work_;              ///< bucket being drained
+    /// Window calendar: bucket w chains the pending events of window w in
+    /// push (= insertion-sequence) order.  Events live in fixed-size chunks
+    /// shared by all buckets: a drained bucket's chunks go back to
+    /// `free_chunks_`, so the chunks allocated never exceed the peak of
+    /// pending / kChunkEvents plus one partial chunk per live bucket — the
+    /// calendar holds live events, not the run's history.  The header array
+    /// is one 16-byte `Bucket` per window up to the furthest event pushed
+    /// (at most kMaxWindows; plan horizons are checked on attach).
+    std::vector<Bucket> cal_;
+    std::vector<std::unique_ptr<Chunk>> chunks_;  ///< every chunk, by index
+    /// Chunks holding no events.  Run start puts every chunk here, so a
+    /// warm rerun reuses exactly the chunks of the previous run.
+    std::vector<std::uint32_t> free_chunks_;
+    /// The window being drained, copied out of its chunks so pushes into
+    /// later windows may reuse them meanwhile.  Capacity tracks the largest
+    /// window.
+    std::vector<REvent> work_;
     std::vector<RPacket> packets_;
     std::vector<RControl> controls_;
     std::vector<NodeId> r_chain_;  ///< pooled packet history chains (FR only)

@@ -5,13 +5,19 @@
 /// masks, every fault/recovery counter, completion time, outcome
 /// classification and the transmission-order digest — across seeds ×
 /// wheels {1, 3, 8} × jobs {1, 4}, for flooding, generic static/FR and
-/// self-pruning.  The fault-free engine (no plan attached) is held to the
+/// self-pruning, at the unit delay and (flooding, generic FR) at delay 0.3,
+/// where FP noise in accumulated instants leaves calendar buckets out of
+/// (time, seq) order.  The fault-free engine (no plan attached) is held to the
 /// plain traced Simulator for flooding and self-pruning the same way, at
 /// wheels {1, 3, 8, 32}.  Plus: clean termination when everything crashes,
-/// partition classification on a cut vertex, and the validation surface
-/// of `attach_faults` / `set_recovery`.
+/// partition classification on a cut vertex, a calendar that holds live
+/// events only, and the validation surface of `attach_faults` /
+/// `set_recovery`.
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <numbers>
 
 #include "algorithms/flooding.hpp"
 #include "algorithms/generic.hpp"
@@ -129,15 +135,18 @@ class SelfPruneAlgorithm : public BroadcastAlgorithm {
 void expect_resilient_match(const BroadcastAlgorithm& algo, const Graph& g,
                             NodeId source, ScalePolicy policy,
                             const GenericConfig* gc, const FaultPlan& plan,
-                            const RecoveryConfig& recovery) {
+                            const RecoveryConfig& recovery, double delay = 1.0) {
     Rng rng(99);  // the honorable axes never draw from it
+    MediumConfig medium;
+    medium.propagation_delay = delay;
     const ResilientResult ref = algo.broadcast_resilient(
-        g, source, rng, MediumConfig{}, plan, recovery, /*trace=*/true);
+        g, source, rng, medium, plan, recovery, /*trace=*/true);
     const std::uint64_t ref_digest = reference_transmission_digest(ref.result.trace);
 
     for (const std::size_t wheels : {1, 3, 8}) {
         for (const std::size_t jobs : {1, 4}) {
             ScaleConfig cfg;
+            cfg.delay = delay;
             cfg.policy = policy;
             if (gc != nullptr) cfg.generic = *gc;
             cfg.wheels = wheels;
@@ -149,8 +158,8 @@ void expect_resilient_match(const BroadcastAlgorithm& algo, const Graph& g,
 
             const auto tag = ::testing::Message()
                              << algo.name() << " wheels=" << wheels
-                             << " jobs=" << jobs << " recovery="
-                             << (recovery.enabled ? "on" : "off");
+                             << " jobs=" << jobs << " delay=" << delay
+                             << " recovery=" << (recovery.enabled ? "on" : "off");
             EXPECT_EQ(engine.received_mask(), ref.result.received) << tag;
             EXPECT_EQ(engine.forwarded_mask(), ref.result.transmitted) << tag;
             EXPECT_EQ(got.forward_count, ref.result.forward_count) << tag;
@@ -218,6 +227,32 @@ TEST(ScaleResilience, GenericStaticMatchesResilientSimulator) {
                            &gc, plan, recovery_off());
     expect_resilient_match(generic, net.graph, 0, ScalePolicy::kGenericCoverage,
                            &gc, plan, aligned_recovery());
+}
+
+TEST(ScaleResilience, NonUnitDelayMatchesResilientSimulator) {
+    // At delay 0.3 a delivery instant is a running sum of 0.3s while a
+    // timer instant adds 0.9 or 0.3 * 2^k in one step, so events of one
+    // window differ in their last bits and pushes land out of (time, seq)
+    // order — the one setting where a drained bucket must be sorted.
+    constexpr double kDelay = 0.3;
+    RecoveryConfig recovery = aligned_recovery();
+    recovery.beacon_interval = 3 * kDelay;
+    recovery.nack_delay = kDelay;
+    const FloodingAlgorithm flood;
+    const GenericConfig gc = generic_fr_config(2);
+    const GenericBroadcast generic(gc, "Generic FR");
+    for (const std::uint64_t seed : {0x3a1ULL, 0x3b2ULL}) {
+        const UnitDiskNetwork net = make_network(140, seed);
+        const NodeId source = static_cast<NodeId>(seed % net.graph.node_count());
+        for (auto make : {&churn_plan, &lossy_plan}) {
+            const FaultPlan plan = make(net.graph, source, seed);
+            expect_resilient_match(flood, net.graph, source, ScalePolicy::kFlood, nullptr,
+                                   plan, recovery, kDelay);
+            expect_resilient_match(generic, net.graph, source,
+                                   ScalePolicy::kGenericCoverage, &gc, plan, recovery,
+                                   kDelay);
+        }
+    }
 }
 
 TEST(ScaleResilience, SelfPruneMatchesResilientSimulator) {
@@ -376,6 +411,46 @@ TEST(ScaleResilience, RepeatedFaultedRunsAreIdentical) {
     EXPECT_EQ(a.control_count, b.control_count);
     EXPECT_EQ(a.fault_suppressed, b.fault_suppressed);
     EXPECT_EQ(mask_a, engine.received_mask());
+}
+
+TEST(ScaleResilience, CalendarHoldsLiveEventsOnly) {
+    // Crash 5% plus link churn with NACK recovery over a constant-density
+    // 10^4-node placement: a run of more than 100 windows.  The window
+    // calendar must hold what is pending, not what the run has pushed, so
+    // the engine's bytes stay within a per-node budget (masks, recovery
+    // counters, packet and control tables: 96 B) plus 4 events of 32 B per
+    // peak pending event: the queued copy, and up to twice the largest
+    // window for the drained window's copy (the partial tail chunk of each
+    // live bucket rides in the slack).  A warm rerun allocates nothing.
+    constexpr std::size_t n = 10'000;
+    Rng gen(0xca1e);
+    std::vector<Point2D> positions(n);
+    for (Point2D& p : positions) {
+        p.x = gen.uniform(0.0, 1000.0);
+        p.y = gen.uniform(0.0, 1000.0);
+    }
+    const double range = std::sqrt(6.0 * 1000.0 * 1000.0 / (std::numbers::pi * n));
+    const Graph g = unit_disk_graph(positions, range);
+    FaultSpec spec;
+    spec.crash_rate = 0.05;
+    spec.crash_window = 6.0;
+    spec.link_churn_rate = 0.1;
+    spec.churn_window = 8.0;
+    const FaultPlan plan = faults::make_fault_plan(spec, g, 0, 0xca1e, 0);
+
+    ScaleEngine engine(g, ScaleConfig{});
+    engine.attach_faults(&plan);
+    engine.set_recovery(aligned_recovery());
+    const ScaleResult cold = engine.run(0);
+    ASSERT_GE(cold.windows, 100u);
+    ASSERT_GT(cold.control_count, 0u);
+    const std::size_t bytes = engine.state_bytes();
+    EXPECT_LE(bytes, 96 * n + 4 * 32 * cold.peak_queue_events)
+        << "windows=" << cold.windows << " peak=" << cold.peak_queue_events;
+
+    const ScaleResult warm = engine.run(0);
+    EXPECT_EQ(warm.order_digest, cold.order_digest);
+    EXPECT_LE(engine.state_bytes(), bytes);
 }
 
 TEST(ScaleResilience, RejectsInvalidPlansAndMisalignedRecovery) {
