@@ -5,7 +5,9 @@
 /// each in two implementations — the retained `reference::` naive version
 /// and the production compact-view/spatial-grid version — and verifies
 /// during the same run that both produce identical results.  The
-/// fault_session kernel runs at n and at 2n down links
+/// event_queue_ops kernel pushes random delays; event_queue_stream pushes
+/// the fixed-delay delivery stream of floods, the shape the queue's lanes
+/// serve.  The fault_session kernel runs at n and at 2n down links
 /// (`fault_session_2n`), so its opt_ns ratio is the n vs 2n check.  The
 /// summary_diff kernel times one beacon diff (`missing_keys`) against the
 /// per-bit `holds` loop it replaced.  The policy_decision kernel replays
@@ -191,7 +193,7 @@ bool same_outcome(const CoverageOutcome& a, const CoverageOutcome& b) {
 }
 
 /// The pre-calendar scheduler, verbatim: std::priority_queue on
-/// (time, seq).  Kept as the reference side of the event_queue kernel.
+/// (time, seq).  Kept as the reference side of the event_queue kernels.
 class RefEventQueue {
   public:
     void push(double time, EventKind kind, NodeId node, std::size_t payload) {
@@ -246,6 +248,38 @@ std::uint64_t scheduler_workload(Queue& q, std::size_t n, std::uint64_t seed) {
     }
     while (!q.empty()) fold(q.pop());
     return h;
+}
+
+/// Drives a queue through a fixed-delay medium's delivery stream: floods
+/// from `floods` sources in turn, each receiving node (on its first copy)
+/// pushing one delivery per neighbour at now + 1.0.  Every push lands at
+/// or after the previous one, the shape the queue's lanes take in O(1).
+/// Returns a digest of the pop order and the number of queue operations.
+template <typename Queue>
+std::pair<std::uint64_t, std::size_t> fixed_delay_workload(Queue& q, const Graph& g,
+                                                           std::size_t floods) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    std::size_t ops = 0;
+    std::vector<char> seen(g.node_count());
+    for (std::size_t f = 0; f < floods; ++f) {
+        q.clear();
+        std::fill(seen.begin(), seen.end(), 0);
+        q.push(0.0, EventKind::kTimer, static_cast<NodeId>(f * 7919 % g.node_count()), f);
+        ++ops;
+        while (!q.empty()) {
+            const Event e = q.pop();
+            ++ops;
+            h = (h ^ e.seq) * 0x100000001b3ULL;
+            h = (h ^ e.node) * 0x100000001b3ULL;
+            if (seen[e.node]) continue;
+            seen[e.node] = 1;
+            for (const NodeId nbr : g.neighbors(e.node)) {
+                q.push(e.time + 1.0, EventKind::kDelivery, nbr, e.node);
+                ++ops;
+            }
+        }
+    }
+    return {h, ops};
 }
 
 /// The pre-index fault session's link state, verbatim: a vector of down
@@ -521,6 +555,24 @@ int main(int argc, char** argv) {
                 [&] { guard = guard + scheduler_workload(ref_q, events, opts.seed); },
                 [&] { guard = guard + scheduler_workload(opt_q, events, opts.seed); }, reps, per,
                 match));
+        }
+
+        // --- scheduler on a fixed delay: reference heap vs queue lanes ---
+        //
+        // The delivery stream of floods on the fixture graph; ops per
+        // workload are counted from the workload itself.
+        {
+            const std::size_t floods = 16;
+            RefEventQueue ref_q;
+            EventQueue opt_q;
+            const auto want = fixed_delay_workload(ref_q, fx.graph, floods);
+            const bool match = want == fixed_delay_workload(opt_q, fx.graph, floods);
+            const std::size_t reps = opts.smoke ? 10 : (n <= 500 ? 20 : 10);
+            report(time_kernel(
+                "event_queue_stream", n,
+                [&] { guard = guard + fixed_delay_workload(ref_q, fx.graph, floods).first; },
+                [&] { guard = guard + fixed_delay_workload(opt_q, fx.graph, floods).first; },
+                reps, static_cast<double>(want.second), match));
         }
 
         // --- fault session: linear down-link scan vs indexed set ---

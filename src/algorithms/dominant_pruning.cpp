@@ -4,7 +4,6 @@
 
 #include "core/designation.hpp"
 #include "graph/khop.hpp"
-#include "graph/traversal.hpp"
 
 namespace adhoc {
 
@@ -47,15 +46,24 @@ class DominantPruningAgent final : public Agent {
     void forward(Simulator& sim, NodeId v, NodeId u, const BroadcastState& received) {
         const Graph& g = *graph_;
 
-        // Uncovered 2-hop targets Y (strict distance 2 from v).
-        const auto dist_v = bfs_distances(g, v);
-        std::vector<char> in_y(g.node_count(), 0);
-        for (NodeId y = 0; y < g.node_count(); ++y) {
-            if (dist_v[y] == 2) in_y[y] = 1;
+        // Uncovered 2-hop targets Y: N(N(v)) − N[v], the nodes at distance
+        // exactly 2.  `in_y_` is all zero between forwards; the nodes it
+        // marks are listed in `targets`, which also resets it.
+        if (in_y_.size() != g.node_count()) in_y_.assign(g.node_count(), 0);
+        std::vector<NodeId> targets;
+        for (NodeId w : g.neighbors(v)) {
+            for (NodeId y : g.neighbors(w)) {
+                if (!in_y_[y]) {
+                    in_y_[y] = 1;
+                    targets.push_back(y);
+                }
+            }
         }
+        in_y_[v] = 0;
+        for (NodeId w : g.neighbors(v)) in_y_[w] = 0;
         if (u != kInvalidNode) {
-            in_y[u] = 0;
-            for (NodeId y : g.neighbors(u)) in_y[y] = 0;  // DP: minus N(u)
+            in_y_[u] = 0;
+            for (NodeId y : g.neighbors(u)) in_y_[y] = 0;  // DP: minus N(u)
             switch (variant_) {
                 case DominantPruningVariant::kDp:
                     break;
@@ -63,12 +71,12 @@ class DominantPruningAgent final : public Agent {
                     // Minus N(w) for every common neighbor w of u and v.
                     for (NodeId w : g.neighbors(u)) {
                         if (!g.has_edge(w, v)) continue;
-                        for (NodeId y : g.neighbors(w)) in_y[y] = 0;
+                        for (NodeId y : g.neighbors(w)) in_y_[y] = 0;
                     }
                     break;
                 case DominantPruningVariant::kTdp:
                     // Minus the piggybacked N2(u).
-                    for (NodeId y : received.sender_two_hop) in_y[y] = 0;
+                    for (NodeId y : received.sender_two_hop) in_y_[y] = 0;
                     break;
                 case DominantPruningVariant::kAhbp:
                     // Minus N[d] for the sender's other gateways: they
@@ -76,17 +84,18 @@ class DominantPruningAgent final : public Agent {
                     if (!received.history.empty() && received.history.back().node == u) {
                         for (NodeId d : received.history.back().designated) {
                             if (d == v) continue;
-                            in_y[d] = 0;
-                            for (NodeId y : g.neighbors(d)) in_y[y] = 0;
+                            in_y_[d] = 0;
+                            for (NodeId y : g.neighbors(d)) in_y_[y] = 0;
                         }
                     }
                     break;
             }
         }
-        std::vector<NodeId> targets;
-        for (NodeId y = 0; y < g.node_count(); ++y) {
-            if (in_y[y]) targets.push_back(y);
-        }
+        std::erase_if(targets, [this](NodeId y) {  // greedy_cover reads a set
+            const bool keep = in_y_[y] != 0;
+            in_y_[y] = 0;
+            return !keep;
+        });
 
         // Candidates X = N(v) − N[u].
         std::vector<NodeId> candidates;
@@ -107,6 +116,7 @@ class DominantPruningAgent final : public Agent {
 
     const Graph* graph_;
     DominantPruningVariant variant_;
+    std::vector<char> in_y_;  ///< target marks, all zero between forwards
 };
 
 }  // namespace

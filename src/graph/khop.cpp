@@ -6,26 +6,39 @@
 #include <stdexcept>
 #include <string>
 
-#include "graph/traversal.hpp"
-
 namespace adhoc {
 
 std::vector<NodeId> k_hop_nodes(const Graph& g, NodeId v, std::size_t k) {
+    // A BFS that stops at depth k.  Visited marks are per-thread epoch
+    // stamps, so a call touches only the ball.
     assert(g.contains(v));
-    const auto dist = bfs_distances(g, v);
-    std::vector<NodeId> nodes;
-    for (NodeId u = 0; u < g.node_count(); ++u) {
-        if (dist[u] != kUnreachable && dist[u] <= k) nodes.push_back(u);
+    thread_local std::vector<std::uint32_t> stamp;
+    thread_local std::uint32_t epoch = 0;
+    if (stamp.size() < g.node_count()) stamp.resize(g.node_count(), 0);
+    if (++epoch == 0) {  // wrap: invalidate everything once
+        std::fill(stamp.begin(), stamp.end(), 0);
+        epoch = 1;
     }
+    std::vector<NodeId> nodes{v};
+    stamp[v] = epoch;
+    for (std::size_t depth = 0, begin = 0; depth < k && begin < nodes.size(); ++depth) {
+        const std::size_t end = nodes.size();
+        for (std::size_t i = begin; i < end; ++i) {
+            for (const NodeId y : g.neighbors(nodes[i])) {
+                if (stamp[y] == epoch) continue;
+                stamp[y] = epoch;
+                nodes.push_back(y);
+            }
+        }
+        begin = end;
+    }
+    std::sort(nodes.begin(), nodes.end());
     return nodes;
 }
 
 std::vector<NodeId> two_hop_cover_set(const Graph& g, NodeId v) {
-    const auto dist = bfs_distances(g, v);
-    std::vector<NodeId> nodes;
-    for (NodeId u = 0; u < g.node_count(); ++u) {
-        if (u != v && dist[u] != kUnreachable && dist[u] <= 2) nodes.push_back(u);
-    }
+    std::vector<NodeId> nodes = k_hop_nodes(g, v, 2);
+    nodes.erase(std::lower_bound(nodes.begin(), nodes.end(), v));
     return nodes;
 }
 

@@ -21,10 +21,12 @@ void KnowledgeBase::init_state(std::size_t n) {
 }
 
 KnowledgeBase::KnowledgeBase(const Graph& g, std::size_t k)
-    : topologies_(g.node_count()), k_(k) {
-    const std::size_t n = g.node_count();
-    init_state(n);
-    for (NodeId v = 0; v < n; ++v) topologies_[v] = local_topology(g, v, k);
+    : graph_(&g), topologies_(g.node_count()), k_(k) {
+    init_state(g.node_count());
+}
+
+const LocalTopology& KnowledgeBase::compile(NodeId v) const {
+    return topologies_[v] = local_topology(*graph_, v, k_);
 }
 
 namespace {
@@ -36,7 +38,7 @@ namespace {
 }  // namespace
 
 KnowledgeBase::KnowledgeBase(const Graph& g, std::vector<LocalTopology> views)
-    : topologies_(std::move(views)), k_(0) {
+    : graph_(&g), topologies_(std::move(views)), k_(0) {
     const std::size_t n = g.node_count();
     if (topologies_.size() != n) {
         throw std::invalid_argument("KnowledgeBase: " + std::to_string(topologies_.size()) +
@@ -118,7 +120,7 @@ View KnowledgeBase::view_of(NodeId v, const PriorityKeys& keys) const {
     }
     last_view_node_ = v;
 
-    const LocalTopology& topo = topologies_[v];
+    const LocalTopology& topo = topology(v);
     const std::uint64_t* visited = visited_row(v);
     const std::uint64_t* designated = designated_row(v);
     for (NodeId x : topo.members) {

@@ -3,7 +3,7 @@
 ///
 /// Every dynamic algorithm in the paper maintains the same two kinds of
 /// local state (Section 4.3): long-lived k-hop topology (from periodic
-/// "hello" messages — precomputed here once per run) and short-lived
+/// "hello" messages — compiled here on a node's first use) and short-lived
 /// broadcast state (visited/designated nodes learned by snooping neighbor
 /// transmissions and from piggybacked packet history).  `KnowledgeBase`
 /// centralizes both so each algorithm only implements its decision rule.
@@ -96,7 +96,10 @@ using ConstKnowledgeRef = BasicKnowledgeRef<const KnowledgeBase>;
 /// Per-run knowledge store for all nodes (structure-of-arrays).
 class KnowledgeBase {
   public:
-    /// Precomputes G_k(v) for every node (k == 0 -> global information).
+    /// Views G_k(v) of `g` (k == 0 -> global information).  A node's view
+    /// is compiled on its first `topology(v)` or `view_of(v)`, into the
+    /// node's slot, where it stays; an agent that never reads a view pays
+    /// for none.  `g` must outlive the KnowledgeBase.
     KnowledgeBase(const Graph& g, std::size_t k);
 
     /// Uses externally assembled views (e.g. from a simulated hello
@@ -112,7 +115,13 @@ class KnowledgeBase {
     [[nodiscard]] std::size_t node_count() const noexcept { return topologies_.size(); }
 
     // ---- direct SoA accessors (the proxy forwards here) --------------
-    [[nodiscard]] const LocalTopology& topology(NodeId v) const { return topologies_[v]; }
+    /// The node's view (compiled on first use; the reference stays valid
+    /// for the KnowledgeBase's lifetime).  Not thread-safe: one run, one
+    /// thread.
+    [[nodiscard]] const LocalTopology& topology(NodeId v) const {
+        const LocalTopology& t = topologies_[v];
+        return t.members.empty() ? compile(v) : t;  // a compiled view holds its center
+    }
 
     [[nodiscard]] bool received(NodeId v) const { return bits::test(received_.data(), v); }
     [[nodiscard]] bool decided(NodeId v) const { return bits::test(decided_.data(), v); }
@@ -162,6 +171,7 @@ class KnowledgeBase {
 
   private:
     void init_state(std::size_t n);
+    const LocalTopology& compile(NodeId v) const;
 
     [[nodiscard]] std::uint64_t* visited_row(NodeId v) {
         return visited_bits_.data() + static_cast<std::size_t>(v) * words_per_node_;
@@ -176,7 +186,9 @@ class KnowledgeBase {
         return designated_bits_.data() + static_cast<std::size_t>(v) * words_per_node_;
     }
 
-    std::vector<LocalTopology> topologies_;
+    const Graph* graph_;
+    /// One slot per node; an empty slot is not compiled yet.
+    mutable std::vector<LocalTopology> topologies_;
     std::size_t k_;
     std::size_t words_per_node_ = 0;
 

@@ -316,11 +316,6 @@ std::size_t Simulator::schedule_deliveries(NodeId sender, EventKind kind,
     return fanout;
 }
 
-void Simulator::reserve_hint(std::size_t in_flight_packets, std::size_t pending_events) {
-    transmissions_.reserve(in_flight_packets);
-    queue_.reserve(pending_events);
-}
-
 void Simulator::transmit(NodeId v, BroadcastState state) {
     assert(graph_->contains(v));
     if (transmitted_[v]) return;  // a node forwards at most once

@@ -132,12 +132,6 @@ class Simulator {
     /// (via `faults::validate_plan`) on a structurally invalid plan.
     void attach_faults(const faults::FaultPlan* plan);
 
-    /// Pre-sizes in-flight storage from workload knowledge (e.g. session
-    /// count x expected forwards): packet arena slots scale with expected
-    /// *concurrent* packets, the event queue with their delivery fanout.
-    /// Purely a performance hint; storage still grows on demand.
-    void reserve_hint(std::size_t in_flight_packets, std::size_t pending_events);
-
     // ---- API available to agents during callbacks -------------------
 
     /// Queues a transmission by `v` at the current time carrying `state`.

@@ -366,12 +366,9 @@ TrafficResult TrafficEngine::run(const Workload& wl, Rng& rng) {
     rs.pulled.assign(words, 0);
     rs.repairs.assign(rs.n, 0);
 
-    // Workload-derived sizing hint: every session eventually schedules its
-    // arrival timer, and concurrent sessions keep roughly a propagation
-    // window of forwards (avg-degree fanout each) pending at once.
+    // Concurrent sessions keep roughly a propagation window of forwards
+    // (avg-degree fanout each) in flight.
     const std::size_t avg_degree = rs.n > 0 ? 2 * graph_->edge_count() / rs.n : 0;
-    rs.queue.reserve(sessions + (plan_ != nullptr ? plan_->events.size() : 0) +
-                     4 * (1 + avg_degree) * (1 + avg_degree));
     rs.packets.reserve(64 + 2 * (1 + avg_degree));
     rs.controls.reserve(64 + 2 * (1 + avg_degree));
 

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
+#include "core/designation.hpp"
+#include "graph/traversal.hpp"
 #include "graph/unit_disk.hpp"
 #include "verify/cds_check.hpp"
 
@@ -160,6 +165,90 @@ TEST(DominantPruning, DeterministicUnderSeed) {
     Rng a(4), b(4);
     EXPECT_EQ(dp.broadcast(net.graph, 0, a).transmitted,
               dp.broadcast(net.graph, 0, b).transmitted);
+}
+
+/// The designation rule of Lou & Wu read off whole-graph BFS distances:
+/// Y = the nodes at distance exactly 2 from v, minus N[u], minus the
+/// variant's extra eliminations; X = N(v) - N[u]; greedy cover of Y by X.
+std::vector<NodeId> bfs_designation(const Graph& g, DominantPruningVariant variant, NodeId v,
+                                    NodeId u, const std::vector<NodeId>& u_designated) {
+    const auto dist_v = bfs_distances(g, v);
+    std::vector<char> in_y(g.node_count(), 0);
+    for (NodeId y = 0; y < g.node_count(); ++y) in_y[y] = dist_v[y] == 2;
+    if (u != kInvalidNode) {
+        in_y[u] = 0;
+        for (NodeId y : g.neighbors(u)) in_y[y] = 0;
+        if (variant == DominantPruningVariant::kPdp) {
+            for (NodeId w : g.neighbors(u)) {
+                if (!g.has_edge(w, v)) continue;
+                for (NodeId y : g.neighbors(w)) in_y[y] = 0;
+            }
+        } else if (variant == DominantPruningVariant::kTdp) {
+            const auto dist_u = bfs_distances(g, u);
+            for (NodeId y = 0; y < g.node_count(); ++y) {
+                if (dist_u[y] <= 2) in_y[y] = 0;
+            }
+        } else if (variant == DominantPruningVariant::kAhbp) {
+            for (NodeId d : u_designated) {
+                if (d == v) continue;
+                in_y[d] = 0;
+                for (NodeId y : g.neighbors(d)) in_y[y] = 0;
+            }
+        }
+    }
+    std::vector<NodeId> targets;
+    for (NodeId y = 0; y < g.node_count(); ++y) {
+        if (in_y[y]) targets.push_back(y);
+    }
+    std::vector<NodeId> candidates;
+    for (NodeId w : g.neighbors(v)) {
+        if (u != kInvalidNode && (w == u || g.has_edge(w, u))) continue;
+        candidates.push_back(w);
+    }
+    return greedy_cover(g, candidates, targets);
+}
+
+TEST(DominantPruning, DesignatedSetsMatchBfsDefinition) {
+    // Every forwarder's designations, in the order the trace records them,
+    // equal the BFS-based rule applied to it and the sender it forwarded
+    // for (the last sender it heard before deciding).
+    Rng rng(211);
+    UnitDiskParams params;
+    params.node_count = 70;
+    for (int i = 0; i < 12; ++i) {
+        params.average_degree = 5.0 + i % 4 * 2.0;
+        const auto net = generate_network_checked(params, rng);
+        const Graph& g = net.graph;
+        for (auto variant : {DominantPruningVariant::kDp, DominantPruningVariant::kTdp,
+                             DominantPruningVariant::kPdp, DominantPruningVariant::kAhbp}) {
+            const DominantPruningAlgorithm algo(variant);
+            Rng run(static_cast<std::uint64_t>(i));
+            const NodeId src = static_cast<NodeId>(run.index(g.node_count()));
+            const auto result = algo.broadcast_traced(g, src, run, MediumConfig{});
+            ASSERT_TRUE(result.full_delivery);
+
+            std::vector<NodeId> heard_from(g.node_count(), kInvalidNode);
+            std::map<NodeId, std::vector<NodeId>> designated;
+            std::map<NodeId, NodeId> upstream;
+            for (const TraceEvent& ev : result.trace.events()) {
+                if (ev.kind == TraceKind::kReceive) heard_from[ev.node] = ev.other;
+                if (ev.kind == TraceKind::kDesignate) designated[ev.other].push_back(ev.node);
+                if (ev.kind == TraceKind::kTransmit) upstream[ev.node] = heard_from[ev.node];
+            }
+            std::size_t checked = 0;
+            for (const auto& [v, u] : upstream) {
+                const std::vector<NodeId> none;
+                const auto it = u == kInvalidNode ? designated.end() : designated.find(u);
+                const auto want =
+                    bfs_designation(g, variant, v, u, it == designated.end() ? none : it->second);
+                const auto got = designated.find(v);
+                EXPECT_EQ(got == designated.end() ? none : got->second, want)
+                    << to_string(variant) << " network " << i << " node " << v;
+                ++checked;
+            }
+            EXPECT_EQ(checked, result.forward_count);
+        }
+    }
 }
 
 }  // namespace

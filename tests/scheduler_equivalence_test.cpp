@@ -1,11 +1,12 @@
-// Property test: the hybrid heap/calendar EventQueue realizes the exact
-// (time, seq) total order of the historical std::priority_queue scheduler.
+// Property test: the EventQueue (FIFO lanes in front of a heap/calendar
+// residual) realizes the exact (time, seq) total order of the historical
+// std::priority_queue scheduler.
 //
 // A reference binary heap with the same comparator is driven through an
-// identical randomized operation stream (pushes, pops, clears — heavy
-// enough to force the calendar migration, rebuilds, and the shrink path)
-// and every popped event must match field-for-field, including FIFO order
-// among equal timestamps.
+// identical operation stream (pushes, pops, clears — heavy enough to force
+// the calendar migration, rebuilds and the shrink path, and shaped to bind,
+// fill, drain and rebind lanes) and every popped event must match
+// field-for-field, including FIFO order among equal timestamps.
 
 #include "sim/event_queue.hpp"
 
@@ -149,6 +150,174 @@ TEST(SchedulerEquivalence, SparseFarFutureEventsMatch) {
     std::size_t op = 0;
     while (!ref.empty()) expect_same_event(q.pop(), ref.pop(), op++);
     EXPECT_TRUE(q.empty());
+}
+
+// Drives an EventQueue and the reference in lockstep; every pop and peek
+// must agree field for field.
+struct Lockstep {
+    EventQueue q;
+    ReferenceQueue ref;
+    std::size_t ops = 0;
+    double now = 0.0;  ///< time of the latest pop
+
+    void push(double t, EventKind kind, NodeId node, std::size_t payload) {
+        q.push(t, kind, node, payload);
+        ref.push(t, kind, node, payload);
+    }
+    void push_after(double delay, NodeId node) {
+        push(now + delay, EventKind::kDelivery, node, ops);
+    }
+    Event pop() {
+        EXPECT_EQ(q.size(), ref.size()) << "op " << ops;
+        expect_same_event(q.peek(), ref.peek(), ops);
+        const Event want = ref.pop();
+        expect_same_event(q.pop(), want, ops);
+        ++ops;
+        now = want.time;
+        return want;
+    }
+    void clear() {
+        q.clear();
+        ref.clear();
+        now = 0.0;
+    }
+    void drain() {
+        while (!ref.empty()) pop();
+        EXPECT_TRUE(q.empty());
+    }
+};
+
+TEST(SchedulerEquivalence, FixedOffsetFanoutCascadeMatches) {
+    // Three fixed delays, as a simulator with deliveries, controls and
+    // beacons pushes them, plus a sparse stream of quarter-step delays
+    // that lands on lane times exactly: lane heads tie with residual
+    // events, and lanes tie with each other.
+    std::mt19937_64 rng(7);
+    std::uniform_int_distribution<int> fanout(0, 5);
+    std::uniform_int_distribution<int> quarter(1, 12);
+    std::uniform_int_distribution<int> roll(0, 9);
+    constexpr double kOffsets[] = {1.0, 2.5, 0.75};
+    Lockstep s;
+    for (NodeId v = 0; v < 8; ++v) s.push(0.0, EventKind::kTimer, v, v);
+    while (s.ops < 60000 && !s.ref.empty()) {
+        const Event e = s.pop();
+        const int children = s.ops < 50000 ? fanout(rng) : 0;
+        for (int c = 0; c < children; ++c) s.push_after(kOffsets[0], e.node + 1);
+        if (e.node % 3 == 0 && s.ops < 50000) s.push_after(kOffsets[1], e.node);
+        if (roll(rng) == 0 && s.ops < 50000) s.push_after(kOffsets[2], e.node);
+        if (roll(rng) < 2 && s.ops < 50000) s.push_after(0.25 * quarter(rng), e.node);
+        if (s.q.size() > 3000) {  // keep the cascade bounded
+            while (s.q.size() > 1000) s.pop();
+        }
+    }
+    s.drain();
+}
+
+TEST(SchedulerEquivalence, MixedFixedAndRandomOffsetsWithClearMatch) {
+    std::mt19937_64 rng(11);
+    std::uniform_real_distribution<double> jitter(0.0, 3.0);
+    std::uniform_int_distribution<int> roll(0, 999);
+    Lockstep s;
+    for (std::size_t op = 0; op < 120000; ++op) {
+        const int r = roll(rng);
+        if (r < 280) {
+            s.push_after(1.0, static_cast<NodeId>(op % 97));
+        } else if (r < 400) {
+            s.push_after(4.0, static_cast<NodeId>(op % 89));
+        } else if (r < 530) {
+            s.push_after(jitter(rng), static_cast<NodeId>(op % 83));
+        } else if (r < 540) {
+            s.push_after(0.0, static_cast<NodeId>(op % 7));  // zero delay: same-time FIFO
+        } else if (r < 997) {
+            if (!s.ref.empty()) s.pop();
+        } else {
+            s.clear();
+        }
+    }
+    s.drain();
+}
+
+TEST(SchedulerEquivalence, BacklogCrossesCalendarThresholdWithLiveLanes) {
+    // A fixed-delay cascade keeps lanes live while a random-delay backlog
+    // pushes the residual past the calendar threshold and drains it back
+    // below the heap threshold, twice.
+    std::mt19937_64 rng(13);
+    std::uniform_real_distribution<double> far(0.0, 50.0);
+    Lockstep s;
+    for (NodeId v = 0; v < 16; ++v) s.push(0.0, EventKind::kTimer, v, v);
+    for (int round = 0; round < 2; ++round) {
+        for (std::size_t i = 0; i < 9000; ++i) {
+            s.push_after(far(rng), static_cast<NodeId>(i % 512));
+            if (i % 3 == 0) {
+                const Event e = s.pop();
+                s.push_after(1.0, e.node);
+                s.push_after(1.0, e.node + 1);
+            }
+        }
+        // Drain to 200 while the cascade goes on for the first 4000 pops.
+        for (std::size_t k = 0; s.q.size() > 200; ++k) {
+            const Event e = s.pop();
+            if (k < 4000 && e.node % 2 == 0) s.push_after(1.0, e.node);
+        }
+    }
+    s.drain();
+}
+
+TEST(SchedulerEquivalence, OffsetsWithinRoutingSlackMatch) {
+    // Delays that differ by less than the lane-matching slack route to one
+    // lane, but their times need not be in order: pops at nearly one time
+    // followed by pushes at now + 1 +- 1e-12 must not be appended behind
+    // a later tail.  Pushes into the past take negative offsets.
+    std::mt19937_64 rng(19);
+    std::uniform_int_distribution<int> pick(0, 3);
+    constexpr double kDelays[] = {1.0, 1.0 - 1e-12, 1.0 + 1e-12, -0.5};
+    Lockstep s;
+    for (NodeId v = 0; v < 32; ++v) s.push(0.0, EventKind::kTimer, v, v);
+    while (!s.ref.empty() && s.ops < 30000) {
+        const Event e = s.pop();
+        for (int c = 0; c < 2 && s.q.size() < 2000; ++c) {
+            const int k = pick(rng);
+            if (k < 3 || e.time > 1.0) s.push_after(kDelays[k], e.node);
+        }
+    }
+    s.drain();
+}
+
+TEST(SchedulerEquivalence, SortedScheduleLoadMatches) {
+    // A caller loading its schedule before the first pop: a sorted fault
+    // plan, sorted arrivals, staggered beacons (each sorted, interleaved
+    // runs), then an out-of-order tail and periodic beacon re-arming.
+    std::mt19937_64 rng(17);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    Lockstep s;
+    double t = 0.0;
+    for (std::size_t i = 0; i < 300; ++i) {
+        t += unit(rng);
+        s.push(t, EventKind::kFault, static_cast<NodeId>(i % 60), i);
+    }
+    t = 0.0;
+    for (std::size_t i = 0; i < 1000; ++i) {
+        t += 0.15 * unit(rng);
+        s.push(t, EventKind::kTimer, static_cast<NodeId>(i % 60), i << 1);
+    }
+    for (NodeId v = 0; v < 60; ++v) {
+        s.push(5.0 * (1.0 + v / 60.0), EventKind::kTimer, v, 1);
+    }
+    for (std::size_t i = 0; i < 40; ++i) {
+        s.push(200.0 * unit(rng), EventKind::kTimer, 0, 2 * i + 1);
+    }
+    while (!s.ref.empty() && s.ops < 40000) {
+        const Event e = s.pop();
+        if (e.kind == EventKind::kTimer && (e.payload & 1) && e.time < 120.0) {
+            s.push_after(5.0, e.node);  // beacon re-arms at a fixed period
+        } else if (e.kind != EventKind::kFault && e.time < 120.0) {
+            for (NodeId c = 0; c < 3; ++c) s.push_after(1.0, e.node + c);
+        }
+        if (s.q.size() > 4000) {
+            while (s.q.size() > 2000) s.pop();
+        }
+    }
+    s.drain();
 }
 
 TEST(SchedulerEquivalence, ClearResetsSequenceAndKeepsWorking) {
