@@ -59,6 +59,7 @@ Event EventQueue::pop() {
         e = heap_.back();
         heap_.pop_back();
     } else {
+        if (stale_width_) resize_calendar();
         locate();
         e = buckets_[cur_vb_ & bucket_mask_].pop_min();
         --calendar_size_;
@@ -84,6 +85,7 @@ void EventQueue::clear() {
     heap_.clear();
     for (auto& bucket : buckets_) bucket.clear();
     calendar_ = false;
+    stale_width_ = false;
     size_ = 0;
     calendar_size_ = 0;
     next_seq_ = 0;
@@ -253,6 +255,9 @@ void EventQueue::locate() const {
     }
     assert(best != nullptr);
     cur_vb_ = vbucket(best->time);
+    // Every pop after this one would pay the same scan until the width
+    // fits again (e.g. a dense cluster drained ahead of sparse stragglers).
+    stale_width_ = true;
 }
 
 void EventQueue::gather(std::vector<Event>& out) {
@@ -291,6 +296,7 @@ void EventQueue::rebuild(std::vector<Event>&& events, std::size_t bucket_count) 
 
     width_ = estimate_width(events);
     inv_width_ = 1.0 / width_;
+    stale_width_ = false;
 
     for (const Event& e : events) {
         buckets_[vbucket(e.time) & bucket_mask_].items.push_back(e);

@@ -187,7 +187,8 @@ class EventQueue {
     void gather(std::vector<Event>& out);
     [[nodiscard]] double estimate_width(const std::vector<Event>& events) const;
     /// Positions the cursor on the virtual bucket holding the global
-    /// minimum.  Logically const (cursor is mutable); amortized O(1).
+    /// minimum.  Logically const (cursor is mutable); amortized O(1) —
+    /// a scan that misses a whole year flags the width as stale.
     void locate() const;
 
     /// Virtual (un-wrapped) bucket index of `time`.  Bucket placement and
@@ -269,6 +270,9 @@ class EventQueue {
     double width_ = 1.0;                       ///< bucket time width
     double inv_width_ = 1.0;
     mutable std::uint64_t cur_vb_ = 0;         ///< cursor: virtual bucket being drained
+    /// A year scan found nothing, so the width no longer fits the pending
+    /// times: the next pop re-buckets the calendar (and re-estimates it).
+    mutable bool stale_width_ = false;
 };
 
 }  // namespace adhoc

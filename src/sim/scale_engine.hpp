@@ -1,84 +1,84 @@
 /// \file scale_engine.hpp
-/// \brief Window-synchronous sharded broadcast engine for million-node runs.
+/// \brief Window-synchronous broadcast engine for million-node runs.
 ///
 /// `Simulator` is the reference machine: one event queue, arbitrary agents,
-/// faults, collisions, jitter.  At n = 10^6 its strictly-serial pop loop is
+/// faults, collisions, jitter.  At n = 10^6 its general-purpose queue is
 /// the wall.  `ScaleEngine` trades generality for throughput on the paper's
-/// evaluation medium (collision-free, fixed propagation delay): because
-/// every delivery scheduled while processing window [T, T + d) lands at
-/// exactly T + d, events inside one window are causally independent and can
-/// be drained in parallel — and, more, the *only* pending events at any
-/// moment are the next window's.  No priority queue is needed at all: the
-/// staging buckets ARE the schedule.
+/// evaluation medium (collision-free, fixed propagation delay): every
+/// delivery scheduled while processing window (T - d, T] lands in the next
+/// window, at T + d, so the schedule needs no priority queue — a calendar
+/// with one bucket per window IS the queue.
 ///
-/// Sharding is by *wheel*, not by thread: nodes are block-partitioned into
-/// a fixed number of event wheels (`ScaleConfig::wheels`, independent of
-/// `jobs`), and the schedule is one staging bucket per destination wheel.
-/// Every policy runs through ONE loop; each window has two steps:
-///
-///  - the phase, parallel over wheels: wheel `w` walks its bucket in order.
-///    The first copy of a node it meets is that node's first receipt, so
-///    the wheel marks it received and applies the policy predicate right
-///    there — flooding (always), self-pruning (N(v) not covered by
-///    N(u) u {u}) or generic coverage — and lists each forwarder with the
-///    sequence number of its first copy;
-///  - the serial step: the wheels' lists merge by sequence number into the
-///    global transmission order, each transmission is folded into the
-///    order digest, and its fanout is staged along the sender's sorted
-///    adjacency row, numbered by a per-window counter.
-///
-/// That counter IS the reference Simulator's insertion sequence within the
-/// window (senders in transmission order, neighbors in adjacency order), so
-/// each bucket is already in the Simulator's (time, seq) pop order and
-/// nothing is re-sorted.  Forward set, counts, completion time and the
-/// order digest are byte-identical to the serial `Simulator` for every
+/// Every run, faulted or not and for every policy, is ONE loop over that
+/// calendar.  Bucket w holds window w's events in push order; pushes are
+/// numbered by the Simulator's insertion sequence, so a bucket whose times
+/// never decrease is already in the reference (time, seq) pop order, and
+/// the rare bucket whose times do (FP noise in accumulated instants at a
+/// non-unit delay) is stably sorted by time.  The loop pops each event in
+/// that order: a delivery that is a node's first receipt applies the
+/// forwarding rule right there — flooding (always), self-pruning (N(v) not
+/// covered by N(u) u {u}) or generic coverage — and a forwarder transmits
+/// at once: its digest fold and its fanout into the next bucket, along its
+/// sorted adjacency row.  Forward set, counts, completion time and the
+/// order digest are therefore byte-identical to the serial `Simulator`
+/// (`broadcast_resilient` when a plan or recovery is attached) for every
 /// policy, every `wheels` and every `jobs` value (tests/scale_engine_test.cpp
-/// and tests/scale_resilience_test.cpp prove it; the fuzzer's scale oracle
-/// keeps proving it).  The per-window counter is 32 bits: the constructor
-/// rejects graphs with 2|E| > 2^32 - 1.
+/// and tests/scale_resilience_test.cpp prove it; the fuzzer's scale oracles
+/// keep proving it).
+///
+/// Events live in fixed-size chunks shared by all buckets and recycled
+/// through one free list as soon as they are replayed, so the calendar
+/// holds pending events, not the run's history, and a warm rerun allocates
+/// nothing.  A packet of a policy whose decisions read no broadcast state
+/// (flooding, self-pruning, static generic coverage) is just its sender's
+/// id; only first-receipt generic coverage keeps a packet table with the
+/// piggybacked history chain.
 ///
 /// **Generic coverage at scale.**  `ScalePolicy::kGenericCoverage` runs the
 /// paper's coverage-condition decision (Sections 3-4) for the honorable
 /// axis subset — Static or First-Receipt timing × self-pruning selection ×
 /// k-hop views (k >= 1) × any priority/history/coverage knobs.  Under a
 /// collision-free uniform-delay medium a first-receipt self-pruning
-/// decision depends only on the *first received* transmission, so per-node
-/// protocol state collapses to the outgoing history chain (<= h node ids).
-/// The phase evaluates the coverage kernel of src/core/coverage.cpp over a
-/// compact local view compiled by `compile_ball` (src/graph/khop.hpp, the
+/// decision depends only on the *first received* packet (its history
+/// chain), so a decision is a pure function of (node, packet).  It
+/// evaluates the coverage kernel of src/core/coverage.cpp over a compact
+/// local view compiled afresh by `compile_ball` (src/graph/khop.hpp, the
 /// Definition-2 routine behind `local_topology`; zero allocations in steady
-/// state).  Every decision compiles its view afresh: O(ball edges), no
-/// standing memory, over the one immutable graph the engine was constructed
-/// with.  The compile scratch belongs to the crew worker taking the
-/// decision, not to the wheel: a decision's state dies with it, so
-/// min(jobs, wheels) scratch sets serve every wheel.  Its O(n) arrays are
-/// the bulk of a generic engine's bytes/node, so at `jobs == 1` there is
-/// exactly one set, whatever `wheels` is.
+/// state) over the one immutable graph the engine was constructed with.
+///
+/// **Wheels and jobs.**  Nodes are block-partitioned into
+/// `ScaleConfig::wheels` shards.  At `jobs > 1`, a generic window of at
+/// least 4096 events is pre-scanned: each node's first in-window delivery
+/// is decided ahead of the replay by a `PhaseCrew` of min(jobs, wheels)
+/// workers claiming wheels, and the replay uses a verdict only when the
+/// node's first receipt carries the very packet it was decided for.  Each
+/// worker owns one compile-scratch set (its O(n) arrays are the bulk of a
+/// generic engine's bytes/node), allocated on its first decision, so at
+/// `jobs == 1` there is exactly one set, whatever `wheels` is.  Neither
+/// value changes an output.
 ///
 /// **Faults at scale.**  `attach_faults` threads a `faults::FaultPlan`
 /// (crash/recover schedules, link churn, counter-based asymmetric loss)
-/// into the engine, and `set_recovery` arms a window-synchronous mirror of
+/// into the loop, and `set_recovery` arms a window-synchronous mirror of
 /// `faults::RecoveryAgent` (holder beacons, gap NACKs under bounded
-/// exponential backoff, budgeted repairs).  A faulted run switches to a
-/// serial windowed replay over per-window event buckets: every queue push
-/// the reference `Simulator` would perform is replicated with the same
-/// (time, insertion-sequence) order — fault events bucketed by
-/// ceil(time/delay) and applied before same-window deliveries, loss draws
-/// through the plan's own counter-based stream in the exact send order,
-/// recovery timers at window-aligned instants — so delivery sets, counters,
-/// outcome classification and the transmission-order digest are
-/// byte-identical to `Simulator::broadcast_resilient` AND invariant under
-/// (wheels x jobs).  Generic-coverage decisions, the expensive part, are
-/// pre-scanned in parallel over wheels (they are pure functions of state
-/// frozen at the window boundary); the serial pass then replays events in
-/// canonical order using the precomputed verdicts.  Link churn only gates
-/// links in the fault session — views and priority keys stay those of the
-/// constructor graph, exactly as in the reference.  See docs/SCALING.md
-/// "Faults at scale" for the window-bucketing contract.
+/// exponential backoff, budgeted repairs).  Every queue push the reference
+/// `Simulator` would perform is replicated in the same order — plan events
+/// first (they carry the lowest sequences), loss draws through the plan's
+/// own counter-based stream in the exact send order, recovery timers at
+/// window-aligned instants — so delivery sets, counters, outcome
+/// classification and the digest match `Simulator::broadcast_resilient`.
+/// The fault checks (`node_up` on a delivery, timer or control;
+/// `link_up`/`drop_directed` per fanout link) run only when the attached
+/// plan has timed events or asymmetric links; otherwise nothing can fail
+/// and they are skipped.  Link churn only gates links in the fault
+/// session — views and priority keys stay those of the constructor graph,
+/// exactly as in the reference.  See docs/SCALING.md "Faults at scale" for
+/// the window-bucketing contract.
 
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -133,7 +133,7 @@ struct ScaleResult {
     double completion_time = 0.0;
     bool full_delivery = false;
     std::size_t windows = 0;            ///< synchronization rounds executed
-    std::size_t peak_queue_events = 0;  ///< max events pending across wheels
+    std::size_t peak_queue_events = 0;  ///< max events pending as a window opens
     /// Mix-fold over the global transmission order (each transmission's
     /// time bits and node), for every policy, fault-free or faulted.  It
     /// equals `reference_transmission_digest` of a Simulator trace of the
@@ -146,7 +146,9 @@ struct ScaleResult {
     std::size_t retransmit_count = 0;  ///< recovery repairs sent
     std::size_t control_count = 0;     ///< beacons + NACKs sent
     std::size_t fault_suppressed = 0;  ///< deliveries/timers/links eaten by faults
-    std::vector<char> down;            ///< nodes down at end of run (empty: no faults)
+    /// Nodes down at end of run: n-sized when a plan is attached or
+    /// recovery is armed (as `broadcast_resilient` reports it), else empty.
+    std::vector<char> down;
 };
 
 /// The order digest computed from a reference `Simulator` trace: the same
@@ -168,8 +170,7 @@ class ScaleEngine {
     ScaleEngine& operator=(const ScaleEngine&) = delete;
 
     /// Runs one broadcast from `source` to quiescence.  Reusable: state is
-    /// reset on entry.  An attached fault plan or armed recovery layer
-    /// routes the run through the faulted replay.  Throws
+    /// reset on entry.  Throws
     /// std::invalid_argument when the graph is non-empty and `source` is
     /// not one of its nodes; an empty graph returns an empty result.
     [[nodiscard]] ScaleResult run(NodeId source);
@@ -203,27 +204,13 @@ class ScaleEngine {
     }
     [[nodiscard]] const std::vector<char>& received_mask() const noexcept { return received_; }
 
-    /// Engine-owned working memory (per-node state, staging-bucket
-    /// high-water marks, and the faulted plane's calendar — bucket headers,
-    /// event chunks and the drain buffer), for the bench's bytes/node metric.
+    /// Engine-owned working memory (per-node masks, the window calendar —
+    /// bucket headers, event chunks, the drained window — packet, control
+    /// and recovery-mirror state, pre-scan arrays and decision scratch),
+    /// for the bench's bytes/node metric.
     [[nodiscard]] std::size_t state_bytes() const noexcept;
 
   private:
-    /// One staged copy of the next window.  All copies of a window share
-    /// one delivery instant, so only their order is stored.
-    struct Staged {
-        std::uint32_t seq;  ///< the Simulator's insertion order within the window
-        NodeId node;
-        NodeId sender;
-    };
-
-    /// Per-wheel output of the window phase.  Buffers only grow.
-    struct WheelScratch {
-        /// `(seq << 32) | node` of the wheel's forwarders, ascending seq.
-        std::vector<std::uint64_t> forwarders;
-        std::vector<NodeId> fresh;  ///< faulted pre-scan: first receipts to decide
-    };
-
     /// Per-worker working set of one coverage decision, reused for every
     /// wheel the worker claims (see the file comment).  All buffers only
     /// grow — zero allocations per decision in steady state.
@@ -232,159 +219,144 @@ class ScaleEngine {
         BallScratch ball;             ///< the decision's compiled view
     };
 
-    /// One replayed queue entry of the faulted plane.  `payload` indexes
-    /// the packet table (kDelivery), the control table (kControl), the
-    /// fault plan (kFault), or names the recovery timer kind (kTimer).
-    struct REvent {
+    /// One calendar entry, 16 bytes.  `payload` is the packet (kDelivery:
+    /// the sender's id, or a `packets_` offset under first-receipt generic
+    /// coverage), a `controls_` index (kControl), a plan event index
+    /// (kFault) or the recovery timer kind (kTimer).  No sequence number is
+    /// stored: pushes append in insertion-sequence order.
+    struct Event {
         double time;
-        std::uint64_t seq;  ///< replicated Simulator insertion sequence
-        std::uint32_t kind;
-        NodeId node;
+        std::uint32_t node_kind;  ///< node << 2 | kind
         std::uint32_t payload;
+        [[nodiscard]] NodeId node() const noexcept { return node_kind >> 2; }
+        [[nodiscard]] std::uint32_t kind() const noexcept { return node_kind & 3; }
     };
-    /// A replayed data packet: its sender plus the piggybacked history
-    /// chain (stored in the pooled `r_chain_`; empty for policies whose
-    /// decisions never read packet state).
-    struct RPacket {
-        NodeId sender;
-        std::uint32_t chain_off;
-        std::uint32_t chain_len;
-    };
-    struct RControl {
+    struct Control {
         NodeId sender;
         std::uint32_t kind;  ///< kBeaconMsg / kNackMsg
     };
-    /// Events per calendar chunk (16 KiB of events).
-    static constexpr std::size_t kChunkEvents = 512;
+    /// Events per calendar chunk (1 KiB of events).
+    static constexpr std::size_t kChunkEvents = 64;
     /// A fixed-size block of one bucket's events; `next` links the bucket's
     /// chunks in push order.
     struct Chunk {
-        REvent events[kChunkEvents];
-        std::uint32_t next = 0;
+        Event events[kChunkEvents];
+        Chunk* next = nullptr;
     };
     /// One calendar window: a chain of chunks holding `count` events.
     struct Bucket {
-        std::uint32_t first = 0;  ///< head chunk (meaningful when count > 0)
-        std::uint32_t last = 0;   ///< tail chunk, where pushes append
+        Chunk* first = nullptr;
+        Chunk* tail = nullptr;  ///< where pushes append
         std::size_t count = 0;
+        bool sorted = true;     ///< no pushed time was below its predecessor
+    };
+    /// A run of the drained window's events in pop order: one calendar
+    /// chunk (freed once replayed), or the sorted copy in `work_`.
+    struct Span {
+        const Event* events;
+        std::size_t count;
+        Chunk* chunk;  ///< nullptr for `work_`
     };
 
     [[nodiscard]] std::size_t wheel_of(NodeId v) const noexcept { return v / block_; }
     [[nodiscard]] bool covered_by(NodeId v, NodeId u) const noexcept;
-
-    void validate_generic_config() const;
-    /// One wheel's share of a fault-free window: first receipts, decisions
-    /// (in crew worker `worker`'s scratch), outgoing chains, and the wheel's
-    /// forwarder list.
-    void scan_wheel(std::size_t w, std::size_t worker);
-    /// The policy predicate: does `v`, first reached by `u`, forward?
-    [[nodiscard]] bool forwards(DecideScratch& ds, NodeId v, NodeId u);
-    [[nodiscard]] bool decide_generic(DecideScratch& ds, NodeId v, NodeId u);
-    /// Outgoing history chain entries piggybacked per transmission (0 unless
-    /// the policy is first-receipt generic coverage — no other decision
-    /// reads broadcast state).
-    [[nodiscard]] std::size_t chain_stride() const noexcept;
-
-    // ---- faulted windowed replay (run_resilient and helpers) ----------
-    [[nodiscard]] ScaleResult run_resilient(NodeId source);
-    [[nodiscard]] std::size_t window_index(double time) const noexcept;
-    void push_revent(double time, std::uint32_t kind, NodeId node, std::uint32_t payload) {
-        push_to(window_index(time), time, kind, node, payload);
+    [[nodiscard]] bool up(NodeId v) const noexcept {
+        return !faults_live_ || fsession_.node_up(v);
     }
-    /// Appends an event to window `w`'s bucket, taking a chunk from the
-    /// free list when the bucket is empty or its tail chunk is full.
-    void push_to(std::size_t w, double time, std::uint32_t kind, NodeId node,
-                 std::uint32_t payload);
-    /// Moves window `w`'s events into `work_` in push order and returns the
-    /// bucket's chunks to the free list.
-    void drain_bucket(std::size_t w);
-    /// Mirrors `Simulator::schedule_deliveries`: per-link fault gating and
-    /// counter-based loss draws in sorted-adjacency order, one queued
-    /// event (and one insertion sequence) per surviving link.
-    void fanout_resilient(NodeId sender, bool control, std::uint32_t payload,
-                          NodeId only_target, double next_time);
-    /// Mirrors `Simulator::transmit` for a node that decided to forward:
-    /// digest fold, packet-table entry (chain derived from the first
-    /// received packet under FR timing), fanout.
-    void transmit_resilient(NodeId v, double now);
-    void resend_resilient(NodeId v, double now);
-    /// Appends a packet (sender `v`, chain = last `history` of the first
-    /// received chain + v, FR timing only) and returns its table index.
-    [[nodiscard]] std::uint32_t make_packet(NodeId v, std::size_t history);
-    [[nodiscard]] bool decide_resilient(DecideScratch& ds, NodeId v, const RPacket& pkt);
     [[nodiscard]] bool recovery_on() const noexcept {
         return recovery_.has_value() && recovery_->enabled;
     }
+    void validate_generic_config() const;
 
-    /// Decision body shared by the fault-free and faulted planes:
-    /// evaluates the coverage condition for `v` with `ds.visited` already
-    /// holding the decision-time visited set.
-    [[nodiscard]] bool decide_with_visited(DecideScratch& ds, NodeId v);
+    /// The forwarding rule: does `v`, first reached by `payload`, forward?
+    /// A pure function of (v, payload), so the pre-scan may evaluate it in
+    /// crew worker scratch `ds` ahead of the replay.
+    [[nodiscard]] bool decide(DecideScratch& ds, NodeId v, std::uint32_t payload);
+
+    [[nodiscard]] std::size_t window_index(double time) const noexcept;
+    void push(double time, std::uint32_t kind, NodeId node, std::uint32_t payload);
+    /// Marks window `w`'s bucket unsorted when `time`, about to be pushed
+    /// there, is below its last event's.
+    void note_time(std::size_t w, double time);
+    /// Appends an event to window `w`'s bucket (after `note_time`).
+    void push_to(std::size_t w, double time, std::uint32_t kind, NodeId node,
+                 std::uint32_t payload);
+    /// Links a chunk from the free list (or a new one) to the bucket's tail.
+    void add_chunk(Bucket& bucket);
+    /// Empties window `w`'s bucket into `spans_`, in pop order.
+    void open_window(std::size_t w);
+    /// Mirrors `Simulator::schedule_deliveries`: per-link fault gating and
+    /// counter-based loss draws in sorted-adjacency order, one queued
+    /// event (and one insertion sequence) per surviving link.
+    void fanout(NodeId sender, std::uint32_t kind, std::uint32_t payload, NodeId only_target,
+                double next_time);
+    /// Mirrors `Simulator::transmit` for a node that decided to forward on
+    /// receipt of `base` (kNoPacket: the source): digest fold, packet,
+    /// fanout.
+    void transmit(NodeId v, double now, std::uint32_t base);
+    void resend(NodeId v, double now);
+    /// Appends the chained packet `v` sends after first receiving `base`,
+    /// with `history` chain entries, and returns its `packets_` offset.
+    [[nodiscard]] std::uint32_t make_packet(NodeId v, std::size_t history, std::uint32_t base);
 
     const Graph& graph_;
     ScaleConfig config_;
     std::size_t block_ = 1;  ///< nodes per wheel (last wheel may be short)
+    PriorityKeys keys_;      ///< static priority keys (generic coverage)
+    /// Packets carry a history chain: first-receipt generic coverage, the
+    /// only policy whose decisions read broadcast state.
+    bool chained_ = false;
 
-    // Per-node state; each node is written only by its owning wheel, and
-    // byte-granular vectors keep cross-wheel writes on distinct memory
-    // locations (no false word-sharing races, unlike packed bitsets).
     std::vector<char> received_;
     std::vector<char> forwarded_;
+    ScaleResult result_;  ///< the run in progress
 
-    /// The window's staged copies, one bucket per destination wheel, each
-    /// in insertion-sequence order.  Read-only during the phase; the serial
-    /// step refills them for the next window (capacity is kept).
-    std::vector<std::vector<Staged>> buckets_;
-    std::vector<WheelScratch> scratch_;  ///< one per wheel
-    /// One per crew worker (min(jobs, wheels)); index 0 is the calling
-    /// thread, which also takes every decision made outside a crew phase.
-    std::vector<DecideScratch> deciders_;
-    std::vector<std::uint64_t> merge_;   ///< the window's forwarders, seq order
-
-    // ---- kGenericCoverage state --------------------------------------
-    PriorityKeys keys_;  ///< static priority keys of the graph
-    std::vector<NodeId> chain_;  ///< outgoing history, stride h
-    std::vector<std::uint32_t> chain_len_;
-
-    // ---- faulted plane state ------------------------------------------
-    std::uint64_t generic_digest_ = 0;  ///< transmission-order digest
     const faults::FaultPlan* fault_plan_ = nullptr;
     std::optional<faults::RecoveryConfig> recovery_;
     faults::FaultSession fsession_;
-    faults::FaultPlan empty_plan_;  ///< session target when recovery runs planless
+    /// The attached plan has timed events or asymmetric links, so fault
+    /// checks can fail this run (worked out on each run).
+    bool faults_live_ = false;
+
     /// Window calendar: bucket w chains the pending events of window w in
     /// push (= insertion-sequence) order.  Events live in fixed-size chunks
-    /// shared by all buckets: a drained bucket's chunks go back to
-    /// `free_chunks_`, so the chunks allocated never exceed the peak of
-    /// pending / kChunkEvents plus one partial chunk per live bucket — the
-    /// calendar holds live events, not the run's history.  The header array
-    /// is one 16-byte `Bucket` per window up to the furthest event pushed
-    /// (at most kMaxWindows; plan horizons are checked on attach).
+    /// shared by all buckets: a replayed chunk goes back to `free_chunks_`,
+    /// so the chunks allocated never exceed the peak of pending /
+    /// kChunkEvents plus one partial chunk per live bucket — the calendar
+    /// holds live events, not the run's history.  The header array is one
+    /// `Bucket` per window up to the furthest event pushed (at most
+    /// kMaxWindows; plan horizons are checked on attach).
     std::vector<Bucket> cal_;
-    std::vector<std::unique_ptr<Chunk>> chunks_;  ///< every chunk, by index
+    std::vector<std::unique_ptr<Chunk>> chunks_;  ///< every chunk
     /// Chunks holding no events.  Run start puts every chunk here, so a
     /// warm rerun reuses exactly the chunks of the previous run.
-    std::vector<std::uint32_t> free_chunks_;
-    /// The window being drained, copied out of its chunks so pushes into
-    /// later windows may reuse them meanwhile.  Capacity tracks the largest
-    /// window.
-    std::vector<REvent> work_;
-    std::vector<RPacket> packets_;
-    std::vector<RControl> controls_;
-    std::vector<NodeId> r_chain_;  ///< pooled packet history chains (FR only)
-    std::uint64_t r_seq_ = 0;      ///< replicated insertion sequence
-    std::size_t r_pending_ = 0;    ///< events queued and not yet drained
-    std::size_t r_retransmit_ = 0;
-    std::size_t r_control_ = 0;
-    std::size_t r_suppressed_ = 0;
+    std::vector<Chunk*> free_chunks_;
+    std::vector<Span> spans_;  ///< the window being replayed
+    std::vector<Event> work_;  ///< sorted copy of an out-of-order window
+    std::size_t pending_ = 0;  ///< events queued and not yet drained
+
+    /// First-receipt generic coverage's packets, back to back: a chain
+    /// length `len`, then the piggybacked history chain, which ends with
+    /// the sender.  A history-0 packet has `len == 0` and still stores its
+    /// sender, which is then the decision's whole visited set.  The table
+    /// only appends, so a deque keeps it in fixed blocks: growing it never
+    /// copies it or frees a buffer, and it holds no spare capacity.
+    std::deque<std::uint32_t> packets_;
+    std::vector<Control> controls_;
     // Per-node recovery-mirror state (holder status is `received_`).
-    std::vector<std::uint32_t> held_pkt_;  ///< first received packet (repairs)
+    std::vector<std::uint32_t> held_pkt_;  ///< first received packet (chained repairs)
     std::vector<std::uint32_t> beacons_n_;
     std::vector<std::uint32_t> nacks_n_;
     std::vector<char> nack_armed_;
     std::vector<NodeId> gap_source_;
     std::vector<std::uint32_t> repairs_n_;
-    // Parallel decision pre-scan bookkeeping.
+
+    // Parallel decision pre-scan: per-wheel first receipts, per-worker
+    // scratch (index 0 is the calling thread, which also takes every
+    // decision of the replay), and per-node verdicts sized on the first
+    // pre-scan.
+    std::vector<std::vector<NodeId>> fresh_;
+    std::vector<DecideScratch> deciders_;
     std::vector<std::uint32_t> pre_stamp_;
     std::vector<std::uint32_t> pre_pkt_;
     std::vector<char> pre_dec_;

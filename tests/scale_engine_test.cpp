@@ -34,8 +34,8 @@ UnitDiskNetwork make_network(std::size_t n, std::uint64_t seed) {
 
 /// Source -> 96 hubs -> 64 leaves each, plus chords between matching
 /// leaves of adjacent hubs: windows 2 and 3 queue >= 6000 events, past the
-/// inline threshold, so jobs > 1 runs the PhaseCrew workers (and the
-/// faulted plane's parallel decision pre-scan).
+/// inline threshold, so jobs > 1 runs the generic decision pre-scan on the
+/// PhaseCrew workers.
 constexpr NodeId kHubs = 96;
 constexpr NodeId kLeaves = 64;
 
@@ -331,9 +331,9 @@ TEST(ScaleEngineGeneric, MatchesSimulatorAtEveryWheelAndJobCount) {
 TEST(ScaleEngineGeneric, DecisionScratchIsPerWorkerNotPerWheel) {
     // The O(n) compile scratch belongs to crew workers, not wheels: at
     // jobs 1 the wheel count moves state_bytes only through the per-wheel
-    // staging and forwarder buffers, while each extra worker that takes a
-    // decision adds a scratch set of its own.  Windows here are wide
-    // enough to wake the crew, and results stay identical throughout.
+    // pre-scan lists, while each extra worker that takes a decision adds a
+    // scratch set of its own.  Windows here are wide enough to wake the
+    // crew, and results stay identical throughout.
     const Graph g = wide_window_graph();
     const std::size_t n = g.node_count();
     const auto config = [](std::size_t wheels, std::size_t jobs) {

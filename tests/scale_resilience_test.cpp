@@ -9,10 +9,12 @@
 /// where FP noise in accumulated instants leaves calendar buckets out of
 /// (time, seq) order.  The fault-free engine (no plan attached) is held to the
 /// plain traced Simulator for flooding and self-pruning the same way, at
-/// wheels {1, 3, 8, 32}.  Plus: clean termination when everything crashes,
-/// partition classification on a cut vertex, a calendar that holds live
-/// events only, and the validation surface of `attach_faults` /
-/// `set_recovery`.
+/// wheels {1, 3, 8, 32}.  Plans that fault through one channel only, an
+/// attached empty plan, and recovery with no plan check that the fault
+/// checks the engine skips are the ones that cannot fail.  Plus: clean
+/// termination when everything crashes, partition classification on a cut
+/// vertex, a calendar that holds live events only, and the validation
+/// surface of `attach_faults` / `set_recovery`.
 
 #include <gtest/gtest.h>
 
@@ -135,7 +137,8 @@ class SelfPruneAlgorithm : public BroadcastAlgorithm {
 void expect_resilient_match(const BroadcastAlgorithm& algo, const Graph& g,
                             NodeId source, ScalePolicy policy,
                             const GenericConfig* gc, const FaultPlan& plan,
-                            const RecoveryConfig& recovery, double delay = 1.0) {
+                            const RecoveryConfig& recovery, double delay = 1.0,
+                            bool attach = true) {
     Rng rng(99);  // the honorable axes never draw from it
     MediumConfig medium;
     medium.propagation_delay = delay;
@@ -152,14 +155,15 @@ void expect_resilient_match(const BroadcastAlgorithm& algo, const Graph& g,
             cfg.wheels = wheels;
             cfg.jobs = jobs;
             ScaleEngine engine(g, cfg);
-            engine.attach_faults(&plan);
+            engine.attach_faults(attach ? &plan : nullptr);
             engine.set_recovery(recovery);
             const ScaleResult got = engine.run(source);
 
             const auto tag = ::testing::Message()
                              << algo.name() << " wheels=" << wheels
                              << " jobs=" << jobs << " delay=" << delay
-                             << " recovery=" << (recovery.enabled ? "on" : "off");
+                             << " recovery=" << (recovery.enabled ? "on" : "off")
+                             << " attached=" << attach;
             EXPECT_EQ(engine.received_mask(), ref.result.received) << tag;
             EXPECT_EQ(engine.forwarded_mask(), ref.result.transmitted) << tag;
             EXPECT_EQ(got.forward_count, ref.result.forward_count) << tag;
@@ -169,7 +173,14 @@ void expect_resilient_match(const BroadcastAlgorithm& algo, const Graph& g,
             EXPECT_EQ(got.retransmit_count, ref.result.retransmit_count) << tag;
             EXPECT_EQ(got.control_count, ref.result.control_count) << tag;
             EXPECT_EQ(got.fault_suppressed, ref.result.fault_suppressed) << tag;
-            EXPECT_EQ(got.down, ref.result.down) << tag;
+            // `down` is n-sized exactly when a plan is attached or recovery
+            // is armed; the reference always runs with a plan attached.
+            ASSERT_EQ(ref.result.down.size(), g.node_count()) << tag;
+            if (attach || recovery.enabled) {
+                EXPECT_EQ(got.down, ref.result.down) << tag;
+            } else {
+                EXPECT_TRUE(got.down.empty()) << tag;
+            }
             EXPECT_EQ(got.order_digest, ref_digest) << tag;
 
             const ResilienceSummary sum =
@@ -265,6 +276,68 @@ TEST(ScaleResilience, SelfPruneMatchesResilientSimulator) {
         expect_resilient_match(sp, net.graph, 3, ScalePolicy::kSelfPrune, nullptr,
                                plan, aligned_recovery());
     }
+}
+
+TEST(ScaleResilience, FaultChecksFollowTheAttachedPlan) {
+    // The engine works out from the attached plan whether a fault check
+    // can fail: it runs node_up / link_up / drop_directed only when the
+    // plan has timed events or asymmetric links.  Each way a run can end up
+    // on either side of that line must still match the reference, with
+    // `down` n-sized exactly when a plan is attached or recovery is armed.
+    const FloodingAlgorithm flood;
+    const SelfPruneAlgorithm sp;
+    const GenericConfig gc = generic_fr_config(2);
+    const GenericBroadcast generic(gc, "Generic FR");
+    const UnitDiskNetwork net = make_network(140, 0x6a7e);
+    const Graph& g = net.graph;
+    const NodeId source = 11;
+
+    FaultSpec asym_spec;  // asymmetric loss only: no timed event at all
+    asym_spec.asymmetry_rate = 0.5;
+    asym_spec.asymmetry_loss_max = 0.9;
+    const FaultPlan asymmetry_only = faults::make_fault_plan(asym_spec, g, source, 0x6a7e, 3);
+    ASSERT_TRUE(asymmetry_only.events.empty());
+    ASSERT_FALSE(asymmetry_only.asymmetry.empty());
+
+    FaultSpec event_spec;  // crashes and link churn, no asymmetric link
+    event_spec.crash_rate = 0.1;
+    event_spec.crash_window = 5.0;
+    event_spec.link_churn_rate = 0.2;
+    event_spec.churn_window = 6.0;
+    const FaultPlan events_only = faults::make_fault_plan(event_spec, g, source, 0x6a7e, 4);
+    ASSERT_FALSE(events_only.events.empty());
+    ASSERT_TRUE(events_only.asymmetry.empty());
+
+    const FaultPlan empty;
+    struct Case {
+        const FaultPlan* plan;
+        bool attach;
+    };
+    // Asymmetry only, events only, an attached empty plan, and no plan at
+    // all (with recovery on and off, below).
+    const Case cases[] = {{&asymmetry_only, true}, {&events_only, true}, {&empty, true},
+                          {&empty, false}};
+    for (const Case& c : cases) {
+        for (const RecoveryConfig& recovery : {recovery_off(), aligned_recovery()}) {
+            expect_resilient_match(flood, g, source, ScalePolicy::kFlood, nullptr, *c.plan,
+                                   recovery, 1.0, c.attach);
+            expect_resilient_match(sp, g, source, ScalePolicy::kSelfPrune, nullptr, *c.plan,
+                                   recovery, 1.0, c.attach);
+            expect_resilient_match(generic, g, source, ScalePolicy::kGenericCoverage, &gc,
+                                   *c.plan, recovery, 1.0, c.attach);
+        }
+    }
+
+    // No plan and no recovery is the plain broadcast: `broadcast` agrees.
+    Rng rng(99);
+    const BroadcastResult plain = flood.broadcast(g, source, rng);
+    ScaleEngine engine(g, ScaleConfig{});
+    const ScaleResult got = engine.run(source);
+    EXPECT_TRUE(got.down.empty());
+    EXPECT_TRUE(plain.down.empty());
+    EXPECT_EQ(engine.received_mask(), plain.received);
+    EXPECT_EQ(got.forward_count, plain.forward_count);
+    EXPECT_EQ(got.completion_time, plain.completion_time);
 }
 
 /// Fault-free differential: the engine with no plan attached must equal
