@@ -19,7 +19,10 @@
 /// `induced_topology`, boundary links dropped); besides the per-size rows,
 /// the full run adds it at n = 10^4 and 10^5 on bench_scale's placement,
 /// so the per-ball cost from n to 10n is visible, and next to it a
-/// coverage_full row that decides on those balls.  Emits an adhoc-rows-v1
+/// coverage_full row that decides on those balls.  The ball_decision
+/// kernel takes one decision the ScaleEngine's way (one-word masks
+/// straight from the graph) against compile, bind, fill and kernel, at
+/// every size.  Emits an adhoc-rows-v1
 /// document (docs/PERF.md) for the CI regression gate: tools/check_bench.py
 /// compares each row's `speedup` ratio against the committed
 /// bench/baselines/bench_micro.json.
@@ -38,6 +41,7 @@
 #include <cstring>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -486,6 +490,62 @@ Kernel coverage_ball_kernel(const Graph& g, std::uint64_t seed, std::size_t reps
         match);
 }
 
+/// One generic-fr decision as the ScaleEngine takes it for a ball of at
+/// most 64 members — `ball_covered_on_words`, straight from the graph —
+/// against the path it replaced, `ball_covered_compiled`: `compile_ball`,
+/// bind, a status and a `Priority` per member, then the kernel.  k = 2, degree priorities and
+/// ~20% of the nodes visited, as in coverage_full's ball rows; each
+/// sampled center's visited list is its visited ball members (a history
+/// chain's stand-in).  A ball over 64 members falls back to the compiled
+/// path on the production side too, as in the engine.  `match` compares
+/// every sampled verdict.
+Kernel ball_decision_kernel(const Graph& g, std::uint64_t seed, std::size_t reps,
+                            volatile std::size_t& guard) {
+    constexpr std::size_t kHops = 2;
+    constexpr std::size_t kSample = 1024;
+    const std::size_t n = g.node_count();
+    const PriorityKeys keys(g, PriorityScheme::kDegree);
+    Rng rng(seed ^ 0xba11ULL);
+    std::vector<char> visited(n, 0);
+    for (char& seen : visited) seen = rng.chance(0.2) ? 1 : 0;
+    std::vector<NodeId> centers;
+    std::vector<std::vector<NodeId>> chains;
+    BallScratch ball;
+    const std::size_t samples = std::min(n, kSample);
+    for (std::size_t i = 0; i < samples; ++i) {
+        const auto v = static_cast<NodeId>(i * n / samples);
+        compile_ball(g, v, kHops, ball);
+        std::vector<NodeId>& chain = chains.emplace_back();
+        for (const NodeId x : ball.view.members) {
+            if (visited[x] != 0 && x != v) chain.push_back(x);
+        }
+        centers.push_back(v);
+    }
+    const auto compiled = [&](NodeId v, const std::vector<NodeId>& chain) {
+        return ball_covered_compiled(g, v, kHops, keys, chain, {}, ball);
+    };
+    const auto words = [&](NodeId v, const std::vector<NodeId>& chain) {
+        const std::optional<bool> covered =
+            ball_covered_on_words(g, v, kHops, keys, chain, true, ball);
+        return covered ? *covered : compiled(v, chain);
+    };
+    const auto sweep = [&](auto&& decide) {
+        std::size_t covered = 0;
+        for (std::size_t i = 0; i < centers.size(); ++i) {
+            covered += decide(centers[i], chains[i]);
+        }
+        return covered;
+    };
+    bool match = true;
+    for (std::size_t i = 0; i < centers.size() && match; ++i) {
+        match = words(centers[i], chains[i]) == compiled(centers[i], chains[i]);
+    }
+    return time_kernel(
+        "ball_decision", n, [&] { guard = guard + sweep(compiled); },
+        [&] { guard = guard + sweep(words); }, reps, static_cast<double>(centers.size()),
+        match);
+}
+
 int main(int argc, char** argv) {
     const MicroOptions opts = parse(argc, argv);
     const std::vector<std::size_t> sizes =
@@ -800,6 +860,9 @@ int main(int argc, char** argv) {
 
         // --- Definition-2 view compile, one ball per node ---
         report(compile_ball_kernel(fx.graph, opts.smoke ? 10 : 20, guard));
+
+        // --- one scale decision: masks straight from the graph ---
+        report(ball_decision_kernel(fx.graph, opts.seed, opts.smoke ? 10 : 20, guard));
     }
     if (!opts.smoke) {
         for (const std::size_t n : {std::size_t{10000}, std::size_t{100000}}) {
@@ -807,6 +870,7 @@ int main(int argc, char** argv) {
             const Graph g = bench::scale_placement(opts.seed, n);
             report(compile_ball_kernel(g, 3, guard));
             report(coverage_ball_kernel(g, opts.seed, 3, guard));
+            report(ball_decision_kernel(g, opts.seed, 3, guard));
         }
     }
 

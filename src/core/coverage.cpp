@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <stdexcept>
 
 #include "core/compact_view.hpp"
 #include "graph/traversal.hpp"
@@ -16,7 +17,9 @@
 // assigned in ascending global order), so verdicts and witness pairs are
 // bit-for-bit identical, as are the labels `higher_priority_components`
 // returns.  The full condition on views of at most 64 members computes no
-// labels at all: it decides on one-word node masks.
+// labels at all: it decides on one-word node masks, in one kernel that
+// both `evaluate_coverage_compiled` (masks from a compact view) and
+// `ball_covered_on_words` (masks straight from the graph) call.
 
 namespace adhoc {
 
@@ -158,27 +161,32 @@ void bounded_reach(LocalViewScratch& s, std::uint32_t u, std::size_t max_interme
     }
 }
 
+/// A verdict of the one-word kernel: covered, or a witness pair of local
+/// ids.
+struct WordVerdict {
+    bool covered = true;
+    std::uint32_t u = 0;
+    std::uint32_t w = 0;
+};
+
 /// The full condition (unbounded paths, no radius) on one-word node masks,
-/// for views of at most 64 members.  H's components grow by frontier ORs
-/// (the visited H-nodes seed the first one when `merge_visited`), and each
-/// component's closed neighbourhood `reach` is the set of nodes that
-/// component touches.  Neighbours u, w of v share a component iff w lies in
-/// the union of the reaches of the components that touch u, so each u gets
-/// its failing partners as one mask; the lowest set bit above u is the
-/// reference kernel's first failing (i, j > i) pair.
-CoverageOutcome full_condition_on_words(const CompactLocalView& c, std::uint32_t lv,
-                                        const Priority& pv, bool merge_visited) {
+/// for views of at most 64 members: `rows[x]` is local x's visible
+/// neighbours, `in_h` the nodes of priority above Pr(v) (v's own bit is
+/// ignored) and `visited` the visited nodes.  H's components grow by
+/// frontier ORs (the visited H-nodes seed the first one when
+/// `merge_visited`), and each component's closed neighbourhood `reach` is
+/// the set of nodes that component touches.  Neighbours u, w of v share a
+/// component iff w lies in the union of the reaches of the components that
+/// touch u, so each u gets its failing partners as one mask; the lowest set
+/// bit above u is the first failing (i, j > i) pair in local-id order —
+/// the reference kernel's witness when local ids ascend with global ids,
+/// as in `evaluate_coverage_compiled`.  Only that witness depends on how
+/// local ids are numbered: the components and the pair relation are sets,
+/// so the verdict does not.
+[[gnu::always_inline]] inline WordVerdict full_condition_on_words(
+    const std::uint64_t (&rows)[bits::kWordBits], std::uint64_t in_h, std::uint64_t visited,
+    std::uint32_t lv, bool merge_visited) {
     constexpr std::uint64_t kOne = 1;
-    std::uint64_t row[bits::kWordBits];
-    std::uint64_t in_h = 0;
-    std::uint64_t visited = 0;
-    for (std::uint32_t x = 0; x < c.size; ++x) {
-        std::uint64_t r = 0;
-        for (std::uint32_t y : c.row(x)) r |= kOne << y;
-        row[x] = r;
-        in_h |= std::uint64_t{c.priority[x] > pv} << x;
-        visited |= std::uint64_t{c.status[x] == NodeStatus::kVisited} << x;
-    }
     in_h &= ~(kOne << lv);
 
     std::uint64_t comp[bits::kWordBits];
@@ -192,7 +200,9 @@ CoverageOutcome full_condition_on_words(const CompactLocalView& c, std::uint32_t
         std::uint64_t touched = 0;
         for (std::uint64_t frontier = seed; frontier != 0;) {
             std::uint64_t next = 0;
-            for (std::uint64_t f = frontier; f != 0; f &= f - 1) next |= row[std::countr_zero(f)];
+            for (std::uint64_t f = frontier; f != 0; f &= f - 1) {
+                next |= rows[std::countr_zero(f)];
+            }
             touched |= next;
             frontier = next & left & ~members;
             members |= frontier;
@@ -204,10 +214,10 @@ CoverageOutcome full_condition_on_words(const CompactLocalView& c, std::uint32_t
         seed = 0;
     }
 
-    const std::uint64_t nbrs = row[lv];
+    const std::uint64_t nbrs = rows[lv];
     for (std::uint64_t rest = nbrs; rest != 0; rest &= rest - 1) {
         const auto u = static_cast<std::uint32_t>(std::countr_zero(rest));
-        const std::uint64_t closed = row[u] | (kOne << u);
+        const std::uint64_t closed = rows[u] | (kOne << u);
         std::uint64_t partners = 0;
         for (std::uint32_t k = 0; k < count; ++k) {
             partners |= (comp[k] & closed) != 0 ? reach[k] : 0;
@@ -216,11 +226,11 @@ CoverageOutcome full_condition_on_words(const CompactLocalView& c, std::uint32_t
         const std::uint64_t failing = rest & ~(kOne << u) & ~closed & ~partners;
         if (failing != 0) {
             return {.covered = false,
-                    .uncovered_u = c.members[u],
-                    .uncovered_w = c.members[std::countr_zero(failing)]};
+                    .u = u,
+                    .w = static_cast<std::uint32_t>(std::countr_zero(failing))};
         }
     }
-    return {.covered = true};
+    return {};
 }
 
 /// Plain BFS hop distances from `source` over the compact topology, into
@@ -318,7 +328,23 @@ CoverageOutcome evaluate_coverage_compiled(LocalViewScratch& s, std::uint32_t lv
     if (nv.size() <= 1) return {.covered = true};  // no neighbor pair to connect
     if (c.size <= bits::kWordBits && !opts.strong && opts.max_path_hops == 0 &&
         opts.coverage_radius == 0) {
-        return full_condition_on_words(c, lv, pv, opts.merge_visited);
+        constexpr std::uint64_t kOne = 1;
+        std::uint64_t rows[bits::kWordBits];
+        std::uint64_t in_h = 0;
+        std::uint64_t visited = 0;
+        for (std::uint32_t x = 0; x < c.size; ++x) {
+            std::uint64_t r = 0;
+            for (std::uint32_t y : c.row(x)) r |= kOne << y;
+            rows[x] = r;
+            in_h |= std::uint64_t{c.priority[x] > pv} << x;
+            visited |= std::uint64_t{c.status[x] == NodeStatus::kVisited} << x;
+        }
+        const WordVerdict verdict =
+            full_condition_on_words(rows, in_h, visited, lv, opts.merge_visited);
+        if (verdict.covered) return {.covered = true};
+        return {.covered = false,
+                .uncovered_u = c.members[verdict.u],
+                .uncovered_w = c.members[verdict.w]};
     }
 
     higher_priority_bits(s, pv, lv);
@@ -406,6 +432,46 @@ CoverageOutcome evaluate_coverage_compiled(LocalViewScratch& s, std::uint32_t lv
         unmark_row(s, u);
     }
     return {.covered = true};
+}
+
+std::optional<bool> ball_covered_on_words(const Graph& g, NodeId v, std::size_t k,
+                                          const PriorityKeys& keys,
+                                          std::span<const NodeId> visited, bool merge_visited,
+                                          BallScratch& s) {
+    if (k == 0) throw std::invalid_argument("ball_covered_on_words: hops must be >= 1");
+    if (g.neighbors(v).size() <= 1) return true;  // no neighbor pair to connect
+    std::uint64_t rows[bits::kWordBits];
+    const std::size_t m = compile_ball_masks(g, v, k, s, rows);
+    if (m == 0) return std::nullopt;
+    // Visited members outrank v (status 2 > 1); an unvisited member does
+    // when its static key does.  v is local 0.
+    std::uint64_t seen = 0;
+    for (const NodeId x : visited) {
+        seen |= std::uint64_t{s.member(x)} << (s.g2l[x] & 63);
+    }
+    const Priority pv = keys.evaluate(v, NodeStatus::kUnvisited);
+    std::uint64_t in_h = seen;
+    for (std::size_t i = 1; i < m; ++i) {
+        in_h |= std::uint64_t{keys.evaluate(s.bfs[i], NodeStatus::kUnvisited) > pv} << i;
+    }
+    return full_condition_on_words(rows, in_h, seen, 0, merge_visited).covered;
+}
+
+bool ball_covered_compiled(const Graph& g, NodeId v, std::size_t k, const PriorityKeys& keys,
+                           std::span<const NodeId> visited, const CoverageOptions& opts,
+                           BallScratch& s) {
+    compile_ball(g, v, k, s);
+    LocalViewScratch& scratch = LocalViewScratch::tls();
+    CompactLocalView& c = scratch.compact;
+    c.bind(s.view);
+    for (std::uint32_t i = 0; i < c.size; ++i) {
+        const NodeId x = c.members[i];
+        const bool seen = std::find(visited.begin(), visited.end(), x) != visited.end();
+        c.status[i] = seen ? NodeStatus::kVisited : NodeStatus::kUnvisited;
+        c.priority[i] = keys.evaluate(x, c.status[i]);
+    }
+    const Priority pv = keys.evaluate(v, NodeStatus::kUnvisited);
+    return evaluate_coverage_compiled(scratch, s.g2l[v], pv, opts).covered;
 }
 
 CoverageOutcome evaluate_coverage(const View& view, NodeId v, const CoverageOptions& opts,

@@ -19,11 +19,14 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "core/compact_view.hpp"
 #include "core/view.hpp"
 #include "graph/graph.hpp"
+#include "graph/khop.hpp"
 
 namespace adhoc {
 
@@ -81,13 +84,40 @@ struct CoverageOutcome {
 /// per-member priority and status), `local_v` its local id, and `pv` its
 /// own fully-evaluated priority.  `evaluate_coverage` is exactly
 /// `compile` + this call; callers that assemble the compact view
-/// themselves — the ScaleEngine compiles each view with `compile_ball`
-/// into per-wheel storage and binds it — skip the `View` object
-/// entirely and still run the identical decision kernel.
+/// themselves — the ScaleEngine, when `ball_covered_on_words` cannot
+/// decide, compiles the view with `compile_ball` into per-worker storage
+/// and binds it — skip the `View` object entirely and still run the
+/// identical decision kernel.
 [[nodiscard]] CoverageOutcome evaluate_coverage_compiled(LocalViewScratch& s,
                                                          std::uint32_t local_v,
                                                          const Priority& pv,
                                                          const CoverageOptions& opts);
+
+/// The full condition (default options but `merge_visited`) for `v` over
+/// its Definition-2 view G_k(v), k >= 1, decided straight from `g` when
+/// N_k(v) has at most 64 members: `compile_ball_masks` writes one-word
+/// rows in BFS order and the one-word kernel behind
+/// `evaluate_coverage_compiled` decides on them — no sorted member list,
+/// no CSR, no per-member `Priority`.  Nodes in `visited` that are members
+/// have status visited (the decision-time history), every other member is
+/// unvisited, and so is v.  Returns whether v is covered, or nullopt when
+/// the ball has more than 64 members.  The verdict equals `compile_ball`
+/// + `evaluate_coverage_compiled` on the same statuses: only the witness
+/// pair, which this does not report, depends on local-id order.  Throws
+/// std::invalid_argument when k == 0 or k > kMaxBallHops.
+[[nodiscard]] std::optional<bool> ball_covered_on_words(const Graph& g, NodeId v, std::size_t k,
+                                                        const PriorityKeys& keys,
+                                                        std::span<const NodeId> visited,
+                                                        bool merge_visited, BallScratch& s);
+
+/// The same decision on the compiled view, for any options and any ball
+/// size: `compile_ball` into `s`, a status and `Priority` per member (the
+/// members in `visited` are visited), then `evaluate_coverage_compiled`.
+/// Returns whether v is covered.
+[[nodiscard]] bool ball_covered_compiled(const Graph& g, NodeId v, std::size_t k,
+                                         const PriorityKeys& keys,
+                                         std::span<const NodeId> visited,
+                                         const CoverageOptions& opts, BallScratch& s);
 
 /// Connected components of the subgraph induced on nodes with priority
 /// strictly greater than `threshold`, with all visited nodes merged into a

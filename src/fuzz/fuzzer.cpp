@@ -127,28 +127,46 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
     for (std::uint64_t i = 0; i < report.iterations_run; ++i) {
         const Slot& slot = slots[i];
         if (!slot.failed) continue;
-        Finding finding;
-        finding.iteration = i;
-        finding.oracle = slot.report.oracle;
-        finding.detail = slot.report.detail;
-        finding.original = slot.scenario;
         tel::count(kFindings);
-        if (report.findings.size() < options.max_findings) {
-            const auto still_fails = [&](const Scenario& candidate) {
-                tel::count(kShrinkEvals);
-                const CheckReport r = check_scenario(candidate, pool);
-                return !r.ok && r.oracle == finding.oracle;
-            };
-            finding.shrunk = shrink_scenario(slot.scenario, still_fails,
-                                             ShrinkOptions{options.shrink_evals},
-                                             &finding.shrink);
-        } else {
-            finding.shrunk = normalized(slot.scenario);  // budget spent; keep as-is
-        }
-        report.findings.push_back(std::move(finding));
+        const bool shrink = report.findings.size() < options.max_findings;
+        report.findings.push_back(make_finding(i, slot.scenario, slot.report, pool,
+                                               shrink ? options.shrink_evals : 0));
     }
     report.metrics.merge(shrink_scope.harvest());
     return report;
+}
+
+Finding make_finding(std::uint64_t iteration, const Scenario& scenario,
+                     const CheckReport& report, const AlgorithmPool& pool,
+                     std::size_t shrink_evals) {
+    Finding finding;
+    finding.iteration = iteration;
+    finding.oracle = report.oracle;
+    finding.detail = report.detail;
+    finding.original = scenario;
+    if (shrink_evals > 0) {
+        const auto still_fails = [&](const Scenario& candidate) {
+            tel::count(kShrinkEvals);
+            const CheckReport r = check_scenario(candidate, pool);
+            return !r.ok && r.oracle == finding.oracle;
+        };
+        finding.shrunk = shrink_scenario(scenario, still_fails, ShrinkOptions{shrink_evals},
+                                         &finding.shrink);
+    } else {
+        finding.shrunk = normalized(scenario);  // budget spent; keep as-is
+    }
+    finding.shrunk_detail = check_scenario(finding.shrunk, pool).detail;
+    return finding;
+}
+
+Repro finding_repro(const Finding& finding, const AlgorithmPool& pool) {
+    Repro repro;
+    repro.scenario = finding.shrunk;
+    repro.oracle = finding.oracle;
+    std::uint64_t digest = 0;
+    if (replay_digest(finding.shrunk, pool, &digest)) repro.digest = digest;
+    repro.note = "iteration " + std::to_string(finding.iteration) + ": " + finding.shrunk_detail;
+    return repro;
 }
 
 std::vector<MutantKill> run_mutation_gate(std::uint64_t base_seed,

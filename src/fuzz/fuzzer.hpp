@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "fuzz/oracles.hpp"
+#include "fuzz/repro.hpp"
 #include "fuzz/scenario.hpp"
 #include "fuzz/shrink.hpp"
 #include "telemetry/telemetry.hpp"
@@ -44,6 +46,9 @@ struct Finding {
     std::uint64_t iteration = 0;  ///< generator index that produced it
     std::string oracle;
     std::string detail;           ///< diagnostic from the original failure
+    /// The shrunk scenario's own diagnostic: what a replay of its repro
+    /// shows.  Node ids differ from `detail`'s, since shrinking renumbers.
+    std::string shrunk_detail;
     Scenario original;            ///< as generated
     Scenario shrunk;              ///< after delta debugging
     ShrinkStats shrink;
@@ -66,6 +71,19 @@ struct FuzzReport {
 /// iterations actually run); when `seconds` cuts the run short the already
 /// completed prefix is still iteration-ordered.
 [[nodiscard]] FuzzReport run_fuzz(const FuzzOptions& options);
+
+/// The finding for `scenario`, generator index `iteration`, which failed
+/// with `report`: shrunk against the same oracle within `shrink_evals`
+/// checks (0: only normalized), then checked once more for its own
+/// diagnostic.
+[[nodiscard]] Finding make_finding(std::uint64_t iteration, const Scenario& scenario,
+                                   const CheckReport& report, const AlgorithmPool& pool,
+                                   std::size_t shrink_evals);
+
+/// The repro file of a finding: its shrunk scenario, oracle and digest,
+/// and a note naming the iteration and the shrunk scenario's diagnostic —
+/// the violation a replay of the file shows.
+[[nodiscard]] Repro finding_repro(const Finding& finding, const AlgorithmPool& pool);
 
 /// Gate result for one mutant.
 struct MutantKill {

@@ -1,7 +1,9 @@
 #include "graph/khop.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -50,7 +52,15 @@ std::size_t BallScratch::bytes() const noexcept {
            g2l.capacity() * sizeof(std::uint32_t) + cols.capacity() * sizeof(std::uint32_t);
 }
 
-void compile_ball(const Graph& g, NodeId v, std::size_t k, BallScratch& s) {
+namespace {
+
+/// The one truncated BFS behind `compile_ball` and `compile_ball_masks`: a
+/// BFS from `v` that expands nodes closer than `k` hops writes N_k(v) to
+/// `s.bfs` in discovery order, with each member's hop distance (`s.dist`),
+/// epoch stamp and discovery index (`s.g2l`; the center is 0).  Returns the
+/// member count, or 0 as soon as it passes `limit`.
+std::size_t truncated_bfs(const Graph& g, NodeId v, std::size_t k, BallScratch& s,
+                          std::size_t limit) {
     assert(g.contains(v));
     if (k > kMaxBallHops) {
         throw std::invalid_argument("compile_ball: hops = " + std::to_string(k) +
@@ -68,15 +78,15 @@ void compile_ball(const Graph& g, NodeId v, std::size_t k, BallScratch& s) {
         s.epoch = 1;
     }
     const std::uint32_t epoch = s.epoch;
-    // Both passes below are branch-free per adjacency entry: the entry is
-    // written to the next free slot unconditionally and the slot is kept
-    // by advancing the end by a 0/1 predicate.  The stamp, dist and g2l
-    // words of a non-member hold stale but initialised values, so reading
-    // them is harmless.
+    // Branch-free per adjacency entry: the entry is written to the next
+    // free queue slot unconditionally and kept by advancing the tail by a
+    // 0/1 predicate.  The stamp, dist and g2l words of a non-member hold
+    // stale but initialised values, so reading them is harmless.
     if (s.bfs.empty()) s.bfs.resize(1);
     s.bfs[0] = v;
     s.stamp[v] = epoch;
     s.dist[v] = 0;
+    s.g2l[v] = 0;
     std::size_t tail = 1;
     for (std::size_t head = 0; head < tail; ++head) {
         const NodeId x = s.bfs[head];
@@ -89,15 +99,25 @@ void compile_ball(const Graph& g, NodeId v, std::size_t k, BallScratch& s) {
             const bool fresh = s.stamp[y] != epoch;
             s.stamp[y] = epoch;
             s.dist[y] = fresh ? next : s.dist[y];
+            s.g2l[y] = fresh ? static_cast<std::uint32_t>(tail) : s.g2l[y];
             queue[tail] = y;
             tail += fresh;
         }
+        if (tail > limit) return 0;
     }
+    return tail;
+}
+
+}  // namespace
+
+void compile_ball(const Graph& g, NodeId v, std::size_t k, BallScratch& s) {
+    const std::size_t tail = truncated_bfs(g, v, k, s, std::numeric_limits<std::size_t>::max());
+    const std::uint32_t epoch = s.epoch;
     LocalTopology& out = s.view;
     out.center = v;
     out.hops = k;
     out.stale = false;
-    out.id_space = n;
+    out.id_space = g.node_count();
     out.members.assign(s.bfs.begin(), s.bfs.begin() + static_cast<std::ptrdiff_t>(tail));
     std::sort(out.members.begin(), out.members.end());
     const auto m = static_cast<std::uint32_t>(out.members.size());
@@ -121,6 +141,33 @@ void compile_ball(const Graph& g, NodeId v, std::size_t k, BallScratch& s) {
     }
     out.offsets[m] = static_cast<std::uint32_t>(e);
     out.edges.assign(s.cols.begin(), s.cols.begin() + static_cast<std::ptrdiff_t>(e));
+}
+
+std::size_t compile_ball_masks(const Graph& g, NodeId v, std::size_t k, BallScratch& s,
+                               std::uint64_t (&rows)[kMaskBallMembers]) {
+    constexpr std::uint64_t kOne = 1;
+    const std::size_t m = truncated_bfs(g, v, k, s, kMaskBallMembers);
+    if (m == 0) return 0;
+    // Interior members (closer than k hops) were all expanded, so every
+    // neighbour of one is a member and every link at one is visible: its
+    // row is its adjacency row.  BFS order puts them first.
+    std::size_t interior = 0;
+    for (; interior < m && s.dist[s.bfs[interior]] < k; ++interior) {
+        std::uint64_t r = 0;
+        for (const NodeId y : g.neighbors(s.bfs[interior])) r |= kOne << (s.g2l[y] & 63);
+        rows[interior] = r;
+    }
+    // A boundary member (exactly k hops) sees only its links to the
+    // interior: its row is its column of the interior rows.
+    for (std::size_t i = interior; i < m; ++i) rows[i] = 0;
+    const std::uint64_t boundary =
+        interior == kMaskBallMembers ? 0 : ~std::uint64_t{0} << interior;
+    for (std::size_t i = 0; i < interior; ++i) {
+        for (std::uint64_t b = rows[i] & boundary; b != 0; b &= b - 1) {
+            rows[std::countr_zero(b)] |= kOne << i;
+        }
+    }
+    return m;
 }
 
 LocalTopology induced_topology(const Graph& g, NodeId center, std::size_t hops,

@@ -86,14 +86,15 @@ struct LocalTopology {
 /// bits.
 inline constexpr std::size_t kMaxBallHops = 65535;
 
-/// Caller-owned working memory and output of `compile_ball`.  The three
-/// O(n) working arrays are validated by epoch stamps, so consecutive
-/// compiles clear nothing, and every buffer only grows — zero allocations
-/// per ball in steady state.  The BFS queue and the CSR column buffer are
-/// written past their live end (a slot per scanned adjacency entry), so
-/// each is sized to the largest such write seen so far, not to the ball.
+/// Caller-owned working memory and output of `compile_ball` and
+/// `compile_ball_masks`.  The three O(n) working arrays are validated by
+/// epoch stamps, so consecutive compiles clear nothing, and every buffer
+/// only grows — zero allocations per ball in steady state.  The BFS queue
+/// and the CSR column buffer are written past their live end (a slot per
+/// scanned adjacency entry), so each is sized to the largest such write
+/// seen so far, not to the ball.
 struct BallScratch {
-    LocalTopology view;  ///< output: G_k(v)
+    LocalTopology view;  ///< output of `compile_ball`: G_k(v)
     // Working set.
     std::vector<NodeId> bfs;           ///< BFS queue / discovery order
     std::vector<std::uint16_t> dist;   ///< hop distance from the center
@@ -101,6 +102,9 @@ struct BallScratch {
     std::vector<std::uint32_t> g2l;    ///< global -> local id
     std::vector<std::uint32_t> cols;   ///< CSR columns before the exact-size copy
     std::uint32_t epoch = 0;
+
+    /// True iff `x` is a member of the last compiled ball.
+    [[nodiscard]] bool member(NodeId x) const noexcept { return stamp[x] == epoch; }
 
     /// Heap bytes held (capacity, not size).
     [[nodiscard]] std::size_t bytes() const noexcept;
@@ -111,6 +115,21 @@ struct BallScratch {
 /// E ∩ (N_{k-1}(v) × N_k(v)) as its CSR.  Costs O(ball edges),
 /// independent of n.  Throws std::invalid_argument when k > kMaxBallHops.
 void compile_ball(const Graph& g, NodeId v, std::size_t k, BallScratch& s);
+
+/// Most members `compile_ball_masks` takes: a row is one 64-bit word.
+inline constexpr std::size_t kMaskBallMembers = 64;
+
+/// G_k(v) as one-word rows, straight from `g`, for balls of at most 64
+/// members.  Local ids are BFS discovery order: local i names `s.bfs[i]`
+/// (the center is 0), and `s.g2l[x]` is the local id of a member x
+/// (`s.member(x)`).  Bit j of `rows[i]` is set iff the link between locals
+/// i and j is in E ∩ (N_{k-1}(v) × N_k(v)) — the links `compile_ball`
+/// keeps.  Returns the member count, or 0 (rows undefined) once the BFS
+/// passes 64 members; `s.view` is left alone.  The rows of the k-hop
+/// boundary are the transpose of the interior rows, so no boundary node's
+/// adjacency is read.  Throws std::invalid_argument when k > kMaxBallHops.
+std::size_t compile_ball_masks(const Graph& g, NodeId v, std::size_t k, BallScratch& s,
+                               std::uint64_t (&rows)[kMaskBallMembers]);
 
 /// The builder for views that do not come from `compile_ball`: global
 /// information (k == 0), hello-built views and hand-built test views.

@@ -243,26 +243,17 @@ bool ScaleEngine::decide(DecideScratch& ds, NodeId v, std::uint32_t payload) {
         const auto pkt = packets_.begin() + payload;
         ds.visited.assign(pkt + 1, pkt + 1 + std::max<std::uint32_t>(*pkt, 1));
     }
-    BallScratch& ball = ds.ball;
-    compile_ball(graph_, v, config_.generic.hops, ball);
-    LocalViewScratch& s = LocalViewScratch::tls();
-    s.compact.bind(ball.view);
-    const std::uint32_t m = s.compact.size;
-    for (std::uint32_t i = 0; i < m; ++i) {
-        const NodeId x = s.compact.members[i];
-        NodeStatus st = NodeStatus::kUnvisited;
-        for (NodeId y : ds.visited) {
-            if (y == x) {
-                st = NodeStatus::kVisited;
-                break;
-            }
+    const CoverageOptions& opts = config_.generic.coverage;
+    const std::size_t k = config_.generic.hops;
+    if (!opts.strong && opts.max_path_hops == 0 && opts.coverage_radius == 0) {
+        if (const auto covered = ball_covered_on_words(graph_, v, k, keys_, ds.visited,
+                                                       opts.merge_visited, ds.ball)) {
+            return !*covered;
         }
-        s.compact.status[i] = st;
-        s.compact.priority[i] = keys_.evaluate(x, st);
     }
-    const Priority pv = keys_.evaluate(v, NodeStatus::kUnvisited);
-    return !evaluate_coverage_compiled(s, ball.g2l[v], pv, config_.generic.coverage)
-                .covered;
+    // A ball of more than 64 members, or an option the one-word kernel
+    // does not take.
+    return !ball_covered_compiled(graph_, v, k, keys_, ds.visited, opts, ds.ball);
 }
 
 std::size_t ScaleEngine::window_index(double time) const noexcept {

@@ -40,11 +40,23 @@
 /// k-hop views (k >= 1) × any priority/history/coverage knobs.  Under a
 /// collision-free uniform-delay medium a first-receipt self-pruning
 /// decision depends only on the *first received* packet (its history
-/// chain), so a decision is a pure function of (node, packet).  It
-/// evaluates the coverage kernel of src/core/coverage.cpp over a compact
-/// local view compiled afresh by `compile_ball` (src/graph/khop.hpp, the
-/// Definition-2 routine behind `local_topology`; zero allocations in steady
-/// state) over the one immutable graph the engine was constructed with.
+/// chain), so a decision is a pure function of (node, packet).  For a
+/// ball N_k(v) of at most 64 members under the full condition (no strong,
+/// bounded-path or radius option), `ball_covered_on_words`
+/// (src/core/coverage.hpp) decides straight from the one immutable graph
+/// the engine was constructed with: `compile_ball_masks`
+/// (src/graph/khop.hpp) runs the truncated BFS shared with `compile_ball`,
+/// numbering members in discovery order, and writes each member's visible
+/// links as a 64-bit row; the higher-priority mask H comes from the static
+/// keys and the visited mask from the packet's chain; the one-word kernel
+/// decides on those three.  No member list is sorted, no CSR is written
+/// and no per-member `Priority` is filled.  The verdict does not depend on
+/// how members are numbered, so it equals the compiled path's.  A larger
+/// ball, or one of those options, falls back to the compiled view:
+/// `compile_ball` (the Definition-2 routine behind `local_topology`) into
+/// per-worker scratch, a status and priority per member, and
+/// `evaluate_coverage_compiled`.  Both paths allocate nothing in steady
+/// state.
 ///
 /// **Wheels and jobs.**  Nodes are block-partitioned into
 /// `ScaleConfig::wheels` shards.  At `jobs > 1`, a generic window of at
@@ -105,8 +117,8 @@ enum class ScalePolicy {
 };
 
 /// Where `kGenericCoverage` gets its Definition-2 local views.  There is
-/// one backend — a per-decision `compile_ball` into per-worker scratch — so
-/// the value selects nothing.
+/// one backend — per-decision masks or `compile_ball` into per-worker
+/// scratch — so the value selects nothing.
 enum class ScaleViewMode {
     kScratch,
 };

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "core/maxmin.hpp"
 #include "core/priority.hpp"
 #include "core/view.hpp"
+#include "graph/khop.hpp"
 #include "graph/traversal.hpp"
 #include "graph/unit_disk.hpp"
 #include "sim/node_agent.hpp"
@@ -416,6 +419,163 @@ TEST(CoverageEquivalence, MaxMinOnRandomGraphs) {
         const View view = owning_view(g, random_statuses(n, rng), keys);
         expect_maxmin_agrees(view, "maxmin#" + std::to_string(iter));
     }
+}
+
+// ---- One-word decisions straight from the graph --------------------------
+
+/// A graph whose node 0 has exactly `layers[d]` nodes at d hops: every node
+/// of layer d > 0 links to one random node of layer d - 1, and more links
+/// join random pairs within a layer (the links between two nodes at the
+/// view's k-hop boundary) and between adjacent layers.  Ids are shuffled so
+/// that neither id order nor layer order is BFS order; the returned graph's
+/// node `center` is the old node 0.
+Graph layered_graph(const std::vector<std::size_t>& layers, double p_link, Rng& rng,
+                    NodeId* center) {
+    std::vector<std::size_t> layer_of;
+    for (std::size_t d = 0; d < layers.size(); ++d) {
+        layer_of.insert(layer_of.end(), layers[d], d);
+    }
+    const std::size_t n = layer_of.size();
+    std::vector<NodeId> id(n);
+    for (NodeId x = 0; x < n; ++x) id[x] = x;
+    for (std::size_t i = n; i > 1; --i) std::swap(id[i - 1], id[rng.index(i)]);
+    std::vector<std::size_t> start{0};  // first node of each layer
+    for (const std::size_t l : layers) start.push_back(start.back() + l);
+    std::vector<Edge> edges;
+    for (std::size_t x = layers[0]; x < n; ++x) {
+        const std::size_t d = layer_of[x];
+        const std::size_t parent = start[d - 1] + rng.index(layers[d - 1]);
+        edges.push_back(canonical(Edge{id[x], id[parent]}));
+    }
+    for (std::size_t a = 0; a < n; ++a) {
+        for (std::size_t b = a + 1; b < n; ++b) {
+            if (layer_of[b] - layer_of[a] <= 1 && rng.chance(p_link)) {
+                edges.push_back(canonical(Edge{id[a], id[b]}));
+            }
+        }
+    }
+    std::sort(edges.begin(), edges.end(), [](const Edge& x, const Edge& y) {
+        return x.a != y.a ? x.a < y.a : x.b < y.b;
+    });
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    *center = id[0];
+    return Graph(n, edges);
+}
+
+/// The one-word decision against the compiled one for every node of `g`,
+/// k in {1, 2, 3}, all three priority schemes, an empty visited set
+/// (static) and random history chains of 1-4 nodes ending at a neighbour
+/// (first receipt), merge_visited on and off.  For every ball of at most
+/// 64 members the mask rows must also equal the compiled view's links.
+/// `decided` counts the mask-path decisions and `fallbacks` the rest.
+void expect_ball_words_agree(const Graph& g, Rng& rng, const std::string& label,
+                             std::size_t& decided, std::size_t& fallbacks) {
+    BallScratch words;
+    BallScratch compiled;
+    std::uint64_t rows[kMaskBallMembers];
+    std::vector<std::size_t> members(g.node_count());
+    for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+        for (NodeId v = 0; v < g.node_count(); ++v) {
+            const std::size_t m = compile_ball_masks(g, v, k, words, rows);
+            compile_ball(g, v, k, compiled);
+            const LocalTopology& view = compiled.view;
+            members[v] = m;
+            if (m == 0) {
+                ASSERT_GT(view.size(), kMaskBallMembers) << label << " v=" << v;
+                continue;
+            }
+            ASSERT_EQ(m, view.size()) << label << " v=" << v << " k=" << k;
+            ASSERT_EQ(words.bfs[0], v);
+            for (std::size_t i = 0; i < m; ++i) {
+                const std::uint32_t a = view.local_of(words.bfs[i]);
+                ASSERT_NE(a, kNoLocal) << label << " v=" << v;
+                for (std::size_t j = 0; j < m; ++j) {
+                    const std::uint32_t b = view.local_of(words.bfs[j]);
+                    ASSERT_EQ((rows[i] >> j) & 1, view.has_edge(a, b) ? 1u : 0u)
+                        << label << " v=" << v << " k=" << k << " link " << words.bfs[i]
+                        << "-" << words.bfs[j];
+                }
+            }
+        }
+        for (const PriorityScheme scheme : {PriorityScheme::kId, PriorityScheme::kDegree,
+                                            PriorityScheme::kNcr}) {
+            const PriorityKeys keys(g, scheme);
+            for (NodeId v = 0; v < g.node_count(); ++v) {
+                const auto nbrs = g.neighbors(v);
+                for (int chain = 0; chain <= 4; ++chain) {
+                    std::vector<NodeId> visited;
+                    for (int c = 1; c < chain; ++c) {
+                        visited.push_back(static_cast<NodeId>(rng.index(g.node_count())));
+                    }
+                    if (chain > 0 && !nbrs.empty()) {
+                        visited.push_back(nbrs[rng.index(nbrs.size())]);
+                    }
+                    for (const bool merge : {false, true}) {
+                        const std::optional<bool> got =
+                            ball_covered_on_words(g, v, k, keys, visited, merge, words);
+                        const bool want = ball_covered_compiled(
+                            g, v, k, keys, visited, CoverageOptions{.merge_visited = merge},
+                            compiled);
+                        ASSERT_EQ(got.has_value(), nbrs.size() <= 1 || members[v] != 0)
+                            << label << " v=" << v << " k=" << k;
+                        if (!got) {
+                            ++fallbacks;
+                            continue;
+                        }
+                        ++decided;
+                        ASSERT_EQ(*got, want)
+                            << label << " v=" << v << " k=" << k << " scheme "
+                            << to_string(scheme) << " chain " << chain << " merge " << merge;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(CoverageEquivalence, BallWordsMatchCompiledBalls) {
+    Rng rng(20261019);
+    std::size_t decided = 0;
+    std::size_t fallbacks = 0;
+    for (int iter = 0; iter < 24; ++iter) {
+        const std::size_t n = 30 + rng.index(61);  // 30..90
+        const double degree = std::vector<double>{4.0, 6.0, 8.0, 12.0}[rng.index(4)];
+        std::vector<Point2D> pts(n);
+        for (Point2D& p : pts) {
+            p.x = rng.uniform(0.0, 10.0);
+            p.y = rng.uniform(0.0, 10.0);
+        }
+        const Graph g = unit_disk_graph(
+            pts, std::sqrt(degree * 100.0 / (3.14159265358979323846 * static_cast<double>(n))));
+        expect_ball_words_agree(g, rng, "udg#" + std::to_string(iter), decided, fallbacks);
+    }
+
+    // Balls of exactly 64 and 65 members around a known center, at each
+    // k: the last layer inside the ball gets the remainder, and a further
+    // layer lies outside it.
+    for (const std::size_t members : {std::size_t{64}, std::size_t{65}}) {
+        for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+            std::vector<std::size_t> layers{1};
+            for (std::size_t d = 1; d < k; ++d) layers.push_back(6 + rng.index(10));
+            std::size_t inside = 0;
+            for (const std::size_t l : layers) inside += l;
+            layers.push_back(members - inside);
+            layers.push_back(10);
+            NodeId center = 0;
+            const Graph g = layered_graph(layers, 0.08, rng, &center);
+            BallScratch ball;
+            std::uint64_t rows[kMaskBallMembers];
+            ASSERT_EQ(compile_ball_masks(g, center, k, ball, rows), members == 64 ? 64u : 0u)
+                << "members " << members << " k=" << k;
+            compile_ball(g, center, k, ball);
+            ASSERT_EQ(ball.view.size(), members);
+            expect_ball_words_agree(
+                g, rng, "layered " + std::to_string(members) + " k=" + std::to_string(k),
+                decided, fallbacks);
+        }
+    }
+    EXPECT_GE(decided, 10000u);
+    EXPECT_GE(fallbacks, 100u);
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "fuzz/fuzzer.hpp"
 #include "fuzz/oracles.hpp"
+#include "fuzz/repro.hpp"
 #include "fuzz/scenario.hpp"
 #include "fuzz/shrink.hpp"
 #include "graph/graph.hpp"
@@ -95,6 +97,43 @@ TEST(FuzzShrink, RealOracleFailureShrinksSmall) {
     EXPECT_TRUE(still_fails(small));
     EXPECT_LE(small.node_count, 8u) << "repro did not minimize";
     EXPECT_LE(small.node_count, failing.node_count);
+}
+
+
+TEST(FuzzShrink, SavedFindingReplaysAsThatFinding) {
+    // Scenario 66079 of the churn + scale campaign at seed 20261020 trips
+    // the cds oracle (generic FRBD, global views, recovery on) on 32 nodes
+    // with "node 31 undominated".  Its shrunk repro must replay as the same
+    // finding: same scenario, same oracle, and the diagnostic its note
+    // names.  The note used to carry the unshrunk diagnostic, whose node
+    // ids the shrunk 7-node scenario does not even have.
+    GenerationLimits limits;
+    limits.churn_intensity = 3.0;
+    limits.scale_intensity = 3.0;
+    const AlgorithmPool pool(/*with_mutants=*/true);
+    const Scenario original = generate_scenario(20261020, 66079, limits);
+    const CheckReport report = check_scenario(original, pool);
+    ASSERT_FALSE(report.ok);
+    ASSERT_EQ(report.oracle, "cds");
+
+    const Finding finding = make_finding(66079, original, report, pool, 2000);
+    ASSERT_LT(finding.shrunk.node_count, original.node_count);
+    const Repro written = finding_repro(finding, pool);
+    std::string error;
+    const std::optional<Repro> read = parse_repro(to_repro_json(written), &error);
+    ASSERT_TRUE(read.has_value()) << error;
+    EXPECT_EQ(read->scenario, finding.shrunk);
+    EXPECT_EQ(read->oracle, "cds");
+    EXPECT_EQ(read->note, written.note);
+
+    const CheckReport replayed = check_scenario(read->scenario, pool);
+    EXPECT_FALSE(replayed.ok);
+    EXPECT_EQ(replayed.oracle, "cds");
+    EXPECT_EQ(replayed.detail, finding.shrunk_detail);
+    EXPECT_EQ(read->note, "iteration 66079: " + replayed.detail);
+    std::uint64_t digest = 0;
+    ASSERT_TRUE(replay_digest(read->scenario, pool, &digest));
+    EXPECT_EQ(read->digest, digest);
 }
 
 }  // namespace

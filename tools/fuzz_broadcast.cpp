@@ -157,12 +157,7 @@ Args parse_args(int argc, char** argv) {
 /// Writes one finding's minimized repro; returns the path (empty on error).
 std::string write_finding(const std::string& dir, const Finding& finding,
                           const AlgorithmPool& pool) {
-    Repro repro;
-    repro.scenario = finding.shrunk;
-    repro.oracle = finding.oracle;
-    std::uint64_t digest = 0;
-    if (replay_digest(finding.shrunk, pool, &digest)) repro.digest = digest;
-    repro.note = "iteration " + std::to_string(finding.iteration) + ": " + finding.detail;
+    const Repro repro = finding_repro(finding, pool);
     char name[64];
     std::snprintf(name, sizeof(name), "finding-%016" PRIx64 ".repro",
                   scenario_fingerprint(finding.shrunk));
@@ -195,10 +190,12 @@ int run_fuzz_mode(const Args& args) {
     const AlgorithmPool pool(/*with_mutants=*/true);
     if (!args.out_dir.empty()) std::filesystem::create_directories(args.out_dir);
     for (const Finding& finding : report.findings) {
-        std::printf("FAIL iter=%" PRIu64 " oracle=%s nodes=%zu->%zu evals=%zu\n  %s\n",
+        std::printf("FAIL iter=%" PRIu64 " oracle=%s nodes=%zu->%zu evals=%zu\n  %s\n"
+                    "  shrunk: %s\n",
                     finding.iteration, finding.oracle.c_str(),
                     finding.original.node_count, finding.shrunk.node_count,
-                    finding.shrink.evals, finding.detail.c_str());
+                    finding.shrink.evals, finding.detail.c_str(),
+                    finding.shrunk_detail.c_str());
         if (!args.out_dir.empty()) {
             const std::string path = write_finding(args.out_dir, finding, pool);
             if (!path.empty()) std::printf("  repro: %s\n", path.c_str());
@@ -231,6 +228,8 @@ int run_replay_mode(const Args& args) {
         if (repro->digest && *repro->digest != digest) ok = false;
         std::printf("%s %s digest=0x%016" PRIx64 " oracle=%s\n", ok ? "OK" : "MISMATCH",
                     path.c_str(), digest, observed.c_str());
+        // A recorded finding: show the violation the replay observes.
+        if (!check.ok && observed == repro->oracle) std::printf("  %s\n", check.detail.c_str());
         if (!ok) {
             if (repro->digest && *repro->digest != digest) {
                 std::printf("  expected digest 0x%016" PRIx64 "\n", *repro->digest);
