@@ -41,7 +41,6 @@
 #include <cstring>
 #include <iostream>
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,6 +50,7 @@
 #include <unordered_map>
 
 #include "bench_common.hpp"
+#include "core/compact_view.hpp"
 #include "core/coverage.hpp"
 #include "core/priority.hpp"
 #include "core/view.hpp"
@@ -490,15 +490,13 @@ Kernel coverage_ball_kernel(const Graph& g, std::uint64_t seed, std::size_t reps
         match);
 }
 
-/// One generic-fr decision as the ScaleEngine takes it for a ball of at
-/// most 64 members — `ball_covered_on_words`, straight from the graph —
-/// against the path it replaced, `ball_covered_compiled`: `compile_ball`,
-/// bind, a status and a `Priority` per member, then the kernel.  k = 2, degree priorities and
-/// ~20% of the nodes visited, as in coverage_full's ball rows; each
-/// sampled center's visited list is its visited ball members (a history
-/// chain's stand-in).  A ball over 64 members falls back to the compiled
-/// path on the production side too, as in the engine.  `match` compares
-/// every sampled verdict.
+/// One generic-fr decision as the ScaleEngine takes it — `ball_covered`,
+/// straight from the graph — against the compiled view it replaced:
+/// `compile_ball`, bind, a status and a `Priority` per member, then
+/// `evaluate_coverage_compiled`.  k = 2, degree priorities and ~20% of the
+/// nodes visited, as in coverage_full's ball rows; each sampled center's
+/// visited list is its visited ball members (a history chain's stand-in).
+/// `match` compares every sampled verdict.
 Kernel ball_decision_kernel(const Graph& g, std::uint64_t seed, std::size_t reps,
                             volatile std::size_t& guard) {
     constexpr std::size_t kHops = 2;
@@ -522,12 +520,21 @@ Kernel ball_decision_kernel(const Graph& g, std::uint64_t seed, std::size_t reps
         centers.push_back(v);
     }
     const auto compiled = [&](NodeId v, const std::vector<NodeId>& chain) {
-        return ball_covered_compiled(g, v, kHops, keys, chain, {}, ball);
+        compile_ball(g, v, kHops, ball);
+        LocalViewScratch& scratch = LocalViewScratch::tls();
+        CompactLocalView& c = scratch.compact;
+        c.bind(ball.view);
+        for (std::uint32_t i = 0; i < c.size; ++i) {
+            const NodeId x = c.members[i];
+            const bool seen = std::find(chain.begin(), chain.end(), x) != chain.end();
+            c.status[i] = seen ? NodeStatus::kVisited : NodeStatus::kUnvisited;
+            c.priority[i] = keys.evaluate(x, c.status[i]);
+        }
+        const Priority pv = keys.evaluate(v, NodeStatus::kUnvisited);
+        return evaluate_coverage_compiled(scratch, ball.g2l[v], pv, {}).covered;
     };
     const auto words = [&](NodeId v, const std::vector<NodeId>& chain) {
-        const std::optional<bool> covered =
-            ball_covered_on_words(g, v, kHops, keys, chain, true, ball);
-        return covered ? *covered : compiled(v, chain);
+        return ball_covered(g, v, kHops, keys, chain, {}, ball);
     };
     const auto sweep = [&](auto&& decide) {
         std::size_t covered = 0;

@@ -18,13 +18,13 @@
 /// locals 0..m-1 visits the same node sequence the naive kernels produce
 /// by scanning globals 0..n-1 and skipping invisible nodes — the property
 /// that makes the optimized kernels return the same verdicts and witnesses
-/// as the `reference::` implementations (the full coverage condition on a
-/// view of at most 64 members computes no component labels at all).
+/// as the `reference::` implementations.  The coverage kernel turns the
+/// compact view into node masks (a bitset row per member, see
+/// coverage.hpp) and computes no component labels at all.
 ///
 /// The arena is thread-local and reused across calls: every buffer only
 /// ever grows, so steady-state kernel evaluation performs no heap
-/// allocation.  Component-membership sets are word-parallel bitsets
-/// (`bits::` helpers) instead of sorted vectors.
+/// allocation.
 
 #pragma once
 
@@ -62,37 +62,12 @@ inline void set(std::uint64_t* w, std::size_t i) noexcept {
     return (w[i / kWordBits] >> (i % kWordBits)) & 1;
 }
 
-inline void clear(std::uint64_t* w, std::size_t i) noexcept {
-    w[i / kWordBits] &= ~(std::uint64_t{1} << (i % kWordBits));
-}
-
-[[nodiscard]] inline bool any(const std::uint64_t* w, std::size_t words) noexcept {
-    for (std::size_t i = 0; i < words; ++i) {
-        if (w[i] != 0) return true;
-    }
-    return false;
-}
-
-/// True iff a AND b is nonzero — the word-parallel replacement for the
-/// sorted-vector intersection test of the naive kernels.
-[[nodiscard]] inline bool intersects(const std::uint64_t* a, const std::uint64_t* b,
-                                     std::size_t words) noexcept {
-    for (std::size_t i = 0; i < words; ++i) {
-        if ((a[i] & b[i]) != 0) return true;
-    }
-    return false;
-}
-
-inline void and_inplace(std::uint64_t* a, const std::uint64_t* b, std::size_t words) noexcept {
-    for (std::size_t i = 0; i < words; ++i) a[i] &= b[i];
-}
-
 }  // namespace bits
 
 /// A View compiled to dense local ids (see file comment).
 ///
-/// The topology is the View's LocalTopology (or, in the ScaleEngine, a
-/// `compile_ball` output), borrowed.  Status and priorities are
+/// The topology is the View's LocalTopology (or any `compile_ball`
+/// output), borrowed.  Status and priorities are
 /// re-evaluated per compilation — they change between decisions.
 struct CompactLocalView {
     const LocalTopology* topo = nullptr;  ///< members + CSR, borrowed
@@ -132,19 +107,14 @@ class LocalViewScratch {
     CompactLocalView compact;
 
     // Reusable kernel buffers (sized to the compiled view on demand).
-    std::vector<std::uint32_t> dist;    ///< BFS depth / bounded-reach depth
-    std::vector<std::uint32_t> labels;  ///< component labels
-    std::vector<std::uint32_t> queue;   ///< BFS queue (head index, no pops)
+    std::vector<std::uint32_t> queue;   ///< BFS queue (LENWB reach)
     std::vector<std::uint32_t> order;   ///< sorted candidate list (maxmin)
     std::vector<std::uint32_t> parent;  ///< union-find parents (maxmin)
     std::vector<char> active;           ///< activation flags (maxmin)
-    std::vector<std::uint64_t> in_h;    ///< higher-priority membership bitset
-    std::vector<std::uint64_t> mark;    ///< generic label/visited bitset
-    std::vector<std::uint64_t> acc;     ///< running intersection accumulator
-    std::vector<std::uint64_t> row_bits; ///< one node's neighbor row, as a bitset
-    /// Per-neighbor label sets, flat: neighbor i's set is the `words`-word
-    /// run starting at i * words.
-    std::vector<std::uint64_t> comp_bits;
+    std::vector<std::uint64_t> mark;    ///< membership bitset (LENWB reach)
+    /// Node-mask rows and working masks of the coverage kernel, for views
+    /// of more than 64 members (smaller views keep them on the stack).
+    std::vector<std::uint64_t> masks;
 };
 
 }  // namespace adhoc

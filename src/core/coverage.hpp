@@ -15,11 +15,22 @@
 /// view (they are all connected to the source through visited paths), so
 /// the component computation merges every visited node into one component.
 /// Figure 6(b) of the paper depends on this merge.
+///
+/// **One kernel.**  Every option — full, strong, bounded replacement paths
+/// (Span) and the coverage radius (restricted Rule-k) — is decided by one
+/// algorithm on node masks: each view member's visible neighbours as a
+/// bitset of W = ⌈m/64⌉ words (m = view members), plus the masks of the
+/// higher-priority set H and of the visited nodes.  Components and reaches
+/// grow by ORing rows.  A view of at most 64 members runs the one-word
+/// instantiation on stack arrays; larger views run the same code over W
+/// words in reused scratch.  Rows cost m * W words per decision, quadratic
+/// in m: the largest views any test, bench or campaign builds have about
+/// 200 members (4 words a row), and nothing builds views where that cost
+/// would call for another algorithm.
 
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -83,50 +94,26 @@ struct CoverageOutcome {
 /// hold the evaluated node's local view (a bound LocalTopology plus
 /// per-member priority and status), `local_v` its local id, and `pv` its
 /// own fully-evaluated priority.  `evaluate_coverage` is exactly
-/// `compile` + this call; callers that assemble the compact view
-/// themselves — the ScaleEngine, when `ball_covered_on_words` cannot
-/// decide, compiles the view with `compile_ball` into per-worker storage
-/// and binds it — skip the `View` object entirely and still run the
-/// identical decision kernel.
+/// `compile` + this call.
 [[nodiscard]] CoverageOutcome evaluate_coverage_compiled(LocalViewScratch& s,
                                                          std::uint32_t local_v,
                                                          const Priority& pv,
                                                          const CoverageOptions& opts);
 
-/// The full condition (default options but `merge_visited`) for `v` over
-/// its Definition-2 view G_k(v), k >= 1, decided straight from `g` when
-/// N_k(v) has at most 64 members: `compile_ball_masks` writes one-word
-/// rows in BFS order and the one-word kernel behind
-/// `evaluate_coverage_compiled` decides on them — no sorted member list,
-/// no CSR, no per-member `Priority`.  Nodes in `visited` that are members
-/// have status visited (the decision-time history), every other member is
-/// unvisited, and so is v.  Returns whether v is covered, or nullopt when
-/// the ball has more than 64 members.  The verdict equals `compile_ball`
-/// + `evaluate_coverage_compiled` on the same statuses: only the witness
-/// pair, which this does not report, depends on local-id order.  Throws
-/// std::invalid_argument when k == 0 or k > kMaxBallHops.
-[[nodiscard]] std::optional<bool> ball_covered_on_words(const Graph& g, NodeId v, std::size_t k,
-                                                        const PriorityKeys& keys,
-                                                        std::span<const NodeId> visited,
-                                                        bool merge_visited, BallScratch& s);
-
-/// The same decision on the compiled view, for any options and any ball
-/// size: `compile_ball` into `s`, a status and `Priority` per member (the
-/// members in `visited` are visited), then `evaluate_coverage_compiled`.
-/// Returns whether v is covered.
-[[nodiscard]] bool ball_covered_compiled(const Graph& g, NodeId v, std::size_t k,
-                                         const PriorityKeys& keys,
-                                         std::span<const NodeId> visited,
-                                         const CoverageOptions& opts, BallScratch& s);
-
-/// Connected components of the subgraph induced on nodes with priority
-/// strictly greater than `threshold`, with all visited nodes merged into a
-/// single component (when `merge_visited`).  Exposed for reuse by LENWB and
-/// by tests.  Returns per-node labels (kUnreachable for nodes outside the
-/// induced subgraph).
-[[nodiscard]] std::vector<std::size_t> higher_priority_components(const View& view,
-                                                                  const Priority& threshold,
-                                                                  bool merge_visited);
+/// The coverage condition for `v` over its Definition-2 view G_k(v),
+/// k >= 1, decided straight from `g` under any options and for any ball
+/// size: `compile_ball_masks` writes the rows in BFS order and the kernel
+/// behind `evaluate_coverage_compiled` decides on them — no sorted member
+/// list, no CSR, no per-member `Priority`.  Nodes in `visited` that are
+/// members have status visited (the decision-time history), every other
+/// member is unvisited, and so is v.  Returns whether v is covered.  The
+/// verdict equals `evaluate_coverage` on `local_topology(g, v, k)` with
+/// those statuses: only the witness, which this does not report, depends
+/// on local-id order.  Throws std::invalid_argument when k == 0 or
+/// k > kMaxBallHops.
+[[nodiscard]] bool ball_covered(const Graph& g, NodeId v, std::size_t k, const PriorityKeys& keys,
+                                std::span<const NodeId> visited, const CoverageOptions& opts,
+                                BallScratch& s);
 
 /// LENWB's check (Section 6.2): the set C of nodes connected to `u` via
 /// intermediates of priority greater than Pr(v).  Endpoints of the
@@ -159,6 +146,12 @@ namespace reference {
                                             const CoverageOptions& opts = {},
                                             NodeStatus self_status = NodeStatus::kUnvisited);
 
+/// Connected components of the subgraph induced on nodes with priority
+/// strictly greater than `threshold`, with all visited nodes merged into a
+/// single component (when `merge_visited`).  Returns per-node labels
+/// (kUnreachable outside the induced subgraph).  Tests read it to shape
+/// inputs; the production kernel grows the same components as masks
+/// without labelling them.
 [[nodiscard]] std::vector<std::size_t> higher_priority_components(const View& view,
                                                                   const Priority& threshold,
                                                                   bool merge_visited);

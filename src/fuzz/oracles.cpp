@@ -394,10 +394,14 @@ std::string kernel_disagreement(const Scenario& s, const Graph& g) {
         }
     }
 
-    CoverageOptions combos[3];
+    CoverageOptions combos[6];
     combos[0].strong = s.config.strong;
     combos[1].strong = !s.config.strong;
     combos[2].max_path_hops = 3;
+    combos[3].strong = true;
+    combos[3].coverage_radius = 1;
+    combos[4].coverage_radius = 2;
+    combos[5].merge_visited = false;
 
     for (std::size_t i = 0; i < samples; ++i) {
         const NodeId v = static_cast<NodeId>(rng.index(g.node_count()));
@@ -411,7 +415,8 @@ std::string kernel_disagreement(const Scenario& s, const Graph& g) {
                     got.uncovered_w != want.uncovered_w) {
                     std::ostringstream out;
                     out << "node " << v << " strong=" << opts.strong
-                        << " hops=" << opts.max_path_hops << ": compact covered=" << got.covered
+                        << " hops=" << opts.max_path_hops << " radius=" << opts.coverage_radius
+                        << " merge=" << opts.merge_visited << ": compact covered=" << got.covered
                         << " reference covered=" << want.covered;
                     return out.str();
                 }
@@ -641,7 +646,7 @@ CheckReport check_scenario(const Scenario& s, const AlgorithmPool& pool) {
     }
 
     // Compact-vs-reference kernel agreement on sampled views.
-    if (knowledge.node_count() <= 96) {
+    if (knowledge.node_count() <= 160) {
         const std::string mismatch = kernel_disagreement(s, knowledge);
         if (!mismatch.empty()) return fail("kernels", mismatch, digest);
     }

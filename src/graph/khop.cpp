@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -44,10 +43,43 @@ std::vector<NodeId> two_hop_cover_set(const Graph& g, NodeId v) {
     return nodes;
 }
 
+namespace {
+
+/// Grows `v` to at least `need` elements; a reallocation reserves `room`
+/// (>= need).
+template <class T>
+T* grow(std::vector<T>& v, std::size_t need, std::size_t room) {
+    if (v.size() < need) {
+        if (v.capacity() < need) v.reserve(room);
+        v.resize(v.capacity());
+    }
+    return v.data();
+}
+
+}  // namespace
+
+void BallScratch::fit(std::size_t n) {
+    if (stamp.size() < n) {
+        stamp.resize(n, 0);
+        dist.resize(n);
+        g2l.resize(n);
+    }
+}
+
+std::uint64_t* BallScratch::reserve_masks(std::size_t words) {
+    return grow(masks, words, words);
+}
+
+void BallScratch::reserve_like(const BallScratch& other) {
+    bfs.reserve(other.bfs.capacity());
+    masks.reserve(other.masks.capacity());
+}
+
 std::size_t BallScratch::bytes() const noexcept {
     return view.members.capacity() * sizeof(NodeId) +
            view.offsets.capacity() * sizeof(std::uint32_t) +
-           view.edges.capacity() * sizeof(std::uint32_t) + bfs.capacity() * sizeof(NodeId) +
+           view.edges.capacity() * sizeof(std::uint32_t) +
+           masks.capacity() * sizeof(std::uint64_t) + bfs.capacity() * sizeof(NodeId) +
            dist.capacity() * sizeof(std::uint16_t) + stamp.capacity() * sizeof(std::uint32_t) +
            g2l.capacity() * sizeof(std::uint32_t) + cols.capacity() * sizeof(std::uint32_t);
 }
@@ -58,21 +90,15 @@ namespace {
 /// BFS from `v` that expands nodes closer than `k` hops writes N_k(v) to
 /// `s.bfs` in discovery order, with each member's hop distance (`s.dist`),
 /// epoch stamp and discovery index (`s.g2l`; the center is 0).  Returns the
-/// member count, or 0 as soon as it passes `limit`.
-std::size_t truncated_bfs(const Graph& g, NodeId v, std::size_t k, BallScratch& s,
-                          std::size_t limit) {
+/// member count.
+std::size_t truncated_bfs(const Graph& g, NodeId v, std::size_t k, BallScratch& s) {
     assert(g.contains(v));
     if (k > kMaxBallHops) {
         throw std::invalid_argument("compile_ball: hops = " + std::to_string(k) +
                                     " exceeds the 16-bit distance limit " +
                                     std::to_string(kMaxBallHops));
     }
-    const std::size_t n = g.node_count();
-    if (s.stamp.size() < n) {
-        s.stamp.resize(n, 0);
-        s.dist.resize(n);
-        s.g2l.resize(n);
-    }
+    s.fit(g.node_count());
     if (++s.epoch == 0) {  // wrap: invalidate everything once
         std::fill(s.stamp.begin(), s.stamp.end(), 0);
         s.epoch = 1;
@@ -82,8 +108,9 @@ std::size_t truncated_bfs(const Graph& g, NodeId v, std::size_t k, BallScratch& 
     // free queue slot unconditionally and kept by advancing the tail by a
     // 0/1 predicate.  The stamp, dist and g2l words of a non-member hold
     // stale but initialised values, so reading them is harmless.
-    if (s.bfs.empty()) s.bfs.resize(1);
-    s.bfs[0] = v;
+    const std::size_t capacity = s.bfs.capacity();
+    std::size_t peak = 1;  // the most queue slots this ball needs
+    grow(s.bfs, 1, 2)[0] = v;
     s.stamp[v] = epoch;
     s.dist[v] = 0;
     s.g2l[v] = 0;
@@ -92,9 +119,9 @@ std::size_t truncated_bfs(const Graph& g, NodeId v, std::size_t k, BallScratch& 
         const NodeId x = s.bfs[head];
         if (s.dist[x] == k) continue;
         const auto row = g.neighbors(x);
-        if (s.bfs.size() < tail + row.size()) s.bfs.resize(2 * (tail + row.size()));
+        peak = std::max(peak, tail + row.size());
+        NodeId* const queue = grow(s.bfs, tail + row.size(), 2 * (tail + row.size()));
         const auto next = static_cast<std::uint16_t>(s.dist[x] + 1);
-        NodeId* const queue = s.bfs.data();
         for (const NodeId y : row) {
             const bool fresh = s.stamp[y] != epoch;
             s.stamp[y] = epoch;
@@ -103,15 +130,57 @@ std::size_t truncated_bfs(const Graph& g, NodeId v, std::size_t k, BallScratch& 
             queue[tail] = y;
             tail += fresh;
         }
-        if (tail > limit) return 0;
+    }
+    if (s.bfs.capacity() > capacity) {
+        // Keep exactly what this ball needed: the capacity is then the
+        // largest ball's need, whatever order the balls came in.
+        std::vector<NodeId> exact;
+        exact.reserve(peak);
+        exact.assign(s.bfs.begin(), s.bfs.begin() + static_cast<std::ptrdiff_t>(tail));
+        s.bfs.swap(exact);
     }
     return tail;
+}
+
+/// `compile_ball_masks`'s rows for a ball of `m` members whose BFS is in
+/// `s`, at `kWords` words a row (0: mask_words(m) words), into `rows`.
+template <std::size_t kWords>
+void write_ball_rows(const Graph& g, std::size_t k, const BallScratch& s, std::size_t m,
+                     std::uint64_t* rows) {
+    constexpr std::uint64_t kOne = 1;
+    const std::size_t words = kWords != 0 ? kWords : mask_words(m);
+    // Interior members (closer than k hops) were all expanded, so every
+    // neighbour of one is a member and every link at one is visible: its
+    // row is its adjacency row.  BFS order puts them first.
+    std::size_t interior = 0;
+    for (; interior < m && s.dist[s.bfs[interior]] < k; ++interior) {
+        std::uint64_t* const row = rows + interior * words;
+        std::fill_n(row, words, 0);
+        for (const NodeId y : g.neighbors(s.bfs[interior])) {
+            const std::uint32_t j = s.g2l[y];
+            row[mask_word<kWords>(j)] |= kOne << (j % 64);
+        }
+    }
+    // A boundary member (exactly k hops) sees only its links to the
+    // interior: its row is its column of the interior rows.
+    std::fill(rows + interior * words, rows + m * words, 0);
+    for (std::size_t i = 0; i < interior; ++i) {
+        const std::uint64_t* const row = rows + i * words;
+        for (std::size_t w = interior / 64; w < words; ++w) {
+            std::uint64_t b = row[w];
+            if (w == interior / 64) b &= ~std::uint64_t{0} << (interior % 64);
+            for (; b != 0; b &= b - 1) {
+                const std::size_t j = w * 64 + static_cast<std::size_t>(std::countr_zero(b));
+                rows[j * words + mask_word<kWords>(i)] |= kOne << (i % 64);
+            }
+        }
+    }
 }
 
 }  // namespace
 
 void compile_ball(const Graph& g, NodeId v, std::size_t k, BallScratch& s) {
-    const std::size_t tail = truncated_bfs(g, v, k, s, std::numeric_limits<std::size_t>::max());
+    const std::size_t tail = truncated_bfs(g, v, k, s);
     const std::uint32_t epoch = s.epoch;
     LocalTopology& out = s.view;
     out.center = v;
@@ -144,28 +213,12 @@ void compile_ball(const Graph& g, NodeId v, std::size_t k, BallScratch& s) {
 }
 
 std::size_t compile_ball_masks(const Graph& g, NodeId v, std::size_t k, BallScratch& s,
-                               std::uint64_t (&rows)[kMaskBallMembers]) {
-    constexpr std::uint64_t kOne = 1;
-    const std::size_t m = truncated_bfs(g, v, k, s, kMaskBallMembers);
-    if (m == 0) return 0;
-    // Interior members (closer than k hops) were all expanded, so every
-    // neighbour of one is a member and every link at one is visible: its
-    // row is its adjacency row.  BFS order puts them first.
-    std::size_t interior = 0;
-    for (; interior < m && s.dist[s.bfs[interior]] < k; ++interior) {
-        std::uint64_t r = 0;
-        for (const NodeId y : g.neighbors(s.bfs[interior])) r |= kOne << (s.g2l[y] & 63);
-        rows[interior] = r;
-    }
-    // A boundary member (exactly k hops) sees only its links to the
-    // interior: its row is its column of the interior rows.
-    for (std::size_t i = interior; i < m; ++i) rows[i] = 0;
-    const std::uint64_t boundary =
-        interior == kMaskBallMembers ? 0 : ~std::uint64_t{0} << interior;
-    for (std::size_t i = 0; i < interior; ++i) {
-        for (std::uint64_t b = rows[i] & boundary; b != 0; b &= b - 1) {
-            rows[std::countr_zero(b)] |= kOne << i;
-        }
+                               std::uint64_t (&one_word)[64]) {
+    const std::size_t m = truncated_bfs(g, v, k, s);
+    if (m <= 64) {
+        write_ball_rows<1>(g, k, s, m, one_word);
+    } else {
+        write_ball_rows<0>(g, k, s, m, s.reserve_masks(m * mask_words(m)));
     }
     return m;
 }

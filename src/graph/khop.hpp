@@ -13,6 +13,9 @@
 /// member list N_k(v) plus a CSR over local ids, so it costs O(ball), not
 /// O(n).  `compile_ball` builds Definition-2 views; `induced_topology`
 /// builds every other view (global, hello-built, hand-built).
+/// `compile_ball_masks` writes the same G_k(v) as node-mask rows — one
+/// bitset per member, over members numbered in BFS order — which is the
+/// form the coverage kernel decides on (core/coverage.hpp).
 
 #pragma once
 
@@ -86,15 +89,34 @@ struct LocalTopology {
 /// bits.
 inline constexpr std::size_t kMaxBallHops = 65535;
 
+/// Words in one node mask of a view with `m` members (at least one).
+[[nodiscard]] inline constexpr std::size_t mask_words(std::size_t m) noexcept {
+    return m <= 64 ? 1 : (m + 63) / 64;
+}
+
+/// The word of a `kWords`-word node mask that holds bit `i` (kWords == 0:
+/// any word count).  A one-word mask always uses word 0, so one-word code
+/// indexes its masks with constants and keeps them in registers.
+template <std::size_t kWords>
+[[nodiscard]] inline constexpr std::size_t mask_word(std::size_t i) noexcept {
+    return kWords == 1 ? 0 : i / 64;
+}
+
 /// Caller-owned working memory and output of `compile_ball` and
 /// `compile_ball_masks`.  The three O(n) working arrays are validated by
 /// epoch stamps, so consecutive compiles clear nothing, and every buffer
 /// only grows — zero allocations per ball in steady state.  The BFS queue
 /// and the CSR column buffer are written past their live end (a slot per
-/// scanned adjacency entry), so each is sized to the largest such write
-/// seen so far, not to the ball.
+/// scanned adjacency entry).  The BFS queue and the mask buffer end each
+/// ball with exactly the capacity of the largest request seen, so their
+/// capacities do not depend on the order of the balls.
 struct BallScratch {
     LocalTopology view;  ///< output of `compile_ball`: G_k(v)
+    /// Output of `compile_ball_masks` for balls of more than 64 members:
+    /// row i (`mask_words(m)` words from i * mask_words(m)) is local i's
+    /// visible neighbours.  A decision on the rows may keep its working
+    /// masks after them (`reserve_masks`).
+    std::vector<std::uint64_t> masks;
     // Working set.
     std::vector<NodeId> bfs;           ///< BFS queue / discovery order
     std::vector<std::uint16_t> dist;   ///< hop distance from the center
@@ -106,6 +128,16 @@ struct BallScratch {
     /// True iff `x` is a member of the last compiled ball.
     [[nodiscard]] bool member(NodeId x) const noexcept { return stamp[x] == epoch; }
 
+    /// Sizes the O(n) working arrays for graphs of `n` nodes.
+    void fit(std::size_t n);
+
+    /// `masks` with room for at least `words` words (contents kept).
+    std::uint64_t* reserve_masks(std::size_t words);
+
+    /// Gives the BFS queue and the mask buffer at least the capacities of
+    /// `other`'s.
+    void reserve_like(const BallScratch& other);
+
     /// Heap bytes held (capacity, not size).
     [[nodiscard]] std::size_t bytes() const noexcept;
 };
@@ -116,20 +148,20 @@ struct BallScratch {
 /// independent of n.  Throws std::invalid_argument when k > kMaxBallHops.
 void compile_ball(const Graph& g, NodeId v, std::size_t k, BallScratch& s);
 
-/// Most members `compile_ball_masks` takes: a row is one 64-bit word.
-inline constexpr std::size_t kMaskBallMembers = 64;
-
-/// G_k(v) as one-word rows, straight from `g`, for balls of at most 64
-/// members.  Local ids are BFS discovery order: local i names `s.bfs[i]`
-/// (the center is 0), and `s.g2l[x]` is the local id of a member x
-/// (`s.member(x)`).  Bit j of `rows[i]` is set iff the link between locals
-/// i and j is in E ∩ (N_{k-1}(v) × N_k(v)) — the links `compile_ball`
-/// keeps.  Returns the member count, or 0 (rows undefined) once the BFS
-/// passes 64 members; `s.view` is left alone.  The rows of the k-hop
+/// G_k(v) as node-mask rows, straight from `g`, for a ball of any size:
+/// with m members and W = mask_words(m), row i is the W words from i * W,
+/// in `one_word` when m <= 64 (the caller's stack array, like the
+/// coverage kernel's other one-word masks) and in `s.masks` otherwise.
+/// Local ids are BFS discovery order: local i names `s.bfs[i]` (the
+/// center is 0), and `s.g2l[x]` is the local id of a member x
+/// (`s.member(x)`).  Bit j of row i is set iff the link between locals i
+/// and j is in E ∩ (N_{k-1}(v) × N_k(v)) — the links `compile_ball`
+/// keeps.  Returns m; `s.view` is left alone.  The rows of the k-hop
 /// boundary are the transpose of the interior rows, so no boundary node's
-/// adjacency is read.  Throws std::invalid_argument when k > kMaxBallHops.
+/// adjacency is read.  Rows cost m * W words, quadratic in m.  Throws
+/// std::invalid_argument when k > kMaxBallHops.
 std::size_t compile_ball_masks(const Graph& g, NodeId v, std::size_t k, BallScratch& s,
-                               std::uint64_t (&rows)[kMaskBallMembers]);
+                               std::uint64_t (&one_word)[64]);
 
 /// The builder for views that do not come from `compile_ball`: global
 /// information (k == 0), hello-built views and hand-built test views.

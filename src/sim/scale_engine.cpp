@@ -243,17 +243,8 @@ bool ScaleEngine::decide(DecideScratch& ds, NodeId v, std::uint32_t payload) {
         const auto pkt = packets_.begin() + payload;
         ds.visited.assign(pkt + 1, pkt + 1 + std::max<std::uint32_t>(*pkt, 1));
     }
-    const CoverageOptions& opts = config_.generic.coverage;
-    const std::size_t k = config_.generic.hops;
-    if (!opts.strong && opts.max_path_hops == 0 && opts.coverage_radius == 0) {
-        if (const auto covered = ball_covered_on_words(graph_, v, k, keys_, ds.visited,
-                                                       opts.merge_visited, ds.ball)) {
-            return !*covered;
-        }
-    }
-    // A ball of more than 64 members, or an option the one-word kernel
-    // does not take.
-    return !ball_covered_compiled(graph_, v, k, keys_, ds.visited, opts, ds.ball);
+    return !ball_covered(graph_, v, config_.generic.hops, keys_, ds.visited,
+                         config_.generic.coverage, ds.ball);
 }
 
 std::size_t ScaleEngine::window_index(double time) const noexcept {
@@ -545,12 +536,23 @@ ScaleResult ScaleEngine::run(NodeId source) {
                     fresh_[wheel_of(v)].push_back(v);
                 }
             }
-            if (!crew) crew.emplace(config_.jobs, config_.wheels);
+            if (!crew) {
+                // Every worker's O(n) scratch is sized with the crew, not
+                // on the worker's first decision, which the scheduler
+                // decides.
+                crew.emplace(config_.jobs, config_.wheels);
+                for (DecideScratch& ds : deciders_) ds.ball.fit(n);
+            }
             crew->run_phase([&](std::size_t wi, std::size_t worker) {
                 for (NodeId v : fresh_[wi]) {
                     pre_dec_[v] = decide(deciders_[worker], v, pre_pkt_[v]) ? 1 : 0;
                 }
             });
+            // The per-ball buffers grow with the balls a worker decided;
+            // levelling them keeps state_bytes independent of which worker
+            // claimed which wheel.
+            for (const DecideScratch& ds : deciders_) deciders_[0].reserve_like(ds);
+            for (DecideScratch& ds : deciders_) ds.reserve_like(deciders_[0]);
         }
 
         // Serial replay in pop order; a chunk goes back to the free list

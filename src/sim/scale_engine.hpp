@@ -40,23 +40,19 @@
 /// k-hop views (k >= 1) × any priority/history/coverage knobs.  Under a
 /// collision-free uniform-delay medium a first-receipt self-pruning
 /// decision depends only on the *first received* packet (its history
-/// chain), so a decision is a pure function of (node, packet).  For a
-/// ball N_k(v) of at most 64 members under the full condition (no strong,
-/// bounded-path or radius option), `ball_covered_on_words`
-/// (src/core/coverage.hpp) decides straight from the one immutable graph
-/// the engine was constructed with: `compile_ball_masks`
-/// (src/graph/khop.hpp) runs the truncated BFS shared with `compile_ball`,
-/// numbering members in discovery order, and writes each member's visible
-/// links as a 64-bit row; the higher-priority mask H comes from the static
-/// keys and the visited mask from the packet's chain; the one-word kernel
-/// decides on those three.  No member list is sorted, no CSR is written
-/// and no per-member `Priority` is filled.  The verdict does not depend on
-/// how members are numbered, so it equals the compiled path's.  A larger
-/// ball, or one of those options, falls back to the compiled view:
-/// `compile_ball` (the Definition-2 routine behind `local_topology`) into
-/// per-worker scratch, a status and priority per member, and
-/// `evaluate_coverage_compiled`.  Both paths allocate nothing in steady
-/// state.
+/// chain), so a decision is a pure function of (node, packet).  Every
+/// decision, for any ball size and any coverage option, is one call to
+/// `ball_covered` (src/core/coverage.hpp), which decides straight from the
+/// one immutable graph the engine was constructed with:
+/// `compile_ball_masks` (src/graph/khop.hpp) runs the truncated BFS shared
+/// with `compile_ball`, numbering members in discovery order, and writes
+/// each member's visible links as a node-mask row of ⌈m/64⌉ words; the
+/// higher-priority mask H comes from the static keys and the visited mask
+/// from the packet's chain; the coverage kernel decides on those three.
+/// No member list is sorted, no CSR is written and no per-member
+/// `Priority` is filled.  The verdict does not depend on how members are
+/// numbered, so it equals `evaluate_coverage` on the sorted Definition-2
+/// view.  A decision allocates nothing in steady state.
 ///
 /// **Wheels and jobs.**  Nodes are block-partitioned into
 /// `ScaleConfig::wheels` shards.  At `jobs > 1`, a generic window of at
@@ -65,9 +61,12 @@
 /// workers claiming wheels, and the replay uses a verdict only when the
 /// node's first receipt carries the very packet it was decided for.  Each
 /// worker owns one compile-scratch set (its O(n) arrays are the bulk of a
-/// generic engine's bytes/node), allocated on its first decision, so at
-/// `jobs == 1` there is exactly one set, whatever `wheels` is.  Neither
-/// value changes an output.
+/// generic engine's bytes/node): the calling thread's is allocated on the
+/// first decision, every other worker's when the crew is created, and the
+/// per-ball buffers of all of them are levelled after each pre-scan, so
+/// at `jobs == 1` there is exactly one set, whatever `wheels` is, and at
+/// any `jobs` the bytes do not depend on how the scheduler ran the
+/// workers.  Neither value changes an output.
 ///
 /// **Faults at scale.**  `attach_faults` threads a `faults::FaultPlan`
 /// (crash/recover schedules, link churn, counter-based asymmetric loss)
@@ -117,8 +116,8 @@ enum class ScalePolicy {
 };
 
 /// Where `kGenericCoverage` gets its Definition-2 local views.  There is
-/// one backend — per-decision masks or `compile_ball` into per-worker
-/// scratch — so the value selects nothing.
+/// one backend — per-decision node masks in per-worker scratch — so the
+/// value selects nothing.
 enum class ScaleViewMode {
     kScratch,
 };
@@ -228,7 +227,13 @@ class ScaleEngine {
     /// grow — zero allocations per decision in steady state.
     struct DecideScratch {
         std::vector<NodeId> visited;  ///< decision-time visited set (<= h+1)
-        BallScratch ball;             ///< the decision's compiled view
+        BallScratch ball;             ///< the decision's node-mask view
+
+        /// Takes at least `other`'s capacities for the per-ball buffers.
+        void reserve_like(const DecideScratch& other) {
+            visited.reserve(other.visited.capacity());
+            ball.reserve_like(other.ball);
+        }
     };
 
     /// One calendar entry, 16 bytes.  `payload` is the packet (kDelivery:

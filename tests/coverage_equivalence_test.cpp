@@ -5,8 +5,8 @@
 // into a dense-id CSR with per-thread scratch and word-parallel bitsets;
 // the reference family scans global ids with per-call allocations.  The
 // refactor's contract is that the two families agree on *everything
-// observable* — verdicts, witness pairs, component labels, reachability
-// masks, max-min nodes and full maximal paths — for every graph shape and
+// observable* — verdicts, witness pairs, reachability masks, max-min
+// nodes and full maximal paths — for every graph shape and
 // every CoverageOptions combination.  These tests sweep random unit-disk
 // placements (the simulation workload), adversarial structured graphs,
 // G(n,p) noise, and both owning and KnowledgeBase-cached borrowing views.
@@ -88,12 +88,6 @@ void expect_kernels_agree(const View& view, const std::string& label) {
         }
 
         const Priority pv = view.priority(v);
-        ASSERT_EQ(higher_priority_components(view, pv, true),
-                  reference::higher_priority_components(view, pv, true))
-            << label << " node " << v;
-        ASSERT_EQ(higher_priority_components(view, pv, false),
-                  reference::higher_priority_components(view, pv, false))
-            << label << " node " << v;
         ASSERT_EQ(connected_via_higher_priority(view, v, pv),
                   reference::connected_via_higher_priority(view, v, pv))
             << label << " node " << v;
@@ -198,11 +192,10 @@ TEST(CoverageEquivalence, AdversarialStructuredGraphs) {
     }
 }
 
-/// The shape of H(v), the nodes that outrank an unvisited `v`, which
-/// selects the kernel's paths: its component count (the label words the
-/// flat bitsets hold) and how many of its components hold a visited node
-/// (>= 2: `merge_visited_labels` remaps; exactly 1: it skips the remap,
-/// which would be the identity).
+/// The shape of H(v), the nodes that outrank an unvisited `v`: its
+/// component count and how many of its components hold a visited node
+/// (>= 2: merge_visited joins several components into the first one the
+/// kernel grows; exactly 1: the merge changes nothing).
 struct HShape {
     std::size_t labels = 0;
     std::size_t visited_components = 0;
@@ -225,9 +218,9 @@ HShape h_shape(const View& view, NodeId v) {
 /// A comb around a low-priority center (id priority): leaves 0..m-1 rank
 /// below the center m, which is adjacent to all of them; pendant m+1+i
 /// hangs off leaf i; a hub 2m+1 touches every leaf (but the last when
-/// `cut_last`).  H(center) is the m pendants (labels 0..m-1) plus the hub
-/// (label m), so with m > 64 every label set spans two words and the
-/// shared hub label lives in the second one.
+/// `cut_last`).  H(center) is the m pendants plus the hub, m + 1
+/// components, so with m > 64 the view's masks span three words and the
+/// hub's component is the last one grown.
 Graph comb_graph(NodeId m, bool cut_last) {
     Graph g(2 * m + 2);
     const NodeId hub = 2 * m + 1;
@@ -264,10 +257,10 @@ TEST(CoverageEquivalence, MultiWordLabelSetsAndVisitedComponentPaths) {
             ASSERT_EQ(shape.visited_components, visited.size()) << label;
             expect_kernels_agree(view, label);
 
-            // The verdicts the paths must produce at the center: the hub
-            // label (second word) connects every leaf pair unless the last
+            // The verdicts the paths must produce at the center: the hub's
+            // component (third word) connects every leaf pair unless the last
             // leaf is cut off.  Then the first uncovered pair is (leaf 0,
-            // leaf m-1) — except when the remap merges the first and last
+            // leaf m-1) — except when merge_visited joins the first and last
             // pendants, which covers that pair and moves the witness on.
             const bool moved = name == "first+last pendants";
             for (const bool merge : {false, true}) {
@@ -314,14 +307,14 @@ TEST(CoverageEquivalence, VisitedComponentCountsOnRandomGraphs) {
     EXPECT_GE(remap, 100u);
     EXPECT_GE(skip, 100u);
 
-    // The one-word boundary: global views of 63, 64 and 65 members (the
-    // full condition decides on 64-bit node masks up to 64 and on label
-    // bitsets above), with node 63 — the word's top bit — placed at the
-    // centre so it has many neighbours.  Every option combination runs, so
-    // merge_visited is both on and off.
+    // The word boundaries: global views of 63..65 and 127..129 members
+    // (one, two and three mask words), with node 63 — the first word's top
+    // bit — placed at the centre so it has many neighbours.  Every option
+    // combination runs, so merge_visited is both on and off.
     std::size_t top_bit_views = 0;
-    for (const std::size_t n : {std::size_t{63}, std::size_t{64}, std::size_t{65}}) {
-        for (int trial = 0; trial < 4; ++trial) {
+    for (const std::size_t n : {std::size_t{63}, std::size_t{64}, std::size_t{65},
+                                std::size_t{127}, std::size_t{128}, std::size_t{129}}) {
+        for (int trial = 0; trial < (n > 65 ? 2 : 4); ++trial) {
             std::vector<Point2D> pts(n);
             for (Point2D& p : pts) {
                 p.x = rng.uniform(0.0, 10.0);
@@ -329,7 +322,7 @@ TEST(CoverageEquivalence, VisitedComponentCountsOnRandomGraphs) {
             }
             const NodeId top = static_cast<NodeId>(std::min<std::size_t>(63, n - 1));
             pts[top] = {5.0, 5.0};
-            const Graph g = unit_disk_graph(pts, 1.8);
+            const Graph g = unit_disk_graph(pts, n > 65 ? 1.3 : 1.8);
             const PriorityKeys keys(g, PriorityScheme::kNcr);
             std::vector<NodeStatus> status(n, NodeStatus::kUnvisited);
             for (NodeStatus& st : status) {
@@ -344,7 +337,7 @@ TEST(CoverageEquivalence, VisitedComponentCountsOnRandomGraphs) {
                                            std::to_string(trial));
         }
     }
-    EXPECT_GE(top_bit_views, 6u);
+    EXPECT_GE(top_bit_views, 8u);
 }
 
 // The KnowledgeBase path hands kernels a *borrowing* view whose CSR comes
@@ -462,47 +455,63 @@ Graph layered_graph(const std::vector<std::size_t>& layers, double p_link, Rng& 
     return Graph(n, edges);
 }
 
-/// The one-word decision against the compiled one for every node of `g`,
-/// k in {1, 2, 3}, all three priority schemes, an empty visited set
-/// (static) and random history chains of 1-4 nodes ending at a neighbour
-/// (first receipt), merge_visited on and off.  For every ball of at most
-/// 64 members the mask rows must also equal the compiled view's links.
-/// `decided` counts the mask-path decisions and `fallbacks` the rest.
-void expect_ball_words_agree(const Graph& g, Rng& rng, const std::string& label,
-                             std::size_t& decided, std::size_t& fallbacks) {
+/// The option combinations a ball decision runs under: full, strong,
+/// Span's bounded paths, the restricted radii and strong within radius 1,
+/// each with merge_visited on and off.
+std::vector<CoverageOptions> ball_option_combos() {
+    std::vector<CoverageOptions> combos;
+    for (const bool merge : {true, false}) {
+        combos.push_back({.merge_visited = merge});
+        combos.push_back({.strong = true, .merge_visited = merge});
+        combos.push_back({.max_path_hops = 3, .merge_visited = merge});
+        combos.push_back({.merge_visited = merge, .coverage_radius = 1});
+        combos.push_back({.merge_visited = merge, .coverage_radius = 2});
+        combos.push_back({.strong = true, .merge_visited = merge, .coverage_radius = 1});
+    }
+    return combos;
+}
+
+/// The graph-mask decision against `reference::evaluate_coverage` on the
+/// `local_topology` view, for the nodes `deciders` of `g`, k in {1, 2, 3},
+/// all three priority schemes, an empty visited set (static) and random
+/// history chains of 1-4 nodes ending at a neighbour (first receipt), under
+/// every `ball_option_combos` entry.  Each decider's mask rows must also
+/// equal the compiled view's links.  `decided` counts the
+/// decisions and `multi_word` those on balls of more than 64 members.
+void expect_ball_words_agree(const Graph& g, const std::vector<NodeId>& deciders, Rng& rng,
+                             const std::string& label, std::size_t& decided,
+                             std::size_t& multi_word) {
+    static const std::vector<CoverageOptions> combos = ball_option_combos();
     BallScratch words;
     BallScratch compiled;
-    std::uint64_t rows[kMaskBallMembers];
-    std::vector<std::size_t> members(g.node_count());
+    std::uint64_t one_word[64];
     for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
-        for (NodeId v = 0; v < g.node_count(); ++v) {
-            const std::size_t m = compile_ball_masks(g, v, k, words, rows);
+        for (const NodeId v : deciders) {
+            const std::size_t m = compile_ball_masks(g, v, k, words, one_word);
+            const std::uint64_t* const rows = m <= 64 ? one_word : words.masks.data();
             compile_ball(g, v, k, compiled);
             const LocalTopology& view = compiled.view;
-            members[v] = m;
-            if (m == 0) {
-                ASSERT_GT(view.size(), kMaskBallMembers) << label << " v=" << v;
-                continue;
-            }
             ASSERT_EQ(m, view.size()) << label << " v=" << v << " k=" << k;
             ASSERT_EQ(words.bfs[0], v);
+            const std::size_t nw = mask_words(m);
             for (std::size_t i = 0; i < m; ++i) {
                 const std::uint32_t a = view.local_of(words.bfs[i]);
                 ASSERT_NE(a, kNoLocal) << label << " v=" << v;
-                for (std::size_t j = 0; j < m; ++j) {
-                    const std::uint32_t b = view.local_of(words.bfs[j]);
-                    ASSERT_EQ((rows[i] >> j) & 1, view.has_edge(a, b) ? 1u : 0u)
-                        << label << " v=" << v << " k=" << k << " link " << words.bfs[i]
-                        << "-" << words.bfs[j];
+                for (std::size_t j = 0; j < nw * 64; ++j) {
+                    const bool bit = (rows[i * nw + j / 64] >> (j % 64)) & 1;
+                    const bool link = j < m && view.has_edge(a, view.local_of(words.bfs[j]));
+                    ASSERT_EQ(bit, link) << label << " v=" << v << " k=" << k << " row " << i
+                                         << " bit " << j;
                 }
             }
         }
         for (const PriorityScheme scheme : {PriorityScheme::kId, PriorityScheme::kDegree,
                                             PriorityScheme::kNcr}) {
             const PriorityKeys keys(g, scheme);
-            for (NodeId v = 0; v < g.node_count(); ++v) {
+            for (const NodeId v : deciders) {
                 const auto nbrs = g.neighbors(v);
-                for (int chain = 0; chain <= 4; ++chain) {
+                const LocalTopology topo = local_topology(g, v, k);
+                for (int chain = 0; chain <= 4; chain += 2) {
                     std::vector<NodeId> visited;
                     for (int c = 1; c < chain; ++c) {
                         visited.push_back(static_cast<NodeId>(rng.index(g.node_count())));
@@ -510,22 +519,22 @@ void expect_ball_words_agree(const Graph& g, Rng& rng, const std::string& label,
                     if (chain > 0 && !nbrs.empty()) {
                         visited.push_back(nbrs[rng.index(nbrs.size())]);
                     }
-                    for (const bool merge : {false, true}) {
-                        const std::optional<bool> got =
-                            ball_covered_on_words(g, v, k, keys, visited, merge, words);
-                        const bool want = ball_covered_compiled(
-                            g, v, k, keys, visited, CoverageOptions{.merge_visited = merge},
-                            compiled);
-                        ASSERT_EQ(got.has_value(), nbrs.size() <= 1 || members[v] != 0)
-                            << label << " v=" << v << " k=" << k;
-                        if (!got) {
-                            ++fallbacks;
-                            continue;
-                        }
+                    std::vector<NodeStatus> status(g.node_count(), NodeStatus::kInvisible);
+                    for (const NodeId x : topo.members) status[x] = NodeStatus::kUnvisited;
+                    for (const NodeId x : visited) {
+                        if (status[x] != NodeStatus::kInvisible) status[x] = NodeStatus::kVisited;
+                    }
+                    const View view(LocalTopology(topo), std::move(status), &keys);
+                    for (const CoverageOptions& opts : combos) {
+                        const bool got = ball_covered(g, v, k, keys, visited, opts, words);
+                        const bool want = reference::evaluate_coverage(view, v, opts).covered;
                         ++decided;
-                        ASSERT_EQ(*got, want)
+                        multi_word += topo.size() > 64;
+                        ASSERT_EQ(got, want)
                             << label << " v=" << v << " k=" << k << " scheme "
-                            << to_string(scheme) << " chain " << chain << " merge " << merge;
+                            << to_string(scheme) << " chain " << chain << " strong "
+                            << opts.strong << " hops " << opts.max_path_hops << " radius "
+                            << opts.coverage_radius << " merge " << opts.merge_visited;
                     }
                 }
             }
@@ -536,8 +545,8 @@ void expect_ball_words_agree(const Graph& g, Rng& rng, const std::string& label,
 TEST(CoverageEquivalence, BallWordsMatchCompiledBalls) {
     Rng rng(20261019);
     std::size_t decided = 0;
-    std::size_t fallbacks = 0;
-    for (int iter = 0; iter < 24; ++iter) {
+    std::size_t multi_word = 0;
+    for (int iter = 0; iter < 16; ++iter) {
         const std::size_t n = 30 + rng.index(61);  // 30..90
         const double degree = std::vector<double>{4.0, 6.0, 8.0, 12.0}[rng.index(4)];
         std::vector<Point2D> pts(n);
@@ -547,13 +556,18 @@ TEST(CoverageEquivalence, BallWordsMatchCompiledBalls) {
         }
         const Graph g = unit_disk_graph(
             pts, std::sqrt(degree * 100.0 / (3.14159265358979323846 * static_cast<double>(n))));
-        expect_ball_words_agree(g, rng, "udg#" + std::to_string(iter), decided, fallbacks);
+        std::vector<NodeId> all(n);
+        for (NodeId v = 0; v < n; ++v) all[v] = v;
+        expect_ball_words_agree(g, all, rng, "udg#" + std::to_string(iter), decided,
+                                multi_word);
     }
 
-    // Balls of exactly 64 and 65 members around a known center, at each
-    // k: the last layer inside the ball gets the remainder, and a further
-    // layer lies outside it.
-    for (const std::size_t members : {std::size_t{64}, std::size_t{65}}) {
+    // Balls of exactly 64, 65, 128 and 129 members around a known center,
+    // at each k: the last layer inside the ball gets the remainder, and a
+    // further layer lies outside it.  The center and a few other nodes
+    // decide.
+    for (const std::size_t members :
+         {std::size_t{64}, std::size_t{65}, std::size_t{128}, std::size_t{129}}) {
         for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
             std::vector<std::size_t> layers{1};
             for (std::size_t d = 1; d < k; ++d) layers.push_back(6 + rng.index(10));
@@ -564,18 +578,20 @@ TEST(CoverageEquivalence, BallWordsMatchCompiledBalls) {
             NodeId center = 0;
             const Graph g = layered_graph(layers, 0.08, rng, &center);
             BallScratch ball;
-            std::uint64_t rows[kMaskBallMembers];
-            ASSERT_EQ(compile_ball_masks(g, center, k, ball, rows), members == 64 ? 64u : 0u)
-                << "members " << members << " k=" << k;
-            compile_ball(g, center, k, ball);
-            ASSERT_EQ(ball.view.size(), members);
+            std::uint64_t one_word[64];
+            ASSERT_EQ(compile_ball_masks(g, center, k, ball, one_word), members) << "k=" << k;
+            std::vector<NodeId> deciders{center};
+            for (int i = 0; i < 3; ++i) {
+                deciders.push_back(static_cast<NodeId>(rng.index(g.node_count())));
+            }
             expect_ball_words_agree(
-                g, rng, "layered " + std::to_string(members) + " k=" + std::to_string(k),
-                decided, fallbacks);
+                g, deciders, rng,
+                "layered " + std::to_string(members) + " k=" + std::to_string(k), decided,
+                multi_word);
         }
     }
     EXPECT_GE(decided, 10000u);
-    EXPECT_GE(fallbacks, 100u);
+    EXPECT_GE(multi_word, 1000u);
 }
 
 }  // namespace

@@ -236,9 +236,11 @@ TEST(Coverage, HigherPriorityComponentsMergeVisited) {
     std::vector<char> visited{1, 0, 1, 0, 0};
     const View view = make_dynamic_view(g, 4, 0, keys, visited, std::vector<char>(5, 0));
     const Priority bottom = keys.evaluate(4, NodeStatus::kInvisible);
-    const auto merged = higher_priority_components(view, bottom, /*merge_visited=*/true);
+    const auto merged =
+        reference::higher_priority_components(view, bottom, /*merge_visited=*/true);
     EXPECT_EQ(merged[0], merged[2]);
-    const auto split = higher_priority_components(view, bottom, /*merge_visited=*/false);
+    const auto split =
+        reference::higher_priority_components(view, bottom, /*merge_visited=*/false);
     EXPECT_NE(split[0], split[2]);
 }
 

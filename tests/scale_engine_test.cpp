@@ -279,7 +279,8 @@ TEST(ScaleEngineGeneric, StaticTimingMatchesSimulator) {
 TEST(ScaleEngineGeneric, KnobVariationsMatchSimulator) {
     const UnitDiskNetwork net = make_network(160, 0x66f);
     // Sweep the paper's knobs across the honorable subset: view depth,
-    // history length, priority scheme, strong vs full coverage.
+    // history length, priority scheme, strong vs full coverage, Span's
+    // bounded paths and the restricted radius.
     GenericConfig hops3 = generic_fr_config(3);
     GenericConfig no_history = generic_fr_config(2);
     no_history.history = 0;
@@ -288,9 +289,18 @@ TEST(ScaleEngineGeneric, KnobVariationsMatchSimulator) {
     GenericConfig by_id = generic_fr_config(2, PriorityScheme::kId);
     GenericConfig strong = generic_fr_config(2);
     strong.coverage.strong = true;
-    for (const GenericConfig& gc : {hops3, no_history, long_history, by_id, strong}) {
+    GenericConfig bounded = generic_fr_config(2);
+    bounded.coverage.max_path_hops = 3;
+    GenericConfig strong_radius = generic_fr_config(2);
+    strong_radius.coverage.strong = true;
+    strong_radius.coverage.coverage_radius = 1;
+    for (const GenericConfig& gc :
+         {hops3, no_history, long_history, by_id, strong, bounded, strong_radius}) {
         expect_engine_matches_simulator(net.graph, 9, gc, 6, 4);
     }
+    // Hub balls of about 190 members: decisions on three- and four-word
+    // node masks.
+    expect_engine_matches_simulator(wide_window_graph(), 0, generic_fr_config(2), 8, 4);
 }
 
 TEST(ScaleEngineGeneric, DigestIndependentOfWheelsAndJobs) {
@@ -331,8 +341,8 @@ TEST(ScaleEngineGeneric, MatchesSimulatorAtEveryWheelAndJobCount) {
 TEST(ScaleEngineGeneric, DecisionScratchIsPerWorkerNotPerWheel) {
     // The O(n) compile scratch belongs to crew workers, not wheels: at
     // jobs 1 the wheel count moves state_bytes only through the per-wheel
-    // pre-scan lists, while each extra worker that takes a decision adds a
-    // scratch set of its own.  Windows here are wide enough to wake the
+    // pre-scan lists, while each extra worker adds a scratch set of its
+    // own.  Windows here are wide enough to wake the
     // crew, and results stay identical throughout.
     const Graph g = wide_window_graph();
     const std::size_t n = g.node_count();
@@ -366,15 +376,20 @@ TEST(ScaleEngineGeneric, DecisionScratchIsPerWorkerNotPerWheel) {
     EXPECT_LT(hi - lo, 10 * n) << "wheels 1: " << bytes_jobs1[0]
                                << " B, wheels 32: " << bytes_jobs1[1] << " B";
 
-    // Which worker claims which wheel is up to the scheduler, so rerun
-    // until a second worker has compiled a ball (state only grows).
-    ScaleEngine crew(g, config(32, 4));
-    std::size_t crew_bytes = 0;
-    for (int attempt = 0; attempt < 8 && crew_bytes <= bytes_jobs1[1]; ++attempt) {
-        EXPECT_EQ(crew.run(0).order_digest, want.order_digest);
-        crew_bytes = crew.state_bytes();
+    // Which worker claims which wheel is up to the scheduler, but every
+    // worker's O(n) scratch is sized when the crew is created and the
+    // per-ball buffers are levelled after each pre-scan: each extra worker
+    // adds exactly one scratch set, at least its stamp, global-to-local and
+    // distance arrays.
+    std::size_t crew_bytes[3] = {0, 0, 0};
+    for (const std::size_t j : {2ULL, 3ULL, 4ULL}) {
+        ScaleEngine crew(g, config(32, j));
+        EXPECT_EQ(crew.run(0).order_digest, want.order_digest) << "jobs=" << j;
+        crew_bytes[j - 2] = crew.state_bytes();
     }
-    EXPECT_GT(crew_bytes, bytes_jobs1[1]);
+    EXPECT_EQ(crew_bytes[2] - crew_bytes[1], crew_bytes[1] - crew_bytes[0]);
+    EXPECT_GE(crew_bytes[1] - crew_bytes[0], 10 * n);
+    EXPECT_GT(crew_bytes[0], bytes_jobs1[1]);
 }
 
 TEST(ScaleEngineGeneric, RejectsUnhonorableGenericKnobs) {
