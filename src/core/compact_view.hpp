@@ -113,7 +113,8 @@ class LocalViewScratch {
     std::vector<char> active;           ///< activation flags (maxmin)
     std::vector<std::uint64_t> mark;    ///< membership bitset (LENWB reach)
     /// Node-mask rows and working masks of the coverage kernel, for views
-    /// of more than 64 members (smaller views keep them on the stack).
+    /// of more than 64 members (smaller views keep them on the stack);
+    /// grown to exactly the largest view's need.
     std::vector<std::uint64_t> masks;
 };
 

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cassert>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "core/compact_view.hpp"
 
@@ -225,9 +227,47 @@ template <std::size_t kWords>
     return {};
 }
 
-/// `evaluate_coverage_compiled` on W-word masks: rows, H and the visited
-/// set from the compact view `c` into `rows`/`in_h`/`visited`, then the
-/// kernel.
+[[noreturn, gnu::cold]] void refuse_view(std::size_t m) {
+    throw std::length_error("coverage: a view of " + std::to_string(m) +
+                            " members exceeds the node-mask kernel's limit of " +
+                            std::to_string(kMaxMaskMembers) +
+                            " (its masks cost about m * m / 4 bytes)");
+}
+
+/// Calls `f(std::integral_constant<std::size_t, W>{}, rows, in_h, visited,
+/// temps, reach)` on the kernel's masks for a view of `m` members, the one
+/// place they are laid out.  W = 1 (m <= 64): separate stack arrays.
+/// Otherwise W = 0 (mask_words(m) words a mask): one block of `heap`, grown
+/// to exactly the largest view's need — m rows, H, the visited set,
+/// kTempMasks temporaries and m reaches.  Throws std::length_error above
+/// kMaxMaskMembers members.
+template <class F>
+[[gnu::always_inline]] inline auto on_kernel_masks(std::size_t m, std::vector<std::uint64_t>& heap,
+                                                   F&& f) {
+    if (m <= 64) {
+        std::uint64_t rows[64];
+        std::uint64_t in_h;
+        std::uint64_t visited;
+        std::uint64_t temps[kTempMasks];
+        std::uint64_t reach[64];
+        return f(std::integral_constant<std::size_t, 1>{}, rows, &in_h, &visited, temps, reach);
+    }
+    if (m > kMaxMaskMembers) refuse_view(m);
+    const std::size_t nw = mask_words(m);
+    const std::size_t words = (2 * m + 2 + kTempMasks) * nw;
+    if (heap.size() < words) {
+        heap.reserve(words);
+        heap.resize(words);
+    }
+    std::uint64_t* const rows = heap.data();
+    std::uint64_t* const in_h = rows + m * nw;
+    std::uint64_t* const temps = in_h + 2 * nw;
+    return f(std::integral_constant<std::size_t, 0>{}, rows, in_h, in_h + nw, temps,
+             temps + kTempMasks * nw);
+}
+
+/// The coverage condition for `lv` in the compact view `c` on W-word
+/// masks: rows, H and the visited set from `c`, then the kernel.
 template <std::size_t kWords>
 [[gnu::always_inline]] inline MaskVerdict compact_covered(
     const CompactLocalView& c, std::uint32_t lv, const Priority& pv,
@@ -247,15 +287,17 @@ template <std::size_t kWords>
     return covered_on_masks<kWords>(rows, nw, in_h, visited, lv, opts, temps, reach);
 }
 
-/// `ball_covered` on W-word masks, after `compile_ball_masks` wrote the
-/// `m` rows of v's ball to `rows`: H and the visited set into
-/// `in_h`/`seen`, then the kernel.  v is local 0.
+/// `ball_covered` on W-word masks for the ball of `m` members that
+/// `ball_bfs` left in `s`: rows, H and the visited set straight from the
+/// graph, then the kernel.  v is local 0.
 template <std::size_t kWords>
 [[gnu::always_inline]] inline bool ball_covered_on(
-    NodeId v, std::size_t m, const PriorityKeys& keys, std::span<const NodeId> visited,
-    const CoverageOptions& opts, const BallScratch& s, const std::uint64_t* rows,
-    std::uint64_t* in_h, std::uint64_t* seen, std::uint64_t* temps, std::uint64_t* reach) {
+    const Graph& g, NodeId v, std::size_t k, std::size_t m, const PriorityKeys& keys,
+    std::span<const NodeId> visited, const CoverageOptions& opts, const BallScratch& s,
+    std::uint64_t* rows, std::uint64_t* in_h, std::uint64_t* seen, std::uint64_t* temps,
+    std::uint64_t* reach) {
     const MaskOps<kWords> ops{mask_words(m)};
+    compile_ball_masks<kWords>(g, k, s, m, rows);
     ops.fill(seen, 0);
     for (const NodeId x : visited) {
         if (s.member(x)) ops.put(seen, s.g2l[x], true);
@@ -326,23 +368,10 @@ CoverageOutcome evaluate_coverage_compiled(LocalViewScratch& s, std::uint32_t lv
                                            const Priority& pv, const CoverageOptions& opts) {
     const CompactLocalView& c = s.compact;
     if (c.row(lv).size() <= 1) return {.covered = true};  // no neighbor pair to connect
-    MaskVerdict verdict;
-    if (c.size <= 64) {
-        std::uint64_t rows[64];
-        std::uint64_t in_h;
-        std::uint64_t visited;
-        std::uint64_t temps[kTempMasks];
-        std::uint64_t reach[64];
-        verdict = compact_covered<1>(c, lv, pv, opts, rows, &in_h, &visited, temps, reach);
-    } else {
-        const std::size_t nw = mask_words(c.size);
-        s.masks.resize((2 * c.size + 2 + kTempMasks) * nw);
-        std::uint64_t* const rows = s.masks.data();
-        std::uint64_t* const in_h = rows + c.size * nw;
-        std::uint64_t* const temps = in_h + 2 * nw;
-        verdict = compact_covered<0>(c, lv, pv, opts, rows, in_h, in_h + nw, temps,
-                                     temps + kTempMasks * nw);
-    }
+    const MaskVerdict verdict = on_kernel_masks(
+        c.size, s.masks, [&](auto words, auto... masks) {
+            return compact_covered<decltype(words)::value>(c, lv, pv, opts, masks...);
+        });
     if (verdict.covered) return {.covered = true};
     return {.covered = false,
             .uncovered_u = c.members[verdict.u],
@@ -353,20 +382,11 @@ bool ball_covered(const Graph& g, NodeId v, std::size_t k, const PriorityKeys& k
                   std::span<const NodeId> visited, const CoverageOptions& opts, BallScratch& s) {
     if (k == 0) throw std::invalid_argument("ball_covered: hops must be >= 1");
     if (g.neighbors(v).size() <= 1) return true;  // no neighbor pair to connect
-    std::uint64_t rows[64];
-    const std::size_t m = compile_ball_masks(g, v, k, s, rows);
-    if (m <= 64) {
-        std::uint64_t in_h;
-        std::uint64_t seen;
-        std::uint64_t temps[kTempMasks];
-        std::uint64_t reach[64];
-        return ball_covered_on<1>(v, m, keys, visited, opts, s, rows, &in_h, &seen, temps, reach);
-    }
-    const std::size_t nw = mask_words(m);
-    std::uint64_t* const in_h = s.reserve_masks((2 * m + 2 + kTempMasks) * nw) + m * nw;
-    std::uint64_t* const temps = in_h + 2 * nw;
-    return ball_covered_on<0>(v, m, keys, visited, opts, s, s.masks.data(), in_h, in_h + nw,
-                              temps, temps + kTempMasks * nw);
+    const std::size_t m = ball_bfs(g, v, k, s);
+    return on_kernel_masks(m, s.masks, [&](auto words, auto... masks) {
+        return ball_covered_on<decltype(words)::value>(g, v, k, m, keys, visited, opts, s,
+                                                       masks...);
+    });
 }
 
 CoverageOutcome evaluate_coverage(const View& view, NodeId v, const CoverageOptions& opts,

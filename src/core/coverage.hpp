@@ -24,9 +24,10 @@
 /// grow by ORing rows.  A view of at most 64 members runs the one-word
 /// instantiation on stack arrays; larger views run the same code over W
 /// words in reused scratch.  Rows cost m * W words per decision, quadratic
-/// in m: the largest views any test, bench or campaign builds have about
-/// 200 members (4 words a row), and nothing builds views where that cost
-/// would call for another algorithm.
+/// in m, and time grows as deg(v) * m * W: the largest views any test,
+/// bench or campaign builds have about 200 members (4 words a row).  A
+/// view of more than kMaxMaskMembers members is refused with
+/// std::length_error rather than decided on masks of megabytes.
 
 #pragma once
 
@@ -40,6 +41,10 @@
 #include "graph/khop.hpp"
 
 namespace adhoc {
+
+/// The most view members the coverage kernel decides on: its masks for m
+/// members take about m * m / 4 bytes (4 MiB here).
+inline constexpr std::size_t kMaxMaskMembers = 4096;
 
 /// Tuning knobs that turn the one generic condition into the special cases
 /// of Section 6.
@@ -80,7 +85,8 @@ struct CoverageOutcome {
 /// priority comparisons — normally kUnvisited; pass kDesignated to model
 /// the relaxed designated-node rule of Section 4.2 (a designated node may
 /// still prune if covered by *visited or higher-priority designated*
-/// nodes).
+/// nodes).  Throws std::length_error when the view has more than
+/// kMaxMaskMembers members.
 [[nodiscard]] CoverageOutcome evaluate_coverage(const View& view, NodeId v,
                                                 const CoverageOptions& opts = {},
                                                 NodeStatus self_status = NodeStatus::kUnvisited);
@@ -102,15 +108,16 @@ struct CoverageOutcome {
 
 /// The coverage condition for `v` over its Definition-2 view G_k(v),
 /// k >= 1, decided straight from `g` under any options and for any ball
-/// size: `compile_ball_masks` writes the rows in BFS order and the kernel
-/// behind `evaluate_coverage_compiled` decides on them — no sorted member
-/// list, no CSR, no per-member `Priority`.  Nodes in `visited` that are
-/// members have status visited (the decision-time history), every other
-/// member is unvisited, and so is v.  Returns whether v is covered.  The
-/// verdict equals `evaluate_coverage` on `local_topology(g, v, k)` with
-/// those statuses: only the witness, which this does not report, depends
-/// on local-id order.  Throws std::invalid_argument when k == 0 or
-/// k > kMaxBallHops.
+/// size: `ball_bfs` and `compile_ball_masks` write the rows in BFS order
+/// and the kernel behind `evaluate_coverage_compiled` decides on them — no
+/// sorted member list, no CSR, no per-member `Priority`.  Nodes in
+/// `visited` that are members have status visited (the decision-time
+/// history), every other member is unvisited, and so is v.  Returns
+/// whether v is covered.  The verdict equals `evaluate_coverage` on
+/// `local_topology(g, v, k)` with those statuses: only the witness, which
+/// this does not report, depends on local-id order.  Throws
+/// std::invalid_argument when k == 0 or k > kMaxBallHops, and
+/// std::length_error when the ball has more than kMaxMaskMembers members.
 [[nodiscard]] bool ball_covered(const Graph& g, NodeId v, std::size_t k, const PriorityKeys& keys,
                                 std::span<const NodeId> visited, const CoverageOptions& opts,
                                 BallScratch& s);

@@ -43,21 +43,6 @@ std::vector<NodeId> two_hop_cover_set(const Graph& g, NodeId v) {
     return nodes;
 }
 
-namespace {
-
-/// Grows `v` to at least `need` elements; a reallocation reserves `room`
-/// (>= need).
-template <class T>
-T* grow(std::vector<T>& v, std::size_t need, std::size_t room) {
-    if (v.size() < need) {
-        if (v.capacity() < need) v.reserve(room);
-        v.resize(v.capacity());
-    }
-    return v.data();
-}
-
-}  // namespace
-
 void BallScratch::fit(std::size_t n) {
     if (stamp.size() < n) {
         stamp.resize(n, 0);
@@ -66,32 +51,9 @@ void BallScratch::fit(std::size_t n) {
     }
 }
 
-std::uint64_t* BallScratch::reserve_masks(std::size_t words) {
-    return grow(masks, words, words);
-}
-
-void BallScratch::reserve_like(const BallScratch& other) {
-    bfs.reserve(other.bfs.capacity());
-    masks.reserve(other.masks.capacity());
-}
-
-std::size_t BallScratch::bytes() const noexcept {
-    return view.members.capacity() * sizeof(NodeId) +
-           view.offsets.capacity() * sizeof(std::uint32_t) +
-           view.edges.capacity() * sizeof(std::uint32_t) +
-           masks.capacity() * sizeof(std::uint64_t) + bfs.capacity() * sizeof(NodeId) +
-           dist.capacity() * sizeof(std::uint16_t) + stamp.capacity() * sizeof(std::uint32_t) +
-           g2l.capacity() * sizeof(std::uint32_t) + cols.capacity() * sizeof(std::uint32_t);
-}
-
-namespace {
-
-/// The one truncated BFS behind `compile_ball` and `compile_ball_masks`: a
-/// BFS from `v` that expands nodes closer than `k` hops writes N_k(v) to
-/// `s.bfs` in discovery order, with each member's hop distance (`s.dist`),
-/// epoch stamp and discovery index (`s.g2l`; the center is 0).  Returns the
-/// member count.
-std::size_t truncated_bfs(const Graph& g, NodeId v, std::size_t k, BallScratch& s) {
+std::size_t ball_bfs(const Graph& g, NodeId v, std::size_t k, BallScratch& s) {
+    // A BFS that expands nodes closer than `k` hops, recording each
+    // member's hop distance, epoch stamp and discovery index.
     assert(g.contains(v));
     if (k > kMaxBallHops) {
         throw std::invalid_argument("compile_ball: hops = " + std::to_string(k) +
@@ -108,9 +70,8 @@ std::size_t truncated_bfs(const Graph& g, NodeId v, std::size_t k, BallScratch& 
     // free queue slot unconditionally and kept by advancing the tail by a
     // 0/1 predicate.  The stamp, dist and g2l words of a non-member hold
     // stale but initialised values, so reading them is harmless.
-    const std::size_t capacity = s.bfs.capacity();
-    std::size_t peak = 1;  // the most queue slots this ball needs
-    grow(s.bfs, 1, 2)[0] = v;
+    if (s.bfs.empty()) s.bfs.resize(1);
+    s.bfs[0] = v;
     s.stamp[v] = epoch;
     s.dist[v] = 0;
     s.g2l[v] = 0;
@@ -119,9 +80,11 @@ std::size_t truncated_bfs(const Graph& g, NodeId v, std::size_t k, BallScratch& 
         const NodeId x = s.bfs[head];
         if (s.dist[x] == k) continue;
         const auto row = g.neighbors(x);
-        peak = std::max(peak, tail + row.size());
-        NodeId* const queue = grow(s.bfs, tail + row.size(), 2 * (tail + row.size()));
+        const std::size_t need = tail + row.size();
+        if (s.bfs.size() < need) s.bfs.resize(2 * need);
+        s.queue_need = std::max(s.queue_need, need);
         const auto next = static_cast<std::uint16_t>(s.dist[x] + 1);
+        NodeId* const queue = s.bfs.data();
         for (const NodeId y : row) {
             const bool fresh = s.stamp[y] != epoch;
             s.stamp[y] = epoch;
@@ -131,22 +94,12 @@ std::size_t truncated_bfs(const Graph& g, NodeId v, std::size_t k, BallScratch& 
             tail += fresh;
         }
     }
-    if (s.bfs.capacity() > capacity) {
-        // Keep exactly what this ball needed: the capacity is then the
-        // largest ball's need, whatever order the balls came in.
-        std::vector<NodeId> exact;
-        exact.reserve(peak);
-        exact.assign(s.bfs.begin(), s.bfs.begin() + static_cast<std::ptrdiff_t>(tail));
-        s.bfs.swap(exact);
-    }
     return tail;
 }
 
-/// `compile_ball_masks`'s rows for a ball of `m` members whose BFS is in
-/// `s`, at `kWords` words a row (0: mask_words(m) words), into `rows`.
 template <std::size_t kWords>
-void write_ball_rows(const Graph& g, std::size_t k, const BallScratch& s, std::size_t m,
-                     std::uint64_t* rows) {
+void compile_ball_masks(const Graph& g, std::size_t k, const BallScratch& s, std::size_t m,
+                        std::uint64_t* rows) {
     constexpr std::uint64_t kOne = 1;
     const std::size_t words = kWords != 0 ? kWords : mask_words(m);
     // Interior members (closer than k hops) were all expanded, so every
@@ -177,10 +130,13 @@ void write_ball_rows(const Graph& g, std::size_t k, const BallScratch& s, std::s
     }
 }
 
-}  // namespace
+template void compile_ball_masks<1>(const Graph&, std::size_t, const BallScratch&, std::size_t,
+                                    std::uint64_t*);
+template void compile_ball_masks<0>(const Graph&, std::size_t, const BallScratch&, std::size_t,
+                                    std::uint64_t*);
 
 void compile_ball(const Graph& g, NodeId v, std::size_t k, BallScratch& s) {
-    const std::size_t tail = truncated_bfs(g, v, k, s);
+    const std::size_t tail = ball_bfs(g, v, k, s);
     const std::uint32_t epoch = s.epoch;
     LocalTopology& out = s.view;
     out.center = v;
@@ -210,17 +166,6 @@ void compile_ball(const Graph& g, NodeId v, std::size_t k, BallScratch& s) {
     }
     out.offsets[m] = static_cast<std::uint32_t>(e);
     out.edges.assign(s.cols.begin(), s.cols.begin() + static_cast<std::ptrdiff_t>(e));
-}
-
-std::size_t compile_ball_masks(const Graph& g, NodeId v, std::size_t k, BallScratch& s,
-                               std::uint64_t (&one_word)[64]) {
-    const std::size_t m = truncated_bfs(g, v, k, s);
-    if (m <= 64) {
-        write_ball_rows<1>(g, k, s, m, one_word);
-    } else {
-        write_ball_rows<0>(g, k, s, m, s.reserve_masks(m * mask_words(m)));
-    }
-    return m;
 }
 
 LocalTopology induced_topology(const Graph& g, NodeId center, std::size_t hops,

@@ -13,9 +13,9 @@
 /// member list N_k(v) plus a CSR over local ids, so it costs O(ball), not
 /// O(n).  `compile_ball` builds Definition-2 views; `induced_topology`
 /// builds every other view (global, hello-built, hand-built).
-/// `compile_ball_masks` writes the same G_k(v) as node-mask rows — one
-/// bitset per member, over members numbered in BFS order — which is the
-/// form the coverage kernel decides on (core/coverage.hpp).
+/// `ball_bfs` + `compile_ball_masks` write the same G_k(v) as node-mask
+/// rows — one bitset per member, over members numbered in BFS order —
+/// which is the form the coverage kernel decides on (core/coverage.hpp).
 
 #pragma once
 
@@ -103,19 +103,15 @@ template <std::size_t kWords>
 }
 
 /// Caller-owned working memory and output of `compile_ball` and
-/// `compile_ball_masks`.  The three O(n) working arrays are validated by
-/// epoch stamps, so consecutive compiles clear nothing, and every buffer
-/// only grows — zero allocations per ball in steady state.  The BFS queue
-/// and the CSR column buffer are written past their live end (a slot per
-/// scanned adjacency entry).  The BFS queue and the mask buffer end each
-/// ball with exactly the capacity of the largest request seen, so their
-/// capacities do not depend on the order of the balls.
+/// `ball_bfs`.  The three O(n) working arrays are validated by epoch
+/// stamps, so consecutive compiles clear nothing, and every buffer only
+/// grows — zero allocations per ball in steady state.  The BFS queue and
+/// the CSR column buffer are written past their live end (a slot per
+/// scanned adjacency entry).
 struct BallScratch {
     LocalTopology view;  ///< output of `compile_ball`: G_k(v)
-    /// Output of `compile_ball_masks` for balls of more than 64 members:
-    /// row i (`mask_words(m)` words from i * mask_words(m)) is local i's
-    /// visible neighbours.  A decision on the rows may keep its working
-    /// masks after them (`reserve_masks`).
+    /// The coverage kernel's rows and working masks for a decision on a
+    /// ball of more than 64 members (`ball_covered`, core/coverage.hpp).
     std::vector<std::uint64_t> masks;
     // Working set.
     std::vector<NodeId> bfs;           ///< BFS queue / discovery order
@@ -124,22 +120,15 @@ struct BallScratch {
     std::vector<std::uint32_t> g2l;    ///< global -> local id
     std::vector<std::uint32_t> cols;   ///< CSR columns before the exact-size copy
     std::uint32_t epoch = 0;
+    /// The most BFS queue slots one ball has needed.  The queue doubles
+    /// past it, by an amount that depends on the order of the balls.
+    std::size_t queue_need = 0;
 
     /// True iff `x` is a member of the last compiled ball.
     [[nodiscard]] bool member(NodeId x) const noexcept { return stamp[x] == epoch; }
 
     /// Sizes the O(n) working arrays for graphs of `n` nodes.
     void fit(std::size_t n);
-
-    /// `masks` with room for at least `words` words (contents kept).
-    std::uint64_t* reserve_masks(std::size_t words);
-
-    /// Gives the BFS queue and the mask buffer at least the capacities of
-    /// `other`'s.
-    void reserve_like(const BallScratch& other);
-
-    /// Heap bytes held (capacity, not size).
-    [[nodiscard]] std::size_t bytes() const noexcept;
 };
 
 /// The one Definition-2 compile: a BFS from `v` truncated at depth `k`
@@ -148,20 +137,24 @@ struct BallScratch {
 /// independent of n.  Throws std::invalid_argument when k > kMaxBallHops.
 void compile_ball(const Graph& g, NodeId v, std::size_t k, BallScratch& s);
 
-/// G_k(v) as node-mask rows, straight from `g`, for a ball of any size:
-/// with m members and W = mask_words(m), row i is the W words from i * W,
-/// in `one_word` when m <= 64 (the caller's stack array, like the
-/// coverage kernel's other one-word masks) and in `s.masks` otherwise.
-/// Local ids are BFS discovery order: local i names `s.bfs[i]` (the
-/// center is 0), and `s.g2l[x]` is the local id of a member x
-/// (`s.member(x)`).  Bit j of row i is set iff the link between locals i
-/// and j is in E ∩ (N_{k-1}(v) × N_k(v)) — the links `compile_ball`
-/// keeps.  Returns m; `s.view` is left alone.  The rows of the k-hop
-/// boundary are the transpose of the interior rows, so no boundary node's
-/// adjacency is read.  Rows cost m * W words, quadratic in m.  Throws
-/// std::invalid_argument when k > kMaxBallHops.
-std::size_t compile_ball_masks(const Graph& g, NodeId v, std::size_t k, BallScratch& s,
-                               std::uint64_t (&one_word)[64]);
+/// The truncated BFS behind `compile_ball`, on its own: N_k(v) into `s`
+/// in BFS discovery order.  Local i names `s.bfs[i]` (the center is 0),
+/// `s.g2l[x]` is the local id of a member x (`s.member(x)`) and `s.dist[x]`
+/// its hop distance.  Returns the member count m; `s.view` is left alone.
+/// Throws std::invalid_argument when k > kMaxBallHops.
+std::size_t ball_bfs(const Graph& g, NodeId v, std::size_t k, BallScratch& s);
+
+/// G_k(v) as node-mask rows, straight from `g`, for the ball of `m`
+/// members that the last `ball_bfs(g, v, k, s)` left in `s`: with W =
+/// kWords (0: mask_words(m)), row i is the W words from `rows + i * W`,
+/// over local ids in BFS order.  Bit j of row i is set iff the link
+/// between locals i and j is in E ∩ (N_{k-1}(v) × N_k(v)) — the links
+/// `compile_ball` keeps.  The rows of the k-hop boundary are the transpose
+/// of the interior rows, so no boundary node's adjacency is read.  Rows
+/// cost m * W words, quadratic in m.  Instantiated for kWords 1 and 0.
+template <std::size_t kWords>
+void compile_ball_masks(const Graph& g, std::size_t k, const BallScratch& s, std::size_t m,
+                        std::uint64_t* rows);
 
 /// The builder for views that do not come from `compile_ball`: global
 /// information (k == 0), hello-built views and hand-built test views.

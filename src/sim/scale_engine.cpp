@@ -4,7 +4,9 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <exception>
 #include <functional>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -29,7 +31,9 @@ namespace {
 /// only after every worker has checked the phase in (the acquire on `done_`
 /// is the barrier that publishes every wheel's writes to the replay).  Idle
 /// workers park on `epoch_` and the caller on `done_`
-/// (`std::atomic::wait`), so a crew between phases burns no CPU.
+/// (`std::atomic::wait`), so a crew between phases burns no CPU.  An
+/// exception from `fn` ends the phase's claims and `run_phase` rethrows it
+/// on the calling thread.
 class PhaseCrew {
   public:
     PhaseCrew(std::size_t jobs, std::size_t wheel_count)
@@ -68,13 +72,29 @@ class PhaseCrew {
         for (std::size_t d; (d = done_.load(std::memory_order_acquire)) < workers_.size();) {
             done_.wait(d, std::memory_order_acquire);
         }
+        if (error_) rethrow();
     }
 
   private:
-    void claim(std::size_t worker) {
-        for (std::size_t i;
-             (i = next_.fetch_add(1, std::memory_order_relaxed)) < wheel_count_;) {
-            fn_(i, worker);
+    // `claim` and `rethrow` stay out of line: inlined into
+    // `ScaleEngine::run`, their exception handling moved the replay loop's
+    // code, and perfbench's scale workloads read 3-6% slower.
+    [[gnu::cold, gnu::noinline]] void rethrow() {
+        std::rethrow_exception(std::exchange(error_, nullptr));
+    }
+
+    [[gnu::noinline]] void claim(std::size_t worker) {
+        try {
+            for (std::size_t i;
+                 (i = next_.fetch_add(1, std::memory_order_relaxed)) < wheel_count_;) {
+                fn_(i, worker);
+            }
+        } catch (...) {
+            // The first failure ends the phase's claims; `run_phase`
+            // rethrows it on the calling thread.
+            const std::lock_guard lock(error_mutex_);
+            if (!error_) error_ = std::current_exception();
+            next_.store(wheel_count_, std::memory_order_relaxed);
         }
     }
 
@@ -99,6 +119,8 @@ class PhaseCrew {
     std::atomic<std::size_t> next_{0};
     std::atomic<std::size_t> done_{0};
     std::atomic<bool> stop_{false};
+    std::mutex error_mutex_;
+    std::exception_ptr error_;
 };
 
 /// One-multiply mix (hash_combine shape).  Order-sensitive — folding the
@@ -548,11 +570,6 @@ ScaleResult ScaleEngine::run(NodeId source) {
                     pre_dec_[v] = decide(deciders_[worker], v, pre_pkt_[v]) ? 1 : 0;
                 }
             });
-            // The per-ball buffers grow with the balls a worker decided;
-            // levelling them keeps state_bytes independent of which worker
-            // claimed which wheel.
-            for (const DecideScratch& ds : deciders_) deciders_[0].reserve_like(ds);
-            for (DecideScratch& ds : deciders_) ds.reserve_like(deciders_[0]);
         }
 
         // Serial replay in pop order; a chunk goes back to the free list
@@ -685,9 +702,24 @@ ScaleResult ScaleEngine::run(NodeId source) {
 std::size_t ScaleEngine::state_bytes() const noexcept {
     std::size_t bytes = received_.capacity() + forwarded_.capacity();
     for (const std::vector<NodeId>& fresh : fresh_) bytes += fresh.capacity() * sizeof(NodeId);
+    // Every worker's O(n) arrays are sized with the crew.  Which worker
+    // decides which ball is up to the scheduler, so each per-ball buffer
+    // counts once, at the largest need of any worker: the visited set and
+    // the masks are grown to exactly that need, and the BFS queue counts
+    // its need, not its capacity, which depends on the order of the balls.
+    std::size_t visited = 0;
+    std::size_t queue = 0;
+    std::size_t masks = 0;
     for (const DecideScratch& ds : deciders_) {
-        bytes += ds.visited.capacity() * sizeof(NodeId) + ds.ball.bytes();
+        const BallScratch& b = ds.ball;
+        bytes += b.stamp.capacity() * sizeof(std::uint32_t) +
+                 b.dist.capacity() * sizeof(std::uint16_t) +
+                 b.g2l.capacity() * sizeof(std::uint32_t);
+        visited = std::max(visited, ds.visited.capacity());
+        queue = std::max(queue, b.queue_need);
+        masks = std::max(masks, b.masks.capacity());
     }
+    bytes += (visited + queue) * sizeof(NodeId) + masks * sizeof(std::uint64_t);
     bytes += cal_.capacity() * sizeof(Bucket) +
              chunks_.capacity() * sizeof(std::unique_ptr<Chunk>) +
              chunks_.size() * sizeof(Chunk) +

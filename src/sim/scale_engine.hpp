@@ -43,10 +43,10 @@
 /// chain), so a decision is a pure function of (node, packet).  Every
 /// decision, for any ball size and any coverage option, is one call to
 /// `ball_covered` (src/core/coverage.hpp), which decides straight from the
-/// one immutable graph the engine was constructed with:
-/// `compile_ball_masks` (src/graph/khop.hpp) runs the truncated BFS shared
-/// with `compile_ball`, numbering members in discovery order, and writes
-/// each member's visible links as a node-mask row of ⌈m/64⌉ words; the
+/// one immutable graph the engine was constructed with: `ball_bfs`
+/// (src/graph/khop.hpp), the truncated BFS behind `compile_ball`, numbers
+/// members in discovery order, and `compile_ball_masks` writes each
+/// member's visible links as a node-mask row of ⌈m/64⌉ words; the
 /// higher-priority mask H comes from the static keys and the visited mask
 /// from the packet's chain; the coverage kernel decides on those three.
 /// No member list is sorted, no CSR is written and no per-member
@@ -62,10 +62,10 @@
 /// node's first receipt carries the very packet it was decided for.  Each
 /// worker owns one compile-scratch set (its O(n) arrays are the bulk of a
 /// generic engine's bytes/node): the calling thread's is allocated on the
-/// first decision, every other worker's when the crew is created, and the
-/// per-ball buffers of all of them are levelled after each pre-scan, so
-/// at `jobs == 1` there is exactly one set, whatever `wheels` is, and at
-/// any `jobs` the bytes do not depend on how the scheduler ran the
+/// first decision and every other worker's when the crew is created, so
+/// at `jobs == 1` there is exactly one set, whatever `wheels` is.
+/// `state_bytes` counts each per-ball buffer once, at its largest across
+/// workers, so the bytes do not depend on how the scheduler ran the
 /// workers.  Neither value changes an output.
 ///
 /// **Faults at scale.**  `attach_faults` threads a `faults::FaultPlan`
@@ -116,8 +116,8 @@ enum class ScalePolicy {
 };
 
 /// Where `kGenericCoverage` gets its Definition-2 local views.  There is
-/// one backend — per-decision node masks in per-worker scratch — so the
-/// value selects nothing.
+/// one backend, so the value selects nothing; kept only because perfbench/
+/// still sets it.
 enum class ScaleViewMode {
     kScratch,
 };
@@ -132,7 +132,10 @@ struct ScaleConfig {
     /// backoff timings (need per-node timers and RNG draws), selections
     /// other than self-pruning (need designation pullback events),
     /// hops == 0 (global views cost O(n) per decision — use Simulator),
-    /// and hops > kMaxBallHops (16-bit ball distances).
+    /// and hops > kMaxBallHops (16-bit ball distances).  A decision's
+    /// masks cost m * ⌈m/64⌉ words for a ball of m = |N_hops(v)| members,
+    /// quadratic in m, so `run` throws std::length_error on a ball of more
+    /// than kMaxMaskMembers (core/coverage.hpp) members.
     GenericConfig generic;
     ScaleViewMode view_mode = ScaleViewMode::kScratch;  ///< selects nothing
 };
@@ -228,12 +231,6 @@ class ScaleEngine {
     struct DecideScratch {
         std::vector<NodeId> visited;  ///< decision-time visited set (<= h+1)
         BallScratch ball;             ///< the decision's node-mask view
-
-        /// Takes at least `other`'s capacities for the per-ball buffers.
-        void reserve_like(const DecideScratch& other) {
-            visited.reserve(other.visited.capacity());
-            ball.reserve_like(other.ball);
-        }
     };
 
     /// One calendar entry, 16 bytes.  `payload` is the packet (kDelivery:

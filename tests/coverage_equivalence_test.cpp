@@ -455,13 +455,12 @@ Graph layered_graph(const std::vector<std::size_t>& layers, double p_link, Rng& 
     return Graph(n, edges);
 }
 
-/// The option combinations a ball decision runs under: full, strong,
-/// Span's bounded paths, the restricted radii and strong within radius 1,
-/// each with merge_visited on and off.
+/// The option combinations a ball decision runs under: the default full
+/// condition first, then strong, Span's bounded paths, the restricted
+/// radii and strong within radius 1 — each with merge_visited on and off.
 std::vector<CoverageOptions> ball_option_combos() {
-    std::vector<CoverageOptions> combos;
+    std::vector<CoverageOptions> combos{{.merge_visited = true}, {.merge_visited = false}};
     for (const bool merge : {true, false}) {
-        combos.push_back({.merge_visited = merge});
         combos.push_back({.strong = true, .merge_visited = merge});
         combos.push_back({.max_path_hops = 3, .merge_visited = merge});
         combos.push_back({.merge_visited = merge, .coverage_radius = 1});
@@ -472,46 +471,61 @@ std::vector<CoverageOptions> ball_option_combos() {
 }
 
 /// The graph-mask decision against `reference::evaluate_coverage` on the
-/// `local_topology` view, for the nodes `deciders` of `g`, k in {1, 2, 3},
-/// all three priority schemes, an empty visited set (static) and random
-/// history chains of 1-4 nodes ending at a neighbour (first receipt), under
-/// every `ball_option_combos` entry.  Each decider's mask rows must also
-/// equal the compiled view's links.  `decided` counts the
-/// decisions and `multi_word` those on balls of more than 64 members.
-void expect_ball_words_agree(const Graph& g, const std::vector<NodeId>& deciders, Rng& rng,
+/// `local_topology` view, for every node of `g`, k in {1, 2, 3}, all three
+/// priority schemes, an empty visited set (static) and random history
+/// chains of 1-4 nodes ending at a neighbour (first receipt), under the
+/// default condition with merge_visited on and off; the nodes for which
+/// `all_options` holds also run every other `ball_option_combos` entry.
+/// Every node's mask rows must also equal the compiled view's links.
+/// `decided` counts the decisions and `multi_word` those on balls of more
+/// than 64 members.
+template <class AllOptions>
+void expect_ball_words_agree(const Graph& g, AllOptions all_options, Rng& rng,
                              const std::string& label, std::size_t& decided,
                              std::size_t& multi_word) {
     static const std::vector<CoverageOptions> combos = ball_option_combos();
     BallScratch words;
     BallScratch compiled;
-    std::uint64_t one_word[64];
+    std::vector<std::uint64_t> rows;
+    std::vector<std::uint64_t> any_width;
+    std::vector<std::uint64_t> links;
     for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
-        for (const NodeId v : deciders) {
-            const std::size_t m = compile_ball_masks(g, v, k, words, one_word);
-            const std::uint64_t* const rows = m <= 64 ? one_word : words.masks.data();
+        for (NodeId v = 0; v < g.node_count(); ++v) {
+            const std::size_t m = ball_bfs(g, v, k, words);
+            const std::size_t nw = mask_words(m);
+            rows.assign(m * nw, ~std::uint64_t{0});
+            if (m <= 64) {
+                compile_ball_masks<1>(g, k, words, m, rows.data());
+                any_width.assign(m, 0);
+                compile_ball_masks<0>(g, k, words, m, any_width.data());
+                ASSERT_EQ(any_width, rows) << label << " v=" << v << " k=" << k;
+            } else {
+                compile_ball_masks<0>(g, k, words, m, rows.data());
+            }
             compile_ball(g, v, k, compiled);
             const LocalTopology& view = compiled.view;
             ASSERT_EQ(m, view.size()) << label << " v=" << v << " k=" << k;
             ASSERT_EQ(words.bfs[0], v);
-            const std::size_t nw = mask_words(m);
+            // The compiled view's links, renumbered to BFS order.
+            links.assign(m * nw, 0);
             for (std::size_t i = 0; i < m; ++i) {
                 const std::uint32_t a = view.local_of(words.bfs[i]);
                 ASSERT_NE(a, kNoLocal) << label << " v=" << v;
-                for (std::size_t j = 0; j < nw * 64; ++j) {
-                    const bool bit = (rows[i * nw + j / 64] >> (j % 64)) & 1;
-                    const bool link = j < m && view.has_edge(a, view.local_of(words.bfs[j]));
-                    ASSERT_EQ(bit, link) << label << " v=" << v << " k=" << k << " row " << i
-                                         << " bit " << j;
+                for (const std::uint32_t b : view.row(a)) {
+                    const std::uint32_t j = words.g2l[view.members[b]];
+                    links[i * nw + j / 64] |= std::uint64_t{1} << (j % 64);
                 }
             }
+            ASSERT_EQ(rows, links) << label << " v=" << v << " k=" << k;
         }
         for (const PriorityScheme scheme : {PriorityScheme::kId, PriorityScheme::kDegree,
                                             PriorityScheme::kNcr}) {
             const PriorityKeys keys(g, scheme);
-            for (const NodeId v : deciders) {
+            for (NodeId v = 0; v < g.node_count(); ++v) {
                 const auto nbrs = g.neighbors(v);
                 const LocalTopology topo = local_topology(g, v, k);
-                for (int chain = 0; chain <= 4; chain += 2) {
+                const std::size_t options = all_options(v) ? combos.size() : 2;
+                for (int chain = 0; chain <= 4; ++chain) {
                     std::vector<NodeId> visited;
                     for (int c = 1; c < chain; ++c) {
                         visited.push_back(static_cast<NodeId>(rng.index(g.node_count())));
@@ -525,7 +539,8 @@ void expect_ball_words_agree(const Graph& g, const std::vector<NodeId>& deciders
                         if (status[x] != NodeStatus::kInvisible) status[x] = NodeStatus::kVisited;
                     }
                     const View view(LocalTopology(topo), std::move(status), &keys);
-                    for (const CoverageOptions& opts : combos) {
+                    for (std::size_t o = 0; o < options; ++o) {
+                        const CoverageOptions& opts = combos[o];
                         const bool got = ball_covered(g, v, k, keys, visited, opts, words);
                         const bool want = reference::evaluate_coverage(view, v, opts).covered;
                         ++decided;
@@ -546,7 +561,7 @@ TEST(CoverageEquivalence, BallWordsMatchCompiledBalls) {
     Rng rng(20261019);
     std::size_t decided = 0;
     std::size_t multi_word = 0;
-    for (int iter = 0; iter < 16; ++iter) {
+    for (int iter = 0; iter < 24; ++iter) {
         const std::size_t n = 30 + rng.index(61);  // 30..90
         const double degree = std::vector<double>{4.0, 6.0, 8.0, 12.0}[rng.index(4)];
         std::vector<Point2D> pts(n);
@@ -556,16 +571,15 @@ TEST(CoverageEquivalence, BallWordsMatchCompiledBalls) {
         }
         const Graph g = unit_disk_graph(
             pts, std::sqrt(degree * 100.0 / (3.14159265358979323846 * static_cast<double>(n))));
-        std::vector<NodeId> all(n);
-        for (NodeId v = 0; v < n; ++v) all[v] = v;
-        expect_ball_words_agree(g, all, rng, "udg#" + std::to_string(iter), decided,
-                                multi_word);
+        expect_ball_words_agree(
+            g, [](NodeId v) { return v % 4 == 0; }, rng, "udg#" + std::to_string(iter), decided,
+            multi_word);
     }
 
     // Balls of exactly 64, 65, 128 and 129 members around a known center,
     // at each k: the last layer inside the ball gets the remainder, and a
-    // further layer lies outside it.  The center and a few other nodes
-    // decide.
+    // further layer lies outside it.  Every node decides; the center and
+    // every fourth node run every option.
     for (const std::size_t members :
          {std::size_t{64}, std::size_t{65}, std::size_t{128}, std::size_t{129}}) {
         for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
@@ -578,14 +592,9 @@ TEST(CoverageEquivalence, BallWordsMatchCompiledBalls) {
             NodeId center = 0;
             const Graph g = layered_graph(layers, 0.08, rng, &center);
             BallScratch ball;
-            std::uint64_t one_word[64];
-            ASSERT_EQ(compile_ball_masks(g, center, k, ball, one_word), members) << "k=" << k;
-            std::vector<NodeId> deciders{center};
-            for (int i = 0; i < 3; ++i) {
-                deciders.push_back(static_cast<NodeId>(rng.index(g.node_count())));
-            }
+            ASSERT_EQ(ball_bfs(g, center, k, ball), members) << "k=" << k;
             expect_ball_words_agree(
-                g, deciders, rng,
+                g, [center](NodeId v) { return v == center || v % 4 == 0; }, rng,
                 "layered " + std::to_string(members) + " k=" + std::to_string(k), decided,
                 multi_word);
         }

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/view.hpp"
 
 namespace adhoc {
@@ -307,6 +309,27 @@ TEST(Coverage, CoverageRadiusAppliesToStrongCondition) {
     const CoverageOptions r2{.strong = true, .coverage_radius = 2};
     EXPECT_FALSE(coverage_condition_holds(view, 0, r1));
     EXPECT_TRUE(coverage_condition_holds(view, 0, r2));
+}
+
+TEST(Coverage, RefusesViewsAboveTheMaskLimit) {
+    // A cycle's global view holds every node, and so does node 1's ball at
+    // half the cycle's length.  The kernel decides views of
+    // kMaxMaskMembers members, as the reference does, and refuses one
+    // more rather than allocate masks of megabytes.
+    for (const std::size_t n : {kMaxMaskMembers, kMaxMaskMembers + 1}) {
+        const Graph g = cycle_graph(n);
+        const PriorityKeys keys(g, PriorityScheme::kId);
+        const View view = make_static_view(g, 1, 0, keys);
+        BallScratch ball;
+        if (n == kMaxMaskMembers) {
+            const bool want = reference::coverage_condition_holds(view, 1);
+            EXPECT_EQ(coverage_condition_holds(view, 1), want);
+            EXPECT_EQ(ball_covered(g, 1, n / 2, keys, {}, {}, ball), want);
+        } else {
+            EXPECT_THROW((void)evaluate_coverage(view, 1), std::length_error);
+            EXPECT_THROW((void)ball_covered(g, 1, n / 2, keys, {}, {}, ball), std::length_error);
+        }
+    }
 }
 
 TEST(Coverage, DynamicViewHelperUnused) {

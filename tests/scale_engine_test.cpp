@@ -18,6 +18,7 @@
 
 #include "algorithms/flooding.hpp"
 #include "algorithms/generic.hpp"
+#include "core/coverage.hpp"
 #include "graph/unit_disk.hpp"
 #include "sim/scale_engine.hpp"
 
@@ -377,19 +378,46 @@ TEST(ScaleEngineGeneric, DecisionScratchIsPerWorkerNotPerWheel) {
                                << " B, wheels 32: " << bytes_jobs1[1] << " B";
 
     // Which worker claims which wheel is up to the scheduler, but every
-    // worker's O(n) scratch is sized when the crew is created and the
-    // per-ball buffers are levelled after each pre-scan: each extra worker
-    // adds exactly one scratch set, at least its stamp, global-to-local and
-    // distance arrays.
+    // worker's O(n) scratch is sized when the crew is created and each
+    // per-ball buffer counts once: each extra worker adds exactly its
+    // stamp, global-to-local and distance arrays.
+    constexpr std::size_t kNodeBytes =
+        sizeof(std::uint32_t) + sizeof(std::uint32_t) + sizeof(std::uint16_t);
     std::size_t crew_bytes[3] = {0, 0, 0};
     for (const std::size_t j : {2ULL, 3ULL, 4ULL}) {
         ScaleEngine crew(g, config(32, j));
         EXPECT_EQ(crew.run(0).order_digest, want.order_digest) << "jobs=" << j;
         crew_bytes[j - 2] = crew.state_bytes();
     }
-    EXPECT_EQ(crew_bytes[2] - crew_bytes[1], crew_bytes[1] - crew_bytes[0]);
-    EXPECT_GE(crew_bytes[1] - crew_bytes[0], 10 * n);
+    EXPECT_EQ(crew_bytes[1] - crew_bytes[0], kNodeBytes * n);
+    EXPECT_EQ(crew_bytes[2] - crew_bytes[1], kNodeBytes * n);
     EXPECT_GT(crew_bytes[0], bytes_jobs1[1]);
+}
+
+TEST(ScaleEngineGeneric, RefusesBallsAboveTheMaskLimit) {
+    // A wheel: hub 0 and a rim cycle of kMaxMaskMembers nodes.  At hops 2
+    // every rim node's ball is the whole wheel, one member more than the
+    // coverage kernel takes, so the run throws — inline at jobs 1, and
+    // from the crew's workers at jobs 4, where the hub's 4096 deliveries
+    // fill one pre-scanned window.  At hops 1 the balls have four members
+    // and the run completes.
+    const std::size_t rim = kMaxMaskMembers;
+    Graph g(rim + 1);
+    for (NodeId i = 1; i <= rim; ++i) {
+        g.add_edge(0, i);
+        g.add_edge(i, static_cast<NodeId>(i % rim + 1));
+    }
+    for (const std::size_t jobs : {1ULL, 4ULL}) {
+        ScaleConfig cfg;
+        cfg.policy = ScalePolicy::kGenericCoverage;
+        cfg.generic = generic_fr_config(2);
+        cfg.jobs = jobs;
+        ScaleEngine wide(g, cfg);
+        EXPECT_THROW((void)wide.run(0), std::length_error) << "jobs=" << jobs;
+        cfg.generic = generic_fr_config(1);
+        ScaleEngine narrow(g, cfg);
+        EXPECT_TRUE(narrow.run(0).full_delivery) << "jobs=" << jobs;
+    }
 }
 
 TEST(ScaleEngineGeneric, RejectsUnhonorableGenericKnobs) {
