@@ -1,37 +1,36 @@
 #include "faults/recovery.hpp"
 
-#include <cassert>
-#include <cmath>
-
 #include "sim/packet.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace adhoc::faults {
 
-namespace {
+/// The machine's view of the Simulator: holders are the nodes the agent saw
+/// receive, recovery timers sit at/above kTimerBase, and a repair carries
+/// the holder's first received state re-chained at the recovery depth.
+struct RecoveryAgent::Port {
+    Simulator& sim;
+    RecoveryAgent& agent;
 
-namespace tel = telemetry;
-
-const tel::MetricId kBeacons = tel::counter("recovery.beacons", "packets");
-const tel::MetricId kNacks = tel::counter("recovery.nacks", "packets");
-const tel::MetricId kRepairs = tel::counter("recovery.repairs", "packets");
-const tel::MetricId kGapsHealed = tel::counter("recovery.gaps_healed", "nodes");
-
-}  // namespace
+    [[nodiscard]] bool holds(NodeId v) const { return agent.holder_[v] != 0; }
+    void schedule_timer(NodeId v, double delay, std::uint32_t kind) {
+        sim.schedule_timer(v, delay, kTimerBase + kind);
+    }
+    void send_control(NodeId v, std::uint32_t kind, NodeId target) {
+        sim.send_control(v, kind, target);
+    }
+    void resend(NodeId v) {
+        sim.resend(v, chain_state(agent.state_[v], v, {}, agent.machine_.config().history));
+    }
+};
 
 RecoveryAgent::RecoveryAgent(Agent& inner, RecoveryConfig config)
-    : inner_(&inner), config_(config) {}
+    : inner_(&inner), machine_(config) {}
 
 void RecoveryAgent::start(Simulator& sim, NodeId source, Rng& rng) {
     const std::size_t n = sim.graph().node_count();
     holder_.assign(n, 0);
     state_.assign(n, BroadcastState{});
-    beacons_.assign(n, 0);
-    nacks_.assign(n, 0);
-    nack_armed_.assign(n, 0);
-    gap_source_.assign(n, kInvalidNode);
-    repairs_.assign(n, 0);
-    nacks_sent_ = 0;
+    machine_.reset(n);
 
     inner_->start(sim, source, rng);
     // The source holds the packet by construction, whether or not its
@@ -44,10 +43,8 @@ void RecoveryAgent::note_holder(Simulator& sim, NodeId v, const BroadcastState& 
     if (holder_[v]) return;
     holder_[v] = 1;
     state_[v] = state;
-    if (nacks_[v] > 0) tel::count(kGapsHealed);
-    if (config_.enabled && config_.max_beacons > 0) {
-        sim.schedule_timer(v, config_.beacon_interval, kBeaconTimer);
-    }
+    Port port{sim, *this};
+    machine_.on_hold(port, v);
 }
 
 void RecoveryAgent::on_receive(Simulator& sim, NodeId node, const Transmission& tx, Rng& rng) {
@@ -60,67 +57,14 @@ void RecoveryAgent::on_timer(Simulator& sim, NodeId node, std::size_t timer_kind
         inner_->on_timer(sim, node, timer_kind, rng);
         return;
     }
-    if (!config_.enabled) return;
-    switch (timer_kind) {
-        case kBeaconTimer: {
-            if (!holder_[node]) return;
-            tel::count(kBeacons);
-            sim.send_control(node, kBeaconMsg);
-            if (++beacons_[node] < config_.max_beacons) {
-                sim.schedule_timer(node, config_.beacon_interval, kBeaconTimer);
-            }
-            break;
-        }
-        case kNackTimer: {
-            nack_armed_[node] = 0;
-            if (holder_[node]) return;  // healed while waiting
-            if (gap_source_[node] == kInvalidNode) return;
-            tel::count(kNacks);
-            ++nacks_sent_;
-            sim.send_control(node, kNackMsg, gap_source_[node]);
-            if (++nacks_[node] < config_.max_nacks) {
-                // Re-arm under exponential backoff: the repair (or the next
-                // beacon) may be lost too.
-                nack_armed_[node] = 1;
-                const double delay =
-                    config_.nack_delay *
-                    std::pow(config_.backoff_factor, static_cast<double>(nacks_[node]));
-                sim.schedule_timer(node, delay, kNackTimer);
-            }
-            break;
-        }
-        default: break;
-    }
+    Port port{sim, *this};
+    machine_.on_timer(port, node, static_cast<std::uint32_t>(timer_kind - kTimerBase));
 }
 
 void RecoveryAgent::on_control(Simulator& sim, NodeId node, const ControlMessage& msg,
                                Rng& /*rng*/) {
-    if (!config_.enabled) return;
-    switch (msg.kind) {
-        case kBeaconMsg: {
-            if (holder_[node]) return;  // nothing missing here
-            // Sequence gap detected: a neighbor advertises a packet this
-            // node never received.
-            gap_source_[node] = msg.sender;
-            if (!nack_armed_[node] && nacks_[node] < config_.max_nacks) {
-                nack_armed_[node] = 1;
-                const double delay =
-                    config_.nack_delay *
-                    std::pow(config_.backoff_factor, static_cast<double>(nacks_[node]));
-                sim.schedule_timer(node, delay, kNackTimer);
-            }
-            break;
-        }
-        case kNackMsg: {
-            if (!holder_[node]) return;  // stale NACK; nothing to repair with
-            if (repairs_[node] >= config_.retransmit_budget) return;
-            ++repairs_[node];
-            tel::count(kRepairs);
-            sim.resend(node, chain_state(state_[node], node, {}, config_.history));
-            break;
-        }
-        default: break;
-    }
+    Port port{sim, *this};
+    machine_.on_control(port, node, static_cast<std::uint32_t>(msg.kind), msg.sender);
 }
 
 }  // namespace adhoc::faults

@@ -222,72 +222,67 @@ std::string traffic_violation(const Scenario& s, const Graph& knowledge) {
     return {};
 }
 
-/// The scale-differential oracle: replay the broadcast through the
-/// windowed ScaleEngine and require byte-identical results against the
-/// Simulator's.  Self-skips (empty string) when the scenario lies outside
-/// the engine's honorable subset; `result` must come from the fault-free
-/// lossless jitter-free path (the caller checks), so it IS the reference.
-std::string scale_divergence(const Scenario& s, const Graph& knowledge,
-                             const BroadcastResult& result) {
-    std::optional<ScaleConfig> cfg;
-    if (s.config.algorithm == "generic") {
-        const GenericConfig gc = to_generic_config(s.config);
-        const bool honorable =
-            (gc.timing == Timing::kStatic || gc.timing == Timing::kFirstReceipt) &&
-            gc.selection == Selection::kSelfPruning && gc.hops >= 1;
-        if (!honorable) return {};
-        cfg.emplace();
-        cfg->policy = ScalePolicy::kGenericCoverage;
-        cfg->generic = gc;
-    } else if (s.config.algorithm.starts_with("mutant:")) {
-        return {};  // mutants diverge on purpose; the kill gate owns them
-    } else {
-        cfg = scale_config_for(s.config.algorithm);
-        if (!cfg) return {};
-    }
-
-    // Wheel/job choice is seed-derived: over a campaign the sharding space
-    // gets swept, while any single scenario stays reproducible.
-    cfg->wheels = 1 + s.run_seed % 7;
-    cfg->jobs = 1 + (s.run_seed >> 8) % 3;
-
-    ScaleEngine engine(knowledge, *cfg);
+/// Runs `engine` from the scenario's source and requires byte-identical
+/// results against the Simulator's `ref`: masks, counts, completion time,
+/// fault/recovery counters, final down mask (empty on both sides for a
+/// fault-free run) and the global transmission-order digest.  `plane`
+/// opens the diagnostic.  Returns an empty string when they agree.
+std::string scale_mismatch(const std::string& plane, ScaleEngine& engine, const Scenario& s,
+                           const BroadcastResult& ref) {
     const ScaleResult got = engine.run(s.source);
-
-    if (engine.forwarded_mask() != result.transmitted) {
-        return "scale forward set diverged from the Simulator's";
+    if (engine.forwarded_mask() != ref.transmitted) {
+        return plane + " forward set diverged from the Simulator's";
     }
-    if (engine.received_mask() != result.received) {
-        return "scale received set diverged from the Simulator's";
+    if (engine.received_mask() != ref.received) {
+        return plane + " received set diverged from the Simulator's";
     }
-    if (got.forward_count != result.forward_count ||
-        got.received_count != result.received_count) {
-        return "scale counts diverged (forwards " + std::to_string(got.forward_count) + " vs " +
-               std::to_string(result.forward_count) + ")";
+    if (got.forward_count != ref.forward_count || got.received_count != ref.received_count) {
+        return plane + " counts diverged (forwards " + std::to_string(got.forward_count) +
+               " vs " + std::to_string(ref.forward_count) + ")";
     }
-    if (got.completion_time != result.completion_time) {
-        return "scale completion time diverged";
+    if (got.completion_time != ref.completion_time) {
+        return plane + " completion time diverged";
     }
-    if (got.order_digest != reference_transmission_digest(result.trace)) {
-        return "scale transmission-order digest diverged from the trace fold";
+    if (got.retransmit_count != ref.retransmit_count ||
+        got.control_count != ref.control_count ||
+        got.fault_suppressed != ref.fault_suppressed) {
+        return plane + " recovery counters diverged (retransmits " +
+               std::to_string(got.retransmit_count) + " vs " +
+               std::to_string(ref.retransmit_count) + ", controls " +
+               std::to_string(got.control_count) + " vs " +
+               std::to_string(ref.control_count) + ", suppressed " +
+               std::to_string(got.fault_suppressed) + " vs " +
+               std::to_string(ref.fault_suppressed) + ")";
+    }
+    if (got.down != ref.down) {
+        return plane + " final down mask diverged";
+    }
+    if (got.order_digest != reference_transmission_digest(ref.trace)) {
+        return plane + " transmission-order digest diverged from the trace fold";
     }
     return {};
 }
 
-/// The faulted scale-differential oracle (`scale_resilient`): replay a
-/// churn/asymmetry (and optionally recovery) scenario through
-/// ScaleEngine's faulted plane and require byte-identical results — masks,
-/// counts, completion time, fault/recovery counters, final down mask and
-/// the global transmission-order digest — against a dedicated resilient
-/// Simulator reference.  The reference is rerun here (not reused from
-/// run_once) because the engine's window-synchronous recovery demands an
+/// The scale-differential oracles: replay the broadcast through the
+/// windowed ScaleEngine and compare.  Self-skips (empty string) outside the
+/// engine's honorable subset.  Wheel/job choice is seed-derived: over a
+/// campaign the sharding space gets swept, while any single scenario stays
+/// reproducible.
+///
+/// `scale` (fault-free): `result` came from plain broadcast_traced with a
+/// default medium (the caller checks), so it IS the reference.
+///
+/// `scale_resilient` (churn/asymmetry and/or recovery): the engine runs
+/// the faulted plane against a dedicated resilient Simulator reference,
+/// rerun here because the engine's window-synchronous recovery demands an
 /// aligned config (`nack_delay` a multiple of the delay), while run_once
 /// keeps the historical `RecoveryConfig{}` default of 0.5: both machines
 /// get the same aligned config, so the comparison stays exact and every
 /// pinned corpus digest — computed from run_once's result — is untouched.
-/// Self-skips (empty string) outside the engine's honorable subset.
-std::string scale_resilient_divergence(const Scenario& s, const BroadcastAlgorithm& algo,
-                                       const Graph& knowledge) {
+/// The recovery budgets come from `run_seed` bits above the wheel/job
+/// ones, so a campaign sweeps them without a draw from the scenario stream.
+std::string scale_divergence(const Scenario& s, const BroadcastAlgorithm& algo,
+                             const Graph& knowledge, const BroadcastResult& result) {
     std::optional<ScaleConfig> cfg;
     if (s.config.algorithm == "generic") {
         const GenericConfig gc = to_generic_config(s.config);
@@ -306,54 +301,26 @@ std::string scale_resilient_divergence(const Scenario& s, const BroadcastAlgorit
     }
     cfg->wheels = 1 + s.run_seed % 7;
     cfg->jobs = 1 + (s.run_seed >> 8) % 3;
+    ScaleEngine engine(knowledge, *cfg);
+    if (!s.has_faults() && !s.recovery) return scale_mismatch("scale", engine, s, result);
 
     const faults::FaultPlan plan = s.fault_plan();
     faults::RecoveryConfig recovery;
     recovery.enabled = s.recovery;
     recovery.nack_delay = 1.0;  // window-aligned (set_recovery's contract)
+    const std::uint64_t bits = s.run_seed >> 16;
+    recovery.max_beacons = bits % 6;
+    recovery.max_nacks = (bits >> 3) % 5;
+    recovery.retransmit_budget = (bits >> 6) % 4;
+    recovery.backoff_factor = static_cast<double>(1 + (bits >> 8) % 3);
+    recovery.history = 1 + (bits >> 10) % 3;
 
     Rng rng(s.run_seed);
     const ResilientResult ref = algo.broadcast_resilient(knowledge, s.source, rng, MediumConfig{},
                                                          plan, recovery, /*trace=*/true);
-
-    ScaleEngine engine(knowledge, *cfg);
     engine.attach_faults(&plan);
     engine.set_recovery(recovery);
-    const ScaleResult got = engine.run(s.source);
-
-    if (engine.forwarded_mask() != ref.result.transmitted) {
-        return "faulted scale forward set diverged from the Simulator's";
-    }
-    if (engine.received_mask() != ref.result.received) {
-        return "faulted scale received set diverged from the Simulator's";
-    }
-    if (got.forward_count != ref.result.forward_count ||
-        got.received_count != ref.result.received_count) {
-        return "faulted scale counts diverged (forwards " + std::to_string(got.forward_count) +
-               " vs " + std::to_string(ref.result.forward_count) + ")";
-    }
-    if (got.completion_time != ref.result.completion_time) {
-        return "faulted scale completion time diverged";
-    }
-    if (got.retransmit_count != ref.result.retransmit_count ||
-        got.control_count != ref.result.control_count ||
-        got.fault_suppressed != ref.result.fault_suppressed) {
-        return "faulted scale recovery counters diverged (retransmits " +
-               std::to_string(got.retransmit_count) + " vs " +
-               std::to_string(ref.result.retransmit_count) + ", controls " +
-               std::to_string(got.control_count) + " vs " +
-               std::to_string(ref.result.control_count) + ", suppressed " +
-               std::to_string(got.fault_suppressed) + " vs " +
-               std::to_string(ref.result.fault_suppressed) + ")";
-    }
-    if (got.down != ref.result.down) {
-        return "faulted scale final down mask diverged";
-    }
-    // Faulted runs fold the global transmission digest under every policy.
-    if (got.order_digest != reference_transmission_digest(ref.result.trace)) {
-        return "faulted scale transmission-order digest diverged from the trace fold";
-    }
-    return {};
+    return scale_mismatch("faulted scale", engine, s, ref.result);
 }
 
 /// The medium-degeneracy oracle: a kSinr medium with beta = 0 and zero
@@ -612,7 +579,19 @@ CheckReport check_scenario(const Scenario& s, const AlgorithmPool& pool) {
                         digest);
         }
         if (s.jitter == 0.0) {
-            const BroadcastVerdict verdict = check_broadcast(knowledge, s.source, result);
+            BroadcastVerdict verdict = check_broadcast(knowledge, s.source, result);
+            if (s.recovery) {
+                // Theorem 2's CDS is the set of nodes that put the packet on
+                // the air.  A recovery repair is such a transmission, and its
+                // chain names the repairing holder, so the receiver counts
+                // that holder visited even when it was pruned from the
+                // forward set: the CDS is forwarders plus repairers.
+                std::vector<char> senders = result.transmitted;
+                for (NodeId v = 0; v < result.retransmitted.size(); ++v) {
+                    if (result.retransmitted[v]) senders[v] = 1;
+                }
+                verdict.cds = check_cds(knowledge, senders);
+            }
             if (!verdict.ok()) {
                 return fail("cds", verdict.cds.describe() +
                                        (verdict.source_transmitted ? "" : " (source silent)"),
@@ -623,18 +602,13 @@ CheckReport check_scenario(const Scenario& s, const AlgorithmPool& pool) {
 
     // Scale differential: the windowed engine must reproduce the serial
     // result byte-for-byte.  Only meaningful on the engine's honorable
-    // medium (no loss/jitter, no stale views, ideal backend).  Fault-free
-    // scenarios reuse `result` (it came from plain broadcast_traced with a
-    // default medium); churn/recovery scenarios go through the faulted
-    // plane against a dedicated resilient reference.
+    // medium (no loss/jitter, no stale views, ideal backend).
     if (s.scale_check && s.loss == 0.0 && s.jitter == 0.0 && s.lost_edges.empty() &&
         !s.has_medium()) {
-        if (s.has_faults() || s.recovery) {
-            const std::string violation = scale_resilient_divergence(s, algo, knowledge);
-            if (!violation.empty()) return fail("scale_resilient", violation, digest);
-        } else {
-            const std::string violation = scale_divergence(s, knowledge, result);
-            if (!violation.empty()) return fail("scale", violation, digest);
+        const std::string violation = scale_divergence(s, algo, knowledge, result);
+        if (!violation.empty()) {
+            return fail(s.has_faults() || s.recovery ? "scale_resilient" : "scale", violation,
+                        digest);
         }
     }
 

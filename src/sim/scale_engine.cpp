@@ -153,11 +153,6 @@ inline constexpr std::uint32_t kFault = 0;
 inline constexpr std::uint32_t kDelivery = 1;
 inline constexpr std::uint32_t kTimer = 2;
 inline constexpr std::uint32_t kControl = 3;
-// kTimer payloads / kControl message kinds (RecoveryAgent's state machine).
-inline constexpr std::uint32_t kBeaconTimer = 0;
-inline constexpr std::uint32_t kNackTimer = 1;
-inline constexpr std::uint32_t kBeaconMsg = 0;
-inline constexpr std::uint32_t kNackMsg = 1;
 /// `transmit`'s base and `held_pkt_`'s value for the source, whose initial
 /// state carries an empty history chain.
 inline constexpr std::uint32_t kNoPacket = 0xffffffffu;
@@ -311,14 +306,14 @@ void ScaleEngine::set_recovery(const faults::RecoveryConfig& config) {
             throw std::invalid_argument(
                 "RecoveryConfig.beacon_interval = " +
                 std::to_string(config.beacon_interval) +
-                ": the windowed mirror needs a positive integer multiple of "
+                ": the windowed engine needs a positive integer multiple of "
                 "ScaleConfig.delay = " +
                 std::to_string(config_.delay));
         }
         if (!aligned(config.nack_delay)) {
             throw std::invalid_argument(
                 "RecoveryConfig.nack_delay = " + std::to_string(config.nack_delay) +
-                ": the windowed mirror needs a positive integer multiple of "
+                ": the windowed engine needs a positive integer multiple of "
                 "ScaleConfig.delay = " +
                 std::to_string(config_.delay) +
                 " (the RecoveryConfig{} default 0.5 is not, at delay 1.0)");
@@ -341,7 +336,7 @@ void ScaleEngine::set_recovery(const faults::RecoveryConfig& config) {
                 " exceeds the engine's calendar horizon");
         }
     }
-    recovery_ = config;
+    recovery_ = faults::RecoveryMachine(config);
 }
 
 void ScaleEngine::push(double time, std::uint32_t kind, NodeId node, std::uint32_t payload) {
@@ -453,15 +448,31 @@ void ScaleEngine::transmit(NodeId v, double now, std::uint32_t base) {
     fanout(v, kDelivery, pkt, kInvalidNode, now + config_.delay);
 }
 
-void ScaleEngine::resend(NodeId v, double now) {
-    // Mirrors Simulator::resend: accounted separately, not a forward, and
-    // NOT folded into the order digest (the reference digest folds
-    // kTransmit trace events only).  The repair carries the chain of the
-    // holder's *first received* state at the recovery layer's own depth.
+void ScaleEngine::schedule_timer(NodeId v, double delay, std::uint32_t kind) {
+    push(now_ + delay, kTimer, v, kind);
+}
+
+void ScaleEngine::send_control(NodeId v, std::uint32_t kind, NodeId target) {
+    ++result_.control_count;
+    fanout(v, kControl, v << 1 | kind, target, now_ + config_.delay);
+}
+
+void ScaleEngine::resend(NodeId v) {
+    // Accounted separately, not a forward, and NOT folded into the order
+    // digest (the reference digest folds kTransmit trace events only).
     ++result_.retransmit_count;
-    received_[v] = 1;
-    const std::uint32_t pkt = chained_ ? make_packet(v, recovery_->history, held_pkt_[v]) : v;
-    fanout(v, kDelivery, pkt, kInvalidNode, now + config_.delay);
+    const std::uint32_t pkt =
+        chained_ ? make_packet(v, recovery_.config().history, held_pkt_[v]) : v;
+    fanout(v, kDelivery, pkt, kInvalidNode, now_ + config_.delay);
+}
+
+void ScaleEngine::recover(const Event& e) {
+    now_ = e.time;
+    if (e.kind() == kTimer) {
+        recovery_.on_timer(*this, e.node(), e.payload);
+    } else {
+        recovery_.on_control(*this, e.node(), e.payload & 1, e.payload >> 1);
+    }
 }
 
 ScaleResult ScaleEngine::run(NodeId source) {
@@ -483,17 +494,11 @@ ScaleResult ScaleEngine::run(NodeId source) {
     for (const std::unique_ptr<Chunk>& c : chunks_) free_chunks_.push_back(c.get());
     pending_ = 0;
     packets_.clear();
-    controls_.clear();
     result_.order_digest = kDigestBasis;
-    const bool recovery = recovery_on();
-    const bool beacons = recovery && recovery_->max_beacons > 0;
+    const bool recovery = recovery_.config().enabled;
     if (recovery) {
         if (chained_) held_pkt_.assign(n, kNoPacket);
-        beacons_n_.assign(n, 0);
-        nacks_n_.assign(n, 0);
-        nack_armed_.assign(n, 0);
-        gap_source_.assign(n, kInvalidNode);
-        repairs_n_.assign(n, 0);
+        recovery_.reset(n);
     }
 
     // Queue the whole fault schedule first: these events carry the globally
@@ -515,7 +520,8 @@ ScaleResult ScaleEngine::run(NodeId source) {
     // then — RecoveryAgent::start order — the source's holder beacon arms
     // AFTER the fanout's insertion sequences.
     transmit(source, 0.0, kNoPacket);
-    if (beacons) push(recovery_->beacon_interval, kTimer, source, kBeaconTimer);
+    now_ = 0.0;
+    if (recovery) recovery_.on_hold(*this, source);
 
     const bool generic = config_.policy == ScalePolicy::kGenericCoverage;
     std::optional<PhaseCrew> crew;
@@ -599,11 +605,12 @@ ScaleResult ScaleEngine::run(NodeId source) {
                         }
                         if (received_[v]) break;  // duplicate copy: snooped only
                         received_[v] = 1;
-                        if (recovery && chained_) held_pkt_[v] = e.payload;
                         // RecoveryAgent::on_receive arms the holder beacon
                         // BEFORE the inner agent's fanout sequences.
-                        if (beacons) {
-                            push(e.time + recovery_->beacon_interval, kTimer, v, kBeaconTimer);
+                        if (recovery) {
+                            if (chained_) held_pkt_[v] = e.payload;
+                            now_ = e.time;
+                            recovery_.on_hold(*this, v);
                         }
                         const bool forward =
                             prescan && pre_stamp_[v] == pre_epoch_ && pre_pkt_[v] == e.payload
@@ -612,72 +619,14 @@ ScaleResult ScaleEngine::run(NodeId source) {
                         if (forward) transmit(v, e.time, e.payload);
                         break;
                     }
-                    case kTimer: {
-                        if (!up(v)) {
-                            ++result_.fault_suppressed;  // timers die with their node
-                            break;
-                        }
-                        if (!recovery) break;
-                        if (e.payload == kBeaconTimer) {
-                            if (!received_[v]) break;  // not a holder
-                            ++result_.control_count;
-                            const auto cid = static_cast<std::uint32_t>(controls_.size());
-                            controls_.push_back({v, kBeaconMsg});
-                            fanout(v, kControl, cid, kInvalidNode, e.time + config_.delay);
-                            if (++beacons_n_[v] < recovery_->max_beacons) {
-                                push(e.time + recovery_->beacon_interval, kTimer, v,
-                                     kBeaconTimer);
-                            }
+                    case kTimer:
+                    case kControl:
+                        if (up(v)) {
+                            recover(e);
                         } else {
-                            nack_armed_[v] = 0;
-                            if (received_[v]) break;  // healed while waiting
-                            if (gap_source_[v] == kInvalidNode) break;
-                            ++result_.control_count;
-                            const auto cid = static_cast<std::uint32_t>(controls_.size());
-                            controls_.push_back({v, kNackMsg});
-                            fanout(v, kControl, cid, gap_source_[v], e.time + config_.delay);
-                            if (++nacks_n_[v] < recovery_->max_nacks) {
-                                // Re-arm under exponential backoff (the
-                                // repair or the next beacon may be lost
-                                // too) — note the post-increment exponent,
-                                // vs the pre-increment one on beacon
-                                // receipt.
-                                nack_armed_[v] = 1;
-                                const double backoff =
-                                    recovery_->nack_delay *
-                                    std::pow(recovery_->backoff_factor,
-                                             static_cast<double>(nacks_n_[v]));
-                                push(e.time + backoff, kTimer, v, kNackTimer);
-                            }
+                            ++result_.fault_suppressed;  // both die with their node
                         }
                         break;
-                    }
-                    case kControl: {
-                        if (!up(v)) {
-                            ++result_.fault_suppressed;
-                            break;
-                        }
-                        if (!recovery) break;
-                        const Control msg = controls_[e.payload];
-                        if (msg.kind == kBeaconMsg) {
-                            if (received_[v]) break;  // nothing missing here
-                            gap_source_[v] = msg.sender;
-                            if (!nack_armed_[v] && nacks_n_[v] < recovery_->max_nacks) {
-                                nack_armed_[v] = 1;
-                                const double backoff =
-                                    recovery_->nack_delay *
-                                    std::pow(recovery_->backoff_factor,
-                                             static_cast<double>(nacks_n_[v]));
-                                push(e.time + backoff, kTimer, v, kNackTimer);
-                            }
-                        } else {
-                            if (!received_[v]) break;  // stale NACK: no packet here
-                            if (repairs_n_[v] >= recovery_->retransmit_budget) break;
-                            ++repairs_n_[v];
-                            resend(v, e.time);
-                        }
-                        break;
-                    }
                     default: break;
                 }
             }
@@ -726,13 +675,7 @@ std::size_t ScaleEngine::state_bytes() const noexcept {
              free_chunks_.capacity() * sizeof(Chunk*) +
              spans_.capacity() * sizeof(Span) + work_.capacity() * sizeof(Event) +
              packets_.size() * sizeof(std::uint32_t) +
-             controls_.capacity() * sizeof(Control) +
-             held_pkt_.capacity() * sizeof(std::uint32_t) +
-             beacons_n_.capacity() * sizeof(std::uint32_t) +
-             nacks_n_.capacity() * sizeof(std::uint32_t) +
-             nack_armed_.capacity() +
-             gap_source_.capacity() * sizeof(NodeId) +
-             repairs_n_.capacity() * sizeof(std::uint32_t) +
+             held_pkt_.capacity() * sizeof(std::uint32_t) + recovery_.state_bytes() +
              pre_stamp_.capacity() * sizeof(std::uint32_t) +
              pre_pkt_.capacity() * sizeof(std::uint32_t) +
              pre_dec_.capacity();

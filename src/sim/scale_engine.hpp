@@ -70,9 +70,9 @@
 ///
 /// **Faults at scale.**  `attach_faults` threads a `faults::FaultPlan`
 /// (crash/recover schedules, link churn, counter-based asymmetric loss)
-/// into the loop, and `set_recovery` arms a window-synchronous mirror of
-/// `faults::RecoveryAgent` (holder beacons, gap NACKs under bounded
-/// exponential backoff, budgeted repairs).  Every queue push the reference
+/// into the loop, and `set_recovery` arms `faults::RecoveryMachine`, the
+/// beacon/NACK/repair state machine of `faults::RecoveryAgent`, with the
+/// engine as its windowed port.  Every queue push the reference
 /// `Simulator` would perform is replicated in the same order — plan events
 /// first (they carry the lowest sequences), loss draws through the plan's
 /// own counter-based stream in the exact send order, recovery timers at
@@ -91,7 +91,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/priority.hpp"
@@ -202,13 +201,13 @@ class ScaleEngine {
     /// would observe its effect.
     void attach_faults(const faults::FaultPlan* plan);
 
-    /// Arms (or, with `enabled == false`, disarms) the window-synchronous
-    /// recovery layer for subsequent runs.  Throws `std::invalid_argument`
-    /// unless the config is window-aligned: `beacon_interval` and
-    /// `nack_delay` positive integer multiples of `delay`, an integral
-    /// `backoff_factor >= 1`, and a maximum backoff within the calendar
-    /// horizon.  (The `RecoveryConfig{}` default `nack_delay = 0.5` is NOT
-    /// aligned at the default delay 1.0 — pass an aligned value.)
+    /// Arms (or, with `enabled == false`, disarms) the recovery machine for
+    /// subsequent runs.  Throws `std::invalid_argument` unless the config
+    /// is window-aligned: `beacon_interval` and `nack_delay` positive
+    /// integer multiples of `delay`, an integral `backoff_factor >= 1`, and
+    /// a maximum backoff within the calendar horizon.  (The
+    /// `RecoveryConfig{}` default `nack_delay = 0.5` is NOT aligned at the
+    /// default delay 1.0 — pass an aligned value.)
     void set_recovery(const faults::RecoveryConfig& config);
 
     /// Per-node outcome of the last `run` (differential tests, fuzz
@@ -219,12 +218,14 @@ class ScaleEngine {
     [[nodiscard]] const std::vector<char>& received_mask() const noexcept { return received_; }
 
     /// Engine-owned working memory (per-node masks, the window calendar —
-    /// bucket headers, event chunks, the drained window — packet, control
-    /// and recovery-mirror state, pre-scan arrays and decision scratch),
+    /// bucket headers, event chunks, the drained window — packet and
+    /// recovery state, pre-scan arrays and decision scratch),
     /// for the bench's bytes/node metric.
     [[nodiscard]] std::size_t state_bytes() const noexcept;
 
   private:
+    friend class faults::RecoveryMachine;  // calls the port below
+
     /// Per-worker working set of one coverage decision, reused for every
     /// wheel the worker claims (see the file comment).  All buffers only
     /// grow — zero allocations per decision in steady state.
@@ -235,19 +236,15 @@ class ScaleEngine {
 
     /// One calendar entry, 16 bytes.  `payload` is the packet (kDelivery:
     /// the sender's id, or a `packets_` offset under first-receipt generic
-    /// coverage), a `controls_` index (kControl), a plan event index
-    /// (kFault) or the recovery timer kind (kTimer).  No sequence number is
-    /// stored: pushes append in insertion-sequence order.
+    /// coverage), the recovery message's sender << 1 | kind (kControl), a
+    /// plan event index (kFault) or the recovery timer kind (kTimer).  No
+    /// sequence number is stored: pushes append in insertion-sequence order.
     struct Event {
         double time;
         std::uint32_t node_kind;  ///< node << 2 | kind
         std::uint32_t payload;
         [[nodiscard]] NodeId node() const noexcept { return node_kind >> 2; }
         [[nodiscard]] std::uint32_t kind() const noexcept { return node_kind & 3; }
-    };
-    struct Control {
-        NodeId sender;
-        std::uint32_t kind;  ///< kBeaconMsg / kNackMsg
     };
     /// Events per calendar chunk (1 KiB of events).
     static constexpr std::size_t kChunkEvents = 64;
@@ -277,9 +274,6 @@ class ScaleEngine {
     [[nodiscard]] bool up(NodeId v) const noexcept {
         return !faults_live_ || fsession_.node_up(v);
     }
-    [[nodiscard]] bool recovery_on() const noexcept {
-        return recovery_.has_value() && recovery_->enabled;
-    }
     void validate_generic_config() const;
 
     /// The forwarding rule: does `v`, first reached by `payload`, forward?
@@ -308,7 +302,17 @@ class ScaleEngine {
     /// receipt of `base` (kNoPacket: the source): digest fold, packet,
     /// fanout.
     void transmit(NodeId v, double now, std::uint32_t base);
-    void resend(NodeId v, double now);
+
+    // The recovery machine's windowed port, at the instant `now_`.
+    [[nodiscard]] bool holds(NodeId v) const noexcept { return received_[v] != 0; }
+    void schedule_timer(NodeId v, double delay, std::uint32_t kind);
+    void send_control(NodeId v, std::uint32_t kind, NodeId target);
+    /// Mirrors `Simulator::resend`: the holder's first received packet,
+    /// re-chained at the recovery depth.
+    void resend(NodeId v);
+    /// Replays a recovery timer or control message at an up node, out of
+    /// the replay loop: fault-free runs never take it.
+    [[gnu::noinline]] void recover(const Event& e);
     /// Appends the chained packet `v` sends after first receiving `base`,
     /// with `history` chain entries, and returns its `packets_` offset.
     [[nodiscard]] std::uint32_t make_packet(NodeId v, std::size_t history, std::uint32_t base);
@@ -326,7 +330,8 @@ class ScaleEngine {
     ScaleResult result_;  ///< the run in progress
 
     const faults::FaultPlan* fault_plan_ = nullptr;
-    std::optional<faults::RecoveryConfig> recovery_;
+    faults::RecoveryMachine recovery_{faults::RecoveryConfig{.enabled = false}};
+    double now_ = 0.0;  ///< the replayed event's instant, the port's clock
     faults::FaultSession fsession_;
     /// The attached plan has timed events or asymmetric links, so fault
     /// checks can fail this run (worked out on each run).
@@ -356,14 +361,8 @@ class ScaleEngine {
     /// only appends, so a deque keeps it in fixed blocks: growing it never
     /// copies it or frees a buffer, and it holds no spare capacity.
     std::deque<std::uint32_t> packets_;
-    std::vector<Control> controls_;
-    // Per-node recovery-mirror state (holder status is `received_`).
-    std::vector<std::uint32_t> held_pkt_;  ///< first received packet (chained repairs)
-    std::vector<std::uint32_t> beacons_n_;
-    std::vector<std::uint32_t> nacks_n_;
-    std::vector<char> nack_armed_;
-    std::vector<NodeId> gap_source_;
-    std::vector<std::uint32_t> repairs_n_;
+    /// First received packet per node, for chained repairs.
+    std::vector<std::uint32_t> held_pkt_;
 
     // Parallel decision pre-scan: per-wheel first receipts, per-worker
     // scratch (index 0 is the calling thread, which also takes every

@@ -101,36 +101,44 @@ TEST(FuzzShrink, RealOracleFailureShrinksSmall) {
 
 
 TEST(FuzzShrink, SavedFindingReplaysAsThatFinding) {
-    // Scenario 66079 of the churn + scale campaign at seed 20261020 trips
-    // the cds oracle (generic FRBD, global views, recovery on) on 32 nodes
-    // with "node 31 undominated".  Its shrunk repro must replay as the same
-    // finding: same scenario, same oracle, and the diagnostic its note
-    // names.  The note used to carry the unshrunk diagnostic, whose node
-    // ids the shrunk 7-node scenario does not even have.
+    // A finding's shrunk repro must replay as the same finding: same
+    // scenario, same oracle, and the diagnostic its note names.  The note
+    // once carried the unshrunk diagnostic, whose node ids the shrunk
+    // scenario does not even have.  The fixture is the first scenario of
+    // more than 8 nodes in a pinned window on which the skip-priority
+    // mutant strands nodes ("N nodes unreached (first: node X)").
     GenerationLimits limits;
-    limits.churn_intensity = 3.0;
-    limits.scale_intensity = 3.0;
+    limits.max_nodes = 32;
+    limits.faults = false;
+    limits.registry_algorithms = false;
     const AlgorithmPool pool(/*with_mutants=*/true);
-    const Scenario original = generate_scenario(20261020, 66079, limits);
-    const CheckReport report = check_scenario(original, pool);
-    ASSERT_FALSE(report.ok);
-    ASSERT_EQ(report.oracle, "cds");
+    Scenario original;
+    CheckReport report;
+    std::uint64_t iteration = 0;
+    for (; iteration < 200; ++iteration) {
+        original = generate_scenario(20261020, iteration, limits);
+        original.config.algorithm = "mutant:skip-priority";
+        report = check_scenario(original, pool);
+        if (!report.ok && report.oracle == "delivery" && original.node_count > 8) break;
+    }
+    ASSERT_LT(iteration, 200u) << "mutant never failed the delivery oracle";
 
-    const Finding finding = make_finding(66079, original, report, pool, 2000);
+    const Finding finding = make_finding(iteration, original, report, pool, 2000);
     ASSERT_LT(finding.shrunk.node_count, original.node_count);
+    EXPECT_NE(finding.shrunk_detail, finding.detail);
     const Repro written = finding_repro(finding, pool);
     std::string error;
     const std::optional<Repro> read = parse_repro(to_repro_json(written), &error);
     ASSERT_TRUE(read.has_value()) << error;
     EXPECT_EQ(read->scenario, finding.shrunk);
-    EXPECT_EQ(read->oracle, "cds");
+    EXPECT_EQ(read->oracle, "delivery");
     EXPECT_EQ(read->note, written.note);
 
     const CheckReport replayed = check_scenario(read->scenario, pool);
     EXPECT_FALSE(replayed.ok);
-    EXPECT_EQ(replayed.oracle, "cds");
+    EXPECT_EQ(replayed.oracle, "delivery");
     EXPECT_EQ(replayed.detail, finding.shrunk_detail);
-    EXPECT_EQ(read->note, "iteration 66079: " + replayed.detail);
+    EXPECT_EQ(read->note, "iteration " + std::to_string(iteration) + ": " + replayed.detail);
     std::uint64_t digest = 0;
     ASSERT_TRUE(replay_digest(read->scenario, pool, &digest));
     EXPECT_EQ(read->digest, digest);

@@ -1,6 +1,6 @@
 /// \file recovery_test.cpp
-/// \brief NACK-driven recovery layer: gap repair, bounded budgets, and
-/// clean termination under total loss.
+/// \brief NACK-driven recovery layer: gap repair, bounded budgets, the
+/// pinned NACK backoff timeline, and clean termination under total loss.
 
 #include "faults/recovery.hpp"
 
@@ -11,6 +11,7 @@
 #include "faults/fault_plan.hpp"
 #include "faults/outcome.hpp"
 #include "graph/graph.hpp"
+#include "sim/trace.hpp"
 
 namespace adhoc {
 namespace {
@@ -62,6 +63,26 @@ TEST(Recovery, RepairsCrashRecoverGap) {
     EXPECT_TRUE(static_cast<bool>(with.result.received[2]));
     EXPECT_GE(with.result.retransmit_count, 1u);
     EXPECT_DOUBLE_EQ(with.summary.delivery_ratio, 1.0);
+
+    // With no repair budget node 2 NACKs in vain: node 1's beacon (sent at
+    // 5) reaches it at 6, and its NACKs go out at 6 + 1 = 7, then after a
+    // backoff of 2^(NACKs sent so far): 7 + 2 = 9 and 9 + 4 = 13.
+    RecoveryConfig unanswered;
+    unanswered.nack_delay = 1.0;
+    unanswered.max_beacons = 1;
+    unanswered.retransmit_budget = 0;
+    Rng rng_nack(5);
+    const ResilientResult stranded = flooding.broadcast_resilient(
+        path_graph(3), 0, rng_nack, MediumConfig{}, plan, unanswered, /*trace=*/true);
+    std::vector<double> nacks;
+    for (const TraceEvent& e : stranded.result.trace.events()) {
+        if (e.kind == TraceKind::kControl && e.node == 2) nacks.push_back(e.time);
+    }
+    EXPECT_EQ(nacks, (std::vector<double>{7.0, 9.0, 13.0}));
+    EXPECT_EQ(stranded.result.control_count, 5u);  // two beacons, three NACKs
+    EXPECT_EQ(stranded.result.retransmit_count, 0u);
+    EXPECT_FALSE(static_cast<bool>(stranded.result.received[2]));
+    EXPECT_EQ(stranded.result.completion_time, 14.0);  // the last NACK lands
 }
 
 TEST(Recovery, WorksUnderGenericFramework) {

@@ -1,6 +1,6 @@
 /// \file scale_resilience_test.cpp
 /// \brief Fault-tolerant scale plane: `ScaleEngine` under a `FaultPlan`
-/// (and optionally the windowed recovery mirror) must reproduce
+/// (and optionally the recovery machine on its window calendar) must reproduce
 /// `Simulator::broadcast_resilient` byte-for-byte — delivery and forward
 /// masks, every fault/recovery counter, completion time, outcome
 /// classification and the transmission-order digest — across seeds ×
@@ -14,7 +14,11 @@
 /// checks the engine skips are the ones that cannot fail.  Plus: clean
 /// termination when everything crashes, partition classification on a cut
 /// vertex, a calendar that holds live events only, and the validation
-/// surface of `attach_faults` / `set_recovery`.
+/// surface of `attach_faults` / `set_recovery`.  Both planes run one
+/// recovery machine, so the differential checks cover its ports: a grid of
+/// recovery budgets, backoff bases and repair depths on generic FR, the
+/// recovery.* telemetry of both planes, and a NACK backoff timeline pinned
+/// by hand (which no differential check can see, the code being shared).
 
 #include <gtest/gtest.h>
 
@@ -29,6 +33,7 @@
 #include "graph/unit_disk.hpp"
 #include "sim/packet.hpp"
 #include "sim/scale_engine.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace adhoc {
 namespace {
@@ -227,6 +232,35 @@ TEST(ScaleResilience, GenericFirstReceiptMatchesResilientSimulator) {
                                    aligned_recovery());
         }
     }
+    // Every recovery budget, the backoff base and the repair chain depth,
+    // under crash plus link churn: the engine's port must match the
+    // Simulator's wherever a budget runs out (no beacon at all, a single
+    // NACK, no repair) and at both backoff bases the calendar can hold.
+    const UnitDiskNetwork net = make_network(140, 0x33c);
+    const FaultPlan plan = churn_plan(net.graph, 5, 0x33c);
+    for (const std::size_t beacons : {0, 1, 5}) {
+        for (const std::size_t nacks : {1, 4}) {
+            for (const std::size_t budget : {0, 1, 3}) {
+                for (const double backoff : {1.0, 3.0}) {
+                    for (const std::size_t history : {1, 3}) {
+                        RecoveryConfig recovery = aligned_recovery();
+                        recovery.max_beacons = beacons;
+                        recovery.max_nacks = nacks;
+                        recovery.retransmit_budget = budget;
+                        recovery.backoff_factor = backoff;
+                        recovery.history = history;
+                        SCOPED_TRACE(::testing::Message()
+                                     << "beacons=" << beacons << " nacks=" << nacks
+                                     << " budget=" << budget << " backoff=" << backoff
+                                     << " history=" << history);
+                        expect_resilient_match(generic, net.graph, 5,
+                                               ScalePolicy::kGenericCoverage, &gc, plan,
+                                               recovery);
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(ScaleResilience, GenericStaticMatchesResilientSimulator) {
@@ -385,8 +419,8 @@ TEST(ScaleResilience, FaultFreeFloodAndSelfPruneMatchSimulator) {
 
 TEST(ScaleResilience, RecoveryHealsCrashRecoverGapOnEngine) {
     // Path 0-1-2, node 2 down while the packet passes, up again later.
-    // Without recovery the engine strands it; with the windowed NACK mirror
-    // a beacon → NACK → repair fills the gap, exactly as in recovery_test.
+    // Without recovery the engine strands it; with recovery armed a beacon
+    // → NACK → repair fills the gap, exactly as in recovery_test.
     Graph g = path_graph(3);
     FaultPlan plan;
     plan.events = {{0.5, FaultKind::kNodeCrash, 2, Edge{}},
@@ -410,6 +444,69 @@ TEST(ScaleResilience, RecoveryHealsCrashRecoverGapOnEngine) {
     const ResilienceSummary sum =
         faults::classify_outcome(g, 0, healed.received_mask(), plan);
     EXPECT_EQ(sum.outcome, DeliveryOutcome::kDelivered);
+
+    // With no repair budget node 2 NACKs in vain: node 1's beacon (sent at
+    // 5) reaches it at 6, and its NACKs go out at 6 + 1 = 7, 7 + 2 = 9 and
+    // 9 + 4 = 13 (backoff 2^(NACKs sent)), the last arriving at 14.  Two
+    // beacons (nodes 0 and 1) plus three NACKs.  recovery_test pins the
+    // same timeline on the Simulator.
+    RecoveryConfig unanswered = aligned_recovery();
+    unanswered.max_beacons = 1;
+    unanswered.retransmit_budget = 0;
+    ScaleEngine stranded(g, cfg);
+    stranded.attach_faults(&plan);
+    stranded.set_recovery(unanswered);
+    const ScaleResult nacked = stranded.run(0);
+    EXPECT_FALSE(static_cast<bool>(stranded.received_mask()[2]));
+    EXPECT_EQ(nacked.retransmit_count, 0u);
+    EXPECT_EQ(nacked.control_count, 5u);
+    EXPECT_EQ(nacked.completion_time, 14.0);
+}
+
+TEST(ScaleResilience, RecoveryTelemetryMatchesResilientSimulator) {
+    // Both planes run the one recovery machine, which counts the recovery.*
+    // metrics: on a crash-plus-recovery run the engine reports the
+    // resilient Simulator's beacons, NACKs, repairs and healed gaps.
+    namespace tel = telemetry;
+    const tel::MetricId metrics[] = {
+        tel::counter("recovery.beacons", "packets"), tel::counter("recovery.nacks", "packets"),
+        tel::counter("recovery.repairs", "packets"),
+        tel::counter("recovery.gaps_healed", "nodes")};
+    const bool was_enabled = tel::enabled();
+    tel::set_enabled(true);
+    const auto totals = [&](const tel::Snapshot& snap) {
+        std::vector<std::uint64_t> sums;
+        for (const tel::MetricId id : metrics) {
+            sums.push_back(id < snap.values().size() ? snap.values()[id].sum : 0);
+        }
+        return sums;
+    };
+
+    const UnitDiskNetwork net = make_network(140, 0x11a);
+    const NodeId source = 7;
+    const FaultPlan plan = crash_plan(net.graph, source, 0x11a);
+    const FloodingAlgorithm flood;
+    std::vector<std::uint64_t> ref;
+    {
+        tel::RunScope scope;
+        Rng rng(99);
+        (void)flood.broadcast_resilient(net.graph, source, rng, MediumConfig{}, plan,
+                                        aligned_recovery());
+        ref = totals(scope.harvest());
+    }
+    for (const std::uint64_t sum : ref) EXPECT_GT(sum, 0u);
+    for (const std::size_t jobs : {1, 4}) {
+        ScaleConfig cfg;
+        cfg.wheels = 3;
+        cfg.jobs = jobs;
+        ScaleEngine engine(net.graph, cfg);
+        engine.attach_faults(&plan);
+        engine.set_recovery(aligned_recovery());
+        tel::RunScope scope;
+        (void)engine.run(source);
+        EXPECT_EQ(totals(scope.harvest()), ref) << "jobs=" << jobs;
+    }
+    tel::set_enabled(was_enabled);
 }
 
 TEST(ScaleResilience, CrashEverythingTerminatesCleanly) {
