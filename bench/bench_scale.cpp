@@ -31,14 +31,17 @@
 /// counts, completion times, the transmission-order digest — is a function
 /// of the seed alone, identical at any jobs (and wheel) value.
 /// Both panels write schema adhoc-rows-v1 (docs/PERF.md); wall times and
-/// RSS go in each row's `timing`, which `--no-timing` leaves empty, making
-/// the file *byte-identical* across jobs values; the CI scale-smoke job
-/// diffs a --jobs 1 run against a --jobs 8 run exactly that way.
+/// RSS go in each row's `timing` (the main panel's also carries `ctor_s`,
+/// the engine's construction, timed apart from `run_s`), which
+/// `--no-timing` leaves empty, making the file *byte-identical* across jobs
+/// values; the CI scale-smoke job diffs a --jobs 1 run against a --jobs 8
+/// run exactly that way.
 ///
 /// Exits nonzero when flooding misses component-exact delivery, when any
 /// engine policy disagrees with flooding on reached nodes, or when a legacy
 /// cross-check (at sizes where it runs) diverges from the engine's outcome.
 
+#include <array>
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -141,6 +144,7 @@ struct Row {
     // byte-identical across --jobs values.
     std::vector<double> run_s;     ///< every timed repetition
     std::vector<double> legacy_s;  ///< flood rows where the Simulator ran
+    double ctor_s = 0.0;           ///< the engine's construction (graph copy)
     std::size_t rss_bytes = 0;
     double events_per_sec = 0.0;
     double speedup_vs_legacy = 0.0;
@@ -164,6 +168,7 @@ bench::RowsDoc rows_doc(const ScaleOptions& opts, const std::vector<Row>& rows) 
             .real("engine_bytes_per_node", r.engine_bytes_per_node);
         if (!r.run_s.empty()) {
             row.timing.samples("run_s", r.run_s)
+                .samples("ctor_s", {r.ctor_s})
                 .samples("peak_rss_bytes", {static_cast<double>(r.rss_bytes)});
         }
         if (!r.legacy_s.empty()) row.timing.samples("legacy_run_s", r.legacy_s);
@@ -431,24 +436,35 @@ int main(int argc, char** argv) {
         const Graph graph = bench::scale_placement(opts.seed, n);
         const NodeId source = 0;
 
+        // Each construction is timed apart from the runs (`ctor_s`): it
+        // copies the graph into the engine's BFS-ordered CSR.
+        std::array<double, 4> ctor_s{};
         ScaleConfig cfg;
         cfg.jobs = opts.jobs;
+        auto t_build = std::chrono::steady_clock::now();
         ScaleEngine engine(graph, cfg);
+        ctor_s[0] = seconds_since(t_build);
 
         ScaleConfig pruned_cfg = cfg;
         pruned_cfg.policy = ScalePolicy::kSelfPrune;
+        t_build = std::chrono::steady_clock::now();
         ScaleEngine pruned(graph, pruned_cfg);
+        ctor_s[1] = seconds_since(t_build);
 
         // Generic coverage at scale: each decision compiles its k-hop ball
         // into per-wheel scratch; no view outlives its decision.
         ScaleConfig static_cfg = cfg;
         static_cfg.policy = ScalePolicy::kGenericCoverage;
         static_cfg.generic = generic_static_config(2);
+        t_build = std::chrono::steady_clock::now();
         ScaleEngine generic_static(graph, static_cfg);
+        ctor_s[2] = seconds_since(t_build);
 
         ScaleConfig fr_cfg = static_cfg;
         fr_cfg.generic = generic_fr_config(2);
+        t_build = std::chrono::steady_clock::now();
         ScaleEngine generic_fr(graph, fr_cfg);
+        ctor_s[3] = seconds_since(t_build);
 
         // Best-of-reps timing (bench_micro's discipline): a warm run pays
         // the cold allocations, then the minimum over repetitions discards
@@ -565,7 +581,8 @@ int main(int argc, char** argv) {
 
         const std::size_t rss = peak_rss_bytes();
         const auto make_row = [&](const char* policy, const ScaleResult& res,
-                                  const std::vector<double>& walls, double engine_bytes) {
+                                  const std::vector<double>& walls, double ctor,
+                                  double engine_bytes) {
             Row row;
             row.nodes = n;
             row.edges = graph.edge_count();
@@ -575,6 +592,7 @@ int main(int argc, char** argv) {
             if (opts.timing) {
                 const double wall = *std::min_element(walls.begin(), walls.end());
                 row.run_s = walls;
+                row.ctor_s = ctor;
                 row.rss_bytes = rss;
                 row.events_per_sec =
                     wall > 0.0 ? static_cast<double>(res.delivered_events) / wall : 0.0;
@@ -591,13 +609,13 @@ int main(int argc, char** argv) {
             }
             return row;
         };
-        rows.push_back(make_row("flood", flood, flood_walls,
+        rows.push_back(make_row("flood", flood, flood_walls, ctor_s[0],
                                 static_cast<double>(engine.state_bytes())));
-        rows.push_back(make_row("self_prune", prune, prune_walls,
+        rows.push_back(make_row("self_prune", prune, prune_walls, ctor_s[1],
                                 static_cast<double>(pruned.state_bytes())));
-        rows.push_back(make_row("generic_static", gstatic, gstatic_walls,
+        rows.push_back(make_row("generic_static", gstatic, gstatic_walls, ctor_s[2],
                                 static_cast<double>(generic_static.state_bytes())));
-        rows.push_back(make_row("generic_fr", gfr, gfr_walls,
+        rows.push_back(make_row("generic_fr", gfr, gfr_walls, ctor_s[3],
                                 static_cast<double>(generic_fr.state_bytes())));
 
         const Row& fr = rows[rows.size() - 4];

@@ -290,9 +290,9 @@ template <std::size_t kWords>
 /// `ball_covered` on W-word masks for the ball of `m` members that
 /// `ball_bfs` left in `s`: rows, H and the visited set straight from the
 /// graph, then the kernel.  v is local 0.
-template <std::size_t kWords>
+template <std::size_t kWords, class Adjacency, class Keys>
 [[gnu::always_inline]] inline bool ball_covered_on(
-    const Graph& g, NodeId v, std::size_t k, std::size_t m, const PriorityKeys& keys,
+    const Adjacency& g, NodeId v, std::size_t k, std::size_t m, const Keys& keys,
     std::span<const NodeId> visited, const CoverageOptions& opts, const BallScratch& s,
     std::uint64_t* rows, std::uint64_t* in_h, std::uint64_t* seen, std::uint64_t* temps,
     std::uint64_t* reach) {
@@ -378,7 +378,8 @@ CoverageOutcome evaluate_coverage_compiled(LocalViewScratch& s, std::uint32_t lv
             .uncovered_w = verdict.w == kNoLocal ? kInvalidNode : c.members[verdict.w]};
 }
 
-bool ball_covered(const Graph& g, NodeId v, std::size_t k, const PriorityKeys& keys,
+template <class Adjacency, class Keys>
+bool ball_covered(const Adjacency& g, NodeId v, std::size_t k, const Keys& keys,
                   std::span<const NodeId> visited, const CoverageOptions& opts, BallScratch& s) {
     if (k == 0) throw std::invalid_argument("ball_covered: hops must be >= 1");
     if (g.neighbors(v).size() <= 1) return true;  // no neighbor pair to connect
@@ -388,6 +389,11 @@ bool ball_covered(const Graph& g, NodeId v, std::size_t k, const PriorityKeys& k
                                                        masks...);
     });
 }
+
+template bool ball_covered(const Graph&, NodeId, std::size_t, const PriorityKeys&,
+                           std::span<const NodeId>, const CoverageOptions&, BallScratch&);
+template bool ball_covered(const BfsGraph&, NodeId, std::size_t, const BfsPriorityKeys&,
+                           std::span<const NodeId>, const CoverageOptions&, BallScratch&);
 
 CoverageOutcome evaluate_coverage(const View& view, NodeId v, const CoverageOptions& opts,
                                   NodeStatus self_status) {

@@ -118,7 +118,10 @@ struct CoverageOutcome {
 /// this does not report, depends on local-id order.  Throws
 /// std::invalid_argument when k == 0 or k > kMaxBallHops, and
 /// std::length_error when the ball has more than kMaxMaskMembers members.
-[[nodiscard]] bool ball_covered(const Graph& g, NodeId v, std::size_t k, const PriorityKeys& keys,
+/// Instantiated for (`Graph`, `PriorityKeys`) and for (`BfsGraph`,
+/// `BfsPriorityKeys`), whose ids `v` and `visited` then are.
+template <class Adjacency, class Keys>
+[[nodiscard]] bool ball_covered(const Adjacency& g, NodeId v, std::size_t k, const Keys& keys,
                                 std::span<const NodeId> visited, const CoverageOptions& opts,
                                 BallScratch& s);
 

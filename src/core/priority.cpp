@@ -42,6 +42,16 @@ PriorityKeys::PriorityKeys(const Graph& g, PriorityScheme scheme) : scheme_(sche
     }
 }
 
+BfsPriorityKeys::BfsPriorityKeys(const Graph& original, const BfsGraph& g,
+                                 PriorityScheme scheme)
+    : g_(&g), scheme_(scheme) {
+    if (scheme != PriorityScheme::kNcr) return;
+    ncr_.resize(g.node_count());
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+        ncr_[v] = neighborhood_connectivity_ratio(original, g.original(v));
+    }
+}
+
 std::size_t PriorityKeys::extra_rounds() const noexcept {
     switch (scheme_) {
         case PriorityScheme::kId: return 0;

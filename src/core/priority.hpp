@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/bfs_graph.hpp"
 #include "graph/graph.hpp"
 
 namespace adhoc {
@@ -96,6 +97,35 @@ class PriorityKeys {
     PriorityScheme scheme_ = PriorityScheme::kId;
     std::vector<double> key1_;
     std::vector<double> key2_;
+};
+
+/// The static priority keys of a `BfsGraph`'s nodes, read by internal id:
+/// `evaluate(v, s)` equals `PriorityKeys(original, scheme).evaluate(
+/// g.original(v), s)`, the original id staying the last tiebreak.  Only
+/// what the graph cannot give is stored: id keys need nothing, a degree
+/// key is the internal row length, and NCR keeps one double per node.
+/// The graph must outlive the keys.
+class BfsPriorityKeys {
+  public:
+    BfsPriorityKeys() = default;
+    BfsPriorityKeys(const Graph& original, const BfsGraph& g, PriorityScheme scheme);
+
+    [[nodiscard]] Priority evaluate(NodeId v, NodeStatus status) const noexcept {
+        const auto degree = static_cast<double>(g_->degree(v));
+        switch (scheme_) {
+            case PriorityScheme::kId: break;
+            case PriorityScheme::kDegree: return {status, degree, 0.0, g_->original(v)};
+            case PriorityScheme::kNcr: return {status, ncr_[v], degree, g_->original(v)};
+        }
+        return {status, 0.0, 0.0, g_->original(v)};
+    }
+
+    [[nodiscard]] std::size_t bytes() const noexcept { return ncr_.capacity() * sizeof(double); }
+
+  private:
+    const BfsGraph* g_ = nullptr;
+    PriorityScheme scheme_ = PriorityScheme::kId;
+    std::vector<double> ncr_;  ///< kNcr only, by internal id
 };
 
 }  // namespace adhoc

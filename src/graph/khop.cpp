@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "graph/bfs_graph.hpp"
+
 namespace adhoc {
 
 std::vector<NodeId> k_hop_nodes(const Graph& g, NodeId v, std::size_t k) {
@@ -51,7 +53,8 @@ void BallScratch::fit(std::size_t n) {
     }
 }
 
-std::size_t ball_bfs(const Graph& g, NodeId v, std::size_t k, BallScratch& s) {
+template <class Adjacency>
+std::size_t ball_bfs(const Adjacency& g, NodeId v, std::size_t k, BallScratch& s) {
     // A BFS that expands nodes closer than `k` hops, recording each
     // member's hop distance, epoch stamp and discovery index.
     assert(g.contains(v));
@@ -97,8 +100,8 @@ std::size_t ball_bfs(const Graph& g, NodeId v, std::size_t k, BallScratch& s) {
     return tail;
 }
 
-template <std::size_t kWords>
-void compile_ball_masks(const Graph& g, std::size_t k, const BallScratch& s, std::size_t m,
+template <std::size_t kWords, class Adjacency>
+void compile_ball_masks(const Adjacency& g, std::size_t k, const BallScratch& s, std::size_t m,
                         std::uint64_t* rows) {
     constexpr std::uint64_t kOne = 1;
     const std::size_t words = kWords != 0 ? kWords : mask_words(m);
@@ -130,10 +133,16 @@ void compile_ball_masks(const Graph& g, std::size_t k, const BallScratch& s, std
     }
 }
 
+template std::size_t ball_bfs(const Graph&, NodeId, std::size_t, BallScratch&);
+template std::size_t ball_bfs(const BfsGraph&, NodeId, std::size_t, BallScratch&);
 template void compile_ball_masks<1>(const Graph&, std::size_t, const BallScratch&, std::size_t,
                                     std::uint64_t*);
 template void compile_ball_masks<0>(const Graph&, std::size_t, const BallScratch&, std::size_t,
                                     std::uint64_t*);
+template void compile_ball_masks<1>(const BfsGraph&, std::size_t, const BallScratch&,
+                                    std::size_t, std::uint64_t*);
+template void compile_ball_masks<0>(const BfsGraph&, std::size_t, const BallScratch&,
+                                    std::size_t, std::uint64_t*);
 
 void compile_ball(const Graph& g, NodeId v, std::size_t k, BallScratch& s) {
     const std::size_t tail = ball_bfs(g, v, k, s);

@@ -15,7 +15,8 @@
 /// builds every other view (global, hello-built, hand-built).
 /// `ball_bfs` + `compile_ball_masks` write the same G_k(v) as node-mask
 /// rows — one bitset per member, over members numbered in BFS order —
-/// which is the form the coverage kernel decides on (core/coverage.hpp).
+/// which is the form the coverage kernel decides on (core/coverage.hpp),
+/// from a `Graph` or from `ScaleEngine`'s BFS-ordered copy of one.
 
 #pragma once
 
@@ -141,8 +142,10 @@ void compile_ball(const Graph& g, NodeId v, std::size_t k, BallScratch& s);
 /// in BFS discovery order.  Local i names `s.bfs[i]` (the center is 0),
 /// `s.g2l[x]` is the local id of a member x (`s.member(x)`) and `s.dist[x]`
 /// its hop distance.  Returns the member count m; `s.view` is left alone.
-/// Throws std::invalid_argument when k > kMaxBallHops.
-std::size_t ball_bfs(const Graph& g, NodeId v, std::size_t k, BallScratch& s);
+/// Throws std::invalid_argument when k > kMaxBallHops.  `Adjacency` is
+/// `Graph` or `BfsGraph` (graph/bfs_graph.hpp), whose ids it then speaks.
+template <class Adjacency>
+std::size_t ball_bfs(const Adjacency& g, NodeId v, std::size_t k, BallScratch& s);
 
 /// G_k(v) as node-mask rows, straight from `g`, for the ball of `m`
 /// members that the last `ball_bfs(g, v, k, s)` left in `s`: with W =
@@ -151,9 +154,10 @@ std::size_t ball_bfs(const Graph& g, NodeId v, std::size_t k, BallScratch& s);
 /// between locals i and j is in E ∩ (N_{k-1}(v) × N_k(v)) — the links
 /// `compile_ball` keeps.  The rows of the k-hop boundary are the transpose
 /// of the interior rows, so no boundary node's adjacency is read.  Rows
-/// cost m * W words, quadratic in m.  Instantiated for kWords 1 and 0.
-template <std::size_t kWords>
-void compile_ball_masks(const Graph& g, std::size_t k, const BallScratch& s, std::size_t m,
+/// cost m * W words, quadratic in m.  Instantiated for kWords 1 and 0, on
+/// `Graph` and `BfsGraph`.
+template <std::size_t kWords, class Adjacency>
+void compile_ball_masks(const Adjacency& g, std::size_t k, const BallScratch& s, std::size_t m,
                         std::uint64_t* rows);
 
 /// The builder for views that do not come from `compile_ball`: global

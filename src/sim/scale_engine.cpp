@@ -196,8 +196,7 @@ void ScaleEngine::validate_generic_config() const {
     }
 }
 
-ScaleEngine::ScaleEngine(const Graph& graph, ScaleConfig config)
-    : graph_(graph), config_(config) {
+ScaleEngine::ScaleEngine(const Graph& graph, ScaleConfig config) : config_(config) {
     if (!(config_.delay > 0.0)) {
         throw std::invalid_argument("ScaleConfig.delay must be > 0");
     }
@@ -214,9 +213,14 @@ ScaleEngine::ScaleEngine(const Graph& graph, ScaleConfig config)
                                     ": calendar events keep node ids in 30 bits — "
                                     "use at most 1073741824 nodes");
     }
+    // The engine's CSR offsets are 32-bit.
+    if (2 * graph.edge_count() > std::size_t{0xffffffffu}) {
+        throw std::invalid_argument("graph edge count = " + std::to_string(graph.edge_count()) +
+                                    ": the engine's 32-bit CSR offsets hold at most "
+                                    "4294967295 adjacency entries (2|E|)");
+    }
     config_.wheels = std::min(config_.wheels, std::max<std::size_t>(n, 1));
-    block_ = (n + config_.wheels - 1) / config_.wheels;
-    if (block_ == 0) block_ = 1;
+    graph_ = BfsGraph(graph);
     received_.assign(n, 0);
     forwarded_.assign(n, 0);
     fresh_.resize(config_.wheels);
@@ -224,7 +228,7 @@ ScaleEngine::ScaleEngine(const Graph& graph, ScaleConfig config)
 
     if (config_.policy == ScalePolicy::kGenericCoverage) {
         validate_generic_config();
-        keys_ = PriorityKeys(graph_, config_.generic.priority);
+        keys_ = BfsPriorityKeys(graph, graph_, config_.generic.priority);
         chained_ = config_.generic.timing == Timing::kFirstReceipt;
     }
 }
@@ -233,13 +237,14 @@ ScaleEngine::~ScaleEngine() = default;
 
 bool ScaleEngine::covered_by(NodeId v, NodeId u) const noexcept {
     // True iff every neighbor of v is u itself or a neighbor of u — the
-    // self-pruning test over two sorted adjacency rows.
+    // self-pruning test, a merge over two rows that ascend by original id.
     const auto nv = graph_.neighbors(v);
     const auto nu = graph_.neighbors(u);
     auto it = nu.begin();
     for (NodeId x : nv) {
         if (x == u) continue;
-        while (it != nu.end() && *it < x) ++it;
+        const NodeId ox = graph_.original(x);
+        while (it != nu.end() && graph_.original(*it) < ox) ++it;
         if (it == nu.end() || *it != x) return false;
     }
     return true;
@@ -408,15 +413,18 @@ void ScaleEngine::fanout(NodeId sender, std::uint32_t kind, std::uint32_t payloa
     // Mirrors Simulator::schedule_deliveries exactly: the target skip comes
     // before fault gating (no loss draw for skipped neighbors), and a down
     // link short-circuits the draw (|| in the reference) so the counter
-    // stream position stays identical.
+    // stream position stays identical.  The session speaks original ids.
     const std::size_t w = window_index(next_time);  // one instant per fanout
     note_time(w, next_time);
+    const NodeId from = graph_.original(sender);
     for (NodeId nbr : graph_.neighbors(sender)) {
         if (only_target != kInvalidNode && nbr != only_target) continue;
-        if (faults_live_ &&
-            (!fsession_.link_up(sender, nbr) || fsession_.drop_directed(sender, nbr))) {
-            ++result_.fault_suppressed;
-            continue;
+        if (faults_live_) {
+            const NodeId to = graph_.original(nbr);
+            if (!fsession_.link_up(from, to) || fsession_.drop_directed(from, to)) {
+                ++result_.fault_suppressed;
+                continue;
+            }
         }
         push_to(w, next_time, kind, nbr, payload);
     }
@@ -442,7 +450,7 @@ void ScaleEngine::transmit(NodeId v, double now, std::uint32_t base) {
     forwarded_[v] = 1;
     received_[v] = 1;
     result_.order_digest = mix(result_.order_digest, std::bit_cast<std::uint64_t>(now));
-    result_.order_digest = mix(result_.order_digest, v);
+    result_.order_digest = mix(result_.order_digest, graph_.original(v));
     // Unless packets carry a chain, the packet is just its sender.
     const std::uint32_t pkt = chained_ ? make_packet(v, config_.generic.history, base) : v;
     fanout(v, kDelivery, pkt, kInvalidNode, now + config_.delay);
@@ -484,6 +492,7 @@ ScaleResult ScaleEngine::run(NodeId source) {
     }
     result_ = ScaleResult{};
     if (n == 0) return result_;
+    const NodeId start = graph_.internal(source);
 
     std::fill(received_.begin(), received_.end(), 0);
     std::fill(forwarded_.begin(), forwarded_.end(), 0);
@@ -519,9 +528,9 @@ ScaleResult ScaleEngine::run(NodeId source) {
     // source transmits unconditionally (no fault has been applied yet);
     // then — RecoveryAgent::start order — the source's holder beacon arms
     // AFTER the fanout's insertion sequences.
-    transmit(source, 0.0, kNoPacket);
+    transmit(start, 0.0, kNoPacket);
     now_ = 0.0;
-    if (recovery) recovery_.on_hold(*this, source);
+    if (recovery) recovery_.on_hold(*this, start);
 
     const bool generic = config_.policy == ScalePolicy::kGenericCoverage;
     std::optional<PhaseCrew> crew;
@@ -639,6 +648,15 @@ ScaleResult ScaleEngine::run(NodeId source) {
         static_cast<std::size_t>(std::count(forwarded_.begin(), forwarded_.end(), 1));
     result_.received_count =
         static_cast<std::size_t>(std::count(received_.begin(), received_.end(), 1));
+    // The masks leave the engine by original id.
+    renumber_.resize(n);
+    for (NodeId v = 0; v < n; ++v) {
+        renumber_[graph_.original(v)] = static_cast<char>(received_[v] | forwarded_[v] << 1);
+    }
+    for (std::size_t v = 0; v < n; ++v) {
+        received_[v] = static_cast<char>(renumber_[v] & 1);
+        forwarded_[v] = static_cast<char>(renumber_[v] >> 1);
+    }
     result_.full_delivery = result_.received_count == n;
     if (faults_live_) {
         result_.down = fsession_.down_mask();
@@ -649,7 +667,8 @@ ScaleResult ScaleEngine::run(NodeId source) {
 }
 
 std::size_t ScaleEngine::state_bytes() const noexcept {
-    std::size_t bytes = received_.capacity() + forwarded_.capacity();
+    std::size_t bytes = graph_.bytes() + keys_.bytes() + received_.capacity() +
+                        forwarded_.capacity() + renumber_.capacity();
     for (const std::vector<NodeId>& fresh : fresh_) bytes += fresh.capacity() * sizeof(NodeId);
     // Every worker's O(n) arrays are sized with the crew.  Which worker
     // decides which ball is up to the scheduler, so each per-ball buffer

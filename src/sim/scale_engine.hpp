@@ -26,6 +26,18 @@
 /// and tests/scale_resilience_test.cpp prove it; the fuzzer's scale oracles
 /// keep proving it).
 ///
+/// **Internal ids.**  The constructor reads the caller's graph once: it
+/// numbers the nodes in BFS discovery order (every component, seeds in
+/// ascending original id) and writes its own flat CSR in those ids
+/// (`BfsGraph`, graph/bfs_graph.hpp), each row in the original sorted-row
+/// order, which is the Simulator's insertion sequence.  From then on the
+/// engine reads only its copy, so a decision's ball, a fanout and the
+/// calendar's events touch memory in about the order the wave touches
+/// space.  Events, masks, packets, recovery state and the pre-scan are in
+/// internal ids; original ids appear only at the boundaries — the `run`
+/// argument, the order-digest fold, `FaultSession` calls, the returned
+/// masks and the priority tiebreak (`BfsPriorityKeys`).
+///
 /// Events live in fixed-size chunks shared by all buckets and recycled
 /// through one free list as soon as they are replayed, so the calendar
 /// holds pending events, not the run's history, and a warm rerun allocates
@@ -43,7 +55,7 @@
 /// chain), so a decision is a pure function of (node, packet).  Every
 /// decision, for any ball size and any coverage option, is one call to
 /// `ball_covered` (src/core/coverage.hpp), which decides straight from the
-/// one immutable graph the engine was constructed with: `ball_bfs`
+/// engine's BFS-ordered copy of the graph: `ball_bfs`
 /// (src/graph/khop.hpp), the truncated BFS behind `compile_ball`, numbers
 /// members in discovery order, and `compile_ball_masks` writes each
 /// member's visible links as a node-mask row of ⌈m/64⌉ words; the
@@ -54,8 +66,9 @@
 /// numbered, so it equals `evaluate_coverage` on the sorted Definition-2
 /// view.  A decision allocates nothing in steady state.
 ///
-/// **Wheels and jobs.**  Nodes are block-partitioned into
-/// `ScaleConfig::wheels` shards.  At `jobs > 1`, a generic window of at
+/// **Wheels and jobs.**  Internal ids are dealt round-robin to
+/// `ScaleConfig::wheels` shards (blocks would put a whole BFS wave into one
+/// or two wheels).  At `jobs > 1`, a generic window of at
 /// least 4096 events is pre-scanned: each node's first in-window delivery
 /// is decided ahead of the replay by a `PhaseCrew` of min(jobs, wheels)
 /// workers claiming wheels, and the replay uses a verdict only when the
@@ -83,8 +96,8 @@
 /// plan has timed events or asymmetric links; otherwise nothing can fail
 /// and they are skipped.  Link churn only gates links in the fault
 /// session — views and priority keys stay those of the constructor graph,
-/// exactly as in the reference.  See docs/SCALING.md "Faults at scale" for
-/// the window-bucketing contract.
+/// exactly as in the reference.  The session speaks original ids.  See
+/// docs/SCALING.md "Faults at scale" for the window-bucketing contract.
 
 #pragma once
 
@@ -97,6 +110,7 @@
 #include "faults/fault_plan.hpp"
 #include "faults/fault_session.hpp"
 #include "faults/recovery.hpp"
+#include "graph/bfs_graph.hpp"
 #include "graph/graph.hpp"
 #include "graph/khop.hpp"
 #include "sim/generic_config.hpp"
@@ -173,9 +187,11 @@ struct ScaleResult {
 
 class ScaleEngine {
   public:
-    /// The graph must outlive the engine and stay unchanged.  Throws
+    /// The graph is read only by the constructor, which copies it in BFS
+    /// order; it may change or be destroyed afterwards.  Throws
     /// std::invalid_argument on a non-positive delay, zero wheel or job
-    /// count, or generic-policy knobs the engine cannot honor.
+    /// count, more than 2^30 nodes or 2|E| >= 2^32 adjacency entries, or
+    /// generic-policy knobs the engine cannot honor.
     ScaleEngine(const Graph& graph, ScaleConfig config = {});
     ~ScaleEngine();
 
@@ -211,16 +227,18 @@ class ScaleEngine {
     void set_recovery(const faults::RecoveryConfig& config);
 
     /// Per-node outcome of the last `run` (differential tests, fuzz
-    /// oracle).  1 iff the node transmitted / received a copy.
+    /// oracle), by original id.  1 iff the node transmitted / received a
+    /// copy.
     [[nodiscard]] const std::vector<char>& forwarded_mask() const noexcept {
         return forwarded_;
     }
     [[nodiscard]] const std::vector<char>& received_mask() const noexcept { return received_; }
 
-    /// Engine-owned working memory (per-node masks, the window calendar —
-    /// bucket headers, event chunks, the drained window — packet and
-    /// recovery state, pre-scan arrays and decision scratch),
-    /// for the bench's bytes/node metric.
+    /// Engine-owned memory (the BFS-ordered graph copy, its id map and
+    /// stored keys, per-node masks, the window calendar — bucket headers,
+    /// event chunks, the drained window — packet and recovery state,
+    /// pre-scan arrays and decision scratch), for the bench's bytes/node
+    /// metric.
     [[nodiscard]] std::size_t state_bytes() const noexcept;
 
   private:
@@ -269,10 +287,12 @@ class ScaleEngine {
         Chunk* chunk;  ///< nullptr for `work_`
     };
 
-    [[nodiscard]] std::size_t wheel_of(NodeId v) const noexcept { return v / block_; }
+    /// Strided, not blocked: a BFS wave covers a run of consecutive
+    /// internal ids, which must spread over every wheel.
+    [[nodiscard]] std::size_t wheel_of(NodeId v) const noexcept { return v % config_.wheels; }
     [[nodiscard]] bool covered_by(NodeId v, NodeId u) const noexcept;
     [[nodiscard]] bool up(NodeId v) const noexcept {
-        return !faults_live_ || fsession_.node_up(v);
+        return !faults_live_ || fsession_.node_up(graph_.original(v));
     }
     void validate_generic_config() const;
 
@@ -317,16 +337,17 @@ class ScaleEngine {
     /// with `history` chain entries, and returns its `packets_` offset.
     [[nodiscard]] std::uint32_t make_packet(NodeId v, std::size_t history, std::uint32_t base);
 
-    const Graph& graph_;
     ScaleConfig config_;
-    std::size_t block_ = 1;  ///< nodes per wheel (last wheel may be short)
-    PriorityKeys keys_;      ///< static priority keys (generic coverage)
+    BfsGraph graph_;        ///< the constructor graph, in internal ids
+    BfsPriorityKeys keys_;  ///< static priority keys (generic coverage)
     /// Packets carry a history chain: first-receipt generic coverage, the
     /// only policy whose decisions read broadcast state.
     bool chained_ = false;
 
+    /// By internal id during a run, by original id once it returns.
     std::vector<char> received_;
     std::vector<char> forwarded_;
+    std::vector<char> renumber_;  ///< both masks packed, for the reordering
     ScaleResult result_;  ///< the run in progress
 
     const faults::FaultPlan* fault_plan_ = nullptr;

@@ -22,6 +22,7 @@
 #include "core/maxmin.hpp"
 #include "core/priority.hpp"
 #include "core/view.hpp"
+#include "graph/bfs_graph.hpp"
 #include "graph/khop.hpp"
 #include "graph/traversal.hpp"
 #include "graph/unit_disk.hpp"
@@ -476,9 +477,11 @@ std::vector<CoverageOptions> ball_option_combos() {
 /// chains of 1-4 nodes ending at a neighbour (first receipt), under the
 /// default condition with merge_visited on and off; the nodes for which
 /// `all_options` holds also run every other `ball_option_combos` entry.
-/// Every node's mask rows must also equal the compiled view's links.
-/// `decided` counts the decisions and `multi_word` those on balls of more
-/// than 64 members.
+/// Every node's mask rows must also equal the compiled view's links.  The
+/// same ball on the graph's BFS-ordered copy (`BfsGraph`) must be
+/// discovered in the same order, give the same rows and the same verdicts
+/// under `BfsPriorityKeys`.  `decided` counts the decisions and
+/// `multi_word` those on balls of more than 64 members.
 template <class AllOptions>
 void expect_ball_words_agree(const Graph& g, AllOptions all_options, Rng& rng,
                              const std::string& label, std::size_t& decided,
@@ -489,6 +492,11 @@ void expect_ball_words_agree(const Graph& g, AllOptions all_options, Rng& rng,
     std::vector<std::uint64_t> rows;
     std::vector<std::uint64_t> any_width;
     std::vector<std::uint64_t> links;
+    const BfsGraph ordered(g);
+    std::vector<NodeId> internal(g.node_count());
+    for (NodeId x = 0; x < g.node_count(); ++x) internal[ordered.original(x)] = x;
+    BallScratch ordered_words;
+    std::vector<std::uint64_t> ordered_rows;
     for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
         for (NodeId v = 0; v < g.node_count(); ++v) {
             const std::size_t m = ball_bfs(g, v, k, words);
@@ -517,10 +525,25 @@ void expect_ball_words_agree(const Graph& g, AllOptions all_options, Rng& rng,
                 }
             }
             ASSERT_EQ(rows, links) << label << " v=" << v << " k=" << k;
+            // Rows of the copy keep the original row order, so its BFS
+            // discovers the same members in the same order.
+            ASSERT_EQ(ball_bfs(ordered, internal[v], k, ordered_words), m)
+                << label << " v=" << v;
+            for (std::size_t i = 0; i < m; ++i) {
+                ASSERT_EQ(ordered.original(ordered_words.bfs[i]), words.bfs[i]) << label;
+            }
+            ordered_rows.assign(m * nw, ~std::uint64_t{0});
+            if (m <= 64) {
+                compile_ball_masks<1>(ordered, k, ordered_words, m, ordered_rows.data());
+            } else {
+                compile_ball_masks<0>(ordered, k, ordered_words, m, ordered_rows.data());
+            }
+            ASSERT_EQ(ordered_rows, rows) << label << " v=" << v << " k=" << k;
         }
         for (const PriorityScheme scheme : {PriorityScheme::kId, PriorityScheme::kDegree,
                                             PriorityScheme::kNcr}) {
             const PriorityKeys keys(g, scheme);
+            const BfsPriorityKeys ordered_keys(g, ordered, scheme);
             for (NodeId v = 0; v < g.node_count(); ++v) {
                 const auto nbrs = g.neighbors(v);
                 const LocalTopology topo = local_topology(g, v, k);
@@ -539,17 +562,25 @@ void expect_ball_words_agree(const Graph& g, AllOptions all_options, Rng& rng,
                         if (status[x] != NodeStatus::kInvisible) status[x] = NodeStatus::kVisited;
                     }
                     const View view(LocalTopology(topo), std::move(status), &keys);
+                    std::vector<NodeId> ordered_visited;
+                    for (const NodeId x : visited) ordered_visited.push_back(internal[x]);
                     for (std::size_t o = 0; o < options; ++o) {
                         const CoverageOptions& opts = combos[o];
                         const bool got = ball_covered(g, v, k, keys, visited, opts, words);
                         const bool want = reference::evaluate_coverage(view, v, opts).covered;
+                        const bool got_ordered =
+                            ball_covered(ordered, internal[v], k, ordered_keys, ordered_visited,
+                                         opts, ordered_words);
                         ++decided;
                         multi_word += topo.size() > 64;
-                        ASSERT_EQ(got, want)
-                            << label << " v=" << v << " k=" << k << " scheme "
-                            << to_string(scheme) << " chain " << chain << " strong "
-                            << opts.strong << " hops " << opts.max_path_hops << " radius "
-                            << opts.coverage_radius << " merge " << opts.merge_visited;
+                        const auto tag = ::testing::Message()
+                                         << label << " v=" << v << " k=" << k << " scheme "
+                                         << to_string(scheme) << " chain " << chain << " strong "
+                                         << opts.strong << " hops " << opts.max_path_hops
+                                         << " radius " << opts.coverage_radius << " merge "
+                                         << opts.merge_visited;
+                        ASSERT_EQ(got, want) << tag;
+                        ASSERT_EQ(got_ordered, want) << "BfsGraph " << tag;
                     }
                 }
             }

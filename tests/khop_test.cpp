@@ -13,6 +13,7 @@
 #include <string>
 
 #include "core/coverage.hpp"
+#include "graph/bfs_graph.hpp"
 #include "graph/traversal.hpp"
 #include "graph/unit_disk.hpp"
 
@@ -303,6 +304,56 @@ TEST(KHop, CenterIsAlwaysVisible) {
         const LocalTopology t = local_topology(g, v, 1);
         EXPECT_TRUE(visible(t, v));
         EXPECT_EQ(t.center, v);
+    }
+}
+
+TEST(BfsGraph, NumbersNodesInBfsOrderAcrossComponents) {
+    // Components {0, 3, 5}, {1, 4}, {2} and the isolated 6: seeds are taken
+    // in ascending original id, and each component is numbered in BFS
+    // discovery order, rows scanned in ascending original id.
+    Graph g(7);
+    g.add_edge(5, 0);
+    g.add_edge(5, 3);
+    g.add_edge(4, 1);
+    const BfsGraph b(g);
+    ASSERT_EQ(b.node_count(), 7u);
+    const std::vector<NodeId> want_original = {0, 5, 3, 1, 4, 2, 6};
+    for (NodeId i = 0; i < 7; ++i) {
+        EXPECT_EQ(b.original(i), want_original[i]) << i;
+        EXPECT_EQ(b.internal(b.original(i)), i);
+    }
+    // Node 5's row is {0, 3} in original ids, that is internal {0, 2}.
+    EXPECT_EQ(std::vector<NodeId>(b.neighbors(1).begin(), b.neighbors(1).end()),
+              (std::vector<NodeId>{0, 2}));
+    EXPECT_EQ(b.degree(5), 0u);
+    EXPECT_EQ(b.bytes(), (8 + 6 + 7) * sizeof(NodeId));
+}
+
+TEST(BfsGraph, RowsAreTheOriginalRowsInOriginalOrder) {
+    UnitDiskParams params;
+    params.node_count = 300;
+    params.average_degree = 7.0;
+    Rng rng(0xb5f);
+    const Graph g = generate_network_checked(params, rng).graph;
+    const BfsGraph b(g);
+    ASSERT_EQ(b.node_count(), g.node_count());
+    std::vector<char> seen(g.node_count(), 0);
+    for (NodeId i = 0; i < b.node_count(); ++i) {
+        const NodeId v = b.original(i);
+        ASSERT_FALSE(seen[v]) << v;
+        seen[v] = 1;
+        const auto row = b.neighbors(i);
+        ASSERT_EQ(row.size(), g.degree(v));
+        for (std::size_t j = 0; j < row.size(); ++j) {
+            EXPECT_EQ(b.original(row[j]), g.neighbors(v)[j]) << v;
+        }
+    }
+    // BFS order: a node's neighbours were discovered no later than one
+    // past the node itself, so every row holds an id below the node's
+    // unless the node is the component's seed.
+    for (NodeId i = 1; i < b.node_count(); ++i) {
+        const auto row = b.neighbors(i);
+        EXPECT_LT(*std::min_element(row.begin(), row.end()), i) << i;
     }
 }
 

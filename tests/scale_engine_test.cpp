@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,6 +22,8 @@
 #include "core/coverage.hpp"
 #include "graph/unit_disk.hpp"
 #include "sim/scale_engine.hpp"
+
+#include "scale_reference.hpp"
 
 namespace adhoc {
 namespace {
@@ -220,17 +223,30 @@ TEST(ScaleEngine, WideWindowsEngageWorkersWithoutChangingResults) {
 
 // ---- generic coverage differential plane ---------------------------
 
+/// Asserts that `engine`, just run from `source`, reproduced the traced
+/// reference broadcast `ref` byte-for-byte: forward and delivery masks,
+/// counts, completion time, and the transmission-order digest against the
+/// trace fold.
+void expect_engine_matches(const ScaleEngine& engine, const ScaleResult& got,
+                           const BroadcastResult& ref, const ::testing::Message& tag) {
+    EXPECT_EQ(engine.forwarded_mask(), ref.transmitted) << tag;
+    EXPECT_EQ(engine.received_mask(), ref.received) << tag;
+    EXPECT_EQ(got.forward_count, ref.forward_count) << tag;
+    EXPECT_EQ(got.received_count, ref.received_count) << tag;
+    EXPECT_DOUBLE_EQ(got.completion_time, ref.completion_time) << tag;
+    EXPECT_EQ(got.full_delivery, ref.full_delivery) << tag;
+    EXPECT_EQ(got.order_digest, reference_transmission_digest(ref.trace)) << tag;
+}
+
 /// Runs the reference Simulator (serial, event-queue, GenericAgent) and
 /// asserts the engine reproduces it byte-for-byte at one (wheels, jobs)
-/// point: forward mask, counts, completion time, and the
-/// transmission-order digest against the trace fold.
+/// point.
 void expect_engine_matches_simulator(const Graph& g, NodeId source,
                                      const GenericConfig& gc, std::size_t wheels,
                                      std::size_t jobs) {
     GenericBroadcast reference(gc);
     Rng rng(99);  // the honorable axes never draw from it
     const BroadcastResult ref = reference.broadcast_traced(g, source, rng, MediumConfig{});
-    const std::uint64_t ref_digest = reference_transmission_digest(ref.trace);
 
     ScaleConfig cfg;
     cfg.policy = ScalePolicy::kGenericCoverage;
@@ -239,16 +255,109 @@ void expect_engine_matches_simulator(const Graph& g, NodeId source,
     cfg.jobs = jobs;
     ScaleEngine engine(g, cfg);
     const ScaleResult got = engine.run(source);
+    expect_engine_matches(engine, got,  ref,
+                          ::testing::Message() << "wheels=" << wheels << " jobs=" << jobs
+                                               << " " << gc.summary());
+}
 
-    const auto tag = ::testing::Message()
-                     << "wheels=" << wheels << " jobs=" << jobs << " " << gc.summary();
-    EXPECT_EQ(engine.forwarded_mask(), ref.transmitted) << tag;
-    EXPECT_EQ(engine.received_mask(), ref.received) << tag;
-    EXPECT_EQ(got.forward_count, ref.forward_count) << tag;
-    EXPECT_EQ(got.received_count, ref.received_count) << tag;
-    EXPECT_DOUBLE_EQ(got.completion_time, ref.completion_time) << tag;
-    EXPECT_EQ(got.full_delivery, ref.full_delivery) << tag;
-    EXPECT_EQ(got.order_digest, ref_digest) << tag;
+TEST(ScaleEngine, InternalNumberingCrossesComponents) {
+    // The engine numbers nodes in BFS order, component by component, from
+    // seeds in ascending id.  Here the ids of three unit-disk components,
+    // a path and isolated nodes are shuffled together and the sources lie
+    // in the component numbered last, so internal and original ids differ
+    // everywhere: priorities must still tie-break on original ids and
+    // fanouts must still follow the original sorted rows.
+    const ScatteredComponents sc = scattered_components(0x5ca77e5);
+    const FloodingAlgorithm flood;
+    const SelfPruneAlgorithm self_prune;
+    struct Case {
+        ScalePolicy policy;
+        GenericConfig gc;
+    };
+    std::vector<Case> cases = {{ScalePolicy::kFlood, {}}, {ScalePolicy::kSelfPrune, {}}};
+    for (const PriorityScheme scheme :
+         {PriorityScheme::kId, PriorityScheme::kDegree, PriorityScheme::kNcr}) {
+        cases.push_back({ScalePolicy::kGenericCoverage, generic_fr_config(2, scheme)});
+    }
+    cases.push_back({ScalePolicy::kGenericCoverage, generic_static_config(2)});
+    for (const NodeId source : {sc.last[0], sc.last[44], sc.last[89]}) {
+        for (const Case& c : cases) {
+            const GenericBroadcast generic(c.gc);
+            const BroadcastAlgorithm& algo =
+                c.policy == ScalePolicy::kFlood
+                    ? static_cast<const BroadcastAlgorithm&>(flood)
+                    : c.policy == ScalePolicy::kSelfPrune
+                          ? static_cast<const BroadcastAlgorithm&>(self_prune)
+                          : generic;
+            Rng rng(99);
+            const BroadcastResult ref =
+                algo.broadcast_traced(sc.graph, source, rng, MediumConfig{});
+            ASSERT_EQ(ref.received_count, 90u);  // the whole last component
+            for (const std::size_t wheels : {1, 3, 8}) {
+                for (const std::size_t jobs : {1, 4}) {
+                    ScaleConfig cfg;
+                    cfg.policy = c.policy;
+                    cfg.generic = c.gc;
+                    cfg.wheels = wheels;
+                    cfg.jobs = jobs;
+                    ScaleEngine engine(sc.graph, cfg);
+                    const ScaleResult got = engine.run(source);
+                    expect_engine_matches(engine, got, ref,
+                                          ::testing::Message()
+                                              << algo.name() << " " << c.gc.summary()
+                                              << " source=" << source << " wheels=" << wheels
+                                              << " jobs=" << jobs);
+                }
+            }
+        }
+    }
+}
+
+TEST(ScaleEngine, ReadsTheGraphOnlyInTheConstructor) {
+    // The engine copies its graph in the constructor; runs read the copy.
+    // The caller's graph is emptied and freed before the first run (the
+    // sanitizer job also sees any read of the freed rows).
+    const UnitDiskNetwork net = make_network(200, 0x9a7e);
+    const NodeId source = 17;
+    const faults::FaultPlan plan =
+        faults::make_fault_plan({.crash_rate = 0.1, .crash_window = 5.0,
+                                 .link_churn_rate = 0.2, .churn_window = 6.0},
+                                net.graph, source, 0x9a7e, 0);
+    for (const ScalePolicy policy :
+         {ScalePolicy::kFlood, ScalePolicy::kSelfPrune, ScalePolicy::kGenericCoverage}) {
+        ScaleConfig cfg;
+        cfg.policy = policy;
+        cfg.generic = generic_fr_config(2);
+        ScaleEngine reference(net.graph, cfg);
+        reference.attach_faults(&plan);
+        const ScaleResult want = reference.run(source);
+
+        auto graph = std::make_unique<Graph>(net.graph);
+        ScaleEngine engine(*graph, cfg);
+        *graph = Graph(net.graph.node_count());
+        graph.reset();
+        engine.attach_faults(&plan);  // checks the plan against the stored n
+        const ScaleResult got = engine.run(source);
+        const auto tag = ::testing::Message() << "policy=" << static_cast<int>(policy);
+        EXPECT_EQ(engine.forwarded_mask(), reference.forwarded_mask()) << tag;
+        EXPECT_EQ(engine.received_mask(), reference.received_mask()) << tag;
+        EXPECT_EQ(got.order_digest, want.order_digest) << tag;
+        EXPECT_EQ(got.delivered_events, want.delivered_events) << tag;
+        EXPECT_EQ(got.fault_suppressed, want.fault_suppressed) << tag;
+        EXPECT_GT(got.fault_suppressed, 0u) << tag;
+    }
+    // The reference itself, fault-free, against the Simulator.
+    ScaleConfig cfg;
+    cfg.policy = ScalePolicy::kGenericCoverage;
+    cfg.generic = generic_fr_config(2);
+    auto graph = std::make_unique<Graph>(net.graph);
+    ScaleEngine engine(*graph, cfg);
+    graph.reset();
+    GenericBroadcast generic(cfg.generic);
+    Rng rng(99);
+    const BroadcastResult ref = generic.broadcast_traced(net.graph, source, rng, MediumConfig{});
+    const ScaleResult got = engine.run(source);
+    expect_engine_matches(engine, got, ref, ::testing::Message() << "destroyed graph");
 }
 
 TEST(ScaleEngineGeneric, FirstReceiptMatchesSimulatorAcrossSeedsWheelsJobs) {

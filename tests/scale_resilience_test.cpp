@@ -35,6 +35,8 @@
 #include "sim/scale_engine.hpp"
 #include "telemetry/telemetry.hpp"
 
+#include "scale_reference.hpp"
+
 namespace adhoc {
 namespace {
 
@@ -90,52 +92,6 @@ FaultPlan lossy_plan(const Graph& g, NodeId source, std::uint64_t seed) {
     spec.asymmetry_loss_max = 0.9;
     return faults::make_fault_plan(spec, g, source, seed, 2);
 }
-
-/// Sim-side twin of ScalePolicy::kSelfPrune: on first receipt, forward iff
-/// N(v) is not covered by N(u) u {u}.
-class SelfPruneAgent : public Agent {
-  public:
-    explicit SelfPruneAgent(const Graph& g) : g_(&g), seen_(g.node_count(), 0) {}
-
-    void start(Simulator& sim, NodeId source, Rng& /*rng*/) override {
-        seen_[source] = 1;
-        sim.transmit(source, chain_state(BroadcastState{}, source, {}, 1));
-    }
-
-    void on_receive(Simulator& sim, NodeId node, const Transmission& tx,
-                    Rng& /*rng*/) override {
-        if (seen_[node]) return;
-        seen_[node] = 1;
-        if (!covered(node, tx.sender)) {
-            sim.transmit(node, chain_state(tx.state, node, {}, 1));
-        }
-    }
-
-  private:
-    [[nodiscard]] bool covered(NodeId v, NodeId u) const {
-        const auto nu = g_->neighbors(u);
-        auto it = nu.begin();
-        for (NodeId x : g_->neighbors(v)) {
-            if (x == u) continue;
-            while (it != nu.end() && *it < x) ++it;
-            if (it == nu.end() || *it != x) return false;
-        }
-        return true;
-    }
-
-    const Graph* g_;
-    std::vector<char> seen_;
-};
-
-class SelfPruneAlgorithm : public BroadcastAlgorithm {
-  public:
-    [[nodiscard]] std::string name() const override { return "SelfPrune"; }
-
-  protected:
-    [[nodiscard]] std::unique_ptr<Agent> make_agent(const Graph& g) const override {
-        return std::make_unique<SelfPruneAgent>(g);
-    }
-};
 
 /// Runs the reference resilient Simulator once, then asserts the engine
 /// reproduces it byte-for-byte at every (wheels, jobs) grid point.
@@ -309,6 +265,38 @@ TEST(ScaleResilience, SelfPruneMatchesResilientSimulator) {
                                plan, recovery_off());
         expect_resilient_match(sp, net.graph, 3, ScalePolicy::kSelfPrune, nullptr,
                                plan, aligned_recovery());
+    }
+}
+
+TEST(ScaleResilience, InternalNumberingCrossesComponentsUnderFaults) {
+    // The faulted twin of ScaleEngine.InternalNumberingCrossesComponents:
+    // crashes, link churn and asymmetric loss name original ids, and the
+    // recovery machine runs on internal ones.
+    const ScatteredComponents sc = scattered_components(0x5ca77e5);
+    FaultSpec spec;
+    spec.crash_rate = 0.08;
+    spec.crash_window = 5.0;
+    spec.link_churn_rate = 0.3;
+    spec.churn_window = 8.0;
+    spec.asymmetry_rate = 0.4;
+    spec.asymmetry_loss_max = 0.8;
+    const FloodingAlgorithm flood;
+    const SelfPruneAlgorithm sp;
+    for (const NodeId source : {sc.last[0], sc.last[60]}) {
+        const FaultPlan plan = faults::make_fault_plan(spec, sc.graph, source, source, 5);
+        ASSERT_FALSE(plan.events.empty());
+        ASSERT_FALSE(plan.asymmetry.empty());
+        expect_resilient_match(flood, sc.graph, source, ScalePolicy::kFlood, nullptr, plan,
+                               aligned_recovery());
+        expect_resilient_match(sp, sc.graph, source, ScalePolicy::kSelfPrune, nullptr, plan,
+                               aligned_recovery());
+        for (const PriorityScheme scheme :
+             {PriorityScheme::kId, PriorityScheme::kDegree, PriorityScheme::kNcr}) {
+            const GenericConfig gc = generic_fr_config(2, scheme);
+            const GenericBroadcast generic(gc, "Generic FR");
+            expect_resilient_match(generic, sc.graph, source, ScalePolicy::kGenericCoverage,
+                                   &gc, plan, aligned_recovery());
+        }
     }
 }
 
