@@ -7,19 +7,16 @@
 #include <string>
 #include <type_traits>
 
-#include "core/compact_view.hpp"
+#include "graph/bfs_graph.hpp"
 
-// Optimized decision kernels.  Every function here follows the same shape:
-// compile the view into the thread-local compact arena (dense local ids,
-// CSR adjacency, priorities evaluated once), run the whole computation over
-// local ids with reused buffers — zero heap allocations per call in steady
-// state — and map results back to global ids on the way out.  Iteration
-// orders mirror the retained `reference::` kernels exactly (local ids are
-// assigned in ascending global order), so verdicts and witness pairs are
-// bit-for-bit identical.  The coverage condition, under every option, is
-// one kernel on node masks (`covered_on_masks`) that both
-// `evaluate_coverage_compiled` (masks from a compact view) and
-// `ball_covered` (masks straight from the graph) call.
+// The decision kernels.  The coverage condition, under every option and
+// for every view size, is one kernel on node masks (`covered_on_masks`):
+// `evaluate_coverage` writes the masks from a View in one pass over its
+// members (local ids ascend with global ids, so witnesses are the
+// reference kernel's) and `ball_covered` writes them straight from
+// `ScaleEngine`'s BFS-ordered graph.  LENWB's reach is a BFS over the
+// view's LocalTopology.  Buffers are reused per thread, so steady-state
+// decisions allocate nothing beyond their results.
 
 namespace adhoc {
 
@@ -93,9 +90,9 @@ struct MaskOps {
 ///   iff w touches that reach.
 ///
 /// Neighbours are visited in ascending local id, so witnesses are the
-/// reference kernel's when local ids ascend with global ids, as in
-/// `evaluate_coverage_compiled`.  Only witnesses depend on how local ids
-/// are numbered: components, reaches and the pair relation are sets.
+/// reference kernel's when local ids ascend with global ids, as in a View.
+/// Only witnesses depend on how local ids are numbered: components, reaches
+/// and the pair relation are sets.
 template <std::size_t kWords>
 [[gnu::always_inline]] inline MaskVerdict covered_on_masks(
     const std::uint64_t* rows, std::size_t words, std::uint64_t* in_h,
@@ -266,23 +263,27 @@ template <class F>
              temps + kTempMasks * nw);
 }
 
-/// The coverage condition for `lv` in the compact view `c` on W-word
-/// masks: rows, H and the visited set from `c`, then the kernel.
+/// The coverage condition for local `lv` of `view` on W-word masks: rows,
+/// H and the visited set in one pass over the view's members, then the
+/// kernel.
 template <std::size_t kWords>
-[[gnu::always_inline]] inline MaskVerdict compact_covered(
-    const CompactLocalView& c, std::uint32_t lv, const Priority& pv,
-    const CoverageOptions& opts, std::uint64_t* rows, std::uint64_t* in_h,
-    std::uint64_t* visited, std::uint64_t* temps, std::uint64_t* reach) {
-    const MaskOps<kWords> ops{mask_words(c.size)};
+[[gnu::always_inline]] inline MaskVerdict view_covered(
+    const View& view, std::uint32_t lv, const Priority& pv, const CoverageOptions& opts,
+    std::uint64_t* rows, std::uint64_t* in_h, std::uint64_t* visited, std::uint64_t* temps,
+    std::uint64_t* reach) {
+    const LocalTopology& topo = view.local();
+    const MaskOps<kWords> ops{mask_words(topo.size())};
     const std::size_t nw = ops.size();
     ops.fill(in_h, 0);
     ops.fill(visited, 0);
-    for (std::uint32_t x = 0; x < c.size; ++x) {
+    for (std::uint32_t x = 0; x < topo.size(); ++x) {
         std::uint64_t* const r = rows + x * nw;
         ops.fill(r, 0);
-        for (const std::uint32_t y : c.row(x)) ops.put(r, y, true);
-        ops.put(in_h, x, c.priority[x] > pv);
-        ops.put(visited, x, c.status[x] == NodeStatus::kVisited);
+        for (const std::uint32_t y : topo.row(x)) ops.put(r, y, true);
+        const NodeId member = topo.members[x];
+        const NodeStatus st = view.member_status(member);
+        ops.put(in_h, x, view.keys().evaluate(member, st) > pv);
+        ops.put(visited, x, st == NodeStatus::kVisited);
     }
     return covered_on_masks<kWords>(rows, nw, in_h, visited, lv, opts, temps, reach);
 }
@@ -290,9 +291,9 @@ template <std::size_t kWords>
 /// `ball_covered` on W-word masks for the ball of `m` members that
 /// `ball_bfs` left in `s`: rows, H and the visited set straight from the
 /// graph, then the kernel.  v is local 0.
-template <std::size_t kWords, class Adjacency, class Keys>
+template <std::size_t kWords>
 [[gnu::always_inline]] inline bool ball_covered_on(
-    const Adjacency& g, NodeId v, std::size_t k, std::size_t m, const Keys& keys,
+    const BfsGraph& g, NodeId v, std::size_t k, std::size_t m, const BfsPriorityKeys& keys,
     std::span<const NodeId> visited, const CoverageOptions& opts, const BallScratch& s,
     std::uint64_t* rows, std::uint64_t* in_h, std::uint64_t* seen, std::uint64_t* temps,
     std::uint64_t* reach) {
@@ -316,70 +317,47 @@ template <std::size_t kWords, class Adjacency, class Keys>
 
 std::vector<char> connected_via_higher_priority(const View& view, NodeId u,
                                                 const Priority& threshold, bool merge_visited) {
-    std::vector<char> out(view.node_count(), 0);
+    std::vector<char> out(view.node_count(), 0);  // also the BFS's membership mark
     if (!view.visible(u)) return out;
-
-    LocalViewScratch& s = LocalViewScratch::tls();
-    s.compile(view);
-    const CompactLocalView& c = s.compact;
-    const std::uint32_t lu = view.local().local_of(u);
-
-    bits::reset(s.mark, c.size);  // in-C membership
-    if (s.queue.size() < c.size) s.queue.resize(c.size);
-    std::size_t head = 0;
-    std::size_t tail = 0;
+    const LocalTopology& topo = view.local();
+    const std::uint32_t lu = topo.local_of(u);
+    thread_local std::vector<std::uint32_t> queue;
+    queue.clear();
+    const auto reach = [&](std::uint32_t x) {
+        out[topo.members[x]] = 1;
+        queue.push_back(x);
+    };
+    const auto is_visited = [&](std::uint32_t x) {
+        return view.member_status(topo.members[x]) == NodeStatus::kVisited;
+    };
     bool visited_injected = false;
-
-    auto inject_visited = [&]() {
+    const auto inject_visited = [&]() {
         if (visited_injected) return;
         visited_injected = true;
-        for (std::uint32_t x = 0; x < c.size; ++x) {
-            if (c.status[x] == NodeStatus::kVisited && !bits::test(s.mark.data(), x)) {
-                bits::set(s.mark.data(), x);
-                s.queue[tail++] = x;
-            }
+        for (std::uint32_t x = 0; x < topo.size(); ++x) {
+            if (is_visited(x) && out[topo.members[x]] == 0) reach(x);
         }
     };
 
-    bits::set(s.mark.data(), lu);
-    s.queue[tail++] = lu;
-    if (merge_visited && c.status[lu] == NodeStatus::kVisited) inject_visited();
-    while (head < tail) {
-        const std::uint32_t x = s.queue[head++];
+    reach(lu);
+    if (merge_visited && is_visited(lu)) inject_visited();
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+        const std::uint32_t x = queue[head];
+        const NodeId gx = topo.members[x];
         // Expansion proceeds only *through* the start node or nodes with
         // higher priority; lower-priority nodes may be reached (endpoints)
         // but not traversed.
-        if (x != lu && !(c.priority[x] > threshold)) continue;
-        for (std::uint32_t y : c.row(x)) {
-            if (bits::test(s.mark.data(), y)) continue;
-            bits::set(s.mark.data(), y);
-            s.queue[tail++] = y;
-            if (merge_visited && c.status[y] == NodeStatus::kVisited) inject_visited();
+        if (x != lu && !(view.keys().evaluate(gx, view.member_status(gx)) > threshold)) continue;
+        for (const std::uint32_t y : topo.row(x)) {
+            if (out[topo.members[y]] != 0) continue;
+            reach(y);
+            if (merge_visited && is_visited(y)) inject_visited();
         }
-    }
-
-    for (std::uint32_t x = 0; x < c.size; ++x) {
-        if (bits::test(s.mark.data(), x)) out[c.members[x]] = 1;
     }
     return out;
 }
 
-CoverageOutcome evaluate_coverage_compiled(LocalViewScratch& s, std::uint32_t lv,
-                                           const Priority& pv, const CoverageOptions& opts) {
-    const CompactLocalView& c = s.compact;
-    if (c.row(lv).size() <= 1) return {.covered = true};  // no neighbor pair to connect
-    const MaskVerdict verdict = on_kernel_masks(
-        c.size, s.masks, [&](auto words, auto... masks) {
-            return compact_covered<decltype(words)::value>(c, lv, pv, opts, masks...);
-        });
-    if (verdict.covered) return {.covered = true};
-    return {.covered = false,
-            .uncovered_u = c.members[verdict.u],
-            .uncovered_w = verdict.w == kNoLocal ? kInvalidNode : c.members[verdict.w]};
-}
-
-template <class Adjacency, class Keys>
-bool ball_covered(const Adjacency& g, NodeId v, std::size_t k, const Keys& keys,
+bool ball_covered(const BfsGraph& g, NodeId v, std::size_t k, const BfsPriorityKeys& keys,
                   std::span<const NodeId> visited, const CoverageOptions& opts, BallScratch& s) {
     if (k == 0) throw std::invalid_argument("ball_covered: hops must be >= 1");
     if (g.neighbors(v).size() <= 1) return true;  // no neighbor pair to connect
@@ -390,19 +368,22 @@ bool ball_covered(const Adjacency& g, NodeId v, std::size_t k, const Keys& keys,
     });
 }
 
-template bool ball_covered(const Graph&, NodeId, std::size_t, const PriorityKeys&,
-                           std::span<const NodeId>, const CoverageOptions&, BallScratch&);
-template bool ball_covered(const BfsGraph&, NodeId, std::size_t, const BfsPriorityKeys&,
-                           std::span<const NodeId>, const CoverageOptions&, BallScratch&);
-
 CoverageOutcome evaluate_coverage(const View& view, NodeId v, const CoverageOptions& opts,
                                   NodeStatus self_status) {
     assert(view.visible(v));
-    LocalViewScratch& s = LocalViewScratch::tls();
-    s.compile(view);
-    const std::uint32_t lv = view.local().local_of(v);
+    const LocalTopology& topo = view.local();
+    const std::uint32_t lv = topo.local_of(v);
+    if (topo.row(lv).size() <= 1) return {.covered = true};  // no neighbor pair to connect
     const Priority pv = view.keys().evaluate(v, self_status);
-    return evaluate_coverage_compiled(s, lv, pv, opts);
+    thread_local std::vector<std::uint64_t> masks_above_64;
+    const MaskVerdict verdict =
+        on_kernel_masks(topo.size(), masks_above_64, [&](auto words, auto... masks) {
+            return view_covered<decltype(words)::value>(view, lv, pv, opts, masks...);
+        });
+    if (verdict.covered) return {.covered = true};
+    return {.covered = false,
+            .uncovered_u = topo.members[verdict.u],
+            .uncovered_w = verdict.w == kNoLocal ? kInvalidNode : topo.members[verdict.w]};
 }
 
 bool coverage_condition_holds(const View& view, NodeId v, const CoverageOptions& opts,

@@ -21,13 +21,16 @@
 /// algorithm on node masks: each view member's visible neighbours as a
 /// bitset of W = ⌈m/64⌉ words (m = view members), plus the masks of the
 /// higher-priority set H and of the visited nodes.  Components and reaches
-/// grow by ORing rows.  A view of at most 64 members runs the one-word
-/// instantiation on stack arrays; larger views run the same code over W
-/// words in reused scratch.  Rows cost m * W words per decision, quadratic
-/// in m, and time grows as deg(v) * m * W: the largest views any test,
-/// bench or campaign builds have about 200 members (4 words a row).  A
-/// view of more than kMaxMaskMembers members is refused with
-/// std::length_error rather than decided on masks of megabytes.
+/// grow by ORing rows.  `evaluate_coverage` writes the masks from a View
+/// (its LocalTopology, member statuses and keys) in one pass;
+/// `ball_covered` writes them from `ScaleEngine`'s BFS-ordered copy of the
+/// graph.  A view of at most 64 members runs the one-word instantiation on
+/// stack arrays; larger views run the same code over W words in reused
+/// scratch.  Rows cost m * W words per decision, quadratic in m, and time
+/// grows as deg(v) * m * W: the largest views any test, bench or campaign
+/// builds have about 200 members (4 words a row).  A view of more than
+/// kMaxMaskMembers members is refused with std::length_error rather than
+/// decided on masks of megabytes.
 
 #pragma once
 
@@ -35,8 +38,9 @@
 #include <span>
 #include <vector>
 
-#include "core/compact_view.hpp"
+#include "core/priority.hpp"
 #include "core/view.hpp"
+#include "graph/bfs_graph.hpp"
 #include "graph/graph.hpp"
 #include "graph/khop.hpp"
 
@@ -96,34 +100,23 @@ struct CoverageOutcome {
                                             const CoverageOptions& opts = {},
                                             NodeStatus self_status = NodeStatus::kUnvisited);
 
-/// Kernel entry point over an already-compiled scratch: `s.compact` must
-/// hold the evaluated node's local view (a bound LocalTopology plus
-/// per-member priority and status), `local_v` its local id, and `pv` its
-/// own fully-evaluated priority.  `evaluate_coverage` is exactly
-/// `compile` + this call.
-[[nodiscard]] CoverageOutcome evaluate_coverage_compiled(LocalViewScratch& s,
-                                                         std::uint32_t local_v,
-                                                         const Priority& pv,
-                                                         const CoverageOptions& opts);
-
 /// The coverage condition for `v` over its Definition-2 view G_k(v),
-/// k >= 1, decided straight from `g` under any options and for any ball
-/// size: `ball_bfs` and `compile_ball_masks` write the rows in BFS order
-/// and the kernel behind `evaluate_coverage_compiled` decides on them — no
-/// sorted member list, no CSR, no per-member `Priority`.  Nodes in
-/// `visited` that are members have status visited (the decision-time
-/// history), every other member is unvisited, and so is v.  Returns
-/// whether v is covered.  The verdict equals `evaluate_coverage` on
-/// `local_topology(g, v, k)` with those statuses: only the witness, which
-/// this does not report, depends on local-id order.  Throws
-/// std::invalid_argument when k == 0 or k > kMaxBallHops, and
-/// std::length_error when the ball has more than kMaxMaskMembers members.
-/// Instantiated for (`Graph`, `PriorityKeys`) and for (`BfsGraph`,
-/// `BfsPriorityKeys`), whose ids `v` and `visited` then are.
-template <class Adjacency, class Keys>
-[[nodiscard]] bool ball_covered(const Adjacency& g, NodeId v, std::size_t k, const Keys& keys,
-                                std::span<const NodeId> visited, const CoverageOptions& opts,
-                                BallScratch& s);
+/// k >= 1, decided straight from `ScaleEngine`'s BFS-ordered graph `g`
+/// under any options and for any ball size: `ball_bfs` and
+/// `compile_ball_masks` write the rows in BFS order and the kernel behind
+/// `evaluate_coverage` decides on them — no sorted member list, no CSR, no
+/// per-member `Priority`.  `v` and `visited` are internal ids of `g`.
+/// Nodes in `visited` that are members have status visited (the
+/// decision-time history), every other member is unvisited, and so is v.
+/// Returns whether v is covered.  The verdict equals `evaluate_coverage` on
+/// `local_topology` of the original graph at `g.original(v)` with those
+/// statuses: only the witness, which this does not report, depends on
+/// local-id order.  Throws std::invalid_argument when k == 0 or k >
+/// kMaxBallHops, and std::length_error when the ball has more than
+/// kMaxMaskMembers members.
+[[nodiscard]] bool ball_covered(const BfsGraph& g, NodeId v, std::size_t k,
+                                const BfsPriorityKeys& keys, std::span<const NodeId> visited,
+                                const CoverageOptions& opts, BallScratch& s);
 
 /// LENWB's check (Section 6.2): the set C of nodes connected to `u` via
 /// intermediates of priority greater than Pr(v).  Endpoints of the
@@ -136,9 +129,8 @@ template <class Adjacency, class Keys>
 
 /// Naive O(n)-per-call implementations retained for cross-validation.
 ///
-/// The production kernels above run on a compact dense-id compilation of
-/// the view with per-thread scratch (see compact_view.hpp); these are the
-/// straightforward global-id implementations they replaced.  The
+/// The production kernels above decide on node masks and local ids; these
+/// are the straightforward global-id implementations they replaced.  The
 /// equivalence property test (`coverage_equivalence_test`) asserts both
 /// families agree bit-for-bit on every input.
 namespace reference {

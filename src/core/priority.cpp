@@ -34,22 +34,15 @@ PriorityKeys::PriorityKeys(const Graph& g, PriorityScheme scheme) : scheme_(sche
             for (NodeId v = 0; v < n; ++v) key1_[v] = static_cast<double>(g.degree(v));
             break;
         case PriorityScheme::kNcr:
-            for (NodeId v = 0; v < n; ++v) {
-                key1_[v] = neighborhood_connectivity_ratio(g, v);
-                key2_[v] = static_cast<double>(g.degree(v));
-            }
+            key1_ = all_ncr(g);
+            for (NodeId v = 0; v < n; ++v) key2_[v] = static_cast<double>(g.degree(v));
             break;
     }
 }
 
-BfsPriorityKeys::BfsPriorityKeys(const Graph& original, const BfsGraph& g,
-                                 PriorityScheme scheme)
+BfsPriorityKeys::BfsPriorityKeys(const BfsGraph& g, PriorityScheme scheme)
     : g_(&g), scheme_(scheme) {
-    if (scheme != PriorityScheme::kNcr) return;
-    ncr_.resize(g.node_count());
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-        ncr_[v] = neighborhood_connectivity_ratio(original, g.original(v));
-    }
+    if (scheme == PriorityScheme::kNcr) ncr_ = all_ncr(g);
 }
 
 std::size_t PriorityKeys::extra_rounds() const noexcept {

@@ -101,14 +101,15 @@ class PriorityKeys {
 
 /// The static priority keys of a `BfsGraph`'s nodes, read by internal id:
 /// `evaluate(v, s)` equals `PriorityKeys(original, scheme).evaluate(
-/// g.original(v), s)`, the original id staying the last tiebreak.  Only
-/// what the graph cannot give is stored: id keys need nothing, a degree
-/// key is the internal row length, and NCR keeps one double per node.
-/// The graph must outlive the keys.
+/// g.original(v), s)` for the graph `g` copies, the original id staying
+/// the last tiebreak.  Only what the graph cannot give is stored: id keys
+/// need nothing, a degree key is the internal row length, and NCR keeps
+/// one double per node, counted on `g` itself.  The graph must outlive the
+/// keys.
 class BfsPriorityKeys {
   public:
     BfsPriorityKeys() = default;
-    BfsPriorityKeys(const Graph& original, const BfsGraph& g, PriorityScheme scheme);
+    BfsPriorityKeys(const BfsGraph& g, PriorityScheme scheme);
 
     [[nodiscard]] Priority evaluate(NodeId v, NodeStatus status) const noexcept {
         const auto degree = static_cast<double>(g_->degree(v));

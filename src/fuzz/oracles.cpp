@@ -343,7 +343,7 @@ std::string medium_degeneracy(const Scenario& s, const BroadcastAlgorithm& algo,
     return {};
 }
 
-/// Compact-vs-reference coverage kernel agreement on views sampled from
+/// Production-vs-reference coverage kernel agreement on views sampled from
 /// the scenario topology.  Returns an empty string on agreement.
 std::string kernel_disagreement(const Scenario& s, const Graph& g) {
     PriorityKeys keys(g, s.config.priority);
@@ -383,7 +383,7 @@ std::string kernel_disagreement(const Scenario& s, const Graph& g) {
                     std::ostringstream out;
                     out << "node " << v << " strong=" << opts.strong
                         << " hops=" << opts.max_path_hops << " radius=" << opts.coverage_radius
-                        << " merge=" << opts.merge_visited << ": compact covered=" << got.covered
+                        << " merge=" << opts.merge_visited << ": kernel covered=" << got.covered
                         << " reference covered=" << want.covered;
                     return out.str();
                 }
@@ -619,7 +619,7 @@ CheckReport check_scenario(const Scenario& s, const AlgorithmPool& pool) {
         if (!violation.empty()) return fail("medium", violation, digest);
     }
 
-    // Compact-vs-reference kernel agreement on sampled views.
+    // Production-vs-reference kernel agreement on sampled views.
     if (knowledge.node_count() <= 160) {
         const std::string mismatch = kernel_disagreement(s, knowledge);
         if (!mismatch.empty()) return fail("kernels", mismatch, digest);

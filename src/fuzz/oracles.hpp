@@ -20,7 +20,7 @@
 ///                     the actual topology.
 ///  - `determinism`  — running the scenario twice produces bit-identical
 ///                     results (the jobs-invariance contract in the small).
-///  - `kernels`      — compact-view coverage kernels agree with the
+///  - `kernels`      — the production coverage kernel agrees with the
 ///                     reference:: implementations on views sampled from
 ///                     the scenario topology.
 ///  - `recovery`     — faulted runs (churn/asymmetry and/or the NACK

@@ -92,18 +92,6 @@ std::vector<Edge> Graph::edges() const {
     return result;
 }
 
-std::size_t Graph::connected_neighbor_pairs(NodeId v) const noexcept {
-    assert(contains(v));
-    const auto& nv = adjacency_[v];
-    std::size_t connected = 0;
-    for (std::size_t i = 0; i < nv.size(); ++i) {
-        for (std::size_t j = i + 1; j < nv.size(); ++j) {
-            if (has_edge(nv[i], nv[j])) ++connected;
-        }
-    }
-    return connected;
-}
-
 bool Graph::neighbors_pairwise_connected(NodeId v) const noexcept {
     assert(contains(v));
     const auto& nv = adjacency_[v];

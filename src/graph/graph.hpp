@@ -92,10 +92,6 @@ class Graph {
     /// All edges in canonical, lexicographically sorted order.
     [[nodiscard]] std::vector<Edge> edges() const;
 
-    /// Number of pairs of neighbors of `v` that are directly connected.
-    /// Used by the neighborhood-connectivity-ratio priority (Section 4.4).
-    [[nodiscard]] std::size_t connected_neighbor_pairs(NodeId v) const noexcept;
-
     /// True iff every pair of neighbors of `v` is directly connected (the
     /// marking-process negation: unmarked nodes in Wu-Li).
     [[nodiscard]] bool neighbors_pairwise_connected(NodeId v) const noexcept;

@@ -100,8 +100,8 @@ std::size_t ball_bfs(const Adjacency& g, NodeId v, std::size_t k, BallScratch& s
     return tail;
 }
 
-template <std::size_t kWords, class Adjacency>
-void compile_ball_masks(const Adjacency& g, std::size_t k, const BallScratch& s, std::size_t m,
+template <std::size_t kWords>
+void compile_ball_masks(const BfsGraph& g, std::size_t k, const BallScratch& s, std::size_t m,
                         std::uint64_t* rows) {
     constexpr std::uint64_t kOne = 1;
     const std::size_t words = kWords != 0 ? kWords : mask_words(m);
@@ -135,10 +135,6 @@ void compile_ball_masks(const Adjacency& g, std::size_t k, const BallScratch& s,
 
 template std::size_t ball_bfs(const Graph&, NodeId, std::size_t, BallScratch&);
 template std::size_t ball_bfs(const BfsGraph&, NodeId, std::size_t, BallScratch&);
-template void compile_ball_masks<1>(const Graph&, std::size_t, const BallScratch&, std::size_t,
-                                    std::uint64_t*);
-template void compile_ball_masks<0>(const Graph&, std::size_t, const BallScratch&, std::size_t,
-                                    std::uint64_t*);
 template void compile_ball_masks<1>(const BfsGraph&, std::size_t, const BallScratch&,
                                     std::size_t, std::uint64_t*);
 template void compile_ball_masks<0>(const BfsGraph&, std::size_t, const BallScratch&,

@@ -8,17 +8,8 @@ namespace adhoc {
 
 double neighborhood_connectivity_ratio(const Graph& g, NodeId v) {
     assert(g.contains(v));
-    const std::size_t deg = g.degree(v);
-    if (deg <= 1) return 0.0;
-    const std::size_t connected = g.connected_neighbor_pairs(v);
-    const double total_pairs = static_cast<double>(deg) * static_cast<double>(deg - 1) / 2.0;
-    return 1.0 - static_cast<double>(connected) / total_pairs;
-}
-
-std::vector<double> all_ncr(const Graph& g) {
-    std::vector<double> ncr(g.node_count());
-    for (NodeId v = 0; v < g.node_count(); ++v) ncr[v] = neighborhood_connectivity_ratio(g, v);
-    return ncr;
+    std::vector<NodeId> stamp(g.node_count(), kInvalidNode);
+    return ncr_of(g.degree(v), connected_neighbor_pairs(g, v, stamp));
 }
 
 double average_degree(const Graph& g) {
@@ -91,11 +82,12 @@ std::vector<char> articulation_points(const Graph& g) {
 double clustering_coefficient(const Graph& g) {
     std::size_t closed = 0;  // 2x (ordered) closed triplets counted via connected pairs
     std::size_t triplets = 0;
+    std::vector<NodeId> stamp(g.node_count(), kInvalidNode);
     for (NodeId v = 0; v < g.node_count(); ++v) {
         const std::size_t deg = g.degree(v);
         if (deg < 2) continue;
         triplets += deg * (deg - 1) / 2;
-        closed += g.connected_neighbor_pairs(v);
+        closed += connected_neighbor_pairs(g, v, stamp);
     }
     if (triplets == 0) return 0.0;
     return static_cast<double>(closed) / static_cast<double>(triplets);

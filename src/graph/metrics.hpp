@@ -4,11 +4,39 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
 
 namespace adhoc {
+
+/// The number of pairs of `v`'s neighbours that are directly connected
+/// (the triangles through v), in O(sum of the neighbours' degrees): N(v)
+/// is stamped with v in `stamp`, and each neighbour's row counts the
+/// stamped entries, which meets every connected pair twice.  `stamp` has
+/// one entry per node of `g`, all kInvalidNode before the first call;
+/// calls on the same graph then share it without clearing (an entry equal
+/// to v always marks a neighbour of v).  `Adjacency` is `Graph` or
+/// `BfsGraph` (graph/bfs_graph.hpp).
+template <class Adjacency>
+[[nodiscard]] std::size_t connected_neighbor_pairs(const Adjacency& g, NodeId v,
+                                                   std::span<NodeId> stamp) {
+    const auto nv = g.neighbors(v);
+    for (const NodeId u : nv) stamp[u] = v;
+    std::size_t ends = 0;
+    for (const NodeId u : nv) {
+        for (const NodeId w : g.neighbors(u)) ends += stamp[w] == v ? 1 : 0;
+    }
+    return ends / 2;
+}
+
+/// ncr(v) (below) from v's degree and its connected neighbour pairs.
+[[nodiscard]] inline double ncr_of(std::size_t deg, std::size_t connected) noexcept {
+    if (deg <= 1) return 0.0;
+    const double total_pairs = static_cast<double>(deg) * static_cast<double>(deg - 1) / 2.0;
+    return 1.0 - static_cast<double>(connected) / total_pairs;
+}
 
 /// Neighborhood connectivity ratio (paper Section 4.4):
 ///
@@ -16,11 +44,20 @@ namespace adhoc {
 ///
 /// i.e. the fraction of neighbor pairs that are *not* directly connected.
 /// Nodes with deg(v) <= 1 have no neighbor pair; their ncr is defined as 0
-/// (nothing to connect, lowest priority need).
+/// (nothing to connect, lowest priority need).  One call allocates an
+/// n-entry stamp; `all_ncr` shares one across every node.
 [[nodiscard]] double neighborhood_connectivity_ratio(const Graph& g, NodeId v);
 
-/// ncr for every node.
-[[nodiscard]] std::vector<double> all_ncr(const Graph& g);
+/// ncr for every node of `g` (a `Graph` or a `BfsGraph`, by its ids).
+template <class Adjacency>
+[[nodiscard]] std::vector<double> all_ncr(const Adjacency& g) {
+    std::vector<NodeId> stamp(g.node_count(), kInvalidNode);
+    std::vector<double> ncr(g.node_count());
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+        ncr[v] = ncr_of(g.degree(v), connected_neighbor_pairs(g, v, stamp));
+    }
+    return ncr;
+}
 
 /// Average node degree 2|E|/|V| (0 for empty graph).
 [[nodiscard]] double average_degree(const Graph& g);

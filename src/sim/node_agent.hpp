@@ -19,16 +19,37 @@
 
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <type_traits>
 #include <vector>
 
-#include "core/compact_view.hpp"
 #include "core/priority.hpp"
 #include "core/view.hpp"
 #include "graph/khop.hpp"
 #include "sim/packet.hpp"
 
 namespace adhoc {
+
+/// Word-parallel bitset helpers over caller-provided uint64 buffers (the
+/// KnowledgeBase's flat masks).
+namespace bits {
+
+inline constexpr std::size_t kWordBits = 64;
+
+[[nodiscard]] inline std::size_t word_count(std::size_t nbits) noexcept {
+    return (nbits + kWordBits - 1) / kWordBits;
+}
+
+inline void set(std::uint64_t* w, std::size_t i) noexcept {
+    w[i / kWordBits] |= std::uint64_t{1} << (i % kWordBits);
+}
+
+[[nodiscard]] inline bool test(const std::uint64_t* w, std::size_t i) noexcept {
+    return (w[i / kWordBits] >> (i % kWordBits)) & 1;
+}
+
+}  // namespace bits
 
 class KnowledgeBase;
 

@@ -228,7 +228,7 @@ ScaleEngine::ScaleEngine(const Graph& graph, ScaleConfig config) : config_(confi
 
     if (config_.policy == ScalePolicy::kGenericCoverage) {
         validate_generic_config();
-        keys_ = BfsPriorityKeys(graph, graph_, config_.generic.priority);
+        keys_ = BfsPriorityKeys(graph_, config_.generic.priority);
         chained_ = config_.generic.timing == Timing::kFirstReceipt;
     }
 }

@@ -36,7 +36,8 @@
 /// space.  Events, masks, packets, recovery state and the pre-scan are in
 /// internal ids; original ids appear only at the boundaries — the `run`
 /// argument, the order-digest fold, `FaultSession` calls, the returned
-/// masks and the priority tiebreak (`BfsPriorityKeys`).
+/// masks and the priority tiebreak (`BfsPriorityKeys`, whose NCR keys are
+/// counted on the copy).
 ///
 /// Events live in fixed-size chunks shared by all buckets and recycled
 /// through one free list as soon as they are replayed, so the calendar

@@ -1,15 +1,16 @@
-// Property test: the optimized compact-view kernels are bit-for-bit
+// Property test: the production decision kernels are bit-for-bit
 // equivalent to the retained naive `reference::` implementations.
 //
-// The production hot path (coverage.cpp, maxmin.cpp) compiles each view
-// into a dense-id CSR with per-thread scratch and word-parallel bitsets;
-// the reference family scans global ids with per-call allocations.  The
-// refactor's contract is that the two families agree on *everything
-// observable* — verdicts, witness pairs, reachability masks, max-min
-// nodes and full maximal paths — for every graph shape and
-// every CoverageOptions combination.  These tests sweep random unit-disk
-// placements (the simulation workload), adversarial structured graphs,
-// G(n,p) noise, and both owning and KnowledgeBase-cached borrowing views.
+// The production kernels (coverage.cpp) decide on node masks written from
+// a View's local ids, or from the graph's BFS-ordered copy, with
+// per-thread scratch; the reference family scans global ids with per-call
+// allocations.  The contract is that the two families agree on
+// *everything observable* — verdicts, witness pairs and reachability
+// masks — for every graph shape and every CoverageOptions combination.
+// MAX_MIN, which has one implementation, is held to Lemma 1 instead.
+// These tests sweep random unit-disk placements (the simulation
+// workload), adversarial structured graphs, G(n,p) noise, and both owning
+// and KnowledgeBase-cached borrowing views.
 
 #include <gtest/gtest.h>
 
@@ -95,21 +96,30 @@ void expect_kernels_agree(const View& view, const std::string& label) {
     }
 }
 
-/// MAX_MIN agreement over every neighbor pair of every node (the Lemma 1
-/// machinery shares the compact compilation with the coverage kernels).
-void expect_maxmin_agrees(const View& view, const std::string& label) {
+/// Lemma 1 on every neighbour pair (u, w) of every visible v: MAX_MIN's
+/// path is empty iff u and w are adjacent, it exists iff w is in the set C
+/// that `reference::connected_via_higher_priority` grows from u through
+/// nodes above Pr(v) (no visited merge), and every path it returns is a
+/// replacement path with distinct intermediates.
+void expect_maxmin_lemma1(const View& view, const std::string& label) {
     for (NodeId v = 0; v < view.node_count(); ++v) {
         if (!view.visible(v)) continue;
         const Priority pv = view.priority(v);
         const auto nv = view.neighbors(v);
         for (std::size_t i = 0; i < nv.size(); ++i) {
+            const NodeId u = nv[i];
+            const auto reach = reference::connected_via_higher_priority(view, u, pv, false);
             for (std::size_t j = i + 1; j < nv.size(); ++j) {
-                ASSERT_EQ(max_min_node(view, nv[i], nv[j], pv),
-                          reference::max_min_node(view, nv[i], nv[j], pv))
-                    << label << " v=" << v << " u=" << nv[i] << " w=" << nv[j];
-                ASSERT_EQ(max_min_path(view, nv[i], nv[j], pv),
-                          reference::max_min_path(view, nv[i], nv[j], pv))
-                    << label << " v=" << v << " u=" << nv[i] << " w=" << nv[j];
+                const NodeId w = nv[j];
+                const auto path = max_min_path(view, u, w, pv);
+                const auto tag = ::testing::Message()
+                                 << label << " v=" << v << " u=" << u << " w=" << w;
+                ASSERT_EQ(path.has_value() && path->empty(), view.has_edge(u, w)) << tag;
+                ASSERT_EQ(path.has_value(), reach[w] != 0) << tag;
+                if (!path) continue;
+                ASSERT_TRUE(is_replacement_path(view, u, w, *path, pv)) << tag;
+                ASSERT_EQ(std::set<NodeId>(path->begin(), path->end()).size(), path->size())
+                    << tag;
             }
         }
     }
@@ -188,7 +198,7 @@ TEST(CoverageEquivalence, AdversarialStructuredGraphs) {
         for (int rep = 0; rep < 4; ++rep) {
             const View view = owning_view(g, random_statuses(g.node_count(), rng), keys);
             expect_kernels_agree(view, name);
-            expect_maxmin_agrees(view, name);
+            expect_maxmin_lemma1(view, name);
         }
     }
 }
@@ -342,9 +352,9 @@ TEST(CoverageEquivalence, VisitedComponentCountsOnRandomGraphs) {
 }
 
 // The KnowledgeBase path hands kernels a *borrowing* view whose CSR comes
-// from the precompiled LocalTopology cache — a different code path through
-// LocalViewScratch::compile than owning views take.  Both must agree with
-// the reference on identical state.
+// from the precompiled LocalTopology cache and whose statuses live in the
+// KnowledgeBase's shared buffer — a different path than owning views
+// take.  Both must agree with the reference on identical state.
 TEST(CoverageEquivalence, KnowledgeBaseCachedViews) {
     Rng rng(4242);
     for (int iter = 0; iter < 12; ++iter) {
@@ -411,7 +421,7 @@ TEST(CoverageEquivalence, MaxMinOnRandomGraphs) {
         const PriorityKeys keys(g, iter % 2 == 0 ? PriorityScheme::kDegree
                                                  : PriorityScheme::kNcr);
         const View view = owning_view(g, random_statuses(n, rng), keys);
-        expect_maxmin_agrees(view, "maxmin#" + std::to_string(iter));
+        expect_maxmin_lemma1(view, "maxmin#" + std::to_string(iter));
     }
 }
 
@@ -471,79 +481,63 @@ std::vector<CoverageOptions> ball_option_combos() {
     return combos;
 }
 
-/// The graph-mask decision against `reference::evaluate_coverage` on the
-/// `local_topology` view, for every node of `g`, k in {1, 2, 3}, all three
+/// The ball-mask decision on the graph's BFS-ordered copy (`BfsGraph`,
+/// `BfsPriorityKeys`) against `reference::evaluate_coverage` on the
+/// `local_topology` view of `g`, for every node, k in {1, 2, 3}, all three
 /// priority schemes, an empty visited set (static) and random history
 /// chains of 1-4 nodes ending at a neighbour (first receipt), under the
 /// default condition with merge_visited on and off; the nodes for which
 /// `all_options` holds also run every other `ball_option_combos` entry.
-/// Every node's mask rows must also equal the compiled view's links.  The
-/// same ball on the graph's BFS-ordered copy (`BfsGraph`) must be
-/// discovered in the same order, give the same rows and the same verdicts
-/// under `BfsPriorityKeys`.  `decided` counts the decisions and
-/// `multi_word` those on balls of more than 64 members.
+/// Every ball's mask rows, at one word and at any width, must equal the
+/// links `compile_ball` keeps on `g`, read through `original()`.
+/// `decided` counts the decisions and `multi_word` those on balls of more
+/// than 64 members.
 template <class AllOptions>
 void expect_ball_words_agree(const Graph& g, AllOptions all_options, Rng& rng,
                              const std::string& label, std::size_t& decided,
                              std::size_t& multi_word) {
     static const std::vector<CoverageOptions> combos = ball_option_combos();
+    const BfsGraph ordered(g);
+    std::vector<NodeId> internal(g.node_count());
+    for (NodeId x = 0; x < g.node_count(); ++x) internal[ordered.original(x)] = x;
     BallScratch words;
     BallScratch compiled;
     std::vector<std::uint64_t> rows;
     std::vector<std::uint64_t> any_width;
     std::vector<std::uint64_t> links;
-    const BfsGraph ordered(g);
-    std::vector<NodeId> internal(g.node_count());
-    for (NodeId x = 0; x < g.node_count(); ++x) internal[ordered.original(x)] = x;
-    BallScratch ordered_words;
-    std::vector<std::uint64_t> ordered_rows;
     for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
         for (NodeId v = 0; v < g.node_count(); ++v) {
-            const std::size_t m = ball_bfs(g, v, k, words);
+            const std::size_t m = ball_bfs(ordered, internal[v], k, words);
             const std::size_t nw = mask_words(m);
             rows.assign(m * nw, ~std::uint64_t{0});
             if (m <= 64) {
-                compile_ball_masks<1>(g, k, words, m, rows.data());
+                compile_ball_masks<1>(ordered, k, words, m, rows.data());
                 any_width.assign(m, 0);
-                compile_ball_masks<0>(g, k, words, m, any_width.data());
+                compile_ball_masks<0>(ordered, k, words, m, any_width.data());
                 ASSERT_EQ(any_width, rows) << label << " v=" << v << " k=" << k;
             } else {
-                compile_ball_masks<0>(g, k, words, m, rows.data());
+                compile_ball_masks<0>(ordered, k, words, m, rows.data());
             }
             compile_ball(g, v, k, compiled);
             const LocalTopology& view = compiled.view;
             ASSERT_EQ(m, view.size()) << label << " v=" << v << " k=" << k;
-            ASSERT_EQ(words.bfs[0], v);
-            // The compiled view's links, renumbered to BFS order.
+            ASSERT_EQ(ordered.original(words.bfs[0]), v);
+            // The compiled view's links, renumbered to the copy's BFS order.
             links.assign(m * nw, 0);
             for (std::size_t i = 0; i < m; ++i) {
-                const std::uint32_t a = view.local_of(words.bfs[i]);
+                const std::uint32_t a = view.local_of(ordered.original(words.bfs[i]));
                 ASSERT_NE(a, kNoLocal) << label << " v=" << v;
                 for (const std::uint32_t b : view.row(a)) {
-                    const std::uint32_t j = words.g2l[view.members[b]];
+                    const std::uint32_t j = words.g2l[internal[view.members[b]]];
                     links[i * nw + j / 64] |= std::uint64_t{1} << (j % 64);
                 }
             }
             ASSERT_EQ(rows, links) << label << " v=" << v << " k=" << k;
-            // Rows of the copy keep the original row order, so its BFS
-            // discovers the same members in the same order.
-            ASSERT_EQ(ball_bfs(ordered, internal[v], k, ordered_words), m)
-                << label << " v=" << v;
-            for (std::size_t i = 0; i < m; ++i) {
-                ASSERT_EQ(ordered.original(ordered_words.bfs[i]), words.bfs[i]) << label;
-            }
-            ordered_rows.assign(m * nw, ~std::uint64_t{0});
-            if (m <= 64) {
-                compile_ball_masks<1>(ordered, k, ordered_words, m, ordered_rows.data());
-            } else {
-                compile_ball_masks<0>(ordered, k, ordered_words, m, ordered_rows.data());
-            }
-            ASSERT_EQ(ordered_rows, rows) << label << " v=" << v << " k=" << k;
         }
         for (const PriorityScheme scheme : {PriorityScheme::kId, PriorityScheme::kDegree,
                                             PriorityScheme::kNcr}) {
             const PriorityKeys keys(g, scheme);
-            const BfsPriorityKeys ordered_keys(g, ordered, scheme);
+            const BfsPriorityKeys ordered_keys(ordered, scheme);
             for (NodeId v = 0; v < g.node_count(); ++v) {
                 const auto nbrs = g.neighbors(v);
                 const LocalTopology topo = local_topology(g, v, k);
@@ -566,21 +560,16 @@ void expect_ball_words_agree(const Graph& g, AllOptions all_options, Rng& rng,
                     for (const NodeId x : visited) ordered_visited.push_back(internal[x]);
                     for (std::size_t o = 0; o < options; ++o) {
                         const CoverageOptions& opts = combos[o];
-                        const bool got = ball_covered(g, v, k, keys, visited, opts, words);
+                        const bool got = ball_covered(ordered, internal[v], k, ordered_keys,
+                                                      ordered_visited, opts, words);
                         const bool want = reference::evaluate_coverage(view, v, opts).covered;
-                        const bool got_ordered =
-                            ball_covered(ordered, internal[v], k, ordered_keys, ordered_visited,
-                                         opts, ordered_words);
                         ++decided;
                         multi_word += topo.size() > 64;
-                        const auto tag = ::testing::Message()
-                                         << label << " v=" << v << " k=" << k << " scheme "
-                                         << to_string(scheme) << " chain " << chain << " strong "
-                                         << opts.strong << " hops " << opts.max_path_hops
-                                         << " radius " << opts.coverage_radius << " merge "
-                                         << opts.merge_visited;
-                        ASSERT_EQ(got, want) << tag;
-                        ASSERT_EQ(got_ordered, want) << "BfsGraph " << tag;
+                        ASSERT_EQ(got, want)
+                            << label << " v=" << v << " k=" << k << " scheme "
+                            << to_string(scheme) << " chain " << chain << " strong "
+                            << opts.strong << " hops " << opts.max_path_hops << " radius "
+                            << opts.coverage_radius << " merge " << opts.merge_visited;
                     }
                 }
             }

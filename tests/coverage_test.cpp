@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "core/view.hpp"
+#include "graph/bfs_graph.hpp"
 
 namespace adhoc {
 namespace {
@@ -315,19 +316,24 @@ TEST(Coverage, RefusesViewsAboveTheMaskLimit) {
     // A cycle's global view holds every node, and so does node 1's ball at
     // half the cycle's length.  The kernel decides views of
     // kMaxMaskMembers members, as the reference does, and refuses one
-    // more rather than allocate masks of megabytes.
+    // more rather than allocate masks of megabytes — on a View and on the
+    // BFS-ordered copy `ScaleEngine` decides on.
     for (const std::size_t n : {kMaxMaskMembers, kMaxMaskMembers + 1}) {
         const Graph g = cycle_graph(n);
         const PriorityKeys keys(g, PriorityScheme::kId);
         const View view = make_static_view(g, 1, 0, keys);
+        const BfsGraph ordered(g);
+        const BfsPriorityKeys ordered_keys(ordered, PriorityScheme::kId);
+        const NodeId one = ordered.internal(1);
         BallScratch ball;
         if (n == kMaxMaskMembers) {
             const bool want = reference::coverage_condition_holds(view, 1);
             EXPECT_EQ(coverage_condition_holds(view, 1), want);
-            EXPECT_EQ(ball_covered(g, 1, n / 2, keys, {}, {}, ball), want);
+            EXPECT_EQ(ball_covered(ordered, one, n / 2, ordered_keys, {}, {}, ball), want);
         } else {
             EXPECT_THROW((void)evaluate_coverage(view, 1), std::length_error);
-            EXPECT_THROW((void)ball_covered(g, 1, n / 2, keys, {}, {}, ball), std::length_error);
+            EXPECT_THROW((void)ball_covered(ordered, one, n / 2, ordered_keys, {}, {}, ball),
+                         std::length_error);
         }
     }
 }

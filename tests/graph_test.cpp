@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
+
+#include "graph/metrics.hpp"
 
 namespace adhoc {
 namespace {
@@ -88,9 +91,10 @@ TEST(Graph, ConnectedNeighborPairsCountsTriangles) {
     g.add_edge(1, 2);
     g.add_edge(0, 2);
     g.add_edge(0, 3);
-    EXPECT_EQ(g.connected_neighbor_pairs(0), 1u);  // (1,2) of 3 pairs
-    EXPECT_EQ(g.connected_neighbor_pairs(1), 1u);
-    EXPECT_EQ(g.connected_neighbor_pairs(3), 0u);
+    std::vector<NodeId> stamp(g.node_count(), kInvalidNode);
+    EXPECT_EQ(connected_neighbor_pairs(g, 0, stamp), 1u);  // (1,2) of 3 pairs
+    EXPECT_EQ(connected_neighbor_pairs(g, 1, stamp), 1u);
+    EXPECT_EQ(connected_neighbor_pairs(g, 3, stamp), 0u);
 }
 
 TEST(Graph, NeighborsPairwiseConnectedDetectsOpenPairs) {

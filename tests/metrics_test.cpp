@@ -4,6 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "core/priority.hpp"
+#include "graph/bfs_graph.hpp"
+#include "graph/unit_disk.hpp"
+#include "stats/rng.hpp"
+
 namespace adhoc {
 namespace {
 
@@ -40,6 +50,78 @@ TEST(Metrics, AllNcrMatchesPerNode) {
     const auto ncr = all_ncr(g);
     for (NodeId v = 0; v < g.node_count(); ++v) {
         EXPECT_DOUBLE_EQ(ncr[v], neighborhood_connectivity_ratio(g, v));
+    }
+}
+
+/// The per-pair count the stamp count replaced: `has_edge` on every pair
+/// of v's neighbours.
+std::size_t pairwise_connected(const Graph& g, NodeId v) {
+    const auto nv = g.neighbors(v);
+    std::size_t connected = 0;
+    for (std::size_t i = 0; i < nv.size(); ++i) {
+        for (std::size_t j = i + 1; j < nv.size(); ++j) connected += g.has_edge(nv[i], nv[j]);
+    }
+    return connected;
+}
+
+/// ncr(v) from the per-pair count, in the arithmetic the keys always used.
+double pairwise_ncr(const Graph& g, NodeId v) {
+    const std::size_t deg = g.degree(v);
+    if (deg <= 1) return 0.0;
+    const double total_pairs = static_cast<double>(deg) * static_cast<double>(deg - 1) / 2.0;
+    return 1.0 - static_cast<double>(pairwise_connected(g, v)) / total_pairs;
+}
+
+TEST(Metrics, StampCountMatchesPairwiseCount) {
+    std::vector<Graph> graphs;
+    Rng rng(20261020);
+    for (int i = 0; i < 12; ++i) {
+        const std::size_t n = 20 + rng.index(81);  // 20..100
+        const double degree = std::vector<double>{2.0, 4.0, 8.0, 12.0}[rng.index(4)];
+        std::vector<Point2D> pts(n);
+        for (Point2D& p : pts) {
+            p.x = rng.uniform(0.0, 10.0);
+            p.y = rng.uniform(0.0, 10.0);
+        }
+        graphs.push_back(unit_disk_graph(
+            pts, std::sqrt(degree * 100.0 / (3.14159265358979323846 * static_cast<double>(n)))));
+    }
+    graphs.emplace_back(5);           // isolated nodes
+    graphs.push_back(path_graph(2));  // two degree-1 nodes
+    graphs.push_back(star_graph(6));  // degree-1 leaves around an open center
+    for (std::size_t k = 2; k <= 8; ++k) graphs.push_back(complete_graph(k));
+
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+        const Graph& g = graphs[gi];
+        const std::size_t n = g.node_count();
+        const BfsGraph ordered(g);
+        std::vector<NodeId> internal(n);
+        for (NodeId x = 0; x < n; ++x) internal[ordered.original(x)] = x;
+        // Each stamp array serves every call on its graph without clearing;
+        // the copy is visited in a different order than its ids.
+        std::vector<NodeId> stamp(n, kInvalidNode);
+        std::vector<NodeId> ordered_stamp(n, kInvalidNode);
+        const std::vector<double> ncr = all_ncr(g);
+        const std::vector<double> ordered_ncr = all_ncr(ordered);
+        const PriorityKeys keys(g, PriorityScheme::kNcr);
+        const BfsPriorityKeys ordered_keys(ordered, PriorityScheme::kNcr);
+        for (NodeId v = 0; v < n; ++v) {
+            const NodeId x = internal[v];
+            const auto tag = ::testing::Message() << "graph " << gi << " v=" << v;
+            const std::size_t want = pairwise_connected(g, v);
+            EXPECT_EQ(connected_neighbor_pairs(g, v, stamp), want) << tag;
+            EXPECT_EQ(connected_neighbor_pairs(ordered, x, ordered_stamp), want) << tag;
+            const double want_ncr = pairwise_ncr(g, v);
+            EXPECT_EQ(bits(ncr[v]), bits(want_ncr)) << tag;
+            EXPECT_EQ(bits(ordered_ncr[x]), bits(want_ncr)) << tag;
+            EXPECT_EQ(bits(neighborhood_connectivity_ratio(g, v)), bits(want_ncr)) << tag;
+            const Priority p = keys.evaluate(v, NodeStatus::kUnvisited);
+            const Priority q = ordered_keys.evaluate(x, NodeStatus::kUnvisited);
+            EXPECT_EQ(bits(p.key1), bits(want_ncr)) << tag;
+            EXPECT_EQ(bits(q.key1), bits(want_ncr)) << tag;
+            EXPECT_EQ(p, q) << tag;
+        }
     }
 }
 
