@@ -540,9 +540,10 @@ Kernel ball_decision_kernel(const Graph& g, std::uint64_t seed, std::size_t reps
         for (const NodeId x : members) status[x] = NodeStatus::kInvisible;
         return covered;
     };
+    BallMaskScratch masks;
     const auto words = [&](std::size_t i) {
         return ball_covered(ordered, internal[centers[i]], kHops, ordered_keys,
-                            ordered_chains[i], {}, ball);
+                            ordered_chains[i], {}, masks);
     };
     const auto sweep = [&](auto&& decide) {
         std::size_t covered = 0;

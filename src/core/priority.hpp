@@ -100,25 +100,31 @@ class PriorityKeys {
 };
 
 /// The static priority keys of a `BfsGraph`'s nodes, read by internal id:
-/// `evaluate(v, s)` equals `PriorityKeys(original, scheme).evaluate(
-/// g.original(v), s)` for the graph `g` copies, the original id staying
-/// the last tiebreak.  Only what the graph cannot give is stored: id keys
-/// need nothing, a degree key is the internal row length, and NCR keeps
-/// one double per node, counted on `g` itself.  The graph must outlive the
+/// `key` orders nodes as `PriorityKeys(original, scheme)` orders their
+/// original ids at equal status, the original id staying the last
+/// tiebreak.  Only what the graph cannot give is stored: id keys need
+/// nothing, a degree key is the internal row length, and NCR keeps one
+/// double per node, counted on `g` itself.  The graph must outlive the
 /// keys.
 class BfsPriorityKeys {
   public:
     BfsPriorityKeys() = default;
     BfsPriorityKeys(const BfsGraph& g, PriorityScheme scheme);
 
-    [[nodiscard]] Priority evaluate(NodeId v, NodeStatus status) const noexcept {
-        const auto degree = static_cast<double>(g_->degree(v));
-        switch (scheme_) {
-            case PriorityScheme::kId: break;
-            case PriorityScheme::kDegree: return {status, degree, 0.0, g_->original(v)};
-            case PriorityScheme::kNcr: return {status, ncr_[v], degree, g_->original(v)};
+    /// A node's static key: x outranks y at equal status iff key(x) >
+    /// key(y).  The NCR double (0 unless kNcr) comes first, then degree
+    /// (0 under kId) << 32 | original id as one integer, so two keys
+    /// compare without branches.
+    struct Key {
+        double ncr;
+        std::uint64_t rest;
+        friend bool operator>(const Key& a, const Key& b) noexcept {
+            return (a.ncr > b.ncr) | ((a.ncr == b.ncr) & (a.rest > b.rest));
         }
-        return {status, 0.0, 0.0, g_->original(v)};
+    };
+    [[nodiscard]] Key key(NodeId v) const noexcept {
+        const std::uint64_t degree = scheme_ == PriorityScheme::kId ? 0 : g_->degree(v);
+        return {scheme_ == PriorityScheme::kNcr ? ncr_[v] : 0.0, degree << 32 | g_->original(v)};
     }
 
     [[nodiscard]] std::size_t bytes() const noexcept { return ncr_.capacity() * sizeof(double); }

@@ -1,13 +1,10 @@
 #include "graph/khop.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <numeric>
 #include <stdexcept>
 #include <string>
-
-#include "graph/bfs_graph.hpp"
 
 namespace adhoc {
 
@@ -45,25 +42,21 @@ std::vector<NodeId> two_hop_cover_set(const Graph& g, NodeId v) {
     return nodes;
 }
 
-void BallScratch::fit(std::size_t n) {
-    if (stamp.size() < n) {
-        stamp.resize(n, 0);
-        dist.resize(n);
-        g2l.resize(n);
-    }
-}
-
-template <class Adjacency>
-std::size_t ball_bfs(const Adjacency& g, NodeId v, std::size_t k, BallScratch& s) {
+void compile_ball(const Graph& g, NodeId v, std::size_t k, BallScratch& s) {
     // A BFS that expands nodes closer than `k` hops, recording each
-    // member's hop distance, epoch stamp and discovery index.
+    // member's hop distance and epoch stamp; then the sorted members and
+    // the CSR of their visible links.
     assert(g.contains(v));
     if (k > kMaxBallHops) {
         throw std::invalid_argument("compile_ball: hops = " + std::to_string(k) +
                                     " exceeds the 16-bit distance limit " +
                                     std::to_string(kMaxBallHops));
     }
-    s.fit(g.node_count());
+    if (s.stamp.size() < g.node_count()) {
+        s.stamp.resize(g.node_count(), 0);
+        s.dist.resize(g.node_count());
+        s.g2l.resize(g.node_count());
+    }
     if (++s.epoch == 0) {  // wrap: invalidate everything once
         std::fill(s.stamp.begin(), s.stamp.end(), 0);
         s.epoch = 1;
@@ -71,13 +64,12 @@ std::size_t ball_bfs(const Adjacency& g, NodeId v, std::size_t k, BallScratch& s
     const std::uint32_t epoch = s.epoch;
     // Branch-free per adjacency entry: the entry is written to the next
     // free queue slot unconditionally and kept by advancing the tail by a
-    // 0/1 predicate.  The stamp, dist and g2l words of a non-member hold
-    // stale but initialised values, so reading them is harmless.
+    // 0/1 predicate.  The stamp and dist words of a non-member hold stale
+    // but initialised values, so reading them is harmless.
     if (s.bfs.empty()) s.bfs.resize(1);
     s.bfs[0] = v;
     s.stamp[v] = epoch;
     s.dist[v] = 0;
-    s.g2l[v] = 0;
     std::size_t tail = 1;
     for (std::size_t head = 0; head < tail; ++head) {
         const NodeId x = s.bfs[head];
@@ -85,64 +77,17 @@ std::size_t ball_bfs(const Adjacency& g, NodeId v, std::size_t k, BallScratch& s
         const auto row = g.neighbors(x);
         const std::size_t need = tail + row.size();
         if (s.bfs.size() < need) s.bfs.resize(2 * need);
-        s.queue_need = std::max(s.queue_need, need);
         const auto next = static_cast<std::uint16_t>(s.dist[x] + 1);
         NodeId* const queue = s.bfs.data();
         for (const NodeId y : row) {
             const bool fresh = s.stamp[y] != epoch;
             s.stamp[y] = epoch;
             s.dist[y] = fresh ? next : s.dist[y];
-            s.g2l[y] = fresh ? static_cast<std::uint32_t>(tail) : s.g2l[y];
             queue[tail] = y;
             tail += fresh;
         }
     }
-    return tail;
-}
 
-template <std::size_t kWords>
-void compile_ball_masks(const BfsGraph& g, std::size_t k, const BallScratch& s, std::size_t m,
-                        std::uint64_t* rows) {
-    constexpr std::uint64_t kOne = 1;
-    const std::size_t words = kWords != 0 ? kWords : mask_words(m);
-    // Interior members (closer than k hops) were all expanded, so every
-    // neighbour of one is a member and every link at one is visible: its
-    // row is its adjacency row.  BFS order puts them first.
-    std::size_t interior = 0;
-    for (; interior < m && s.dist[s.bfs[interior]] < k; ++interior) {
-        std::uint64_t* const row = rows + interior * words;
-        std::fill_n(row, words, 0);
-        for (const NodeId y : g.neighbors(s.bfs[interior])) {
-            const std::uint32_t j = s.g2l[y];
-            row[mask_word<kWords>(j)] |= kOne << (j % 64);
-        }
-    }
-    // A boundary member (exactly k hops) sees only its links to the
-    // interior: its row is its column of the interior rows.
-    std::fill(rows + interior * words, rows + m * words, 0);
-    for (std::size_t i = 0; i < interior; ++i) {
-        const std::uint64_t* const row = rows + i * words;
-        for (std::size_t w = interior / 64; w < words; ++w) {
-            std::uint64_t b = row[w];
-            if (w == interior / 64) b &= ~std::uint64_t{0} << (interior % 64);
-            for (; b != 0; b &= b - 1) {
-                const std::size_t j = w * 64 + static_cast<std::size_t>(std::countr_zero(b));
-                rows[j * words + mask_word<kWords>(i)] |= kOne << (i % 64);
-            }
-        }
-    }
-}
-
-template std::size_t ball_bfs(const Graph&, NodeId, std::size_t, BallScratch&);
-template std::size_t ball_bfs(const BfsGraph&, NodeId, std::size_t, BallScratch&);
-template void compile_ball_masks<1>(const BfsGraph&, std::size_t, const BallScratch&,
-                                    std::size_t, std::uint64_t*);
-template void compile_ball_masks<0>(const BfsGraph&, std::size_t, const BallScratch&,
-                                    std::size_t, std::uint64_t*);
-
-void compile_ball(const Graph& g, NodeId v, std::size_t k, BallScratch& s) {
-    const std::size_t tail = ball_bfs(g, v, k, s);
-    const std::uint32_t epoch = s.epoch;
     LocalTopology& out = s.view;
     out.center = v;
     out.hops = k;

@@ -13,10 +13,10 @@
 /// member list N_k(v) plus a CSR over local ids, so it costs O(ball), not
 /// O(n).  `compile_ball` builds Definition-2 views; `induced_topology`
 /// builds every other view (global, hello-built, hand-built).
-/// `ball_bfs` + `compile_ball_masks` write the same G_k(v) as node-mask
-/// rows — one bitset per member, over members numbered in BFS order —
-/// which is the form the coverage kernel decides on (core/coverage.hpp),
-/// from `ScaleEngine`'s BFS-ordered copy of the graph.
+/// `compile_ball_masks` (core/coverage.hpp) writes the same G_k(v) as
+/// node-mask rows — one bitset per member, over members numbered in BFS
+/// order — which is the form the coverage kernel decides on, in one pass
+/// over `ScaleEngine`'s BFS-ordered copy of the graph.
 
 #pragma once
 
@@ -28,8 +28,6 @@
 #include "graph/graph.hpp"
 
 namespace adhoc {
-
-class BfsGraph;
 
 /// Nodes within `k` hops of `v` (including `v` itself), sorted ascending.
 /// N_0(v) = {v}.
@@ -105,17 +103,13 @@ template <std::size_t kWords>
     return kWords == 1 ? 0 : i / 64;
 }
 
-/// Caller-owned working memory and output of `compile_ball` and
-/// `ball_bfs`.  The three O(n) working arrays are validated by epoch
-/// stamps, so consecutive compiles clear nothing, and every buffer only
-/// grows — zero allocations per ball in steady state.  The BFS queue and
-/// the CSR column buffer are written past their live end (a slot per
-/// scanned adjacency entry).
+/// Caller-owned working memory and output of `compile_ball`.  The three
+/// O(n) working arrays are validated by epoch stamps, so consecutive
+/// compiles clear nothing, and every buffer only grows — zero allocations
+/// per ball in steady state.  The BFS queue and the CSR column buffer are
+/// written past their live end (a slot per scanned adjacency entry).
 struct BallScratch {
     LocalTopology view;  ///< output of `compile_ball`: G_k(v)
-    /// The coverage kernel's rows and working masks for a decision on a
-    /// ball of more than 64 members (`ball_covered`, core/coverage.hpp).
-    std::vector<std::uint64_t> masks;
     // Working set.
     std::vector<NodeId> bfs;           ///< BFS queue / discovery order
     std::vector<std::uint16_t> dist;   ///< hop distance from the center
@@ -123,15 +117,6 @@ struct BallScratch {
     std::vector<std::uint32_t> g2l;    ///< global -> local id
     std::vector<std::uint32_t> cols;   ///< CSR columns before the exact-size copy
     std::uint32_t epoch = 0;
-    /// The most BFS queue slots one ball has needed.  The queue doubles
-    /// past it, by an amount that depends on the order of the balls.
-    std::size_t queue_need = 0;
-
-    /// True iff `x` is a member of the last compiled ball.
-    [[nodiscard]] bool member(NodeId x) const noexcept { return stamp[x] == epoch; }
-
-    /// Sizes the O(n) working arrays for graphs of `n` nodes.
-    void fit(std::size_t n);
 };
 
 /// The one Definition-2 compile: a BFS from `v` truncated at depth `k`
@@ -139,27 +124,6 @@ struct BallScratch {
 /// E ∩ (N_{k-1}(v) × N_k(v)) as its CSR.  Costs O(ball edges),
 /// independent of n.  Throws std::invalid_argument when k > kMaxBallHops.
 void compile_ball(const Graph& g, NodeId v, std::size_t k, BallScratch& s);
-
-/// The truncated BFS behind `compile_ball`, on its own: N_k(v) into `s`
-/// in BFS discovery order.  Local i names `s.bfs[i]` (the center is 0),
-/// `s.g2l[x]` is the local id of a member x (`s.member(x)`) and `s.dist[x]`
-/// its hop distance.  Returns the member count m; `s.view` is left alone.
-/// Throws std::invalid_argument when k > kMaxBallHops.  `Adjacency` is
-/// `Graph` or `BfsGraph` (graph/bfs_graph.hpp), whose ids it then speaks.
-template <class Adjacency>
-std::size_t ball_bfs(const Adjacency& g, NodeId v, std::size_t k, BallScratch& s);
-
-/// G_k(v) as node-mask rows, straight from the BFS-ordered graph `g`, for
-/// the ball of `m` members that the last `ball_bfs(g, v, k, s)` left in
-/// `s`: with W = kWords (0: mask_words(m)), row i is the W words from
-/// `rows + i * W`, over local ids in BFS order.  Bit j of row i is set iff the link
-/// between locals i and j is in E ∩ (N_{k-1}(v) × N_k(v)) — the links
-/// `compile_ball` keeps.  The rows of the k-hop boundary are the transpose
-/// of the interior rows, so no boundary node's adjacency is read.  Rows
-/// cost m * W words, quadratic in m.  Instantiated for kWords 1 and 0.
-template <std::size_t kWords>
-void compile_ball_masks(const BfsGraph& g, std::size_t k, const BallScratch& s, std::size_t m,
-                        std::uint64_t* rows);
 
 /// The builder for views that do not come from `compile_ball`: global
 /// information (k == 0), hello-built views and hand-built test views.

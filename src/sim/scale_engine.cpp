@@ -578,7 +578,7 @@ ScaleResult ScaleEngine::run(NodeId source) {
                 // on the worker's first decision, which the scheduler
                 // decides.
                 crew.emplace(config_.jobs, config_.wheels);
-                for (DecideScratch& ds : deciders_) ds.ball.fit(n);
+                for (DecideScratch& ds : deciders_) ds.ball.tags.resize(n, 0);
             }
             crew->run_phase([&](std::size_t wi, std::size_t worker) {
                 for (NodeId v : fresh_[wi]) {
@@ -670,7 +670,7 @@ std::size_t ScaleEngine::state_bytes() const noexcept {
     std::size_t bytes = graph_.bytes() + keys_.bytes() + received_.capacity() +
                         forwarded_.capacity() + renumber_.capacity();
     for (const std::vector<NodeId>& fresh : fresh_) bytes += fresh.capacity() * sizeof(NodeId);
-    // Every worker's O(n) arrays are sized with the crew.  Which worker
+    // Every worker's O(n) tag array is sized with the crew.  Which worker
     // decides which ball is up to the scheduler, so each per-ball buffer
     // counts once, at the largest need of any worker: the visited set and
     // the masks are grown to exactly that need, and the BFS queue counts
@@ -679,10 +679,8 @@ std::size_t ScaleEngine::state_bytes() const noexcept {
     std::size_t queue = 0;
     std::size_t masks = 0;
     for (const DecideScratch& ds : deciders_) {
-        const BallScratch& b = ds.ball;
-        bytes += b.stamp.capacity() * sizeof(std::uint32_t) +
-                 b.dist.capacity() * sizeof(std::uint16_t) +
-                 b.g2l.capacity() * sizeof(std::uint32_t);
+        const BallMaskScratch& b = ds.ball;
+        bytes += b.tags.capacity() * sizeof(std::uint64_t);
         visited = std::max(visited, ds.visited.capacity());
         queue = std::max(queue, b.queue_need);
         masks = std::max(masks, b.masks.capacity());

@@ -56,12 +56,12 @@
 /// chain), so a decision is a pure function of (node, packet).  Every
 /// decision, for any ball size and any coverage option, is one call to
 /// `ball_covered` (src/core/coverage.hpp), which decides straight from the
-/// engine's BFS-ordered copy of the graph: `ball_bfs`
-/// (src/graph/khop.hpp), the truncated BFS behind `compile_ball`, numbers
-/// members in discovery order, and `compile_ball_masks` writes each
-/// member's visible links as a node-mask row of ⌈m/64⌉ words; the
-/// higher-priority mask H comes from the static keys and the visited mask
-/// from the packet's chain; the coverage kernel decides on those three.
+/// engine's BFS-ordered copy of the graph: one truncated BFS
+/// (`compile_ball_masks`) numbers members in discovery order and writes
+/// their visible links as node-mask rows of ⌈m/64⌉ words and the
+/// higher-priority mask H from the static keys, one tag word per node;
+/// the visited mask comes from the packet's chain; the coverage kernel
+/// decides on those three.
 /// No member list is sorted, no CSR is written and no per-member
 /// `Priority` is filled.  The verdict does not depend on how members are
 /// numbered, so it equals `evaluate_coverage` on the sorted Definition-2
@@ -74,8 +74,8 @@
 /// is decided ahead of the replay by a `PhaseCrew` of min(jobs, wheels)
 /// workers claiming wheels, and the replay uses a verdict only when the
 /// node's first receipt carries the very packet it was decided for.  Each
-/// worker owns one compile-scratch set (its O(n) arrays are the bulk of a
-/// generic engine's bytes/node): the calling thread's is allocated on the
+/// worker owns one compile-scratch set (its O(n) tag array is the bulk of
+/// a generic engine's bytes/node): the calling thread's is allocated on the
 /// first decision and every other worker's when the crew is created, so
 /// at `jobs == 1` there is exactly one set, whatever `wheels` is.
 /// `state_bytes` counts each per-ball buffer once, at its largest across
@@ -107,13 +107,13 @@
 #include <memory>
 #include <vector>
 
+#include "core/coverage.hpp"
 #include "core/priority.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/fault_session.hpp"
 #include "faults/recovery.hpp"
 #include "graph/bfs_graph.hpp"
 #include "graph/graph.hpp"
-#include "graph/khop.hpp"
 #include "sim/generic_config.hpp"
 #include "sim/trace.hpp"
 
@@ -250,7 +250,7 @@ class ScaleEngine {
     /// grow — zero allocations per decision in steady state.
     struct DecideScratch {
         std::vector<NodeId> visited;  ///< decision-time visited set (<= h+1)
-        BallScratch ball;             ///< the decision's node-mask view
+        BallMaskScratch ball;         ///< the decision's node-mask view
     };
 
     /// One calendar entry, 16 bytes.  `payload` is the packet (kDelivery:

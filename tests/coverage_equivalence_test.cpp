@@ -488,8 +488,10 @@ std::vector<CoverageOptions> ball_option_combos() {
 /// chains of 1-4 nodes ending at a neighbour (first receipt), under the
 /// default condition with merge_visited on and off; the nodes for which
 /// `all_options` holds also run every other `ball_option_combos` entry.
-/// Every ball's mask rows, at one word and at any width, must equal the
-/// links `compile_ball` keeps on `g`, read through `original()`.
+/// Every ball's one-pass compile must count the members of `compile_ball`
+/// on `g`, also when it outgrows one word; its rows, at one word and at
+/// any width, must equal the links `compile_ball` keeps, read through
+/// `original()`, and its H mask the members whose static key is above v's.
 /// `decided` counts the decisions and `multi_word` those on balls of more
 /// than 64 members.
 template <class AllOptions>
@@ -500,45 +502,67 @@ void expect_ball_words_agree(const Graph& g, AllOptions all_options, Rng& rng,
     const BfsGraph ordered(g);
     std::vector<NodeId> internal(g.node_count());
     for (NodeId x = 0; x < g.node_count(); ++x) internal[ordered.original(x)] = x;
-    BallScratch words;
+    BallMaskScratch words;
     BallScratch compiled;
     std::vector<std::uint64_t> rows;
+    std::vector<std::uint64_t> above;
     std::vector<std::uint64_t> any_width;
+    std::vector<std::uint64_t> any_above;
     std::vector<std::uint64_t> links;
+    std::vector<std::uint64_t> higher;
     for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
-        for (NodeId v = 0; v < g.node_count(); ++v) {
-            const std::size_t m = ball_bfs(ordered, internal[v], k, words);
-            const std::size_t nw = mask_words(m);
-            rows.assign(m * nw, ~std::uint64_t{0});
-            if (m <= 64) {
-                compile_ball_masks<1>(ordered, k, words, m, rows.data());
-                any_width.assign(m, 0);
-                compile_ball_masks<0>(ordered, k, words, m, any_width.data());
-                ASSERT_EQ(any_width, rows) << label << " v=" << v << " k=" << k;
-            } else {
-                compile_ball_masks<0>(ordered, k, words, m, rows.data());
-            }
-            compile_ball(g, v, k, compiled);
-            const LocalTopology& view = compiled.view;
-            ASSERT_EQ(m, view.size()) << label << " v=" << v << " k=" << k;
-            ASSERT_EQ(ordered.original(words.bfs[0]), v);
-            // The compiled view's links, renumbered to the copy's BFS order.
-            links.assign(m * nw, 0);
-            for (std::size_t i = 0; i < m; ++i) {
-                const std::uint32_t a = view.local_of(ordered.original(words.bfs[i]));
-                ASSERT_NE(a, kNoLocal) << label << " v=" << v;
-                for (const std::uint32_t b : view.row(a)) {
-                    const std::uint32_t j = words.g2l[internal[view.members[b]]];
-                    links[i * nw + j / 64] |= std::uint64_t{1} << (j % 64);
-                }
-            }
-            ASSERT_EQ(rows, links) << label << " v=" << v << " k=" << k;
-        }
         for (const PriorityScheme scheme : {PriorityScheme::kId, PriorityScheme::kDegree,
                                             PriorityScheme::kNcr}) {
             const PriorityKeys keys(g, scheme);
             const BfsPriorityKeys ordered_keys(ordered, scheme);
             for (NodeId v = 0; v < g.node_count(); ++v) {
+                const auto tag = [&] {
+                    return label + " v=" + std::to_string(v) + " k=" + std::to_string(k) +
+                           " scheme " + to_string(scheme);
+                };
+                // Every mask word starts dirty: the pass must write each one.
+                rows.assign(64, ~std::uint64_t{0});
+                above.assign(1, ~std::uint64_t{0});
+                const std::size_t m = compile_ball_masks<1>(ordered, internal[v], k, ordered_keys,
+                                                            words, 64, rows.data(), above.data());
+                const std::size_t nw = mask_words(m);
+                any_width.assign(m * nw, ~std::uint64_t{0});
+                any_above.assign(nw, ~std::uint64_t{0});
+                ASSERT_EQ(compile_ball_masks<0>(ordered, internal[v], k, ordered_keys, words, m,
+                                                any_width.data(), any_above.data()),
+                          m)
+                    << tag();
+                if (m <= 64) {
+                    rows.resize(m);
+                    ASSERT_EQ(any_width, rows) << tag();
+                    ASSERT_EQ(any_above, above) << tag();
+                }
+                compile_ball(g, v, k, compiled);
+                const LocalTopology& view = compiled.view;
+                ASSERT_EQ(m, view.size()) << tag();
+                ASSERT_EQ(ordered.original(words.queue[0]), v);
+                // The compiled view's links, renumbered to the copy's BFS
+                // order, and the members above v.
+                links.assign(m * nw, 0);
+                higher.assign(nw, 0);
+                const Priority pv = keys.evaluate(v, NodeStatus::kUnvisited);
+                for (std::size_t i = 0; i < m; ++i) {
+                    const NodeId x = ordered.original(words.queue[i]);
+                    const std::uint32_t a = view.local_of(x);
+                    ASSERT_NE(a, kNoLocal) << tag();
+                    ASSERT_EQ(words.local(words.queue[i]), i) << tag();
+                    for (const std::uint32_t b : view.row(a)) {
+                        ASSERT_TRUE(words.member(internal[view.members[b]])) << tag();
+                        const std::uint32_t j = words.local(internal[view.members[b]]);
+                        links[i * nw + j / 64] |= std::uint64_t{1} << (j % 64);
+                    }
+                    if (keys.evaluate(x, NodeStatus::kUnvisited) > pv) {
+                        higher[i / 64] |= std::uint64_t{1} << (i % 64);
+                    }
+                }
+                ASSERT_EQ(any_width, links) << tag();
+                ASSERT_EQ(any_above, higher) << tag();
+
                 const auto nbrs = g.neighbors(v);
                 const LocalTopology topo = local_topology(g, v, k);
                 const std::size_t options = all_options(v) ? combos.size() : 2;
@@ -566,9 +590,8 @@ void expect_ball_words_agree(const Graph& g, AllOptions all_options, Rng& rng,
                         ++decided;
                         multi_word += topo.size() > 64;
                         ASSERT_EQ(got, want)
-                            << label << " v=" << v << " k=" << k << " scheme "
-                            << to_string(scheme) << " chain " << chain << " strong "
-                            << opts.strong << " hops " << opts.max_path_hops << " radius "
+                            << tag() << " chain " << chain << " strong " << opts.strong
+                            << " hops " << opts.max_path_hops << " radius "
                             << opts.coverage_radius << " merge " << opts.merge_visited;
                     }
                 }
@@ -611,8 +634,17 @@ TEST(CoverageEquivalence, BallWordsMatchCompiledBalls) {
             layers.push_back(10);
             NodeId center = 0;
             const Graph g = layered_graph(layers, 0.08, rng, &center);
-            BallScratch ball;
-            ASSERT_EQ(ball_bfs(g, center, k, ball), members) << "k=" << k;
+            // The one-word pass hands a ball of more than 64 members over
+            // mid-pass and returns its member count.
+            const BfsGraph ordered(g);
+            const BfsPriorityKeys ordered_keys(ordered, PriorityScheme::kId);
+            BallMaskScratch ball;
+            std::uint64_t rows[64];
+            std::uint64_t above = 0;
+            ASSERT_EQ(compile_ball_masks<1>(ordered, ordered.internal(center), k, ordered_keys,
+                                            ball, 64, rows, &above),
+                      members)
+                << "k=" << k;
             expect_ball_words_agree(
                 g, [center](NodeId v) { return v == center || v % 4 == 0; }, rng,
                 "layered " + std::to_string(members) + " k=" + std::to_string(k), decided,

@@ -325,7 +325,7 @@ TEST(Coverage, RefusesViewsAboveTheMaskLimit) {
         const BfsGraph ordered(g);
         const BfsPriorityKeys ordered_keys(ordered, PriorityScheme::kId);
         const NodeId one = ordered.internal(1);
-        BallScratch ball;
+        BallMaskScratch ball;
         if (n == kMaxMaskMembers) {
             const bool want = reference::coverage_condition_holds(view, 1);
             EXPECT_EQ(coverage_condition_holds(view, 1), want);
@@ -336,6 +336,15 @@ TEST(Coverage, RefusesViewsAboveTheMaskLimit) {
                          std::length_error);
         }
     }
+    // A ball past 65,535 members would wrap the pass's 16-bit local ids:
+    // it is refused as soon as it passes kMaxMaskMembers, long before.
+    const Graph ring = cycle_graph(70000);
+    const BfsGraph ordered(ring);
+    const BfsPriorityKeys ordered_keys(ordered, PriorityScheme::kId);
+    BallMaskScratch ball;
+    EXPECT_THROW((void)ball_covered(ordered, 0, 35000, ordered_keys, {}, {}, ball),
+                 std::length_error);
+    EXPECT_LE(ball.queue_need, 2 * kMaxMaskMembers);
 }
 
 TEST(Coverage, DynamicViewHelperUnused) {

@@ -488,10 +488,9 @@ TEST(ScaleEngineGeneric, DecisionScratchIsPerWorkerNotPerWheel) {
 
     // Which worker claims which wheel is up to the scheduler, but every
     // worker's O(n) scratch is sized when the crew is created and each
-    // per-ball buffer counts once: each extra worker adds exactly its
-    // stamp, global-to-local and distance arrays.
-    constexpr std::size_t kNodeBytes =
-        sizeof(std::uint32_t) + sizeof(std::uint32_t) + sizeof(std::uint16_t);
+    // per-ball buffer counts once: each extra worker adds exactly its tag
+    // array.
+    constexpr std::size_t kNodeBytes = sizeof(std::uint64_t);
     std::size_t crew_bytes[3] = {0, 0, 0};
     for (const std::size_t j : {2ULL, 3ULL, 4ULL}) {
         ScaleEngine crew(g, config(32, j));
